@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all build vet lint lint-sarif lint-selftest test race race-shard-identity check soak soak-byzantine soak-catchup soak-smoke-race fuzz fuzz-smoke bench-json bench-smoke clean
+.PHONY: all build vet lint lint-sarif lint-selftest test race race-shard-identity check soak soak-byzantine soak-catchup soak-smoke-race fuzz fuzz-smoke bench-json bench-smoke bench-repo bench-repo-smoke clean
 
 all: check
 
@@ -121,6 +121,20 @@ bench-json: build
 # catch benchmarks that break without burning CI minutes on timing.
 bench-smoke: build
 	$(GO) run ./cmd/rbbench -benchtime 1x -label ci-smoke -out bench-smoke.json
+
+# bench-repo runs the repository benchmark declared in BENCHMARK.json
+# (benchmarks/README.md): four workloads, an untraced pass for the
+# end-to-end metrics and a traced one for the per-layer split, ≈4 min.
+# Results land in benchmarks/out/; compare two of them with
+# `go run ./benchmarks -compare a.json b.json`.
+bench-repo:
+	$(GO) run ./benchmarks
+
+# bench-repo-smoke is the CI-sized check of the same program: three
+# seconds of the 512-host control-plane workload, untraced. It fails
+# unless the run's closing JSON line reports "correct":true.
+bench-repo-smoke:
+	$(GO) run ./benchmarks -workload sim-wide-seq -seed 1 -seconds 3 -trace 0 | tail -n 1 | grep -q '"correct":true'
 
 # fuzz gives each fuzz target a short budget; raise -fuzztime for real
 # campaigns.

@@ -51,8 +51,8 @@ func BenchmarkE11Multi(b *testing.B)     { benchExperiment(b, "E11") }
 // `go test -bench` and the cmd/rbbench JSON snapshot runner measure
 // exactly the same code.
 
-func BenchmarkSimulatorThroughput(b *testing.B)  { bench.SimulatorThroughput(b) }
-func BenchmarkPublicSimulate(b *testing.B)       { bench.PublicSimulate(b) }
+func BenchmarkSimulatorThroughput(b *testing.B) { bench.SimulatorThroughput(b) }
+func BenchmarkPublicSimulate(b *testing.B)      { bench.PublicSimulate(b) }
 
 func BenchmarkShardScaling(b *testing.B) {
 	for _, shards := range []int{1, 2, 4, 8} {
@@ -61,6 +61,7 @@ func BenchmarkShardScaling(b *testing.B) {
 }
 func BenchmarkLiveFleetBroadcast(b *testing.B)   { bench.LiveFleetBroadcast(b) }
 func BenchmarkEngineTimerChurn(b *testing.B)     { bench.EngineTimerChurn(b) }
+func BenchmarkNetsimHop(b *testing.B)            { bench.NetsimHop(b) }
 func BenchmarkSeqsetDiff(b *testing.B)           { bench.SeqsetDiff(b) }
 func BenchmarkWireEncodeInfo(b *testing.B)       { bench.WireEncodeInfo(b) }
 func BenchmarkWireAppendEncodeInfo(b *testing.B) { bench.WireAppendEncodeInfo(b) }

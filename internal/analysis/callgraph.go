@@ -198,6 +198,9 @@ type Program struct {
 	ivFacts      map[*FuncNode]*intervalFacts
 	ivInProgress map[*FuncNode]bool
 	loopEffects  map[*FuncNode]*loopEffects
+	// fieldFuncs indexes the functions stored in each struct field; built
+	// on first use (see fieldFuncsOf).
+	fieldFuncs map[*types.Var][]*FuncNode
 }
 
 // progDiag is a whole-program diagnostic tagged with the package it

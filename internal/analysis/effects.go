@@ -192,16 +192,33 @@ func walkShallow(body ast.Node, visit func(ast.Node)) {
 	})
 }
 
-// resolveEventFunc resolves a scheduled callback expression to its
-// function node: a literal, a named function, or a method value.
-// Opaque values (fields, parameters) return nil — their bodies are
-// still reached through the call graph's dynamic edges.
-func (p *Program) resolveEventFunc(n *FuncNode, e ast.Expr) *FuncNode {
+// resolveEventFuncs resolves a scheduled callback expression to the
+// function nodes it may run: a literal, a named function, a method
+// value, or — for a struct field such as a pooled record's pre-bound
+// `f.run` — every function the program statically stores in that field
+// (see fieldFuncsOf). Other opaque values (parameters, locals) return
+// nil — their bodies are still reached through the call graph's dynamic
+// edges.
+func (p *Program) resolveEventFuncs(n *FuncNode, e ast.Expr) []*FuncNode {
+	info := n.Pkg.TypesInfo
+	if fn := p.staticFuncNode(info, e); fn != nil {
+		return []*FuncNode{fn}
+	}
+	if sel, ok := ast.Unparen(e).(*ast.SelectorExpr); ok {
+		if v, ok := info.Uses[sel.Sel].(*types.Var); ok && v.IsField() {
+			return p.fieldFuncsOf(v)
+		}
+	}
+	return nil
+}
+
+// staticFuncNode resolves an expression that names one function
+// directly: a literal, a named function, or a method value.
+func (p *Program) staticFuncNode(info *types.Info, e ast.Expr) *FuncNode {
 	e = ast.Unparen(e)
 	if lit, ok := e.(*ast.FuncLit); ok {
 		return p.Graph.NodeOfLit(lit)
 	}
-	info := n.Pkg.TypesInfo
 	var obj types.Object
 	switch e := e.(type) {
 	case *ast.Ident:
@@ -213,6 +230,50 @@ func (p *Program) resolveEventFunc(n *FuncNode, e ast.Expr) *FuncNode {
 		return p.Graph.NodeOf(fn)
 	}
 	return nil
+}
+
+// fieldFuncsOf returns the functions stored in a struct field anywhere
+// in the program, by assignment (`f.run = f.step`) or keyed composite
+// literal (`flight{run: step}`), in source order. The index is
+// flow-insensitive on purpose: an event passed as a field may be any
+// function ever bound to that field.
+func (p *Program) fieldFuncsOf(field *types.Var) []*FuncNode {
+	if p.fieldFuncs == nil {
+		p.fieldFuncs = make(map[*types.Var][]*FuncNode)
+		for _, pkg := range p.Packages {
+			info := pkg.TypesInfo
+			bind := func(lhs *ast.Ident, rhs ast.Expr) {
+				v, ok := info.Uses[lhs].(*types.Var)
+				if !ok || !v.IsField() {
+					return
+				}
+				if fn := p.staticFuncNode(info, rhs); fn != nil {
+					p.fieldFuncs[v] = append(p.fieldFuncs[v], fn)
+				}
+			}
+			for _, file := range pkg.Files {
+				ast.Inspect(file, func(node ast.Node) bool {
+					switch node := node.(type) {
+					case *ast.AssignStmt:
+						if len(node.Lhs) != len(node.Rhs) {
+							break
+						}
+						for i, lhs := range node.Lhs {
+							if sel, ok := ast.Unparen(lhs).(*ast.SelectorExpr); ok {
+								bind(sel.Sel, node.Rhs[i])
+							}
+						}
+					case *ast.KeyValueExpr:
+						if key, ok := node.Key.(*ast.Ident); ok {
+							bind(key, node.Value)
+						}
+					}
+					return true
+				})
+			}
+		}
+	}
+	return p.fieldFuncs[field]
 }
 
 // isLoopImplMethod reports whether n lives inside a method of a Loop

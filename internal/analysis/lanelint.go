@@ -38,6 +38,9 @@ var LanePackages = []string{
 // static and dynamic edges but skips bare `func()` values called
 // dynamically (that shape is the engines' own event dispatch, and
 // following it would conflate every scheduled event with every other);
+// an event passed as a struct field (netsim's pooled `f.run`) is
+// resolved to every function the program stores in that field, while
+// one passed as a parameter or local stays opaque;
 // lane provenance that becomes opaque — a lane id reloaded from a
 // struct field, or flowing through a dynamically dispatched call — is
 // not reported. The runtime checkParked panic in sim.Sharded remains
@@ -107,7 +110,14 @@ func computeLaneDiags(p *Program) []progDiag {
 			default:
 				continue // Schedule/Every open the permissive global context
 			}
-			if ev := p.resolveEventFunc(n, site.call.Args[idx]); ev != nil {
+			event := site.call.Args[idx]
+			if _, inline := ast.Unparen(event).(*ast.FuncLit); !inline && lane.kind == laneRefObject {
+				// A lane variable of the scheduling function is not in
+				// scope in an event declared elsewhere; only a literal
+				// written at the site shares it.
+				lane = laneRef{}
+			}
+			for _, ev := range p.resolveEventFuncs(n, event) {
 				roots = append(roots, laneRoot{event: ev, lane: lane, site: site.call, node: n})
 			}
 		}

@@ -99,8 +99,9 @@ func TestQuorumLintMutation(t *testing.T) {
 }
 
 // TestLaneLintMutation proves lanelint catches a global Schedule call
-// smuggled into a real lane event: the cross-lane delivery continuation
-// in internal/netsim/transmit.go.
+// smuggled into a real lane event: the hop step in
+// internal/netsim/transmit.go, which reaches the engine only as a
+// struct field (flight.run, bound once to the flight's step method).
 func TestLaneLintMutation(t *testing.T) {
 	clean := mutateDir(t, "../netsim", "", "")
 	if diags := runOn(t, analysis.LaneLint, clean, "rbcast/internal/netsim"); len(diags) != 0 {
@@ -108,8 +109,8 @@ func TestLaneLintMutation(t *testing.T) {
 	}
 
 	mutated := mutateDir(t, "../netsim",
-		"n.eng.ScheduleCross(fromLane, toLane, d, func() { next(env) })",
-		"n.eng.ScheduleCross(fromLane, toLane, d, func() { n.eng.Schedule(0, func() {}); next(env) })")
+		"func (f *flight) step() {\n\tn := f.net\n",
+		"func (f *flight) step() {\n\tn := f.net\n\tn.eng.Schedule(0, func() {})\n")
 	diags := runOn(t, analysis.LaneLint, mutated, "rbcast/internal/netsim")
 	found := false
 	for _, d := range diags {

@@ -116,6 +116,40 @@ func (s *opaqueNode) opaqueLane(l Loop) {
 	})
 }
 
+// record is the pooled-record shape of netsim's flight: its event is a
+// struct field bound once to a method value (or set in a literal), and
+// every scheduling site passes the field. lanelint resolves the field
+// to every function the package stores in it, so both bodies below are
+// seen to run on a lane. The lane variable of the scheduling site is
+// not in scope inside hop, so hop's own read of its lane stays silent.
+type record struct {
+	l    Loop
+	lane int
+	run  Event
+}
+
+func newRecord(l Loop) *record {
+	r := &record{l: l}
+	r.run = r.hop
+	return r
+}
+
+func keyedRecord(l Loop) *record {
+	return &record{l: l, run: func() {
+		_ = l.Now() // want `sim\.Loop\.Now addresses the global coordinator context but is reachable from a lane event`
+	}}
+}
+
+func (r *record) hop() {
+	lane := r.lane
+	_ = r.l.NowOf(lane)
+	r.l.Schedule(time.Millisecond, noop) // want `sim\.Loop\.Schedule addresses the global coordinator context but is reachable from a lane event \(scheduled at lane\.go:\d+\)`
+}
+
+func fieldBound(r *record, from, to int) {
+	r.l.ScheduleCross(from, to, time.Millisecond, r.run)
+}
+
 // mapFanout schedules inside a map iteration, making queue insertion
 // order follow map order; the slice-driven fan-out below is the fix.
 func mapFanout(l Loop, lanes map[int]bool, sorted []int) {

@@ -9,12 +9,14 @@ package bench
 
 import (
 	"path/filepath"
+	"runtime"
 	"testing"
 	"time"
 
 	"rbcast"
 	"rbcast/internal/analysis"
 	"rbcast/internal/harness"
+	"rbcast/internal/netsim"
 	"rbcast/internal/seqset"
 	"rbcast/internal/sim"
 	"rbcast/internal/topo"
@@ -40,6 +42,7 @@ func Cases() []Case {
 		{"PublicSimulate", PublicSimulate},
 		{"LiveFleetBroadcast", LiveFleetBroadcast},
 		{"EngineTimerChurn", EngineTimerChurn},
+		{"NetsimHop", NetsimHop},
 		{"SeqsetDiff", SeqsetDiff},
 		{"WireEncodeInfo", WireEncodeInfo},
 		{"WireAppendEncodeInfo", WireAppendEncodeInfo},
@@ -209,6 +212,77 @@ func EngineTimerChurn(b *testing.B) {
 		}
 	}
 	b.ReportMetric(float64(b.N)*burst/b.Elapsed().Seconds(), "timers/s")
+}
+
+// NetsimHop measures the network simulator's transmit path alone: one
+// warm Send from corner to corner of a 10×10 server grid — two access
+// links and eighteen server links — run to delivery on the sequential
+// engine, with no protocol above it. It reports the wall time and the
+// heap allocations of one link traversal (route lookup, loss/jitter
+// draw, one event through the queue); the payload is boxed once, outside
+// the loop, so the allocation figure is the transmit path's own.
+func NetsimHop(b *testing.B) {
+	const g = 10
+	eng := sim.NewEngine(1)
+	n := netsim.New(eng)
+	cfg := netsim.LinkConfig{Jitter: 0}
+	var grid [g][g]netsim.ServerID
+	for r := 0; r < g; r++ {
+		for c := 0; c < g; c++ {
+			grid[r][c] = n.AddServer()
+			if c > 0 {
+				if _, err := n.AddLink(grid[r][c-1], grid[r][c], cfg); err != nil {
+					b.Fatal(err)
+				}
+			}
+			if r > 0 {
+				if _, err := n.AddLink(grid[r-1][c], grid[r][c], cfg); err != nil {
+					b.Fatal(err)
+				}
+			}
+		}
+	}
+	const from, to = netsim.HostID(1), netsim.HostID(2)
+	if err := n.AttachHost(from, grid[0][0], cfg); err != nil {
+		b.Fatal(err)
+	}
+	if err := n.AttachHost(to, grid[g-1][g-1], cfg); err != nil {
+		b.Fatal(err)
+	}
+	delivered := 0
+	if err := n.Handle(to, func(time.Duration, netsim.Envelope) { delivered++ }); err != nil {
+		b.Fatal(err)
+	}
+	var payload any = "payload"
+	traverse := func() {
+		if err := n.Send(from, to, payload); err != nil {
+			b.Fatal(err)
+		}
+		if err := eng.RunUntilIdle(); err != nil {
+			b.Fatal(err)
+		}
+	}
+	traverse() // warm the route tables, the event heap and the flight pool
+	n.ResetStats()
+	delivered = 0
+	b.ReportAllocs()
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		traverse()
+	}
+	b.StopTimer()
+	runtime.ReadMemStats(&after)
+	if delivered != b.N {
+		b.Fatalf("delivered %d of %d messages", delivered, b.N)
+	}
+	var hops uint64
+	for _, v := range n.Stats().LinkTransmissions {
+		hops += v
+	}
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(hops), "ns/hop")
+	b.ReportMetric(float64(after.Mallocs-before.Mallocs)/float64(hops), "allocs/hop")
 }
 
 // benchSets builds a fragmented INFO set pair shaped like a lossy run:

@@ -8,7 +8,7 @@ import (
 )
 
 // buildGrid wires a g×g server grid with hosts on the diagonal.
-func buildGrid(b *testing.B, g int) (*sim.Engine, *Network) {
+func buildGrid(b testing.TB, g int) (*sim.Engine, *Network) {
 	b.Helper()
 	eng := sim.NewEngine(1)
 	n := New(eng)
@@ -47,6 +47,7 @@ func buildGrid(b *testing.B, g int) (*sim.Engine, *Network) {
 func BenchmarkRoutingRecompute(b *testing.B) {
 	eng, n := buildGrid(b, 10)
 	link := n.Links()[0]
+	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		// Flip a link to invalidate caches, then force a route lookup via

@@ -119,6 +119,9 @@ type link struct {
 	a, b ServerID
 	cfg  LinkConfig
 	up   bool
+	// tx counts traversals per direction: tx[0] out of a, tx[1] out of b.
+	// Each slot is written only by the lane owning the sending server.
+	tx [2]uint64
 }
 
 func (l *link) weight() int {
@@ -137,16 +140,22 @@ func (l *link) other(s ServerID) ServerID {
 
 type server struct {
 	id    ServerID
-	links []*link // attached links, in creation order
+	lane  int     // owning lane; 0 without a shard plan
+	links []*link // attached links, in creation order (ascending link ID)
 }
 
 type hostPort struct {
 	id       HostID
-	server   ServerID
+	idx      int // attach order; indexes the per-lane cluster memo
+	srv      *server
+	lane     int // srv's lane; 0 without a shard plan
 	cfg      LinkConfig
 	up       bool
 	handler  Handler
 	transmit TransmitHook
+	// linkTx counts traversals of the access link in either direction;
+	// both run on the host's lane.
+	linkTx uint64
 }
 
 // Envelope is a host-to-host message in flight or as delivered.
@@ -219,59 +228,71 @@ type Stats struct {
 	DroppedNoRoute uint64
 }
 
-func newStats() *Stats {
-	return &Stats{
-		LinkTransmissions:     make(map[LinkClass]uint64),
-		PerLink:               make(map[LinkID]uint64),
-		HostLinkTransmissions: make(map[HostID]uint64),
-	}
+// laneStats is one lane's share of the run's counters, bumped on every
+// send and traversal. Per-link and per-host counts live on the link and
+// hostPort themselves; Stats assembles the exported view.
+type laneStats struct {
+	hostSends, delivered, interClusterSends uint64
+	lost, duplicated                        uint64
+	droppedLinkDown, droppedNoRoute         uint64
+	// byClass counts traversals per LinkClass (slot 0 is unused).
+	byClass [3]uint64
 }
 
-// laneCaches is one execution context's private routing and clustering
-// memo. Sharded runs give every lane its own slot (plus one for the
-// parked/global context) so lanes can lazily recompute routes after a
-// topology change without sharing mutable state.
-type laneCaches struct {
-	routeCache  map[ServerID]map[ServerID]ServerID
-	routeVer    uint64
-	clusterMemo map[HostID]int
-	clusterVer  uint64
+// laneState is one execution context's private slice of the network's
+// mutable state: counters, the free list of in-flight records, and the
+// routing and clustering memos. Sharded runs give every lane its own
+// (plus one for the parked/global context, which only ever uses the
+// memos) so lanes never share mutable state; each is allocated
+// separately so two lanes' counters never share a cache line.
+type laneState struct {
+	stats laneStats
+
+	// free heads the lane's list of idle flights; made counts the flights
+	// ever allocated through this lane (see flight).
+	free *flight
+	made int
+
+	// routes[src][dst] is the forwarding decision at server src for
+	// traffic to server dst; a source's table is built on first use and
+	// all are dropped when the topology version moves past routeVer.
+	routes   [][]hop
+	routeVer uint64
+
+	// clusterOf maps hostPort.idx to the host's true cluster at topology
+	// version clusterVer; clusterMap is TrueClusters' exported view of it,
+	// built on demand.
+	clusterOf  []int
+	clusterMap map[HostID]int
+	clusterVer uint64
 }
 
 // Network is the simulated communication subnetwork. It is driven by a
 // sim.Loop — the sequential engine or the sharded parallel engine. With
 // a shard plan applied (see ApplyShardPlan), transmissions run
 // concurrently on per-lane worker goroutines; every mutable piece of
-// network state is then either lane-partitioned (stats, caches, PRNG
-// draws) or frozen (topology maps), so the network needs no locks.
-// Topology mutations (Set*Up) and topology construction remain legal
-// only from parked contexts: build time, global events, or between Run
-// calls.
+// network state is then either owned by one lane (counters, free lists,
+// caches, PRNG draws, the flight a hop is working on) or frozen
+// (topology), so the network needs no locks. Topology mutations (Set*Up)
+// and topology construction remain legal only from parked contexts:
+// build time, global events, or between Run calls.
 type Network struct {
-	eng     sim.Loop
-	servers map[ServerID]*server
-	links   map[LinkID]*link
+	eng sim.Loop
+	// servers and links are indexed by ID; IDs are assigned densely from
+	// 1, so slot 0 is nil.
+	servers []*server
+	links   []*link
 	hosts   map[HostID]*hostPort
-
-	nextServer ServerID
-	nextLink   LinkID
 
 	// version increments on every topology change; routing tables and the
 	// true-cluster map are cached per version, per lane.
 	version uint64
-	// caches has one slot per lane plus a final slot for the
+
+	// perLane has one slot per lane plus a final slot for the
 	// parked/global context; before a shard plan is applied it is a
 	// single shared slot.
-	caches []laneCaches
-
-	// statsLanes holds one counter set per lane; Stats merges them.
-	// Before a shard plan is applied there is a single set, shared.
-	statsLanes []*Stats
-
-	// Shard plan state: nil/0 until ApplyShardPlan.
+	perLane    []*laneState
 	lanes      int
-	serverLane map[ServerID]int
-	hostLane   map[HostID]int
 	planFrozen bool
 
 	// OnSend, if set, observes every host-level Send after it is
@@ -294,89 +315,94 @@ func New(eng sim.Loop) *Network {
 		panic("netsim: nil engine")
 	}
 	return &Network{
-		eng:        eng,
-		servers:    make(map[ServerID]*server),
-		links:      make(map[LinkID]*link),
-		hosts:      make(map[HostID]*hostPort),
-		version:    1,
-		caches:     make([]laneCaches, 1),
-		statsLanes: []*Stats{newStats()},
-		lanes:      1,
+		eng:     eng,
+		servers: make([]*server, 1),
+		links:   make([]*link, 1),
+		hosts:   make(map[HostID]*hostPort),
+		version: 1,
+		perLane: []*laneState{{}},
+		lanes:   1,
 	}
 }
 
 // Engine returns the driving simulation loop.
 func (n *Network) Engine() sim.Loop { return n.eng }
 
-// Stats returns the run's counters. Without a shard plan this is the
-// live counter set (legacy behavior); with one it is a merged snapshot
-// of every lane's counters, valid to read from parked contexts only.
+// Stats returns a snapshot of the run's counters, merged over every
+// lane. Valid to call from parked contexts only; call it again for
+// fresh numbers.
 func (n *Network) Stats() *Stats {
-	if len(n.statsLanes) == 1 {
-		return n.statsLanes[0]
+	st := &Stats{
+		LinkTransmissions:     make(map[LinkClass]uint64),
+		PerLink:               make(map[LinkID]uint64),
+		HostLinkTransmissions: make(map[HostID]uint64),
 	}
-	merged := newStats()
-	for _, st := range n.statsLanes {
-		merged.add(st)
+	for _, ls := range n.perLane {
+		c := &ls.stats
+		st.HostSends += c.hostSends
+		st.Delivered += c.delivered
+		st.InterClusterSends += c.interClusterSends
+		st.Lost += c.lost
+		st.Duplicated += c.duplicated
+		st.DroppedLinkDown += c.droppedLinkDown
+		st.DroppedNoRoute += c.droppedNoRoute
+		for class, v := range c.byClass {
+			if v > 0 {
+				st.LinkTransmissions[LinkClass(class)] += v
+			}
+		}
 	}
-	return merged
-}
-
-// add accumulates o into s.
-func (s *Stats) add(o *Stats) {
-	s.HostSends += o.HostSends
-	s.Delivered += o.Delivered
-	s.InterClusterSends += o.InterClusterSends
-	s.Lost += o.Lost
-	s.Duplicated += o.Duplicated
-	s.DroppedLinkDown += o.DroppedLinkDown
-	s.DroppedNoRoute += o.DroppedNoRoute
-	for k, v := range o.LinkTransmissions {
-		s.LinkTransmissions[k] += v
+	for _, l := range n.links[1:] {
+		if v := l.tx[0] + l.tx[1]; v > 0 {
+			st.PerLink[l.id] = v
+		}
 	}
-	for k, v := range o.PerLink {
-		s.PerLink[k] += v
+	for id, hp := range n.hosts {
+		if hp.linkTx > 0 {
+			st.HostLinkTransmissions[id] = hp.linkTx
+		}
 	}
-	for k, v := range o.HostLinkTransmissions {
-		s.HostLinkTransmissions[k] += v
-	}
+	return st
 }
 
 // ResetStats zeroes all counters (topology is unchanged).
 func (n *Network) ResetStats() {
-	for i := range n.statsLanes {
-		n.statsLanes[i] = newStats()
+	for _, ls := range n.perLane {
+		ls.stats = laneStats{}
+	}
+	for _, l := range n.links[1:] {
+		l.tx = [2]uint64{}
+	}
+	for _, hp := range n.hosts {
+		hp.linkTx = 0
 	}
 }
 
-// laneOfHost returns the lane executing traffic for host h (0 without a
-// shard plan).
-func (n *Network) laneOfHost(h HostID) int {
-	if n.hostLane == nil {
-		return 0
-	}
-	return n.hostLane[h]
-}
-
-// laneOfServer returns the lane owning server s (0 without a shard
-// plan).
-func (n *Network) laneOfServer(s ServerID) int {
-	if n.serverLane == nil {
-		return 0
-	}
-	return n.serverLane[s]
-}
-
-// globalLane indexes the cache slot reserved for parked/global-context
+// globalLane indexes the perLane slot reserved for parked/global-context
 // queries (the last slot; slot 0 before a shard plan is applied).
-func (n *Network) globalLane() int { return len(n.caches) - 1 }
+func (n *Network) globalLane() int { return len(n.perLane) - 1 }
+
+// serverByID returns the server with the given ID, or nil.
+func (n *Network) serverByID(id ServerID) *server {
+	if id <= 0 || int(id) >= len(n.servers) {
+		return nil
+	}
+	return n.servers[id]
+}
+
+// linkByID returns the link with the given ID, or nil.
+func (n *Network) linkByID(id LinkID) *link {
+	if id <= 0 || int(id) >= len(n.links) {
+		return nil
+	}
+	return n.links[id]
+}
 
 // AddServer creates a new server and returns its ID.
 func (n *Network) AddServer() ServerID {
 	n.checkNotFrozen()
-	n.nextServer++
-	id := n.nextServer
-	n.servers[id] = &server{id: id}
+	id := ServerID(len(n.servers))
+	n.servers = append(n.servers, &server{id: id})
 	n.bump()
 	return id
 }
@@ -392,11 +418,10 @@ func (n *Network) checkNotFrozen() {
 
 // Servers returns all server IDs in ascending order.
 func (n *Network) Servers() []ServerID {
-	out := make([]ServerID, 0, len(n.servers))
-	for id := range n.servers {
-		out = append(out, id)
+	out := make([]ServerID, 0, len(n.servers)-1)
+	for _, s := range n.servers[1:] {
+		out = append(out, s.id)
 	}
-	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
 	return out
 }
 
@@ -404,12 +429,12 @@ func (n *Network) Servers() []ServerID {
 // starts up.
 func (n *Network) AddLink(a, b ServerID, cfg LinkConfig) (LinkID, error) {
 	n.checkNotFrozen()
-	sa, ok := n.servers[a]
-	if !ok {
+	sa := n.serverByID(a)
+	if sa == nil {
 		return 0, fmt.Errorf("netsim: unknown server %d", a)
 	}
-	sb, ok := n.servers[b]
-	if !ok {
+	sb := n.serverByID(b)
+	if sb == nil {
 		return 0, fmt.Errorf("netsim: unknown server %d", b)
 	}
 	if a == b {
@@ -419,9 +444,8 @@ func (n *Network) AddLink(a, b ServerID, cfg LinkConfig) (LinkID, error) {
 	if err != nil {
 		return 0, err
 	}
-	n.nextLink++
-	l := &link{id: n.nextLink, a: a, b: b, cfg: cfg, up: true}
-	n.links[l.id] = l
+	l := &link{id: LinkID(len(n.links)), a: a, b: b, cfg: cfg, up: true}
+	n.links = append(n.links, l)
 	sa.links = append(sa.links, l)
 	sb.links = append(sb.links, l)
 	n.bump()
@@ -438,14 +462,15 @@ func (n *Network) AttachHost(h HostID, s ServerID, cfg LinkConfig) error {
 	if _, dup := n.hosts[h]; dup {
 		return fmt.Errorf("netsim: host %d already attached", h)
 	}
-	if _, ok := n.servers[s]; !ok {
+	srv := n.serverByID(s)
+	if srv == nil {
 		return fmt.Errorf("netsim: unknown server %d", s)
 	}
 	cfg, err := cfg.withDefaults()
 	if err != nil {
 		return err
 	}
-	n.hosts[h] = &hostPort{id: h, server: s, cfg: cfg, up: true}
+	n.hosts[h] = &hostPort{id: h, idx: len(n.hosts), srv: srv, cfg: cfg, up: true}
 	n.bump()
 	return nil
 }
@@ -466,7 +491,7 @@ func (n *Network) HostServer(h HostID) (ServerID, error) {
 	if !ok {
 		return 0, fmt.Errorf("netsim: unknown host %d", h)
 	}
-	return hp.server, nil
+	return hp.srv.id, nil
 }
 
 // Handle registers the delivery handler for host h, replacing any
@@ -495,8 +520,8 @@ func (n *Network) SetTransmitHook(h HostID, hook TransmitHook) error {
 // SetLinkUp changes a server link's state. Routing adapts on the next
 // forwarding decision.
 func (n *Network) SetLinkUp(id LinkID, up bool) error {
-	l, ok := n.links[id]
-	if !ok {
+	l := n.linkByID(id)
+	if l == nil {
 		return fmt.Errorf("netsim: unknown link %d", id)
 	}
 	if l.up != up {
@@ -508,8 +533,8 @@ func (n *Network) SetLinkUp(id LinkID, up bool) error {
 
 // LinkUp reports a link's current state.
 func (n *Network) LinkUp(id LinkID) (bool, error) {
-	l, ok := n.links[id]
-	if !ok {
+	l := n.linkByID(id)
+	if l == nil {
 		return false, fmt.Errorf("netsim: unknown link %d", id)
 	}
 	return l.up, nil
@@ -541,7 +566,7 @@ func (n *Network) LinksBetween(a, b []ServerID) []LinkID {
 		inB[s] = true
 	}
 	var out []LinkID
-	for _, l := range n.sortedLinks() {
+	for _, l := range n.links[1:] {
 		if (inA[l.a] && inB[l.b]) || (inA[l.b] && inB[l.a]) {
 			out = append(out, l.id)
 		}
@@ -551,18 +576,17 @@ func (n *Network) LinksBetween(a, b []ServerID) []LinkID {
 
 // Links returns all link IDs in ascending order.
 func (n *Network) Links() []LinkID {
-	out := make([]LinkID, 0, len(n.links))
-	for id := range n.links {
-		out = append(out, id)
+	out := make([]LinkID, 0, len(n.links)-1)
+	for _, l := range n.links[1:] {
+		out = append(out, l.id)
 	}
-	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
 	return out
 }
 
 // LinkClassOf returns a link's class.
 func (n *Network) LinkClassOf(id LinkID) (LinkClass, error) {
-	l, ok := n.links[id]
-	if !ok {
+	l := n.linkByID(id)
+	if l == nil {
 		return 0, fmt.Errorf("netsim: unknown link %d", id)
 	}
 	return l.cfg.Class, nil
@@ -570,8 +594,8 @@ func (n *Network) LinkClassOf(id LinkID) (LinkClass, error) {
 
 // LinkEnds returns a link's endpoint servers.
 func (n *Network) LinkEnds(id LinkID) (ServerID, ServerID, error) {
-	l, ok := n.links[id]
-	if !ok {
+	l := n.linkByID(id)
+	if l == nil {
 		return 0, 0, fmt.Errorf("netsim: unknown link %d", id)
 	}
 	return l.a, l.b, nil
@@ -579,13 +603,4 @@ func (n *Network) LinkEnds(id LinkID) (ServerID, ServerID, error) {
 
 func (n *Network) bump() {
 	n.version++
-}
-
-func (n *Network) sortedLinks() []*link {
-	out := make([]*link, 0, len(n.links))
-	for _, l := range n.links {
-		out = append(out, l)
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i].id < out[j].id })
-	return out
 }

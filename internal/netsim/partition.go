@@ -48,20 +48,18 @@ type ShardPlan struct {
 // state, so subsequent failures and repairs do not invalidate it.
 func (n *Network) ComputeShardPlan() *ShardPlan {
 	// Union-find over servers joined by any cheap link, up or down.
-	parent := make(map[ServerID]ServerID, len(n.servers))
-	servers := n.Servers()
-	for _, id := range servers {
-		parent[id] = id
+	parent := make([]ServerID, len(n.servers))
+	for i := range parent {
+		parent[i] = ServerID(i)
 	}
-	var find func(ServerID) ServerID
-	find = func(s ServerID) ServerID {
+	find := func(s ServerID) ServerID {
 		for parent[s] != s {
 			parent[s] = parent[parent[s]]
 			s = parent[s]
 		}
 		return s
 	}
-	for _, l := range n.sortedLinks() {
+	for _, l := range n.links[1:] {
 		if l.cfg.Class != Cheap {
 			continue
 		}
@@ -73,11 +71,12 @@ func (n *Network) ComputeShardPlan() *ShardPlan {
 
 	// Number lanes densely by ascending lowest member server ID.
 	p := &ShardPlan{
-		ServerLane: make(map[ServerID]int, len(n.servers)),
+		ServerLane: make(map[ServerID]int, len(n.servers)-1),
 		HostLane:   make(map[HostID]int, len(n.hosts)),
 	}
 	rootLane := make(map[ServerID]int)
-	for _, id := range servers {
+	for _, srv := range n.servers[1:] {
+		id := srv.id
 		r := find(id)
 		lane, ok := rootLane[r]
 		if !ok {
@@ -89,14 +88,14 @@ func (n *Network) ComputeShardPlan() *ShardPlan {
 	}
 	p.Weights = make([]int, p.Lanes)
 	for _, h := range n.Hosts() {
-		lane := p.ServerLane[n.hosts[h].server]
+		lane := p.ServerLane[n.hosts[h].srv.id]
 		p.HostLane[h] = lane
 		p.Weights[lane]++
 	}
 
 	// Lookahead: the smallest configured delay on any lane-crossing
 	// link. By construction such links are all expensive-class.
-	for _, l := range n.sortedLinks() {
+	for _, l := range n.links[1:] {
 		if p.ServerLane[l.a] == p.ServerLane[l.b] {
 			continue
 		}
@@ -126,18 +125,21 @@ func (n *Network) ApplyShardPlan(p *ShardPlan) error {
 	if got := n.eng.Lanes(); got != p.Lanes {
 		return fmt.Errorf("netsim: engine has %d lanes, plan has %d (call SetLanes with the plan's weights first)", got, p.Lanes)
 	}
-	if len(p.ServerLane) != len(n.servers) || len(p.HostLane) != len(n.hosts) {
+	if len(p.ServerLane) != len(n.servers)-1 || len(p.HostLane) != len(n.hosts) {
 		return fmt.Errorf("netsim: shard plan covers %d servers/%d hosts, topology has %d/%d (recompute after building)",
-			len(p.ServerLane), len(p.HostLane), len(n.servers), len(n.hosts))
+			len(p.ServerLane), len(p.HostLane), len(n.servers)-1, len(n.hosts))
 	}
 	n.lanes = p.Lanes
-	n.serverLane = p.ServerLane
-	n.hostLane = p.HostLane
-	n.statsLanes = make([]*Stats, p.Lanes)
-	for i := range n.statsLanes {
-		n.statsLanes[i] = newStats()
+	for _, srv := range n.servers[1:] {
+		srv.lane = p.ServerLane[srv.id]
 	}
-	n.caches = make([]laneCaches, p.Lanes+1)
+	for id, hp := range n.hosts {
+		hp.lane = p.HostLane[id]
+	}
+	n.perLane = make([]*laneState, p.Lanes+1)
+	for i := range n.perLane {
+		n.perLane[i] = &laneState{}
+	}
 	n.planFrozen = true
 	return nil
 }
@@ -147,4 +149,9 @@ func (n *Network) Lanes() int { return n.lanes }
 
 // LaneOfHost reports the lane executing host h's traffic (0 without a
 // shard plan).
-func (n *Network) LaneOfHost(h HostID) int { return n.laneOfHost(h) }
+func (n *Network) LaneOfHost(h HostID) int {
+	if hp, ok := n.hosts[h]; ok {
+		return hp.lane
+	}
+	return 0
+}

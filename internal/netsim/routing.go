@@ -1,10 +1,5 @@
 package netsim
 
-import (
-	"container/heap"
-	"sort"
-)
-
 // Adaptive shortest-path routing. Each server forwards hop by hop using
 // the current topology: routes are recomputed lazily whenever the
 // topology version changes, which models the ARPANET-style adaptive
@@ -13,84 +8,132 @@ import (
 // expensive link only when no cheap path exists — matching the paper's
 // cluster model, where intra-cluster communication is cheap.
 
+// hop is one forwarding decision: the neighbour to hand the message to
+// and the link to cross — the best up link joining the two servers
+// (cheapest first — parallel links can differ in class after a repair
+// adds a cheap path next to an old expensive one — then lowest ID). A
+// nil link means the destination is unreachable.
+type hop struct {
+	next *server
+	link *link
+}
+
 type spItem struct {
-	server ServerID
 	dist   int
+	server ServerID
 }
 
-type spQueue []spItem
-
-func (q spQueue) Len() int { return len(q) }
-func (q spQueue) Less(i, j int) bool {
-	if q[i].dist != q[j].dist {
-		return q[i].dist < q[j].dist
+func (a spItem) less(b spItem) bool {
+	if a.dist != b.dist {
+		return a.dist < b.dist
 	}
-	return q[i].server < q[j].server // deterministic tie-break
-}
-func (q spQueue) Swap(i, j int) { q[i], q[j] = q[j], q[i] }
-func (q *spQueue) Push(x any)   { *q = append(*q, x.(spItem)) }
-func (q *spQueue) Pop() any {
-	old := *q
-	n := len(old)
-	it := old[n-1]
-	*q = old[:n-1]
-	return it
+	return a.server < b.server // deterministic tie-break
 }
 
-// routesFrom returns the next-hop table from src over currently-up links:
-// routes[dst] is the neighbour to forward to. Absent entries mean
-// unreachable. Tables are cached per topology version, per lane: each
-// lane lazily recomputes its own view after a topology change, so
-// concurrent lanes never share a mutable cache.
-func (n *Network) routesFrom(lane int, src ServerID) map[ServerID]ServerID {
-	c := &n.caches[lane]
+// spHeap is Dijkstra's frontier: a binary min-heap of spItems.
+type spHeap []spItem
+
+func (q *spHeap) push(it spItem) {
+	h := append(*q, it)
+	i := len(h) - 1
+	for i > 0 {
+		parent := (i - 1) / 2
+		if !h[i].less(h[parent]) {
+			break
+		}
+		h[i], h[parent] = h[parent], h[i]
+		i = parent
+	}
+	*q = h
+}
+
+func (q *spHeap) pop() spItem {
+	h := *q
+	top := h[0]
+	last := len(h) - 1
+	h[0] = h[last]
+	h = h[:last]
+	i := 0
+	for {
+		least := i
+		if l := 2*i + 1; l < last && h[l].less(h[least]) {
+			least = l
+		}
+		if r := 2*i + 2; r < last && h[r].less(h[least]) {
+			least = r
+		}
+		if least == i {
+			break
+		}
+		h[i], h[least] = h[least], h[i]
+		i = least
+	}
+	*q = h
+	return top
+}
+
+// routesFrom returns the forwarding table at src over currently-up
+// links, indexed by destination ServerID. Tables are cached per topology
+// version, per lane: each lane lazily recomputes its own view after a
+// topology change, so concurrent lanes never share a mutable cache.
+func (n *Network) routesFrom(lane int, src *server) []hop {
+	c := n.perLane[lane]
 	if c.routeVer != n.version {
-		c.routeCache = make(map[ServerID]map[ServerID]ServerID)
+		if len(c.routes) == len(n.servers) {
+			clear(c.routes)
+		} else {
+			c.routes = make([][]hop, len(n.servers))
+		}
 		c.routeVer = n.version
 	}
-	if t, ok := c.routeCache[src]; ok {
-		return t
+	t := c.routes[src.id]
+	if t == nil {
+		t = n.dijkstra(src)
+		c.routes[src.id] = t
 	}
-	t := n.dijkstra(src)
-	c.routeCache[src] = t
 	return t
 }
 
-func (n *Network) dijkstra(src ServerID) map[ServerID]ServerID {
-	dist := map[ServerID]int{src: 0}
-	// firstHop[s] is the neighbour of src on the chosen shortest path to s.
-	firstHop := make(map[ServerID]ServerID)
-	done := make(map[ServerID]bool)
-	q := &spQueue{{server: src, dist: 0}}
-	for q.Len() > 0 {
-		it := heap.Pop(q).(spItem)
+// dijkstra returns the forwarding decisions at src, indexed by
+// destination ServerID. A server's links are visited in ascending ID order —
+// the order AddLink appended them — so among equal-cost paths the choice
+// is deterministic; relaxing src's own links in that order also leaves
+// each neighbour's hop holding the best link to it, since only a
+// strictly cheaper parallel link replaces an earlier one.
+func (n *Network) dijkstra(src *server) []hop {
+	table := make([]hop, len(n.servers))
+	dist := make([]int, len(n.servers)) // -1 = not reached
+	for i := range dist {
+		dist[i] = -1
+	}
+	done := make([]bool, len(n.servers))
+	dist[src.id] = 0
+	q := spHeap{{server: src.id}}
+	for len(q) > 0 {
+		it := q.pop()
 		if done[it.server] {
 			continue
 		}
 		done[it.server] = true
 		cur := n.servers[it.server]
-		// Deterministic neighbour order: links sorted by ID.
-		links := make([]*link, len(cur.links))
-		copy(links, cur.links)
-		sort.Slice(links, func(i, j int) bool { return links[i].id < links[j].id })
-		for _, l := range links {
+		for _, l := range cur.links {
 			if !l.up {
 				continue
 			}
-			nb := l.other(it.server)
+			nb := l.other(cur.id)
 			nd := it.dist + l.weight()
-			if d, seen := dist[nb]; !seen || nd < d {
+			if d := dist[nb]; d < 0 || nd < d {
 				dist[nb] = nd
-				if it.server == src {
-					firstHop[nb] = nb
+				if cur == src {
+					table[nb] = hop{next: n.servers[nb], link: l}
 				} else {
-					firstHop[nb] = firstHop[it.server]
+					table[nb] = table[cur.id]
 				}
-				heap.Push(q, spItem{server: nb, dist: nd})
+				q.push(spItem{server: nb, dist: nd})
 			}
 		}
 	}
-	return firstHop
+	return table
 }
 
 // PathExists reports whether a route currently exists between the servers
@@ -112,11 +155,10 @@ func (n *Network) PathExistsOf(lane int, a, b HostID) bool {
 	if !ok || !hb.up {
 		return false
 	}
-	if ha.server == hb.server {
+	if ha.srv == hb.srv {
 		return true
 	}
-	_, ok = n.routesFrom(lane, ha.server)[hb.server]
-	return ok
+	return n.routesFrom(lane, ha.srv)[hb.srv.id].link != nil
 }
 
 // TrueClusters returns the ground-truth clustering of hosts: connected
@@ -130,30 +172,38 @@ func (n *Network) PathExistsOf(lane int, a, b HostID) bool {
 // Callable from parked contexts only; lane events use trueClustersOf
 // via the transmit path.
 func (n *Network) TrueClusters() map[HostID]int {
-	return n.trueClustersOf(n.globalLane())
+	lane := n.globalLane()
+	c := n.perLane[lane]
+	clusters := n.trueClustersOf(lane)
+	if c.clusterMap == nil {
+		c.clusterMap = make(map[HostID]int, len(n.hosts))
+		for id, hp := range n.hosts {
+			c.clusterMap[id] = clusters[hp.idx]
+		}
+	}
+	return c.clusterMap
 }
 
 // trueClustersOf returns the clustering memoized in lane's private
-// cache slot.
-func (n *Network) trueClustersOf(lane int) map[HostID]int {
-	c := &n.caches[lane]
-	if c.clusterVer == n.version && c.clusterMemo != nil {
-		return c.clusterMemo
+// cache slot, indexed by hostPort.idx.
+func (n *Network) trueClustersOf(lane int) []int {
+	c := n.perLane[lane]
+	if c.clusterVer == n.version && c.clusterOf != nil {
+		return c.clusterOf
 	}
 	// Union-find over servers via up cheap links.
-	parent := make(map[ServerID]ServerID, len(n.servers))
-	var find func(ServerID) ServerID
-	find = func(s ServerID) ServerID {
+	parent := make([]ServerID, len(n.servers))
+	for i := range parent {
+		parent[i] = ServerID(i)
+	}
+	find := func(s ServerID) ServerID {
 		for parent[s] != s {
 			parent[s] = parent[parent[s]]
 			s = parent[s]
 		}
 		return s
 	}
-	for id := range n.servers {
-		parent[id] = id
-	}
-	for _, l := range n.sortedLinks() {
+	for _, l := range n.links[1:] {
 		if l.up && l.cfg.Class == Cheap {
 			ra, rb := find(l.a), find(l.b)
 			if ra != rb {
@@ -161,28 +211,27 @@ func (n *Network) trueClustersOf(lane int) map[HostID]int {
 			}
 		}
 	}
-	// Assign dense cluster numbers by ascending root server ID.
-	rootNum := make(map[ServerID]int)
+	// Number the components densely in order of their lowest host ID.
+	rootNum := make([]int, len(n.servers))
 	next := 1
-	clusters := make(map[HostID]int, len(n.hosts))
-	singles := next + len(n.servers) // singleton IDs start above component IDs
+	clusters := make([]int, len(n.hosts))
+	singles := next + len(n.servers) - 1 // singleton IDs start above component IDs
 	for _, h := range n.Hosts() {
 		hp := n.hosts[h]
 		if !hp.up || hp.cfg.Class != Cheap {
-			clusters[h] = singles
+			clusters[hp.idx] = singles
 			singles++
 			continue
 		}
-		root := find(hp.server)
-		num, ok := rootNum[root]
-		if !ok {
-			num = next
+		root := find(hp.srv.id)
+		if rootNum[root] == 0 {
+			rootNum[root] = next
 			next++
-			rootNum[root] = num
 		}
-		clusters[h] = num
+		clusters[hp.idx] = rootNum[root]
 	}
-	c.clusterMemo = clusters
+	c.clusterOf = clusters
+	c.clusterMap = nil
 	c.clusterVer = n.version
 	return clusters
 }

@@ -3,6 +3,8 @@ package netsim
 import (
 	"fmt"
 	"time"
+
+	"rbcast/internal/sim"
 )
 
 // Lane discipline: every transmission executes on the lane owning the
@@ -13,6 +15,74 @@ import (
 // the hop's delay — at least the shard plan's lookahead for any
 // cross-lane link — rides through sim.Loop.ScheduleCross into the
 // destination lane's next epoch.
+
+// flight is one message copy in transit. The paper's servers are
+// fixed-function store-and-forward switches, so a hop needs no
+// continuation, only this record: every link traversal mutates it and
+// schedules its run event — bound once, when the record is first
+// allocated — on the lane the copy lands on. A flight is owned by the
+// lane executing its current hop: it is taken from that lane's free
+// list in Send (or when a link duplicates the copy) and returned to the
+// executing lane's list wherever the copy's journey ends, so flights
+// migrate between lanes with the traffic and no list is ever shared.
+type flight struct {
+	net *Network
+	env Envelope
+	dst *hostPort
+	// lane is the lane the pending (or running) step executes on.
+	lane int
+	// at is the server the copy arrives at next; unused once deliver is
+	// set.
+	at *server
+	// deliver marks the final step: the copy is crossing dst's access
+	// link and lands at the host handler.
+	deliver bool
+	run     sim.Event
+	next    *flight // free-list link
+}
+
+// newFlight takes an idle flight from the lane's free list, allocating
+// one (and binding its run event) when the list is empty.
+func (ls *laneState) newFlight(n *Network) *flight {
+	f := ls.free
+	if f == nil {
+		f = &flight{net: n}
+		f.run = f.step
+		ls.made++
+		return f
+	}
+	ls.free = f.next
+	f.next = nil
+	return f
+}
+
+// release ends a copy's journey: the record drops its references and
+// joins the executing lane's free list.
+func (ls *laneState) release(f *flight) {
+	f.env = Envelope{}
+	f.dst, f.at, f.deliver = nil, nil, false
+	f.next = ls.free
+	ls.free = f
+}
+
+// step is the event a link traversal schedules: the copy lands at its
+// next server, or — on the last hop — at the destination host.
+func (f *flight) step() {
+	n := f.net
+	if !f.deliver {
+		n.arriveAtServer(f)
+		return
+	}
+	ls := n.perLane[f.lane]
+	ls.stats.delivered++
+	// Release before the handler runs: a handler that sends reuses this
+	// very record, so it gets a copy of the envelope, not a view of it.
+	env, dst, lane := f.env, f.dst, f.lane
+	ls.release(f)
+	if dst.handler != nil {
+		dst.handler(n.eng.NowOf(lane), env)
+	}
+}
 
 // Send hands a message from host `from` to its server for delivery to
 // host `to`. This is the only communication service hosts get: a single
@@ -25,169 +95,156 @@ func (n *Network) Send(from, to HostID, payload any) error {
 	if !ok {
 		return fmt.Errorf("netsim: unknown sender host %d", from)
 	}
-	if _, ok := n.hosts[to]; !ok {
+	dst, ok := n.hosts[to]
+	if !ok {
 		return fmt.Errorf("netsim: unknown destination host %d", to)
 	}
 	if from == to {
 		return fmt.Errorf("netsim: host %d sending to itself", from)
 	}
-	lane := n.laneOfHost(from)
 	if src.transmit != nil {
 		// The transmit seam: a hook (an adversary controller) decides what
 		// actually hits the wire. The correct-host code above this call
 		// observes a successful Send either way — exactly the visibility a
 		// hostile network interface would give it.
 		for _, out := range src.transmit(to, payload) {
-			if _, ok := n.hosts[out.To]; !ok || out.To == from {
+			dst, ok := n.hosts[out.To]
+			if !ok || out.To == from {
 				// A hook emitting an unreachable or self destination is a
 				// behavior bug, not a network condition; drop silently like
 				// any other undeliverable traffic.
-				n.statsLanes[lane].DroppedNoRoute++
+				n.perLane[src.lane].stats.droppedNoRoute++
 				continue
 			}
-			n.transmitOne(lane, src, out.To, out.Payload, out.ForceCostBit)
+			n.transmitOne(src, dst, out.Payload, out.ForceCostBit)
 		}
 		return nil
 	}
-	n.transmitOne(lane, src, to, payload, false)
+	n.transmitOne(src, dst, payload, false)
 	return nil
 }
 
 // transmitOne pushes one concrete transmission into the network: stats,
 // observer hooks, then the sender's access link toward its server.
-func (n *Network) transmitOne(lane int, src *hostPort, to HostID, payload any, forceCost bool) {
-	env := Envelope{From: src.id, To: to, CostBit: forceCost, Payload: payload, SentAt: n.eng.NowOf(lane)}
-	st := n.statsLanes[lane]
-	st.HostSends++
-	inter := false
+func (n *Network) transmitOne(src, dst *hostPort, payload any, forceCost bool) {
+	lane := src.lane
+	ls := n.perLane[lane]
+	f := ls.newFlight(n)
+	f.env = Envelope{From: src.id, To: dst.id, CostBit: forceCost, Payload: payload, SentAt: n.eng.NowOf(lane)}
+	f.dst = dst
+	f.lane = lane
+	ls.stats.hostSends++
 	clusters := n.trueClustersOf(lane)
-	if clusters[src.id] != clusters[to] {
-		inter = true
-		st.InterClusterSends++
+	inter := clusters[src.idx] != clusters[dst.idx]
+	if inter {
+		ls.stats.interClusterSends++
 	}
 	if n.OnSend != nil {
-		n.OnSend(lane, env, inter)
+		n.OnSend(lane, f.env, inter)
 	}
 	// First hop: the sender's access link up to its server.
-	n.traverseHostLink(lane, src, env, func(env Envelope) {
-		n.arriveAtServer(lane, src.server, env)
-	})
+	f.at = src.srv
+	n.traverseHostLink(f, src)
 }
 
 // traverseHostLink models one traversal of a host access link (in either
-// direction), applying its delay, loss, and duplication, then invoking
-// next with the (possibly cost-marked) envelope. Host links never cross
-// lanes: the executing lane owns both the host and its server.
-func (n *Network) traverseHostLink(lane int, hp *hostPort, env Envelope, next func(Envelope)) {
-	st := n.statsLanes[lane]
+// direction), applying its delay, loss, and duplication; the copy's next
+// step runs on the far side. Host links never cross lanes: the executing
+// lane owns both the host and its server.
+func (n *Network) traverseHostLink(f *flight, hp *hostPort) {
+	ls := n.perLane[f.lane]
 	if !hp.up {
-		st.DroppedLinkDown++
+		ls.stats.droppedLinkDown++
+		ls.release(f)
 		return
 	}
-	st.LinkTransmissions[hp.cfg.Class]++
-	st.HostLinkTransmissions[hp.id]++
+	ls.stats.byClass[hp.cfg.Class]++
+	hp.linkTx++
 	if n.OnHostLinkTransmit != nil {
-		n.OnHostLinkTransmit(lane, hp.id, env)
+		n.OnHostLinkTransmit(f.lane, hp.id, f.env)
 	}
 	if hp.cfg.Class == Expensive {
-		env.CostBit = true
+		f.env.CostBit = true
 	}
-	env.Hops++
-	n.deliverAcross(lane, lane, hp.cfg, env, next)
+	f.env.Hops++
+	n.deliverAcross(f, f.lane, &hp.cfg)
 }
 
 // arriveAtServer is the per-hop forwarding decision: the server consults
 // its current routing table (adaptive: recomputed on topology change) and
 // forwards toward the destination's server, or up the destination's host
-// link if it is local. lane is the executing lane, which owns server at.
-func (n *Network) arriveAtServer(lane int, at ServerID, env Envelope) {
+// link if it is local. The executing lane, f.lane, owns server f.at.
+func (n *Network) arriveAtServer(f *flight) {
+	ls := n.perLane[f.lane]
 	// Adaptive routing can loop transiently while tables converge after a
 	// failure; a hop budget bounds such messages' lifetime, and the drop
 	// is silent, as all drops are in this model.
-	if env.Hops > 4+2*len(n.servers) {
-		n.statsLanes[lane].DroppedNoRoute++
+	if f.env.Hops > 4+2*(len(n.servers)-1) {
+		ls.stats.droppedNoRoute++
+		ls.release(f)
 		return
 	}
-	dst := n.hosts[env.To]
-	if at == dst.server {
-		n.traverseHostLink(lane, dst, env, func(env Envelope) {
-			n.statsLanes[lane].Delivered++
-			if dst.handler != nil {
-				dst.handler(n.eng.NowOf(lane), env)
-			}
-		})
+	at := f.at
+	if at == f.dst.srv {
+		f.deliver = true
+		n.traverseHostLink(f, f.dst)
 		return
 	}
-	nextHop, ok := n.routesFrom(lane, at)[dst.server]
-	if !ok {
-		n.statsLanes[lane].DroppedNoRoute++
-		return
-	}
-	l := n.upLinkBetween(at, nextHop)
+	h := n.routesFrom(f.lane, at)[f.dst.srv.id]
+	l := h.link
 	if l == nil {
-		// Routing table says nextHop but the link vanished between the
-		// route computation and this traversal; with lazy per-version
-		// recomputation this cannot normally happen, but guard anyway.
-		n.statsLanes[lane].DroppedLinkDown++
+		ls.stats.droppedNoRoute++
+		ls.release(f)
 		return
 	}
-	st := n.statsLanes[lane]
-	st.LinkTransmissions[l.cfg.Class]++
-	st.PerLink[l.id]++
+	ls.stats.byClass[l.cfg.Class]++
+	if at.id == l.a {
+		l.tx[0]++
+	} else {
+		l.tx[1]++
+	}
 	if n.OnLinkTransmit != nil {
-		n.OnLinkTransmit(lane, l.id, l.cfg.Class, env)
+		n.OnLinkTransmit(f.lane, l.id, l.cfg.Class, f.env)
 	}
 	if l.cfg.Class == Expensive {
-		env.CostBit = true
+		f.env.CostBit = true
 	}
-	env.Hops++
-	nextLane := n.laneOfServer(nextHop)
-	n.deliverAcross(lane, nextLane, l.cfg, env, func(env Envelope) {
-		n.arriveAtServer(nextLane, nextHop, env)
-	})
-}
-
-// upLinkBetween returns the best up link joining two servers (cheapest
-// first — parallel links can differ in class after a repair adds a cheap
-// path next to an old expensive one — then lowest ID), or nil.
-func (n *Network) upLinkBetween(a, b ServerID) *link {
-	var best *link
-	for _, l := range n.servers[a].links {
-		if !l.up || l.other(a) != b {
-			continue
-		}
-		if best == nil || l.weight() < best.weight() ||
-			(l.weight() == best.weight() && l.id < best.id) {
-			best = l
-		}
-	}
-	return best
+	f.env.Hops++
+	f.at = h.next
+	n.deliverAcross(f, h.next.lane, &l.cfg)
 }
 
 // deliverAcross applies a link's loss, duplication, and delay+jitter,
-// scheduling next for each surviving copy. Randomness draws from the
-// executing (sending) lane's stream, so the draw sequence depends only
-// on that lane's deterministic event order; the continuation runs on
-// toLane (jitter is additive, so a cross-lane hop's delay never falls
-// below the link's base Delay — the shard plan's lookahead bound).
-func (n *Network) deliverAcross(fromLane, toLane int, cfg LinkConfig, env Envelope, next func(Envelope)) {
+// scheduling the step of each surviving copy on toLane. Randomness draws
+// from the executing (sending) lane's stream — loss, then duplication,
+// then one jitter draw per copy, original first — so the draw sequence
+// depends only on that lane's deterministic event order (jitter is
+// additive, so a cross-lane hop's delay never falls below the link's
+// base Delay — the shard plan's lookahead bound).
+func (n *Network) deliverAcross(f *flight, toLane int, cfg *LinkConfig) {
+	fromLane := f.lane
+	ls := n.perLane[fromLane]
 	rng := n.eng.RandOf(fromLane)
-	st := n.statsLanes[fromLane]
 	if cfg.LossProb > 0 && rng.Float64() < cfg.LossProb {
-		st.Lost++
+		ls.stats.lost++
+		ls.release(f)
 		return
 	}
-	copies := 1
+	var dup *flight
 	if cfg.DupProb > 0 && rng.Float64() < cfg.DupProb {
-		copies = 2
-		st.Duplicated++
+		ls.stats.duplicated++
+		dup = ls.newFlight(n)
+		dup.env, dup.dst, dup.at, dup.deliver = f.env, f.dst, f.at, f.deliver
 	}
-	for i := 0; i < copies; i++ {
+	for _, c := range [2]*flight{f, dup} {
+		if c == nil {
+			break
+		}
 		d := cfg.Delay
 		if cfg.Jitter > 0 {
 			d += time.Duration(rng.Int63n(int64(cfg.Jitter)))
 		}
-		env := env
-		n.eng.ScheduleCross(fromLane, toLane, d, func() { next(env) })
+		c.lane = toLane
+		n.eng.ScheduleCross(fromLane, toLane, d, c.run)
 	}
 }
