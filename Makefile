@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all build vet lint lint-sarif lint-selftest test race race-shard-identity check soak soak-byzantine soak-catchup soak-smoke-race fuzz fuzz-smoke bench-json bench-smoke bench-repo bench-repo-smoke clean
+.PHONY: all build vet fmt-check lint lint-sarif lint-selftest test race race-shard-identity check soak soak-byzantine soak-catchup soak-smoke-race fuzz fuzz-smoke bench-json bench-smoke bench-repo bench-repo-smoke clean
 
 all: check
 
@@ -9,6 +9,10 @@ build:
 
 vet:
 	$(GO) vet ./...
+
+# fmt-check fails when any file is not gofmt-clean, and lists them.
+fmt-check:
+	@out=$$(gofmt -l .); [ -z "$$out" ] || { echo "gofmt -l:"; echo "$$out"; exit 1; }
 
 # lint runs the protocol-aware analyzer suite (alloclint, detlint,
 # lanelint, leaklint, locklint, monolint, ordlint, paramlint,
@@ -64,11 +68,11 @@ race:
 race-shard-identity:
 	$(GO) test -race -v -run 'TestShardedWorkerCountIdentity|TestShardTraceIdentity|TestShardPlan|TestShardCount' ./internal/sim/ ./internal/netsim/ ./internal/soak/
 
-# check is the gate for every change: compile everything, lint with vet
-# and rblint, and run the full suite under the race detector. It does
+# check is the gate for every change: compile everything, lint with
+# gofmt, vet and rblint, and run the full suite under the race detector. It does
 # not run benchmarks; use `make bench-json` before and after perf work
 # to record BENCH_<date>.json snapshots.
-check: build vet lint race
+check: build vet fmt-check lint race
 
 # soak runs a quick randomized sweep of every scenario class (the
 # partition-trap class is excluded: it fails by design).

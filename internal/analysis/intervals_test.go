@@ -31,7 +31,7 @@ func TestIntervalTransferGolden(t *testing.T) {
 		// Addition saturates instead of wrapping: a bound that lands on
 		// MaxInt64 is the +inf sentinel, read as "may overflow".
 		{"add/finite", IvAdd(IvRange(1, 2), IvRange(10, 20)), "[11,22]"},
-		{"add/saturates", IvAdd(IvConst(math.MaxInt64 - 1), IvRange(1, 5)), "[9223372036854775807,+inf]"},
+		{"add/saturates", IvAdd(IvConst(math.MaxInt64-1), IvRange(1, 5)), "[9223372036854775807,+inf]"},
 		{"add/unbounded", IvAdd(IvRange(0, posInf), IvConst(1)), "[1,+inf]"},
 		{"sub/finite", IvSub(IvRange(5, 7), IvRange(1, 2)), "[3,6]"},
 		{"sub/anti-monotone", IvSub(IvConst(0), IvRange(0, posInf)), "[-inf,0]"},
@@ -41,7 +41,7 @@ func TestIntervalTransferGolden(t *testing.T) {
 		// Multiplication takes corner products.
 		{"mul/signs", IvMul(IvRange(-2, 3), IvRange(4, 5)), "[-10,15]"},
 		{"mul/both-negative", IvMul(IvRange(-3, -2), IvRange(-5, -4)), "[8,15]"},
-		{"mul/saturates", IvMul(IvConst(math.MaxInt64 / 2), IvConst(4)), "[9223372036854775807,+inf]"},
+		{"mul/saturates", IvMul(IvConst(math.MaxInt64/2), IvConst(4)), "[9223372036854775807,+inf]"},
 
 		// Division is truncated and the divisor is sign-split; the zero
 		// slice of the divisor contributes nothing (it panics at runtime).

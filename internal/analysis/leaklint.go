@@ -6,10 +6,12 @@ import (
 )
 
 // LeakPackages are the packages that own real goroutines and timers: the
-// discrete-event engine, the live loopback fleet, the UDP runtime, and
-// the soak sweep. (Pure state-machine packages never spawn.)
+// discrete-event engine, the real-time host driver, the live loopback
+// fleet, the UDP runtime, and the soak sweep. (Pure state-machine
+// packages never spawn.)
 var LeakPackages = []string{
 	"rbcast/internal/sim",
+	"rbcast/internal/node",
 	"rbcast/internal/live",
 	"rbcast/internal/udp",
 	"rbcast/internal/soak",

@@ -15,6 +15,7 @@ var OrdPackages = []string{
 	"rbcast/internal/sim",
 	"rbcast/internal/netsim",
 	"rbcast/internal/soak",
+	"rbcast/internal/node",
 	"rbcast/internal/live",
 	"rbcast/internal/udp",
 	"rbcast/internal/trace",

@@ -17,6 +17,7 @@ var SharePackages = []string{
 	"rbcast/internal/sim",
 	"rbcast/internal/netsim",
 	"rbcast/internal/soak",
+	"rbcast/internal/node",
 	"rbcast/internal/live",
 	"rbcast/internal/udp",
 }

@@ -10,12 +10,13 @@ import (
 
 // TaintPackages are the packages that touch decoded wire input: the
 // codec itself, the set type wire intervals expand into, the protocol
-// state machine the frames are dispatched to, and the two transports
-// that read datagrams off sockets.
+// state machine the frames are dispatched to, the host driver that
+// decodes envelopes, and the two transports that feed it.
 var TaintPackages = []string{
 	"rbcast/internal/core",
 	"rbcast/internal/seqset",
 	"rbcast/internal/wire",
+	"rbcast/internal/node",
 	"rbcast/internal/udp",
 	"rbcast/internal/live",
 }
@@ -29,7 +30,7 @@ var TaintPackages = []string{
 // remote DoS: exactly the PR 1 seqset.AddRange decoder bug, found then
 // by fuzzing and caught here statically.
 //
-// Sources: results of wire.Decode / decodeEnvelope, encoding/binary
+// Sources: results of wire.Decode / DecodeEnvelope, encoding/binary
 // integer reads, and parameters of the network-facing named types
 // (Message, Frame, Envelope). A comparison mentioning a tainted variable
 // sanitizes it on both branches (the analysis cannot tell a correct
@@ -54,7 +55,7 @@ var taintSinkCalls = map[string]bool{
 // taintDecodeNames are module functions whose results are wholly
 // attacker-controlled.
 var taintDecodeNames = map[string]bool{
-	"Decode": true, "DecodeEnvelope": true, "decodeEnvelope": true,
+	"Decode": true, "DecodeEnvelope": true,
 }
 
 // taintParamTypes are named types whose values arrive off the network:

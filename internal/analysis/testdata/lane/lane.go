@@ -171,10 +171,10 @@ func dispatch(fn Event) { fn() }
 // lanelint neither reports their sites nor traverses into them.
 type engine struct{ now time.Duration }
 
-func (e *engine) Now() time.Duration  { return e.now }
-func (e *engine) Rand() *Rand         { return nil }
+func (e *engine) Now() time.Duration      { return e.now }
+func (e *engine) Rand() *Rand             { return nil }
 func (e *engine) NowOf(int) time.Duration { return e.now }
-func (e *engine) RandOf(int) *Rand    { return nil }
+func (e *engine) RandOf(int) *Rand        { return nil }
 
 func (e *engine) Schedule(delay time.Duration, fn Event) Timer { return Timer{} }
 func (e *engine) Every(period time.Duration, fn Event) Timer   { return Timer{} }

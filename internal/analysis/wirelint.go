@@ -26,10 +26,11 @@ import (
 // kind missing from them can regress silently.
 //
 // When the codec package has a sibling live package (../live) with its
-// own Fuzz* functions, every kind must also be seeded there: the live
-// runtime wraps frames in a stream-prefixed envelope with its own
-// decoder, and a kind fuzzed only at the frame layer can still panic
-// the envelope path. Packages without such a sibling (or whose sibling
+// own Fuzz* functions, every kind must also be seeded there: the
+// real-time runtimes wrap frames in the host driver's stream-prefixed
+// envelope (internal/node's codec, fuzzed from the live package, whose
+// transport accepts envelope bytes from any caller), and a kind fuzzed
+// only at the frame layer can still panic the envelope path. Packages without such a sibling (or whose sibling
 // has no fuzz targets) are exempt.
 var WireLint = &Analyzer{
 	Name: "wirelint",

@@ -395,6 +395,14 @@ func (h *Host) learnHas(from HostID, q seqset.Seq) {
 // both the working MAP entry (clearing stale optimistic marks) and the
 // confirmed view. The entries are copy-on-write snapshots: no run
 // storage is copied until one side mutates.
+//
+// This is the retention point for a handler's m.Info: the snapshots
+// share info's storage past the HandleMessage call. It is reached for
+// MsgInfo, MsgAttachReq and MsgAttachAccept (and handleInfo keeps one
+// more snapshot as the delta view), so a decode path that reuses Info
+// storage across frames must detach it for exactly those kinds —
+// internal/node's DecodeEnvelope does. Retaining Info for another kind
+// requires updating that rule.
 func (h *Host) learnInfo(from HostID, info seqset.Set) {
 	h.maps[from] = info.Snapshot()
 	h.confirmed[from] = info.Snapshot()
@@ -544,11 +552,9 @@ func (h *Host) handleInfo(now time.Duration, from HostID, m Message) {
 		// A full set roots a fresh delta chain: later deltas merge into
 		// this view and are checked against the sender's checksum.
 		//
-		// This Snapshot is the one place a handler retains m.Info's
-		// storage past the HandleMessage call. Zero-copy decode paths
-		// (live's per-node wire.Decoder) rely on that: they detach Info
-		// for MsgInfo frames only. Retaining Info for another kind here
-		// requires updating those call sites.
+		// Like learnInfo above, this Snapshot retains m.Info's storage
+		// past the HandleMessage call; see learnInfo for what that asks
+		// of zero-copy decode paths.
 		h.infoView[from] = m.Info.Snapshot()
 		h.infoSynced[from] = true
 	}

@@ -154,8 +154,8 @@ func TestByzantineLieInfoReported(t *testing.T) {
 	reported := 0
 	for seed := int64(47); seed < 55; seed++ {
 		rt, err := harness.Prepare(harness.Scenario{
-			Name:     "byz-lie-info",
-			Seed:     seed,
+			Name: "byz-lie-info",
+			Seed: seed,
 			Build: func(eng sim.Loop) (*topo.Topology, error) {
 				return topo.Clustered(eng, topo.ClusteredConfig{
 					Clusters:        2,

@@ -1,16 +1,14 @@
 package live
 
 import (
-	"encoding/binary"
-	"errors"
 	"fmt"
 	"sync"
 	"time"
 
 	"rbcast/internal/core"
 	"rbcast/internal/multi"
+	"rbcast/internal/node"
 	"rbcast/internal/seqset"
-	"rbcast/internal/wire"
 )
 
 // FleetConfig assembles a live protocol deployment.
@@ -54,51 +52,30 @@ func LiveParams() core.Params {
 	}
 }
 
-// Fleet is a running set of live protocol nodes.
+// Fleet is a running set of live protocol nodes: one host driver per
+// host over the shared in-memory Transport.
 type Fleet struct {
 	Transport *Transport
 
-	cfg     FleetConfig
-	sources []core.HostID
-	nodes   map[core.HostID]*node
-	rec     *recorder
-	started time.Time
-	stopOne sync.Once
+	cfg   FleetConfig
+	nodes map[core.HostID]*node.Driver
+	rec   *recorder
 }
 
-// node owns one host: a single goroutine serializes every interaction
-// with the per-stream protocol instances, per their single-threaded
-// contract.
-type node struct {
-	bus   *multi.Bus
-	inbox chan inbound
-	cmds  chan func(now time.Duration)
-	stop  chan struct{}
-	done  chan struct{}
-	// dec reuses payload and interval buffers across inbound frames; it
-	// is only touched from the node goroutine.
-	dec wire.Decoder
+// startDriver is swappable so tests can fail driver construction for a
+// chosen host and exercise StartFleet's mid-loop error path.
+var startDriver = node.Start
+
+// port is one host's attachment to the Transport.
+type port struct {
+	t    *Transport
+	from core.HostID
 }
 
-// decode splits a stream-prefixed wire frame using the node's reusable
-// decoder, so steady-state inbound traffic decodes without allocating.
-// Part-carrying frames (piggyback bundles, sync responses) fall back to
-// the general allocating path.
-func (n *node) decode(data []byte) (core.HostID, wire.Frame, error) {
-	if len(data) < 4 {
-		return 0, wire.Frame{}, fmt.Errorf("live: envelope too short")
-	}
-	stream := core.HostID(binary.BigEndian.Uint32(data[:4]))
-	f, err := n.dec.Decode(data[4:])
-	if errors.Is(err, wire.ErrHasParts) {
-		f, err = wire.Decode(data[4:])
-	}
-	return stream, f, err
+func (p port) Send(to core.HostID, env *node.Envelope) error {
+	p.t.Send(p.from, to, env)
+	return nil
 }
-
-// newBus is swappable so tests can fail bus construction for a chosen
-// host and exercise StartFleet's mid-loop error path.
-var newBus = multi.NewBus
 
 // StartFleet constructs and starts all nodes.
 func StartFleet(cfg FleetConfig) (*Fleet, error) {
@@ -117,106 +94,40 @@ func StartFleet(cfg FleetConfig) (*Fleet, error) {
 	f := &Fleet{
 		Transport: NewTransport(cfg.Hosts, cfg.Seed),
 		cfg:       cfg,
-		sources:   sources,
-		nodes:     make(map[core.HostID]*node, len(cfg.Hosts)),
+		nodes:     make(map[core.HostID]*node.Driver, len(cfg.Hosts)),
 		rec:       newRecorder(),
-		started:   time.Now(),
 	}
 	if cfg.Clusters != nil {
 		f.Transport.SetClusters(cfg.Clusters)
 	}
 	for _, id := range cfg.Hosts {
 		id := id
-		env := &nodeEnv{fleet: f, id: id}
-		bus, err := newBus(multi.Config{
-			ID:         id,
-			Peers:      cfg.Hosts,
-			Sources:    sources,
-			Params:     cfg.Params,
-			JitterSeed: cfg.Seed,
-		}, env)
+		// Start spawns the node goroutine as it registers the host, so
+		// the error path below can Stop a half-built fleet: every
+		// registered driver has a goroutine to wait for.
+		d, err := startDriver(node.Config{
+			Bus: multi.Config{
+				ID:         id,
+				Peers:      cfg.Hosts,
+				Sources:    sources,
+				Params:     cfg.Params,
+				JitterSeed: cfg.Seed,
+			},
+			OnDeliver: func(stream core.HostID, seq seqset.Seq, payload []byte) {
+				f.rec.record(id, stream, seq)
+				if cfg.OnDeliver != nil {
+					cfg.OnDeliver(id, stream, seq, payload)
+				}
+			},
+		}, port{t: f.Transport, from: id})
 		if err != nil {
 			f.Stop()
 			return nil, err
 		}
-		inbox, err := f.Transport.inbox(id)
-		if err != nil {
-			f.Stop()
-			return nil, err
-		}
-		n := &node{
-			bus:   bus,
-			inbox: inbox,
-			cmds:  make(chan func(time.Duration), 16),
-			stop:  make(chan struct{}),
-			done:  make(chan struct{}),
-		}
-		f.nodes[id] = n
-		// Spawn immediately: runNode owns closing n.done, and Stop waits
-		// on done for every registered node. Registering first and
-		// spawning in a second loop would make the mid-loop error paths
-		// above (which call f.Stop) block forever on nodes whose
-		// goroutine never started.
-		go f.runNode(n)
+		f.nodes[id] = d
+		f.Transport.attach(id, d)
 	}
 	return f, nil
-}
-
-// now returns time since fleet start — the virtual "now" hosts see.
-func (f *Fleet) now() time.Duration { return time.Since(f.started) }
-
-// runNode is the per-host event loop: ticks, inbound frames, and
-// externally injected commands all execute on this goroutine.
-func (f *Fleet) runNode(n *node) {
-	defer close(n.done)
-	ticker := time.NewTicker(f.cfg.Params.TickInterval)
-	defer ticker.Stop()
-	n.bus.Start(f.now())
-	for {
-		select {
-		case <-n.stop:
-			return
-		case <-ticker.C:
-			n.bus.Tick(f.now())
-		case in := <-n.inbox:
-			stream, frame, err := n.decode(in.data)
-			in.release()
-			if err != nil {
-				f.Transport.mu.Lock()
-				f.Transport.decodeErrors++
-				f.Transport.mu.Unlock()
-				continue
-			}
-			if frame.Message.Kind == core.MsgInfo {
-				// handleInfo is the one path that retains the decoded
-				// Info (core snapshots it into infoView); every other
-				// kind merges by membership. Detach it from the storage
-				// the decoder will overwrite on the next frame.
-				frame.Message.Info = frame.Message.Info.Clone()
-			}
-			n.bus.HandleMessage(f.now(), frame.From, in.costBit, stream, frame.Message)
-		case cmd := <-n.cmds:
-			cmd(f.now())
-		}
-	}
-}
-
-// nodeEnv adapts the transport and recorder to multi.Env. Its methods
-// are only invoked from the owning node's goroutine.
-type nodeEnv struct {
-	fleet *Fleet
-	id    core.HostID
-}
-
-func (e *nodeEnv) Send(to core.HostID, stream core.HostID, m core.Message) {
-	e.fleet.Transport.Send(e.id, to, stream, m)
-}
-
-func (e *nodeEnv) Deliver(stream core.HostID, seq seqset.Seq, payload []byte) {
-	e.fleet.rec.record(e.id, stream, seq)
-	if e.fleet.cfg.OnDeliver != nil {
-		e.fleet.cfg.OnDeliver(e.id, stream, seq, payload)
-	}
 }
 
 // Broadcast injects the next data message on the primary source's stream
@@ -228,29 +139,11 @@ func (f *Fleet) Broadcast(payload []byte) (seqset.Seq, error) {
 // BroadcastFrom injects the next data message on the given source's
 // stream.
 func (f *Fleet) BroadcastFrom(source core.HostID, payload []byte) (seqset.Seq, error) {
-	n, ok := f.nodes[source]
+	d, ok := f.nodes[source]
 	if !ok {
 		return 0, fmt.Errorf("live: host %d not running", source)
 	}
-	type outcome struct {
-		seq seqset.Seq
-		err error
-	}
-	result := make(chan outcome, 1)
-	select {
-	case n.cmds <- func(now time.Duration) {
-		seq, err := n.bus.Broadcast(now, payload)
-		result <- outcome{seq: seq, err: err}
-	}:
-	case <-n.stop:
-		return 0, fmt.Errorf("live: fleet stopped")
-	}
-	select {
-	case out := <-result:
-		return out.seq, out.err
-	case <-n.stop:
-		return 0, fmt.Errorf("live: fleet stopped")
-	}
+	return d.Broadcast(payload)
 }
 
 // Inspect runs fn on the host's goroutine against the primary stream's
@@ -262,30 +155,26 @@ func (f *Fleet) Inspect(id core.HostID, fn func(h *core.Host)) error {
 
 // InspectStream runs fn against one stream's instance at one host.
 func (f *Fleet) InspectStream(id core.HostID, stream core.HostID, fn func(h *core.Host)) error {
-	n, ok := f.nodes[id]
+	d, ok := f.nodes[id]
 	if !ok {
 		return fmt.Errorf("live: unknown host %d", id)
 	}
-	done := make(chan error, 1)
-	select {
-	case n.cmds <- func(time.Duration) {
-		h := n.bus.Instance(stream)
-		if h == nil {
-			done <- fmt.Errorf("live: unknown stream %d", stream)
-			return
-		}
-		fn(h)
-		done <- nil
-	}:
-	case <-n.stop:
-		return fmt.Errorf("live: fleet stopped")
+	return d.Inspect(stream, fn)
+}
+
+// NodeStats sums the host drivers' counters: frames sent and received,
+// codec errors, and inbox overflow drops.
+func (f *Fleet) NodeStats() node.Stats {
+	var sum node.Stats
+	for _, d := range f.nodes {
+		s := d.Stats()
+		sum.Sent += s.Sent
+		sum.SendErrors += s.SendErrors
+		sum.Received += s.Received
+		sum.DecodeErrors += s.DecodeErrors
+		sum.InboxDrops += s.InboxDrops
 	}
-	select {
-	case err := <-done:
-		return err
-	case <-n.stop:
-		return fmt.Errorf("live: fleet stopped")
-	}
+	return sum
 }
 
 // DeliveredAll reports whether every host has delivered 1..n on the
@@ -332,17 +221,13 @@ func (f *Fleet) DeliveredOn(h core.HostID, stream core.HostID) seqset.Set {
 // (host, stream, seq); the protocol guarantees zero.
 func (f *Fleet) DuplicateDeliveries() int { return f.rec.duplicates() }
 
-// Stop terminates all nodes and waits for their goroutines.
+// Stop terminates all nodes and waits for their goroutines. Safe to
+// call more than once.
 func (f *Fleet) Stop() {
-	f.stopOne.Do(func() {
-		f.Transport.stop()
-		for _, n := range f.nodes {
-			close(n.stop)
-		}
-		for _, n := range f.nodes {
-			<-n.done
-		}
-	})
+	f.Transport.stop()
+	for _, d := range f.nodes {
+		d.Stop()
+	}
 }
 
 type hostStream struct {

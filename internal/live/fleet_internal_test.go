@@ -6,28 +6,28 @@ import (
 	"time"
 
 	"rbcast/internal/core"
-	"rbcast/internal/multi"
+	"rbcast/internal/node"
 )
 
 // TestStartFleetErrorPathDoesNotHang is a regression test for a shutdown
 // deadlock: StartFleet used to register every node first and spawn the
-// runNode goroutines in a second loop, so a mid-loop bus or inbox error
+// node goroutines in a second loop, so a mid-loop construction error
 // called Stop while already-registered nodes had no goroutine — and Stop
-// blocked forever on <-n.done, since runNode's deferred close is the
-// only thing that closes done. Nodes must be spawned as they are
-// registered. Run under -race this also exercises the live node
+// blocked forever waiting for them, since the node goroutine's deferred
+// close is the only thing that signals its exit. Nodes must be spawned
+// as they are registered. Run under -race this also exercises the live node
 // goroutine racing fleet teardown.
 func TestStartFleetErrorPathDoesNotHang(t *testing.T) {
-	orig := newBus
+	orig := startDriver
 	calls := 0
-	newBus = func(cfg multi.Config, env multi.Env) (*multi.Bus, error) {
+	startDriver = func(cfg node.Config, tr node.Transport) (*node.Driver, error) {
 		calls++
 		if calls == 2 {
-			return nil, fmt.Errorf("injected bus failure for host %d", cfg.ID)
+			return nil, fmt.Errorf("injected driver failure for host %d", cfg.Bus.ID)
 		}
-		return orig(cfg, env)
+		return orig(cfg, tr)
 	}
-	defer func() { newBus = orig }()
+	defer func() { startDriver = orig }()
 
 	type result struct {
 		f   *Fleet
@@ -44,7 +44,7 @@ func TestStartFleetErrorPathDoesNotHang(t *testing.T) {
 			if r.f != nil {
 				r.f.Stop()
 			}
-			t.Fatal("StartFleet succeeded despite failing bus constructor")
+			t.Fatal("StartFleet succeeded despite failing driver start")
 		}
 	case <-time.After(10 * time.Second):
 		t.Fatal("StartFleet hung in its error path: Stop waited on nodes whose goroutine never started")

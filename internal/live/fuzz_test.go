@@ -5,15 +5,17 @@ import (
 	"testing"
 
 	"rbcast/internal/core"
+	"rbcast/internal/node"
 	"rbcast/internal/seqset"
 	"rbcast/internal/wire"
 )
 
-// FuzzDecodeEnvelope drives the stream-prefixed envelope decoder with
-// arbitrary bytes. The corpus seeds with well-formed envelopes of every
-// message kind plus the short-prefix edge cases. The decoder must never
-// panic; whatever it accepts must round-trip through encodeEnvelope
-// byte-for-byte. Run with `go test -fuzz FuzzDecodeEnvelope
+// FuzzDecodeEnvelope drives the host driver's stream-prefixed envelope
+// decoder (internal/node) with arbitrary bytes — what Transport.Send
+// accepts from any caller and hands to a node. The corpus seeds with
+// well-formed envelopes of every message kind plus the short-prefix
+// edge cases. The decoder must never panic; whatever it accepts must
+// round-trip through node.EncodeEnvelope. Run with `go test -fuzz FuzzDecodeEnvelope
 // ./internal/live` for a real session; as a plain test it replays the
 // corpus.
 func FuzzDecodeEnvelope(f *testing.F) {
@@ -63,11 +65,11 @@ func FuzzDecodeEnvelope(f *testing.F) {
 			Payload: []byte("chunk"), CheckLen: 4096, Info: seqset.FromRange(1, 6)}}},
 	}
 	for _, s := range seeds {
-		data, err := encodeEnvelope(s.stream, s.frame)
+		env, err := node.EncodeEnvelope(s.stream, s.frame)
 		if err != nil {
 			f.Fatalf("seed encode: %v", err)
 		}
-		f.Add(data)
+		f.Add([]byte(*env))
 	}
 	// The framing edge: empty, shorter than the 4-byte stream prefix,
 	// exactly the prefix, and a prefix followed by garbage.
@@ -77,25 +79,29 @@ func FuzzDecodeEnvelope(f *testing.F) {
 	f.Add(append([]byte{0, 0, 0, 5}, 0xFF, 0xB7, 0x00))
 
 	f.Fuzz(func(t *testing.T, data []byte) {
-		stream, frame, err := decodeEnvelope(data)
+		var dec wire.Decoder
+		stream, frame, err := node.DecodeEnvelope(&dec, data)
 		if err != nil {
 			return // rejection is fine; panicking is not
 		}
 		if len(data) < 4 {
 			t.Fatalf("accepted %d-byte envelope, shorter than the stream prefix", len(data))
 		}
-		re, err := encodeEnvelope(stream, frame)
+		env, err := node.EncodeEnvelope(stream, frame)
 		if err != nil {
 			t.Fatalf("re-encode of accepted envelope failed: %v (stream %d, frame %+v)", err, stream, frame)
 		}
+		re := []byte(*env)
 		// The stream prefix is fixed-width, so it round-trips exactly.
 		if !bytes.Equal(re[:4], data[:4]) {
 			t.Fatalf("stream prefix diverged: in %x, out %x", data[:4], re[:4])
 		}
 		// The frame body round-trips semantically (the wire decoder
-		// tolerates some non-canonical encodings, so byte equality would
-		// be too strong).
-		stream2, frame2, err := decodeEnvelope(re)
+		// tolerates some non-canonical encodings, such as unused flag
+		// bits, so byte equality would be too strong). A second decoder
+		// keeps the first frame's storage intact for the comparison.
+		var dec2 wire.Decoder
+		stream2, frame2, err := node.DecodeEnvelope(&dec2, re)
 		if err != nil {
 			t.Fatalf("re-decode failed: %v", err)
 		}

@@ -42,9 +42,8 @@ func TestLiveBroadcastSingleCluster(t *testing.T) {
 	if d := f.DuplicateDeliveries(); d != 0 {
 		t.Errorf("duplicate deliveries = %d", d)
 	}
-	_, _, _, codecErrs := f.Transport.Stats()
-	if codecErrs != 0 {
-		t.Errorf("wire codec errors = %d", codecErrs)
+	if s := f.NodeStats(); s.DecodeErrors != 0 || s.SendErrors != 0 {
+		t.Errorf("wire codec errors: %+v", s)
 	}
 }
 

@@ -1,62 +1,19 @@
-// Package live runs the protocol in real time: one goroutine per host
-// over an in-memory transport with injectable delay, loss, and
-// partitions. The same core.Host state machine that the deterministic
-// harness drives runs here unchanged, demonstrating that the protocol
-// core is runtime-agnostic — and exercising it under genuine concurrency
-// and the binary wire codec.
+// Package live runs the protocol in real time: one host driver
+// (internal/node) per host over an in-memory transport with injectable
+// delay, loss, and partitions. The same core.Host state machine that
+// the deterministic harness drives runs here unchanged, demonstrating
+// that the protocol core is runtime-agnostic — and exercising it under
+// genuine concurrency and the binary wire codec.
 package live
 
 import (
-	"encoding/binary"
-	"fmt"
 	"math/rand"
 	"sync"
 	"time"
 
 	"rbcast/internal/core"
-	"rbcast/internal/wire"
+	"rbcast/internal/node"
 )
-
-// envelopePool recycles envelope buffers between Send and the consuming
-// node loop, so steady-state traffic allocates no per-frame garbage.
-var envelopePool = sync.Pool{New: func() any {
-	b := make([]byte, 0, 512)
-	return &b
-}}
-
-func getEnvelope() *[]byte { return envelopePool.Get().(*[]byte) }
-
-func putEnvelope(b *[]byte) {
-	*b = (*b)[:0]
-	envelopePool.Put(b)
-}
-
-// appendEnvelope appends a stream-prefixed wire frame to dst. On error
-// dst is returned unextended.
-func appendEnvelope(dst []byte, stream core.HostID, f wire.Frame) ([]byte, error) {
-	base := len(dst)
-	dst = binary.BigEndian.AppendUint32(dst, uint32(stream))
-	out, err := wire.AppendEncode(dst, f)
-	if err != nil {
-		return out[:base], err
-	}
-	return out, nil
-}
-
-// encodeEnvelope prefixes a wire frame with its 4-byte stream ID.
-func encodeEnvelope(stream core.HostID, f wire.Frame) ([]byte, error) {
-	return appendEnvelope(nil, stream, f)
-}
-
-// decodeEnvelope splits a stream-prefixed wire frame.
-func decodeEnvelope(data []byte) (core.HostID, wire.Frame, error) {
-	if len(data) < 4 {
-		return 0, wire.Frame{}, fmt.Errorf("live: envelope too short")
-	}
-	stream := core.HostID(binary.BigEndian.Uint32(data[:4]))
-	f, err := wire.Decode(data[4:])
-	return stream, f, err
-}
 
 // PathConfig describes the host-to-host path in one direction pair. The
 // live transport abstracts the subnetwork at path level: what the
@@ -93,45 +50,29 @@ func keyFor(a, b core.HostID) pathKey {
 	return pathKey{a: a, b: b}
 }
 
-type inbound struct {
-	costBit bool
-	data    []byte
-	// buf is the pooled backing store of data; release returns it once
-	// the frame has been decoded (wire.Decode copies payloads).
-	buf *[]byte
-}
-
-func (in inbound) release() {
-	if in.buf != nil {
-		putEnvelope(in.buf)
-	}
-}
-
 // Transport is the in-memory network. Safe for concurrent use.
 type Transport struct {
-	mu      sync.Mutex
-	paths   map[pathKey]PathConfig
-	inboxes map[core.HostID]chan inbound
+	mu    sync.Mutex
+	paths map[pathKey]PathConfig
+	// sinks holds every known host; the driver is nil until attached.
+	sinks   map[core.HostID]*node.Driver
 	rng     *rand.Rand
 	stopped bool
 
-	// Stats are updated atomically under mu.
-	sent, dropped, lost, decodeErrors uint64
+	// Stats are updated under mu.
+	sent, dropped, lost uint64
 }
 
 // NewTransport creates a transport for the given hosts with every path
 // set to the cheap default.
 func NewTransport(hosts []core.HostID, seed int64) *Transport {
 	t := &Transport{
-		paths:   make(map[pathKey]PathConfig),
-		inboxes: make(map[core.HostID]chan inbound, len(hosts)),
-		rng:     rand.New(rand.NewSource(seed)),
+		paths: make(map[pathKey]PathConfig),
+		sinks: make(map[core.HostID]*node.Driver, len(hosts)),
+		rng:   rand.New(rand.NewSource(seed)),
 	}
 	for _, h := range hosts {
-		// A bounded mailbox models finite network buffering: when a host
-		// falls behind, excess frames are dropped — the protocol tolerates
-		// arbitrary loss by design.
-		t.inboxes[h] = make(chan inbound, 4096)
+		t.sinks[h] = nil
 	}
 	for i, a := range hosts {
 		for _, b := range hosts[i+1:] {
@@ -216,68 +157,49 @@ func (t *Transport) HealAll() {
 	}
 }
 
-// Send encodes and transmits a frame on the given stream (stream 0 is
-// conventionally unused; multi-source fleets key streams by source host),
-// applying the path's failure model. It never blocks: full mailboxes
-// drop, exactly like a congested network.
-func (t *Transport) Send(from, to core.HostID, stream core.HostID, m core.Message) {
-	bp := getEnvelope()
-	data, err := appendEnvelope((*bp)[:0], stream, wire.Frame{From: from, Message: m})
-	if err != nil {
-		putEnvelope(bp)
-		// Outbound messages are produced by our own protocol code; an
-		// encode failure is a bug surfaced via the counter.
-		t.mu.Lock()
-		t.decodeErrors++
-		t.mu.Unlock()
-		return
-	}
-	*bp = data
+// Send transmits an encoded envelope, which it now owns, applying the
+// path's failure model. It never blocks: a host that is unreachable,
+// unknown, or has no driver attached loses the envelope, exactly like a
+// congested network.
+func (t *Transport) Send(from, to core.HostID, env *node.Envelope) {
 	t.mu.Lock()
 	if t.stopped {
 		t.mu.Unlock()
-		putEnvelope(bp)
+		env.Release()
 		return
 	}
 	cfg, ok := t.paths[keyFor(from, to)]
-	inbox, ok2 := t.inboxes[to]
-	if !ok || !ok2 || !cfg.Up {
+	sink, known := t.sinks[to]
+	switch {
+	case !ok || !known || !cfg.Up:
 		t.dropped++
-		t.mu.Unlock()
-		putEnvelope(bp)
-		return
-	}
-	if cfg.LossProb > 0 && t.rng.Float64() < cfg.LossProb {
+	case cfg.LossProb > 0 && t.rng.Float64() < cfg.LossProb:
 		t.lost++
+	case sink == nil:
+		t.dropped++
+	default:
+		delay := cfg.Delay
+		if cfg.Jitter > 0 {
+			delay += time.Duration(t.rng.Int63n(int64(cfg.Jitter)))
+		}
+		t.sent++
 		t.mu.Unlock()
-		putEnvelope(bp)
+		costBit := cfg.Expensive
+		time.AfterFunc(delay, func() { sink.Offer(env, costBit) })
 		return
 	}
-	delay := cfg.Delay
-	if cfg.Jitter > 0 {
-		delay += time.Duration(t.rng.Int63n(int64(cfg.Jitter)))
-	}
-	t.sent++
 	t.mu.Unlock()
-
-	msg := inbound{costBit: cfg.Expensive, data: data, buf: bp}
-	time.AfterFunc(delay, func() {
-		select {
-		case inbox <- msg:
-		default:
-			t.mu.Lock()
-			t.dropped++
-			t.mu.Unlock()
-			msg.release()
-		}
-	})
+	env.Release()
 }
 
-// Stats returns (sent, dropped, lost, codec errors).
-func (t *Transport) Stats() (sent, dropped, lost, codecErrs uint64) {
+// Stats returns what the path model counted: envelopes scheduled for
+// delivery, dropped (path down, unknown or unattached destination), and
+// lost to LossProb. Codec errors and inbox overflow are the drivers'
+// (Fleet.NodeStats).
+func (t *Transport) Stats() (sent, dropped, lost uint64) {
 	t.mu.Lock()
 	defer t.mu.Unlock()
-	return t.sent, t.dropped, t.lost, t.decodeErrors
+	return t.sent, t.dropped, t.lost
 }
 
 // stop makes all future sends no-ops.
@@ -287,12 +209,9 @@ func (t *Transport) stop() {
 	t.stopped = true
 }
 
-func (t *Transport) inbox(h core.HostID) (chan inbound, error) {
+// attach registers the driver that receives host h's traffic.
+func (t *Transport) attach(h core.HostID, d *node.Driver) {
 	t.mu.Lock()
 	defer t.mu.Unlock()
-	ch, ok := t.inboxes[h]
-	if !ok {
-		return nil, fmt.Errorf("live: unknown host %d", h)
-	}
-	return ch, nil
+	t.sinks[h] = d
 }

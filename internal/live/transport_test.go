@@ -6,6 +6,8 @@ import (
 
 	"rbcast/internal/core"
 	"rbcast/internal/live"
+	"rbcast/internal/node"
+	"rbcast/internal/wire"
 )
 
 func hosts4() []core.HostID { return []core.HostID{1, 2, 3, 4} }
@@ -70,9 +72,16 @@ func TestTransportSetReachable(t *testing.T) {
 
 func TestTransportDropsAccounting(t *testing.T) {
 	tr := live.NewTransport(hosts4(), 1)
+	detach := func() *node.Envelope {
+		env, err := node.EncodeEnvelope(0, wire.Frame{From: 1, Message: core.Message{Kind: core.MsgDetach}})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return env
+	}
 	tr.SetReachable(1, 2, false)
-	tr.Send(1, 2, 0, core.Message{Kind: core.MsgDetach})
-	_, dropped, _, _ := tr.Stats()
+	tr.Send(1, 2, detach())
+	_, dropped, _ := tr.Stats()
 	if dropped != 1 {
 		t.Errorf("dropped = %d, want 1", dropped)
 	}
@@ -80,14 +89,14 @@ func TestTransportDropsAccounting(t *testing.T) {
 	lossy := live.DefaultCheapPath()
 	lossy.LossProb = 1
 	tr.SetPath(1, 3, lossy)
-	tr.Send(1, 3, 0, core.Message{Kind: core.MsgDetach})
-	_, _, lost, _ := tr.Stats()
+	tr.Send(1, 3, detach())
+	_, _, lost := tr.Stats()
 	if lost != 1 {
 		t.Errorf("lost = %d, want 1", lost)
 	}
 	// Sends to unknown hosts drop rather than panic.
-	tr.Send(1, 99, 0, core.Message{Kind: core.MsgDetach})
-	_, dropped, _, _ = tr.Stats()
+	tr.Send(1, 99, detach())
+	_, dropped, _ = tr.Stats()
 	if dropped != 2 {
 		t.Errorf("dropped = %d after unknown destination, want 2", dropped)
 	}
@@ -97,7 +106,7 @@ func TestTransportDelayApplied(t *testing.T) {
 	tr := live.NewTransport(hosts4(), 1)
 	slow := live.PathConfig{Up: true, Delay: 60 * time.Millisecond}
 	tr.SetPath(1, 2, slow)
-	// Start a fleet? No — transports deliver into inboxes owned by the
+	// Start a fleet? No — transports deliver to drivers owned by the
 	// fleet; here we only verify config plumbing.
 	if got := tr.Path(1, 2).Delay; got != 60*time.Millisecond {
 		t.Errorf("Delay = %v", got)

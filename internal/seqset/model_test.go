@@ -142,10 +142,11 @@ func TestModelRandomized(t *testing.T) {
 	}
 }
 
-// TestAddRangeLarge pins the performance contract the wire decoder
-// depends on: inserting an astronomically wide interval is O(runs), not
-// O(width). Before the run-splicing AddRange this test would hang for
-// centuries on a decoded frame advertising [2, 2^61].
+// TestAddRangeLarge pins the performance contract hosts depend on when
+// merging wire-supplied ranges (Union, the sync layer): inserting an
+// astronomically wide interval is O(runs), not O(width). Before the
+// run-splicing AddRange this test would hang for centuries on a decoded
+// frame advertising [2, 2^61].
 func TestAddRangeLarge(t *testing.T) {
 	var s Set
 	s.Add(1)
@@ -161,17 +162,6 @@ func TestAddRangeLarge(t *testing.T) {
 	if !s.Contains(1 << 60) {
 		t.Error("Contains(2^60) = false inside the run")
 	}
-
-	// FromIntervals is the decoder's entry point; huge and overlapping
-	// intervals must both stay cheap and canonical.
-	set, err := FromIntervals([]Interval{{Lo: 2, Hi: 1 << 61}, {Lo: 1, Hi: 3}, {Lo: 1 << 61, Hi: 1<<61 + 1}})
-	if err != nil {
-		t.Fatalf("FromIntervals: %v", err)
-	}
-	mustCheck(t, set)
-	if set.RunCount() != 1 || set.Min() != 1 || set.Max() != 1<<61+1 {
-		t.Fatalf("got %v, want one run [1, 2^61+1]", set)
-	}
 }
 
 // TestAddRangeSplicing covers the branchy cases of the run-splicing
@@ -179,9 +169,9 @@ func TestAddRangeLarge(t *testing.T) {
 // several runs, extending by adjacency on both sides, and full overlap.
 func TestAddRangeSplicing(t *testing.T) {
 	build := func(ivs ...Interval) Set {
-		s, err := FromIntervals(ivs)
+		s, err := FromSortedRuns(ivs)
 		if err != nil {
-			t.Fatalf("FromIntervals(%v): %v", ivs, err)
+			t.Fatalf("FromSortedRuns(%v): %v", ivs, err)
 		}
 		return s
 	}

@@ -428,31 +428,17 @@ func (s Set) Intervals() []Interval {
 	return out
 }
 
-// FromIntervals builds a set from arbitrary (possibly overlapping,
-// unsorted) intervals. Intervals with Lo == 0 or Lo > Hi are rejected
-// with an error, so the function is safe on untrusted wire input.
-func FromIntervals(ivs []Interval) (Set, error) {
-	var s Set
-	for _, iv := range ivs {
-		if iv.Lo == 0 || iv.Lo > iv.Hi {
-			return Set{}, fmt.Errorf("seqset: invalid interval [%d,%d]", iv.Lo, iv.Hi)
-		}
-		s.AddRange(iv.Lo, iv.Hi)
-	}
-	return s, nil
-}
-
 // FromSortedRuns builds a set directly over runs, which must already be
 // the canonical coding: every interval valid (Lo ≥ 1, Lo ≤ Hi), sorted
 // by Lo, non-overlapping, non-adjacent — exactly what the wire encoder
-// emits. Unlike FromIntervals it never normalizes or copies: the
-// returned set aliases runs in copy-on-write mode, so mutating the set
-// copies first, but the caller reusing the slice (the zero-alloc wire
-// Decoder) invalidates the set's contents. Non-canonical input is
+// emits. It never normalizes or copies: the returned set aliases runs
+// in copy-on-write mode, so mutating the set copies first, but the
+// caller reusing the slice (the wire Decoder) invalidates the set's
+// contents. Non-canonical input is
 // rejected with an error, so the function is safe on untrusted wire
 // bytes produced by a conforming encoder.
 //
-//rblint:hotpath builds the INFO set for every frame the zero-alloc wire decoder parses
+//rblint:hotpath builds the INFO set for every frame the wire decoder parses
 func FromSortedRuns(runs []Interval) (Set, error) {
 	for i, r := range runs {
 		if r.Lo == 0 || r.Lo > r.Hi {

@@ -196,26 +196,9 @@ func TestPruneMidRun(t *testing.T) {
 	}
 }
 
-func TestFromIntervals(t *testing.T) {
-	s, err := FromIntervals([]Interval{{5, 7}, {1, 2}, {6, 9}})
-	if err != nil {
-		t.Fatalf("FromIntervals: %v", err)
-	}
-	mustCheck(t, s)
-	if got := s.Slice(); !reflect.DeepEqual(got, []Seq{1, 2, 5, 6, 7, 8, 9}) {
-		t.Errorf("FromIntervals = %v", got)
-	}
-	if _, err := FromIntervals([]Interval{{0, 3}}); err == nil {
-		t.Error("FromIntervals accepted Lo=0")
-	}
-	if _, err := FromIntervals([]Interval{{5, 3}}); err == nil {
-		t.Error("FromIntervals accepted Lo>Hi")
-	}
-}
-
 func TestIntervalsRoundTrip(t *testing.T) {
 	s := FromSlice([]Seq{1, 2, 9, 11, 12, 13})
-	got, err := FromIntervals(s.Intervals())
+	got, err := FromSortedRuns(s.Intervals())
 	if err != nil {
 		t.Fatalf("round trip: %v", err)
 	}
@@ -366,7 +349,7 @@ func TestQuickGapsPartition(t *testing.T) {
 		for _, r := range raw {
 			s.Add(Seq(r%100) + 1)
 		}
-		rt, err := FromIntervals(s.Intervals())
+		rt, err := FromSortedRuns(s.Intervals())
 		if err != nil || !rt.Equal(s) {
 			return false
 		}

@@ -7,13 +7,24 @@ import (
 	"time"
 
 	"rbcast/internal/core"
+	"rbcast/internal/node"
 	"rbcast/internal/seqset"
 	"rbcast/internal/udp"
 	"rbcast/internal/wire"
 )
 
-// sendRaw crafts one datagram to addr: an 8-byte send timestamp followed
-// by a wire frame — exactly what udp nodes exchange.
+// datagram crafts what udp nodes exchange (layout in the package doc):
+// the frame's envelope on the given stream, then the send stamp.
+func datagram(t *testing.T, stream core.HostID, sentAt time.Time, frame wire.Frame) []byte {
+	t.Helper()
+	env, err := node.EncodeEnvelope(stream, frame)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return binary.BigEndian.AppendUint64(*env, uint64(sentAt.UnixNano()))
+}
+
+// sendRaw sends one crafted datagram on stream 1 to addr.
 func sendRaw(t *testing.T, addr string, sentAt time.Time, frame wire.Frame) {
 	t.Helper()
 	conn, err := net.Dial("udp", addr)
@@ -21,13 +32,7 @@ func sendRaw(t *testing.T, addr string, sentAt time.Time, frame wire.Frame) {
 		t.Fatal(err)
 	}
 	defer conn.Close()
-	data, err := wire.Encode(frame)
-	if err != nil {
-		t.Fatal(err)
-	}
-	buf := binary.BigEndian.AppendUint64(nil, uint64(sentAt.UnixNano()))
-	buf = append(buf, data...)
-	if _, err := conn.Write(buf); err != nil {
+	if _, err := conn.Write(datagram(t, 1, sentAt, frame)); err != nil {
 		t.Fatal(err)
 	}
 }
@@ -117,7 +122,7 @@ func TestRawGarbageIgnored(t *testing.T) {
 		{},
 		{1, 2, 3},
 		make([]byte, 2000),
-		append(binary.BigEndian.AppendUint64(nil, uint64(time.Now().UnixNano())), 0xFF, 0xFF),
+		binary.BigEndian.AppendUint64([]byte{0, 0, 0, 1, 0xFF, 0xFF}, uint64(time.Now().UnixNano())),
 	} {
 		if _, err := conn.Write(payload); err != nil {
 			t.Fatal(err)

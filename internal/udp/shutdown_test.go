@@ -1,7 +1,6 @@
 package udp_test
 
 import (
-	"encoding/binary"
 	"net"
 	"sync"
 	"sync/atomic"
@@ -18,7 +17,7 @@ import (
 // garbage. Stop must return promptly (socket close unblocks the read
 // loop even mid-datagram), be safe to call again, and the node must not
 // panic or deadlock no matter how the flood interleaves with shutdown —
-// the race detector audits the handoff between readLoop and mainLoop.
+// the race detector audits the handoff between readLoop and the driver.
 func TestUDPStopUnderInboundFlood(t *testing.T) {
 	node, err := udp.StartNode(udp.NodeConfig{
 		ID:     1,
@@ -33,18 +32,15 @@ func TestUDPStopUnderInboundFlood(t *testing.T) {
 		t.Fatalf("resolving node addr: %v", err)
 	}
 
-	valid, err := wire.Encode(wire.Frame{
+	valid := datagram(t, 1, time.Now(), wire.Frame{
 		From:    2,
 		Message: core.Message{Kind: core.MsgInfo},
 	})
-	if err != nil {
-		t.Fatalf("encoding flood frame: %v", err)
-	}
 	datagrams := [][]byte{
-		append(binary.BigEndian.AppendUint64(nil, uint64(time.Now().UnixNano())), valid...),
-		{0x01, 0x02, 0x03},                    // shorter than the timestamp header
-		append(make([]byte, 8), 0xFF, 0xFF),   // valid header, undecodable frame
-		append(make([]byte, 8), valid[:2]...), // truncated frame
+		valid,
+		{0x01, 0x02, 0x03}, // shorter than the send stamp
+		append([]byte{0xFF, 0xFF}, valid[len(valid)-8:]...),                // stamp present, envelope too short
+		append(append([]byte(nil), valid[:6]...), valid[len(valid)-8:]...), // truncated frame
 	}
 
 	var stop atomic.Bool
@@ -68,8 +64,13 @@ func TestUDPStopUnderInboundFlood(t *testing.T) {
 	// Let the flood build up real inbound pressure, then stop mid-stream.
 	time.Sleep(100 * time.Millisecond)
 	done := make(chan struct{})
+	var readerLeft bool
 	go func() {
 		node.Stop()
+		// Stop waits for the socket reader too, not just the node
+		// goroutine: the instant it returns, with the flood still
+		// running, no read loop may be left behind.
+		readerLeft = !udp.ReaderExited(node)
 		node.Stop() // idempotent even under fire
 		close(done)
 	}()
@@ -77,6 +78,9 @@ func TestUDPStopUnderInboundFlood(t *testing.T) {
 	case <-done:
 	case <-time.After(10 * time.Second):
 		t.Fatal("Stop did not return within 10s under inbound flood")
+	}
+	if readerLeft {
+		t.Error("socket reader still running when Stop returned")
 	}
 	stop.Store(true)
 	wg.Wait()

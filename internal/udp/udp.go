@@ -13,6 +13,10 @@
 // configured threshold. (This assumes roughly synchronized clocks, which
 // holds trivially for same-machine tests and within NTP bounds
 // otherwise.)
+//
+// A Node is one host driver (internal/node) over a socket. A datagram is
+// the driver's envelope (4-byte stream ID, then the wire frame) followed
+// by the sender's 8-byte big-endian unix-nano send stamp.
 package udp
 
 import (
@@ -24,23 +28,17 @@ import (
 	"time"
 
 	"rbcast/internal/core"
+	"rbcast/internal/multi"
+	"rbcast/internal/node"
 	"rbcast/internal/seqset"
-	"rbcast/internal/wire"
 )
 
-// header: 8-byte big-endian unix-nano send timestamp, then a wire frame.
-const headerLen = 8
+// stampLen is the send stamp that trails every datagram.
+const stampLen = 8
 
 // maxDatagram bounds reads; larger frames are dropped like any network
 // loss.
 const maxDatagram = 64 * 1024
-
-// sendBufPool recycles datagram build buffers; WriteToUDP finishes with
-// the buffer before returning, so it can go straight back to the pool.
-var sendBufPool = sync.Pool{New: func() any {
-	b := make([]byte, 0, 512)
-	return &b
-}}
 
 // NodeConfig assembles one UDP protocol node.
 type NodeConfig struct {
@@ -65,27 +63,18 @@ type NodeConfig struct {
 
 // Node is one running UDP protocol host.
 type Node struct {
-	cfg   NodeConfig
-	host  *core.Host
-	conn  *net.UDPConn
-	addrs map[core.HostID]*net.UDPAddr
-
-	cmds    chan func(now time.Duration)
-	stop    chan struct{}
-	done    chan struct{}
-	stopped sync.Once
-	started time.Time
+	cfg  NodeConfig
+	drv  *node.Driver
+	sock socket
+	// readerDone is closed when the socket reader has exited.
+	readerDone chan struct{}
 
 	mu        sync.Mutex
 	delivered seqset.Set
-
-	stats struct {
-		sync.Mutex
-		sent, received, decodeErrors, sendErrors uint64
-	}
 }
 
-// StartNode binds the node's socket and starts its loops.
+// StartNode binds the node's socket and starts its driver and socket
+// reader.
 func StartNode(cfg NodeConfig) (*Node, error) {
 	addr, ok := cfg.Peers[cfg.ID]
 	if !ok {
@@ -110,13 +99,9 @@ func StartNode(cfg NodeConfig) (*Node, error) {
 		}
 	}
 	n := &Node{
-		cfg:     cfg,
-		conn:    conn,
-		addrs:   make(map[core.HostID]*net.UDPAddr, len(cfg.Peers)),
-		cmds:    make(chan func(time.Duration), 16),
-		stop:    make(chan struct{}),
-		done:    make(chan struct{}),
-		started: time.Now(),
+		cfg:        cfg,
+		sock:       socket{conn: conn, addrs: make(map[core.HostID]*net.UDPAddr, len(cfg.Peers))},
+		readerDone: make(chan struct{}),
 	}
 	var peers []core.HostID
 	for id, a := range cfg.Peers {
@@ -125,22 +110,24 @@ func StartNode(cfg NodeConfig) (*Node, error) {
 			_ = conn.Close()
 			return nil, fmt.Errorf("udp: resolving peer %d %q: %w", id, a, err)
 		}
-		n.addrs[id] = ua
+		n.sock.addrs[id] = ua
 		peers = append(peers, id)
 	}
-	host, err := core.NewHost(core.Config{
-		ID:     cfg.ID,
-		Source: cfg.Source,
-		Peers:  peers,
-		Params: cfg.Params,
-	}, (*nodeEnv)(n))
+	drv, err := node.Start(node.Config{
+		Bus: multi.Config{
+			ID:      cfg.ID,
+			Peers:   peers,
+			Sources: []core.HostID{cfg.Source},
+			Params:  cfg.Params,
+		},
+		OnDeliver: n.deliver,
+	}, &n.sock)
 	if err != nil {
 		_ = conn.Close()
 		return nil, err
 	}
-	n.host = host
+	n.drv = drv
 	go n.readLoop()
-	go n.mainLoop()
 	return n, nil
 }
 
@@ -163,44 +150,32 @@ func DefaultNodeParams() core.Params {
 }
 
 // Addr returns the node's bound UDP address (useful with ":0" configs).
-func (n *Node) Addr() string { return n.conn.LocalAddr().String() }
+func (n *Node) Addr() string { return n.sock.conn.LocalAddr().String() }
 
 // ID returns the node's host ID.
 func (n *Node) ID() core.HostID { return n.cfg.ID }
 
-// nodeEnv is the core.Env face of a node; methods run on the main loop.
-type nodeEnv Node
-
-func (e *nodeEnv) Send(to core.HostID, m core.Message) {
-	n := (*Node)(e)
-	addr, ok := n.addrs[to]
-	if !ok {
-		return
-	}
-	bp := sendBufPool.Get().(*[]byte)
-	defer sendBufPool.Put(bp)
-	buf := binary.BigEndian.AppendUint64((*bp)[:0], uint64(time.Now().UnixNano()))
-	buf, err := wire.AppendEncode(buf, wire.Frame{From: n.cfg.ID, Message: m})
-	*bp = buf
-	if err != nil {
-		n.stats.Lock()
-		n.stats.sendErrors++
-		n.stats.Unlock()
-		return
-	}
-	if _, err := n.conn.WriteToUDP(buf, addr); err != nil {
-		n.stats.Lock()
-		n.stats.sendErrors++
-		n.stats.Unlock()
-		return
-	}
-	n.stats.Lock()
-	n.stats.sent++
-	n.stats.Unlock()
+// socket is the node.Transport of a UDP node.
+type socket struct {
+	conn  *net.UDPConn
+	addrs map[core.HostID]*net.UDPAddr
 }
 
-func (e *nodeEnv) Deliver(seq seqset.Seq, payload []byte) {
-	n := (*Node)(e)
+// Send stamps the envelope with the send time and writes the datagram.
+// WriteToUDP finishes with the buffer before returning, so the envelope
+// goes straight back to the pool.
+func (s *socket) Send(to core.HostID, env *node.Envelope) error {
+	defer env.Release()
+	addr, ok := s.addrs[to]
+	if !ok {
+		return fmt.Errorf("udp: no address for host %d", to)
+	}
+	*env = binary.BigEndian.AppendUint64(*env, uint64(time.Now().UnixNano()))
+	_, err := s.conn.WriteToUDP(*env, addr)
+	return err
+}
+
+func (n *Node) deliver(_ core.HostID, seq seqset.Seq, payload []byte) {
 	n.mu.Lock()
 	n.delivered.Add(seq)
 	n.mu.Unlock()
@@ -209,113 +184,37 @@ func (e *nodeEnv) Deliver(seq seqset.Seq, payload []byte) {
 	}
 }
 
-type inbound struct {
-	costBit bool
-	frame   wire.Frame
-}
-
-// readLoop owns the socket: decode, classify transit time, hand off.
+// readLoop owns the socket's read side: classify transit time from the
+// trailing stamp, copy the envelope out of the read buffer, hand off.
+// It never blocks on the driver, and exits when Stop closes the socket.
 func (n *Node) readLoop() {
+	defer close(n.readerDone)
 	buf := make([]byte, maxDatagram)
 	for {
-		count, _, err := n.conn.ReadFromUDP(buf)
-		if err != nil {
-			// Closed socket (or a transient error after stop): exit.
-			select {
-			case <-n.stop:
-				return
-			default:
-			}
-			if errors.Is(err, net.ErrClosed) {
-				return
-			}
-			continue
-		}
-		if count < headerLen {
-			continue
-		}
-		sentAt := time.Unix(0, int64(binary.BigEndian.Uint64(buf[:headerLen])))
-		frame, err := wire.Decode(buf[headerLen:count])
-		if err != nil {
-			n.stats.Lock()
-			n.stats.decodeErrors++
-			n.stats.Unlock()
-			continue
-		}
-		n.stats.Lock()
-		n.stats.received++
-		n.stats.Unlock()
-		in := inbound{
-			costBit: time.Since(sentAt) > n.cfg.ExpensiveThreshold,
-			frame:   frame,
-		}
-		select {
-		case n.cmds <- func(now time.Duration) {
-			n.host.HandleMessage(now, in.frame.From, in.costBit, in.frame.Message)
-		}:
-		case <-n.stop:
+		count, _, err := n.sock.conn.ReadFromUDP(buf)
+		if errors.Is(err, net.ErrClosed) {
 			return
 		}
-	}
-}
-
-// mainLoop serializes all host interactions.
-func (n *Node) mainLoop() {
-	defer close(n.done)
-	ticker := time.NewTicker(n.cfg.Params.TickInterval)
-	defer ticker.Stop()
-	n.host.Start(n.now())
-	for {
-		select {
-		case <-n.stop:
-			return
-		case <-ticker.C:
-			n.host.Tick(n.now())
-		case cmd := <-n.cmds:
-			cmd(n.now())
+		if err != nil || count < stampLen {
+			continue
 		}
+		body := count - stampLen
+		sentAt := time.Unix(0, int64(binary.BigEndian.Uint64(buf[body:count])))
+		env := node.NewEnvelope()
+		*env = append(*env, buf[:body]...)
+		n.drv.Offer(env, time.Since(sentAt) > n.cfg.ExpensiveThreshold)
 	}
 }
-
-func (n *Node) now() time.Duration { return time.Since(n.started) }
 
 // Broadcast injects the next message at the source node.
 func (n *Node) Broadcast(payload []byte) (seqset.Seq, error) {
-	if n.cfg.ID != n.cfg.Source {
-		return 0, fmt.Errorf("udp: node %d is not the source", n.cfg.ID)
-	}
-	result := make(chan seqset.Seq, 1)
-	select {
-	case n.cmds <- func(now time.Duration) { result <- n.host.Broadcast(now, payload) }:
-	case <-n.stop:
-		return 0, fmt.Errorf("udp: node stopped")
-	}
-	select {
-	case seq := <-result:
-		return seq, nil
-	case <-n.stop:
-		return 0, fmt.Errorf("udp: node stopped")
-	}
+	return n.drv.Broadcast(payload)
 }
 
 // Inspect runs fn against the protocol host on the node's own loop — the
 // only safe way to read a running node's protocol state.
 func (n *Node) Inspect(fn func(h *core.Host)) error {
-	done := make(chan struct{})
-	select {
-	case n.cmds <- func(time.Duration) {
-		fn(n.host)
-		close(done)
-	}:
-	case <-n.stop:
-		return fmt.Errorf("udp: node stopped")
-	}
-	select {
-	case <-done:
-		return nil
-	case <-n.stop:
-		return fmt.Errorf("udp: node stopped")
-	}
+	return n.drv.Inspect(n.cfg.Source, fn)
 }
 
 // Delivered returns the sequence numbers this node has delivered.
@@ -334,16 +233,14 @@ func (n *Node) HasAll(max seqset.Seq) bool {
 
 // Stats returns (sent, received, decode errors, send errors).
 func (n *Node) Stats() (sent, received, decodeErrs, sendErrs uint64) {
-	n.stats.Lock()
-	defer n.stats.Unlock()
-	return n.stats.sent, n.stats.received, n.stats.decodeErrors, n.stats.sendErrors
+	s := n.drv.Stats()
+	return s.Sent, s.Received, s.DecodeErrors, s.SendErrors
 }
 
-// Stop closes the socket and waits for the loops. Safe to call twice.
+// Stop closes the socket and waits for the driver and the socket reader
+// to exit. Safe to call twice.
 func (n *Node) Stop() {
-	n.stopped.Do(func() {
-		close(n.stop)
-		_ = n.conn.Close()
-	})
-	<-n.done
+	_ = n.sock.conn.Close()
+	n.drv.Stop()
+	<-n.readerDone
 }

@@ -2,7 +2,7 @@ package wire_test
 
 import (
 	"bytes"
-	"errors"
+	"reflect"
 	"testing"
 
 	"rbcast/internal/core"
@@ -10,8 +10,8 @@ import (
 	"rbcast/internal/wire"
 )
 
-// TestDecoderMatchesDecode pins the zero-alloc decoder against the
-// general one for every partless kind the encoder can produce.
+// TestDecoderMatchesDecode pins a reused Decoder against the one-shot
+// Decode wrapper across frame shapes, part-carrying ones included.
 func TestDecoderMatchesDecode(t *testing.T) {
 	frames := []wire.Frame{
 		typicalInfoFrame(),
@@ -22,6 +22,16 @@ func TestDecoderMatchesDecode(t *testing.T) {
 		{From: 7, Message: core.Message{Kind: core.MsgEcho, Seq: 3, CheckLen: 0xdeadbeef}},
 		{From: 8, Message: core.Message{Kind: core.MsgSnapChunk, Seq: 12,
 			Payload: []byte("chunk"), CheckLen: 512}},
+		{From: 5, Message: core.Message{Kind: core.MsgBundle, Parts: []core.Message{
+			{Kind: core.MsgAttachAccept, Info: seqset.FromRange(1, 9)},
+			{Kind: core.MsgData, Seq: 8, Payload: []byte("x"), GapFill: true},
+		}}},
+		{From: 6, Message: core.Message{Kind: core.MsgSyncResp, Seq: 2,
+			Parts: []core.Message{
+				{Kind: core.MsgData, Seq: 3, Payload: []byte("fill"), GapFill: true},
+				{Kind: core.MsgData, Seq: 4, Payload: []byte("more"), GapFill: true},
+			},
+			Info: seqset.FromRange(2, 2), CheckLen: 6}},
 	}
 	var d wire.Decoder
 	for _, f := range frames {
@@ -43,31 +53,51 @@ func TestDecoderMatchesDecode(t *testing.T) {
 			got.Message.Seq != want.Message.Seq ||
 			got.Message.CheckLen != want.Message.CheckLen ||
 			!bytes.Equal(got.Message.Payload, want.Message.Payload) ||
-			!got.Message.Info.Equal(want.Message.Info) {
+			!got.Message.Info.Equal(want.Message.Info) ||
+			!reflect.DeepEqual(got.Message.Parts, want.Message.Parts) {
 			t.Errorf("%v: Decoder diverged from Decode:\n%+v\nvs\n%+v",
 				f.Message.Kind, got, want)
 		}
 	}
 }
 
-// TestDecoderRejectsParts: part-carrying kinds are the general path.
-func TestDecoderRejectsParts(t *testing.T) {
+// TestDecoderBundleMatchesDecode: a reused Decoder parses part-carrying
+// frames itself, and the parts it returns own their storage — decoding
+// another frame afterwards leaves them intact.
+func TestDecoderBundleMatchesDecode(t *testing.T) {
 	f := wire.Frame{From: 5, Message: core.Message{Kind: core.MsgBundle, Parts: []core.Message{
+		{Kind: core.MsgInfo, Info: seqset.FromSlice([]seqset.Seq{1, 3, 9}), Parent: 7},
 		{Kind: core.MsgData, Seq: 8, Payload: []byte("x")},
 	}}}
 	data, err := wire.Encode(f)
 	if err != nil {
 		t.Fatal(err)
 	}
+	want, err := wire.Decode(data)
+	if err != nil {
+		t.Fatal(err)
+	}
 	var d wire.Decoder
-	if _, err := d.Decode(data); !errors.Is(err, wire.ErrHasParts) {
-		t.Fatalf("bundle through Decoder: err = %v, want ErrHasParts", err)
+	got, err := d.Decode(data)
+	if err != nil {
+		t.Fatalf("bundle through Decoder: %v", err)
+	}
+	other, err := wire.Encode(wire.Frame{From: 2, Message: core.Message{
+		Kind: core.MsgData, Seq: 1, Payload: []byte("overwrite"), Info: seqset.FromRange(100, 200)}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := d.Decode(other); err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(got, want) {
+		t.Errorf("bundle through Decoder diverged from Decode:\n%+v\nvs\n%+v", got, want)
 	}
 }
 
-// TestDecoderRequiresCanonicalRuns: the Decoder only accepts the sorted,
-// non-overlapping, non-adjacent run coding a conforming encoder emits;
-// interval soup that Decode would normalize is rejected as malformed.
+// TestDecoderRequiresCanonicalRuns: there is one acceptance rule — the
+// sorted, non-overlapping, non-adjacent run coding a conforming encoder
+// emits. Both entry points reject interval soup as malformed.
 func TestDecoderRequiresCanonicalRuns(t *testing.T) {
 	data, err := wire.Encode(typicalInfoFrame())
 	if err != nil {
@@ -81,8 +111,8 @@ func TestDecoderRequiresCanonicalRuns(t *testing.T) {
 	copy(tmp, bad[off:off+16])
 	copy(bad[off:off+16], bad[off+16:off+32])
 	copy(bad[off+16:off+32], tmp)
-	if _, err := wire.Decode(bad); err != nil {
-		t.Fatalf("Decode should normalize unsorted intervals: %v", err)
+	if _, err := wire.Decode(bad); err == nil {
+		t.Fatal("Decode accepted non-canonical interval coding")
 	}
 	var d wire.Decoder
 	if _, err := d.Decode(bad); err == nil {

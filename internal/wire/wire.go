@@ -1,7 +1,9 @@
 // Package wire serializes protocol messages to a compact binary format.
 //
 // The discrete-event simulator passes message values in memory, but the
-// live runtime (internal/live) and any real deployment need a wire form.
+// real-time runtimes (the host driver in internal/node, under
+// internal/live and internal/udp) and any real deployment need a wire
+// form.
 // The encoding is hand-rolled over encoding/binary: a fixed header, then
 // kind-dependent fields, with INFO sets as interval lists (the seqset
 // coding), all length-prefixed and bounds-checked so a corrupt or
@@ -39,7 +41,8 @@
 // The hot path is AppendEncode, which appends into a caller-owned buffer
 // and allocates nothing; Encode is a convenience wrapper, and
 // EncodedSize prices a frame without encoding it (the simulator's
-// bytes-on-wire accounting).
+// bytes-on-wire accounting). There is one parser, Decoder.Decode; Decode
+// runs it on a one-shot Decoder.
 package wire
 
 import (
@@ -48,7 +51,6 @@ import (
 	"fmt"
 
 	"rbcast/internal/core"
-	"rbcast/internal/seqset"
 )
 
 const (
@@ -167,10 +169,10 @@ func EncodedSize(f Frame) (int, error) {
 
 // AppendEncode appends the encoding of f to dst and returns the extended
 // buffer. It allocates only when dst lacks capacity, so a caller reusing
-// buffers (see internal/udp, internal/live) encodes with zero garbage.
+// buffers (see internal/node) encodes with zero garbage.
 // On error dst is returned truncated to its original length.
 //
-//rblint:hotpath per-frame encode in the UDP and live send paths; must reuse dst
+//rblint:hotpath per-frame encode in the host driver's send path; must reuse dst
 func AppendEncode(dst []byte, f Frame) ([]byte, error) {
 	base := len(dst)
 	out, err := appendFrame(dst, f)
@@ -234,120 +236,10 @@ func Encode(f Frame) ([]byte, error) {
 	return AppendEncode(make([]byte, 0, size), f)
 }
 
-// Decode parses a frame, rejecting malformed or oversized input.
+// Decode parses a frame into freshly allocated storage, rejecting
+// malformed or oversized input. It is Decoder.Decode on a one-shot
+// Decoder: the same parser, the same acceptance rule.
 func Decode(data []byte) (Frame, error) {
-	var f Frame
-	if len(data) < headerLen {
-		return f, ErrTruncated
-	}
-	if data[0] != magic {
-		return f, ErrBadMagic
-	}
-	if data[1] != version {
-		return f, fmt.Errorf("%w: %d", ErrBadVersion, data[1])
-	}
-	kind := core.MsgKind(data[2])
-	if !knownKind(kind) {
-		return f, fmt.Errorf("%w: %d", ErrBadKind, data[2])
-	}
-	flags := data[3]
-	f.From = core.HostID(binary.BigEndian.Uint32(data[4:8]))
-	f.Message.Kind = kind
-	f.Message.GapFill = flags&flagGapFill != 0
-	f.Message.Parent = core.HostID(binary.BigEndian.Uint32(data[8:12]))
-	f.Message.Seq = seqset.Seq(binary.BigEndian.Uint64(data[12:20]))
-	rest := data[headerLen:]
-
-	payload, rest, err := readBytes(rest, MaxPayload)
-	if err != nil {
-		return f, err
-	}
-	if len(payload) > 0 {
-		f.Message.Payload = payload
-	}
-
-	if len(rest) < 4 {
-		return f, ErrTruncated
-	}
-	n := binary.BigEndian.Uint32(rest[:4])
-	rest = rest[4:]
-	if n > MaxIntervals {
-		return f, fmt.Errorf("%w: %d intervals", ErrTooLarge, n)
-	}
-	if uint64(len(rest)) < uint64(n)*16 {
-		return f, ErrTruncated
-	}
-	ivs := make([]seqset.Interval, 0, n)
-	for i := uint32(0); i < n; i++ {
-		lo := seqset.Seq(binary.BigEndian.Uint64(rest[:8]))
-		hi := seqset.Seq(binary.BigEndian.Uint64(rest[8:16]))
-		rest = rest[16:]
-		ivs = append(ivs, seqset.Interval{Lo: lo, Hi: hi})
-	}
-	info, err := seqset.FromIntervals(ivs)
-	if err != nil {
-		return f, fmt.Errorf("wire: %w", err)
-	}
-	f.Message.Info = info
-
-	if kindHasCheck(kind) {
-		if len(rest) < 8 {
-			return f, ErrTruncated
-		}
-		f.Message.CheckLen = binary.BigEndian.Uint64(rest[:8])
-		rest = rest[8:]
-	}
-
-	if kindHasParts(kind) {
-		if len(rest) < 4 {
-			return f, ErrTruncated
-		}
-		nParts := binary.BigEndian.Uint32(rest[:4])
-		rest = rest[4:]
-		if nParts > MaxParts {
-			return f, fmt.Errorf("%w: %d parts", ErrTooLarge, nParts)
-		}
-		parts := make([]core.Message, 0, nParts)
-		for i := uint32(0); i < nParts; i++ {
-			sub, remaining, err := readBytes(rest, MaxPayload+1024)
-			if err != nil {
-				return f, err
-			}
-			rest = remaining
-			subFrame, err := Decode(sub)
-			if err != nil {
-				return f, fmt.Errorf("wire: bundle part %d: %w", i, err)
-			}
-			if kindHasParts(subFrame.Message.Kind) {
-				return f, fmt.Errorf("%w: nested part-carrying frame", ErrBadKind)
-			}
-			if subFrame.From != f.From {
-				return f, fmt.Errorf("wire: bundle part %d from %d, bundle from %d",
-					i, subFrame.From, f.From)
-			}
-			parts = append(parts, subFrame.Message)
-		}
-		f.Message.Parts = parts
-	}
-	if len(rest) != 0 {
-		return f, ErrTrailing
-	}
-	return f, nil
-}
-
-// readBytes consumes a uint32 length prefix and that many bytes. The
-// returned slice is a copy, detached from the input buffer.
-func readBytes(data []byte, limit int) (payload, rest []byte, err error) {
-	if len(data) < 4 {
-		return nil, nil, ErrTruncated
-	}
-	n := binary.BigEndian.Uint32(data[:4])
-	data = data[4:]
-	if int64(n) > int64(limit) {
-		return nil, nil, fmt.Errorf("%w: %d bytes", ErrTooLarge, n)
-	}
-	if uint64(len(data)) < uint64(n) {
-		return nil, nil, ErrTruncated
-	}
-	return append([]byte(nil), data[:n]...), data[n:], nil
+	var d Decoder
+	return d.Decode(data)
 }
