@@ -146,9 +146,11 @@ FUZZTIME ?= 10s
 fuzz:
 	$(GO) test -run=^$$ -fuzz=FuzzDecodeEnvelope -fuzztime=$(FUZZTIME) ./internal/live/
 	$(GO) test -run=^$$ -fuzz=FuzzDecode -fuzztime=$(FUZZTIME) ./internal/wire/
+	$(GO) test -run=^$$ -fuzz=FuzzEngineOrder -fuzztime=$(FUZZTIME) ./internal/sim/
 
 # fuzz-smoke is the CI-sized fuzz budget: long enough to shake out
-# shallow decoder regressions, short enough for every pull request.
+# shallow decoder and event-order regressions, short enough for every
+# pull request.
 fuzz-smoke:
 	$(MAKE) fuzz FUZZTIME=20s
 

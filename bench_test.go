@@ -59,6 +59,10 @@ func BenchmarkShardScaling(b *testing.B) {
 		b.Run(fmt.Sprint(shards), bench.ShardScaling(shards))
 	}
 }
+func BenchmarkEngineQueueDepth(b *testing.B) {
+	b.Run("clustered", bench.EngineQueueDepth(false))
+	b.Run("jittered", bench.EngineQueueDepth(true))
+}
 func BenchmarkLiveFleetBroadcast(b *testing.B)   { bench.LiveFleetBroadcast(b) }
 func BenchmarkEngineTimerChurn(b *testing.B)     { bench.EngineTimerChurn(b) }
 func BenchmarkNetsimHop(b *testing.B)            { bench.NetsimHop(b) }

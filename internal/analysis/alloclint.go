@@ -319,7 +319,8 @@ func (ac *allocChecker) checkConversion(n *FuncNode, to types.Type, call *ast.Ca
 // reusableAppendDest reports whether the append destination follows the
 // reuse discipline: a parameter or receiver (the caller owns the
 // backing array), a struct field (the object owns it), or a local
-// derived from either by re-slicing (the kept := e.events[:0] pattern).
+// derived from either by re-slicing (seqset's out := dst.runs[:0]
+// pattern).
 func reusableAppendDest(info *types.Info, n *FuncNode, dest ast.Expr) bool {
 	var rootedOK func(e ast.Expr, depth int) bool
 	rootedOK = func(e ast.Expr, depth int) bool {

@@ -42,6 +42,8 @@ func Cases() []Case {
 		{"PublicSimulate", PublicSimulate},
 		{"LiveFleetBroadcast", LiveFleetBroadcast},
 		{"EngineTimerChurn", EngineTimerChurn},
+		{"EngineQueueDepth/clustered", EngineQueueDepth(false)},
+		{"EngineQueueDepth/jittered", EngineQueueDepth(true)},
 		{"NetsimHop", NetsimHop},
 		{"SeqsetDiff", SeqsetDiff},
 		{"WireEncodeInfo", WireEncodeInfo},
@@ -212,6 +214,56 @@ func EngineTimerChurn(b *testing.B) {
 		}
 	}
 	b.ReportMetric(float64(b.N)*burst/b.Elapsed().Seconds(), "timers/s")
+}
+
+// EngineQueueDepth measures the event queue at depth with the classic
+// hold model: 65 536 events stay pending, and every operation pops the
+// earliest and schedules it again a random increment ahead. Clustered
+// increments are whole milliseconds, 1 to 16 — the protocol's shape,
+// thousands of events per instant; jittered ones add a random number of
+// nanoseconds, so that nearly every event has an instant of its own.
+// ns/op is the cost of one pop and one push, the engine's dispatch and
+// one PRNG draw included.
+func EngineQueueDepth(jitter bool) func(b *testing.B) {
+	return func(b *testing.B) {
+		const depth = 1 << 16
+		eng := sim.NewEngine(1)
+		rng := eng.Rand()
+		increment := func() time.Duration {
+			d := time.Duration(1+rng.Intn(16)) * time.Millisecond
+			if jitter {
+				d += time.Duration(rng.Intn(int(time.Millisecond)))
+			}
+			return d
+		}
+		left := 0
+		var hold sim.Event
+		hold = func() {
+			eng.Schedule(increment(), hold)
+			if left--; left == 0 {
+				eng.Stop()
+			}
+		}
+		for i := 0; i < depth; i++ {
+			eng.Schedule(increment(), hold)
+		}
+		// Warm: one full turnover brings the queue to its steady shape.
+		left = depth
+		if err := eng.RunUntilIdle(); err != sim.ErrStopped {
+			b.Fatalf("warm-up: %v", err)
+		}
+		b.ReportAllocs()
+		b.ResetTimer()
+		left = b.N
+		if err := eng.RunUntilIdle(); err != sim.ErrStopped {
+			b.Fatalf("hold loop: %v", err)
+		}
+		b.StopTimer()
+		if eng.Pending() != depth {
+			b.Fatalf("Pending() = %d, want %d held", eng.Pending(), depth)
+		}
+		b.ReportMetric(float64(b.N)/b.Elapsed().Seconds(), "events/s")
+	}
 }
 
 // NetsimHop measures the network simulator's transmit path alone: one

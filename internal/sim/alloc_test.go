@@ -97,3 +97,54 @@ func TestMailboxEnqueueDrainZeroAllocs(t *testing.T) {
 		t.Errorf("enqueue/drain/run cycle: %.1f allocs/op, want 0", allocs)
 	}
 }
+
+// The same guarantee at depth: with 64 Ki events pending — bunched on 16
+// instants, or every one on an instant of its own — a warm queue pops,
+// redistributes and re-admits them without allocating. Each event
+// re-schedules itself one period ahead, so the depth and the shape of the
+// instants hold while the clock moves through every level of the queue.
+func TestDeepQueueZeroAllocs(t *testing.T) {
+	const depth = 1 << 16
+	for _, tc := range []struct {
+		name     string
+		instants int
+	}{
+		{"16-instants", 16},
+		{"all-distinct", depth},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			e := NewEngine(1)
+			const step = 977 * time.Microsecond // not a power of two: instants cross digit boundaries
+			period := time.Duration(tc.instants) * step
+			var fn Event
+			fn = func() { e.Schedule(period, fn) }
+			for i := 0; i < depth; i++ {
+				e.Schedule(time.Duration(i%tc.instants)*step, fn)
+			}
+			// One full period warms the slab, the cell free list and every
+			// slot the instants pass through.
+			if err := e.Run(e.Now() + period); err != nil {
+				t.Fatal(err)
+			}
+			before := e.EventsRun()
+			var runErr error
+			allocs := testing.AllocsPerRun(5, func() {
+				if err := e.Run(e.Now() + period/4); err != nil {
+					runErr = err
+				}
+			})
+			if runErr != nil {
+				t.Fatal(runErr)
+			}
+			if e.Pending() != depth {
+				t.Fatalf("Pending() = %d, want %d held", e.Pending(), depth)
+			}
+			if ran := e.EventsRun() - before; ran < depth {
+				t.Fatalf("only %d events ran while measuring", ran)
+			}
+			if allocs != 0 {
+				t.Errorf("deep queue hold cycle: %.1f allocs/op, want 0", allocs)
+			}
+		})
+	}
+}

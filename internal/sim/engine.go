@@ -6,14 +6,17 @@
 // makes every simulation run fully reproducible: the same seed and the
 // same scenario produce the same event sequence, byte for byte.
 //
-// The queue is built for hot-loop throughput: a 4-ary implicit heap (no
-// interface boxing, shallower than a binary heap), cancellation cells
-// recycled through a free list instead of allocated per event, and
-// compaction that sweeps canceled entries out of the heap once they
-// outnumber live ones — so timer-churn-heavy runs (backoff scheduling,
-// long recovery soaks) stay allocation-light and bounded in memory. None
-// of this affects event order: events always fire in strict
-// (time, insertion order) sequence.
+// The queue is built for hot-loop throughput. Simulated time is lumpy —
+// the protocol runs on periodic timers over fixed-delay links, so
+// thousands of events share each instant — and the queue (queue.go) is a
+// monotone radix queue that exploits it: events of one instant sit in one
+// FIFO bucket, push and pop are O(1), and nothing is compared or
+// re-sorted. Cancellation cells are recycled through a free list instead
+// of allocated per event, and compaction sweeps canceled entries out of
+// the queue once they outnumber live ones — so timer-churn-heavy runs
+// (backoff scheduling, long recovery soaks) stay allocation-light and
+// bounded in memory. None of this affects event order: events always fire
+// in strict (time, insertion order) sequence.
 package sim
 
 import (
@@ -30,27 +33,16 @@ type Event func()
 // ErrStopped is returned by Run variants when Stop was called.
 var ErrStopped = errors.New("sim: engine stopped")
 
-type scheduledEvent struct {
-	at  time.Duration
-	seq uint64 // insertion order; tie-break for same-instant events
-	fn  Event
-	// cell carries the cancellation flag; recycled via the engine's free
-	// list once the event pops. Events admitted through pushCross (the
-	// sharded engine's mailbox drain) carry a nil cell: they are not
-	// cancelable and never count toward compaction.
-	cell *cancelCell
-}
-
 // cancelCell is the shared state between a Timer and its scheduled
 // event. Cells are recycled: gen increments on every release, so a Timer
 // holding a stale cell (its event already fired or was compacted away)
 // cancels nothing.
 type cancelCell struct {
 	canceled bool
-	// inHeap reports whether the cell's event currently sits in the event
+	// queued reports whether the cell's event currently sits in the event
 	// queue; only those cancellations count toward the compaction
 	// threshold.
-	inHeap bool
+	queued bool
 	gen    uint64
 }
 
@@ -70,7 +62,7 @@ func (t Timer) Cancel() {
 		return
 	}
 	t.cell.canceled = true
-	if t.cell.inHeap && t.e != nil {
+	if t.cell.queued && t.e != nil {
 		t.e.canceledPending++
 		t.e.maybeCompact()
 	}
@@ -80,16 +72,16 @@ func (t Timer) Cancel() {
 // not usable; construct with NewEngine.
 type Engine struct {
 	now     time.Duration
-	seq     uint64
-	events  []scheduledEvent // 4-ary min-heap on (at, seq)
 	rng     *detrand.Rand
 	stopped bool
 	ran     uint64
 
-	// canceledPending counts canceled events still occupying heap slots;
+	// canceledPending counts canceled events still in the queue;
 	// maybeCompact sweeps them once they outnumber live entries.
 	canceledPending int
 	freeCells       []*cancelCell
+
+	q eventQueue // last: its slot table is large
 }
 
 // NewEngine returns an engine whose random source is seeded with seed.
@@ -109,7 +101,7 @@ func (e *Engine) EventsRun() uint64 { return e.ran }
 
 // Pending reports the number of events currently scheduled (including
 // canceled events not yet popped or compacted away).
-func (e *Engine) Pending() int { return len(e.events) }
+func (e *Engine) Pending() int { return e.q.n }
 
 func (e *Engine) getCell() *cancelCell {
 	if n := len(e.freeCells); n > 0 {
@@ -122,18 +114,19 @@ func (e *Engine) getCell() *cancelCell {
 	return new(cancelCell)
 }
 
-// releaseCell retires a cell once its event left the heap. Bumping gen
+// releaseCell retires a cell once its event left the queue. Bumping gen
 // invalidates every outstanding Timer for it before reuse.
 //
 //rblint:hotpath cell recycling keeps timer churn allocation-free
 func (e *Engine) releaseCell(c *cancelCell) {
-	c.inHeap = false
+	c.queued = false
 	c.gen++
 	e.freeCells = append(e.freeCells, c)
 }
 
 // Schedule runs fn after delay of virtual time. A negative delay is
-// treated as zero. It returns a Timer that can cancel the event.
+// treated as zero, and an instant past the largest time.Duration is
+// that largest instant. It returns a Timer that can cancel the event.
 func (e *Engine) Schedule(delay time.Duration, fn Event) Timer {
 	if fn == nil {
 		panic("sim: Schedule called with nil event")
@@ -142,9 +135,8 @@ func (e *Engine) Schedule(delay time.Duration, fn Event) Timer {
 		delay = 0
 	}
 	cell := e.getCell()
-	cell.inHeap = true
-	e.seq++
-	e.push(scheduledEvent{at: e.now + delay, seq: e.seq, fn: fn, cell: cell})
+	cell.queued = true
+	e.q.push(e.now, instantAfter(e.now, delay), fn, cell)
 	return Timer{e: e, cell: cell, gen: cell.gen}
 }
 
@@ -160,120 +152,26 @@ func (e *Engine) pushCross(at time.Duration, fn Event) {
 	if at < e.now {
 		at = e.now
 	}
-	e.seq++
-	e.push(scheduledEvent{at: at, seq: e.seq, fn: fn})
+	e.q.push(e.now, at, fn, nil)
 }
 
-// The event queue is a 4-ary implicit min-heap: children of slot i live
-// at 4i+1..4i+4. The wider fan-out roughly halves the sift depth of a
-// binary heap and keeps hot comparisons within one cache line of
-// siblings.
-
-//rblint:hotpath heap comparison, run O(log n) times per schedule/pop
-func (e *Engine) less(a, b scheduledEvent) bool {
-	if a.at != b.at {
-		return a.at < b.at
-	}
-	return a.seq < b.seq
-}
-
-//rblint:hotpath event admission; every Schedule lands here
-func (e *Engine) push(ev scheduledEvent) {
-	e.events = append(e.events, ev)
-	e.siftUp(len(e.events) - 1)
-}
-
-//rblint:hotpath heap restore after push
-func (e *Engine) siftUp(i int) {
-	h := e.events
-	ev := h[i]
-	for i > 0 {
-		parent := (i - 1) / 4
-		if !e.less(ev, h[parent]) {
-			break
-		}
-		h[i] = h[parent]
-		i = parent
-	}
-	h[i] = ev
-}
-
-//rblint:hotpath heap restore after pop and during compaction
-func (e *Engine) siftDown(i int) {
-	h := e.events
-	n := len(h)
-	ev := h[i]
-	for {
-		first := 4*i + 1
-		if first >= n {
-			break
-		}
-		min := first
-		last := first + 4
-		if last > n {
-			last = n
-		}
-		for c := first + 1; c < last; c++ {
-			if e.less(h[c], h[min]) {
-				min = c
-			}
-		}
-		if !e.less(h[min], ev) {
-			break
-		}
-		h[i] = h[min]
-		i = min
-	}
-	h[i] = ev
-}
-
-// popRoot removes the heap minimum (the caller has already read it from
-// slot 0).
-//
-//rblint:hotpath every executed event pops through here
-func (e *Engine) popRoot() {
-	h := e.events
-	n := len(h) - 1
-	h[0] = h[n]
-	h[n] = scheduledEvent{} // release fn and cell references
-	e.events = h[:n]
-	if n > 0 {
-		e.siftDown(0)
-	}
-}
-
-// compactMin is the heap size below which compaction is not worth the
-// sweep; small heaps drain canceled entries quickly on their own.
+// compactMin is the queue size below which compaction is not worth the
+// sweep; small queues drain canceled entries quickly on their own.
 const compactMin = 64
 
 // maybeCompact sweeps canceled events out of the queue once they exceed
-// half the heap, then restores the heap property. Without it, workloads
-// that schedule and cancel timers en masse (exponential backoff across
-// many peers) grow the queue without bound. Pop order is unaffected:
-// live events keep their (at, seq) keys.
+// half of it. Without it, workloads that schedule and cancel timers en
+// masse (exponential backoff across many peers) grow the queue without
+// bound. Pop order is unaffected: live events keep their slots and their
+// order within them.
 //
-//rblint:hotpath sweeps canceled timers in place; must not copy the heap
+//rblint:hotpath runs on every Cancel of a queued timer
 func (e *Engine) maybeCompact() {
-	if len(e.events) < compactMin || 2*e.canceledPending <= len(e.events) {
+	if e.q.n < compactMin || 2*e.canceledPending <= e.q.n {
 		return
 	}
-	kept := e.events[:0]
-	for _, ev := range e.events {
-		if ev.cell != nil && ev.cell.canceled {
-			e.releaseCell(ev.cell)
-			continue
-		}
-		kept = append(kept, ev)
-	}
-	for i := len(kept); i < len(e.events); i++ {
-		e.events[i] = scheduledEvent{}
-	}
-	e.events = kept
+	e.sweep()
 	e.canceledPending = 0
-	// Bottom-up heapify: O(n), independent of the removal pattern.
-	for i := (len(kept) - 2) / 4; i >= 0; i-- {
-		e.siftDown(i)
-	}
 }
 
 // Stop makes the currently running Run/RunUntilIdle return after the
@@ -284,33 +182,32 @@ func (e *Engine) Stop() { e.stopped = true }
 // entries are included: the sharded coordinator uses this as a barrier
 // bound, and a bound that is slightly early is merely conservative.
 func (e *Engine) peekMin() (time.Duration, bool) {
-	if len(e.events) == 0 {
+	if e.q.n == 0 {
 		return 0, false
 	}
-	return e.events[0].at, true
+	return e.q.min(), true
 }
 
 // step pops and executes the next event. It reports whether an event ran.
 func (e *Engine) step(limit time.Duration, bounded bool) (bool, error) {
-	for len(e.events) > 0 {
-		next := e.events[0]
-		if bounded && next.at > limit {
+	for e.q.n > 0 {
+		if bounded && e.q.min() > limit {
 			return false, nil
 		}
-		e.popRoot()
-		if next.cell != nil {
-			if next.cell.canceled {
+		at, fn, cell := e.q.pop()
+		if cell != nil {
+			if cell.canceled {
 				e.canceledPending--
-				e.releaseCell(next.cell)
+				e.releaseCell(cell)
 				continue
 			}
-			e.releaseCell(next.cell)
+			e.releaseCell(cell)
 		}
-		if next.at > e.now {
-			e.now = next.at
+		if at > e.now {
+			e.now = at
 		}
 		e.ran++
-		next.fn()
+		fn()
 		if e.stopped {
 			return true, ErrStopped
 		}
@@ -357,7 +254,7 @@ func (e *Engine) Every(period time.Duration, fn Event) Timer {
 	if period <= 0 {
 		panic(fmt.Sprintf("sim: Every called with period %v", period))
 	}
-	// The cell is private to this periodic chain (never enters the heap,
+	// The cell is private to this periodic chain (never enters the queue,
 	// never recycled), so the returned Timer stays valid for the chain's
 	// whole lifetime.
 	cell := new(cancelCell)

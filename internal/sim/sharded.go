@@ -13,7 +13,7 @@ import (
 
 // Sharded is a conservative parallel discrete-event engine. Work is
 // partitioned into lanes — independently clocked event queues, each a
-// full sequential Engine with its own 4-ary heap and its own seeded
+// full sequential Engine with its own event queue and its own seeded
 // detrand stream derived as hash(seed, lane) — and lanes are executed by
 // a pool of worker goroutines between lockstep epoch barriers.
 //
@@ -144,7 +144,7 @@ func (s *Sharded) SetLanes(weights []int, lookahead time.Duration) {
 		panic("sim: SetLanes after the simulation started")
 	}
 	for _, l := range s.lanes {
-		if l.eng.Pending() > 0 || l.eng.seq > 0 || l.eng.ran > 0 {
+		if l.eng.q.used() || l.eng.ran > 0 {
 			panic("sim: SetLanes after lane events were scheduled")
 		}
 	}
@@ -219,7 +219,7 @@ func (s *Sharded) EventsRun() uint64 {
 	return n
 }
 
-// Pending reports events scheduled anywhere: lane heaps, the global
+// Pending reports events scheduled anywhere: lane queues, the global
 // queue, and undrained mailbox entries.
 func (s *Sharded) Pending() int {
 	n := s.global.Pending()
@@ -278,10 +278,11 @@ func (s *Sharded) EveryOn(lane int, period time.Duration, fn Event) Timer {
 // ScheduleCross schedules fn on lane to, delay after lane from's current
 // time. It is the only scheduling call legal from inside a lane event
 // (with from the executing lane). Same-lane calls land directly on the
-// lane's heap with any delay; cross-lane calls append to the from→to
+// lane's queue with any delay; cross-lane calls append to the from→to
 // mailbox and must carry delay ≥ the lookahead given to SetLanes — the
 // event's instant then provably falls at or beyond the next barrier,
-// where the coordinator drains it into to's heap. fn must be non-nil.
+// where the coordinator drains it into to's queue. fn must be non-nil.
+// Like Schedule, an instant past the largest time.Duration saturates.
 //
 //rblint:hotpath every simulated cross-lane transmission enqueues here
 func (s *Sharded) ScheduleCross(from, to int, delay time.Duration, fn Event) {
@@ -289,14 +290,15 @@ func (s *Sharded) ScheduleCross(from, to int, delay time.Duration, fn Event) {
 		delay = 0
 	}
 	l := s.lanes[from]
+	at := instantAfter(l.eng.now, delay)
 	if from == to {
-		l.eng.pushCross(l.eng.now+delay, fn)
+		l.eng.pushCross(at, fn)
 		return
 	}
-	l.out[to] = append(l.out[to], crossEvent{at: l.eng.now + delay, fn: fn})
+	l.out[to] = append(l.out[to], crossEvent{at: at, fn: fn})
 }
 
-// drain moves every mailbox entry into its destination lane's heap, in
+// drain moves every mailbox entry into its destination lane's queue, in
 // deterministic (destination, source) lane order — so same-instant
 // arrivals from different source lanes always receive insertion-order
 // tie-breaks in the same sequence, independent of worker count or wall
@@ -425,7 +427,7 @@ func (s *Sharded) parkLanes(t time.Duration) {
 }
 
 // minPendingLane reports the earliest instant scheduled on any lane
-// heap. Mailboxes must already be drained.
+// queue. Mailboxes must already be drained.
 func (s *Sharded) minPendingLane() (time.Duration, bool) {
 	var min time.Duration
 	ok := false
@@ -496,7 +498,7 @@ func (s *Sharded) nextBarrier(until time.Duration) (barrier, limit time.Duration
 		if lo < base {
 			lo = base
 		}
-		if w := lo + s.epoch; w < b {
+		if w := instantAfter(lo, s.epoch); w < b {
 			b = w
 		}
 	}
@@ -547,11 +549,17 @@ func (s *Sharded) RunUntilIdle() error {
 			if lo < s.global.now {
 				lo = s.global.now
 			}
-			b := lo + s.epoch
+			b := instantAfter(lo, s.epoch)
 			if gok && g < b {
 				b = g
 			}
-			s.runSpan(b-1, b)
+			limit := b - 1
+			if b == maxInstant {
+				// The window ends at the end of time; nothing can be
+				// scheduled beyond it, so it includes its last instant.
+				limit = b
+			}
+			s.runSpan(limit, b)
 			s.drain()
 			if s.global.now < b {
 				s.global.now = b
