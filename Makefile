@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all build vet fmt-check lint lint-sarif lint-selftest test race race-shard-identity check soak soak-byzantine soak-catchup soak-smoke-race fuzz fuzz-smoke bench-json bench-smoke bench-repo bench-repo-smoke clean
+.PHONY: all build vet fmt-check lint lint-sarif lint-selftest test race race-shard-identity exp-check check soak soak-byzantine soak-catchup soak-smoke-race fuzz fuzz-smoke bench-json bench-smoke bench-repo bench-repo-smoke clean
 
 all: check
 
@@ -68,11 +68,23 @@ race:
 race-shard-identity:
 	$(GO) test -race -v -run 'TestShardedWorkerCountIdentity|TestShardTraceIdentity|TestShardPlan|TestShardCount' ./internal/sim/ ./internal/netsim/ ./internal/soak/
 
+# exp-check holds the committed experiment capture to the code: every
+# experiment at seed 1, minus rbexp's wall-clock lines, must print
+# exactly experiments_output.txt (the figures EXPERIMENTS.md quotes). A
+# protocol refactor gets a byte-identity gate from it in about a second;
+# a deliberate change regenerates the file with the command it prints.
+exp-check:
+	@$(GO) run ./cmd/rbexp | grep -v '(wall clock: ' | diff -u experiments_output.txt - || { \
+		echo "exp-check: rbexp output differs from experiments_output.txt; if the change is intended, regenerate it:"; \
+		echo "  $(GO) run ./cmd/rbexp | grep -v '(wall clock: ' > experiments_output.txt"; \
+		echo "and re-check the figures EXPERIMENTS.md quotes."; exit 1; }
+
 # check is the gate for every change: compile everything, lint with
-# gofmt, vet and rblint, and run the full suite under the race detector. It does
+# gofmt, vet and rblint, hold the experiment capture to the code, and run
+# the full suite under the race detector. It does
 # not run benchmarks; use `make bench-json` before and after perf work
 # to record BENCH_<date>.json snapshots.
-check: build vet fmt-check lint race
+check: build vet fmt-check lint exp-check race
 
 # soak runs a quick randomized sweep of every scenario class (the
 # partition-trap class is excluded: it fails by design).

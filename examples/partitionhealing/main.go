@@ -48,7 +48,7 @@ func main() {
 		fmt.Printf("  delivered:                 %d/%d (complete=%v)\n",
 			res.DeliveredCount, res.ExpectedCount, res.Complete)
 		fmt.Printf("  sends into the partition:  %d (of which %d were data copies)\n",
-			res.UnreachableSends, res.UnreachableSendsByKind["data"])
+			res.UnreachableSends, res.UnreachableSendsByKind[rbcast.SendData])
 		if res.Complete {
 			fmt.Printf("  final catch-up finished:   t=%v (partition healed at t=25s)\n",
 				res.CompletionAt)

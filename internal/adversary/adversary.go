@@ -215,11 +215,3 @@ func mapMsg(m core.Message, f func(core.Message) core.Message) core.Message {
 	m.Parts = parts
 	return m
 }
-
-// digest mirrors the echo/ready payload fingerprint in internal/core,
-// so forged votes can be made consistent with forged payloads.
-func digest(p []byte) uint64 {
-	d := fnv.New64a()
-	d.Write(p)
-	return d.Sum64()
-}

@@ -53,7 +53,7 @@ func (e Equivocate) Apply(ctx *Ctx, outs []Send) []Send {
 					return m
 				}
 				m.Payload = equivPayload(m.Payload, to)
-				ctx.fakeDigest[seqDest{uint64(m.Seq), to}] = digest(m.Payload)
+				ctx.fakeDigest[seqDest{uint64(m.Seq), to}] = core.PayloadDigest(m.Payload)
 				ctx.Stats.Equivocated++
 			case core.MsgEcho, core.MsgReady:
 				if d, ok := ctx.fakeDigest[seqDest{uint64(m.Seq), to}]; ok {

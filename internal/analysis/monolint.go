@@ -20,14 +20,17 @@ var MonoPackages = []string{"rbcast/internal/core"}
 // a stray `h.info = seqset.Set{}` or an unguarded `h.prunedTo = x`
 // type-checks fine and silently breaks delivery.
 //
-// MonoLint therefore restricts writes to Host.info / Host.maps /
-// Host.confirmed / Host.prunedTo (assignments, address-taking, and
-// calls to mutating seqset.Set methods) to the approved mutator set
-// below: the handler-table functions that merge monotonically, and the
-// prune path. Inside the approved set, every write to prunedTo must
-// additionally be dominated by a comparison reading prunedTo on every
-// CFG path from function entry — the monotonicity guard that keeps the
-// floor from moving backwards.
+// MonoLint therefore restricts writes to Host.info / Host.prunedTo and
+// to the MAP state, which lives in the per-peer table: peer.view /
+// peer.confirmed through any expression of the record's type, a whole
+// record (*p = …), and the slots of Host.table (assignments,
+// address-taking, and calls to mutating seqset.Set methods) — to the
+// approved mutator set below: the handler-table functions that merge
+// monotonically, the prune path, and the table's one creation point.
+// Inside the approved set, every write to prunedTo must additionally be
+// dominated by a comparison reading prunedTo on every CFG path from
+// function entry — the monotonicity guard that keeps the floor from
+// moving backwards.
 var MonoLint = &Analyzer{
 	Name: "monolint",
 	Doc: "host INFO/MAP/prunedTo state may only be written by the approved " +
@@ -35,22 +38,25 @@ var MonoLint = &Analyzer{
 	Run: runMonoLint,
 }
 
-// monoProtectedFields are the Host fields carrying the paper's monotone
-// state.
-var monoProtectedFields = map[string]bool{
-	"info": true, "maps": true, "confirmed": true, "prunedTo": true,
+// monoProtectedFields are the fields carrying the paper's monotone
+// state, by the core type that declares them: INFO, the prune floor and
+// the table of records on the host; MAP_i[j] and its confirmed mirror on
+// j's record.
+var monoProtectedFields = map[string]map[string]bool{
+	"Host": {"info": true, "prunedTo": true, "table": true},
+	"peer": {"view": true, "confirmed": true},
 }
 
 // monoApprovedMutators is the allowlist: the message-handler functions
 // that merge facts monotonically (union/max semantics), the broadcast
-// and marking emitters that add what was just produced, and the §6
-// prune path. MapOf is included for its benign copy-on-write write-back:
-// it re-stores the value it just read with only the COW mark changed.
-// The catch-up sync additions are monotone too: handleSyncReq records an
-// optimistic MAP mark for data just served, acceptSyncData adds one
-// solicited sequence number to INFO, and installSnapshot adds the
-// checkpoint-covered prefix [1, mark] to INFO (never touching prunedTo,
-// which still advances only through pruneStable's guarded path).
+// and marking emitters that add what was just produced, the §6 prune
+// path, and at, the one function that installs a (fresh, empty) record
+// in the table. The catch-up sync additions are monotone too:
+// handleSyncReq records an optimistic MAP mark for data just served,
+// acceptSyncData adds one solicited sequence number to INFO, and
+// installSnapshot adds the checkpoint-covered prefix [1, mark] to INFO
+// (never touching prunedTo, which still advances only through
+// pruneStable's guarded path).
 var monoApprovedMutators = map[string]bool{
 	"Broadcast":       true,
 	"handleData":      true,
@@ -59,11 +65,11 @@ var monoApprovedMutators = map[string]bool{
 	"mergeInfoFacts":  true,
 	"sendMarking":     true,
 	"pruneStable":     true,
-	"MapOf":           true,
 	"acceptCertified": true,
 	"handleSyncReq":   true,
 	"acceptSyncData":  true,
 	"installSnapshot": true,
+	"at":              true,
 }
 
 // monoMutatingSetMethods are the seqset.Set methods that change
@@ -117,7 +123,7 @@ func checkMonoFunc(pass *Pass, fd *ast.FuncDecl) {
 				}
 				if !approved {
 					reportMonoWrite(pass, lhs.Pos(), field, "written")
-				} else if field == "prunedTo" {
+				} else if field == "Host.prunedTo" {
 					prunedToWrites = append(prunedToWrites, n)
 				}
 			}
@@ -125,7 +131,7 @@ func checkMonoFunc(pass *Pass, fd *ast.FuncDecl) {
 			if field, ok := protectedHostField(pass, n.X); ok {
 				if !approved {
 					reportMonoWrite(pass, n.Pos(), field, "written")
-				} else if field == "prunedTo" {
+				} else if field == "Host.prunedTo" {
 					prunedToWrites = append(prunedToWrites, n)
 				}
 			}
@@ -151,7 +157,7 @@ func checkMonoFunc(pass *Pass, fd *ast.FuncDecl) {
 
 func reportMonoWrite(pass *Pass, pos token.Pos, field, how string) {
 	pass.Reportf(pos,
-		"Host.%s %s outside the approved mutator set (%s): non-monotone host state "+
+		"%s %s outside the approved mutator set (%s): non-monotone host state "+
 			"breaks the pruning-safety argument; route the change through a handler or the prune path",
 		field, how, approvedMutatorList())
 }
@@ -166,33 +172,51 @@ func approvedMutatorList() string {
 }
 
 // protectedHostField matches (possibly indexed/parenthesized) selectors
-// h.<field> where h is a *core.Host and field is protected.
+// x.<field> where x is a core Host or peer (or a pointer to one) and the
+// field is protected on that type, returning "Type.field"; and *p for a
+// peer record, which replaces view and confirmed at once.
 func protectedHostField(pass *Pass, e ast.Expr) (string, bool) {
 	e = ast.Unparen(e)
-	if ix, ok := e.(*ast.IndexExpr); ok { // h.maps[j] = …
+	if ix, ok := e.(*ast.IndexExpr); ok { // h.table[i] = …
 		e = ast.Unparen(ix.X)
 	}
+	if star, ok := e.(*ast.StarExpr); ok {
+		if monoOwner(pass, star.X) == "peer" {
+			return "peer (whole record)", true
+		}
+		return "", false
+	}
 	sel, ok := e.(*ast.SelectorExpr)
-	if !ok || !monoProtectedFields[sel.Sel.Name] {
+	if !ok {
 		return "", false
 	}
-	tv, ok := pass.TypesInfo.Types[sel.X]
-	if !ok || tv.Type == nil {
-		return "", false
-	}
-	t := tv.Type
-	if p, ok := t.(*types.Pointer); ok {
-		t = p.Elem()
-	}
-	named, ok := t.(*types.Named)
-	if !ok || named.Obj().Name() != "Host" || named.Obj().Pkg() != pass.Pkg {
+	owner := monoOwner(pass, sel.X)
+	if !monoProtectedFields[owner][sel.Sel.Name] {
 		return "", false
 	}
 	// Confirm it is really a field selection, not a method value.
 	if selInfo, ok := pass.TypesInfo.Selections[sel]; ok && selInfo.Kind() != types.FieldVal {
 		return "", false
 	}
-	return sel.Sel.Name, true
+	return owner + "." + sel.Sel.Name, true
+}
+
+// monoOwner names the type of x when it is (a pointer to) a named type
+// of the checked package, else "".
+func monoOwner(pass *Pass, x ast.Expr) string {
+	tv, ok := pass.TypesInfo.Types[x]
+	if !ok || tv.Type == nil {
+		return ""
+	}
+	t := tv.Type
+	if p, ok := t.(*types.Pointer); ok {
+		t = p.Elem()
+	}
+	named, ok := t.(*types.Named)
+	if !ok || named.Obj().Pkg() != pass.Pkg {
+		return ""
+	}
+	return named.Obj().Name()
 }
 
 // mutatingSetCall matches h.<field>.Add(...)-style calls: a mutating

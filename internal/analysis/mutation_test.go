@@ -125,3 +125,36 @@ func TestLaneLintMutation(t *testing.T) {
 		}
 	}
 }
+
+// TestMonoLintMutation proves monolint follows the MAP state into the
+// per-peer table record: a membership-shrinking write to a peer's view
+// or confirmed set, or a record dropped from the table, smuggled into an
+// unapproved function of the real internal/core, is a finding.
+func TestMonoLintMutation(t *testing.T) {
+	clean := mutateDir(t, "../core", "", "")
+	if diags := runOn(t, analysis.MonoLint, clean, "rbcast/internal/core"); len(diags) != 0 {
+		t.Fatalf("monolint not clean on unmutated core: %v", diags[0].Message)
+	}
+
+	const anchor = "func (h *Host) afterInfo(now time.Duration, from *peer, parent HostID) {\n"
+	for _, m := range []struct{ smuggled, want string }{
+		{"\tfrom.confirmed.Prune(1)\n", "peer.confirmed mutated outside the approved mutator set"},
+		{"\tfrom.view = seqset.Set{}\n", "peer.view written outside the approved mutator set"},
+		{"\th.table[0] = nil\n", "Host.table written outside the approved mutator set"},
+	} {
+		mutated := mutateDir(t, "../core", anchor, anchor+m.smuggled)
+		diags := runOn(t, analysis.MonoLint, mutated, "rbcast/internal/core")
+		found := false
+		for _, d := range diags {
+			if strings.Contains(d.Message, m.want) {
+				found = true
+			}
+		}
+		if !found {
+			t.Errorf("monolint missed %q smuggled into afterInfo; got %d diagnostics", strings.TrimSpace(m.smuggled), len(diags))
+			for _, d := range diags {
+				t.Logf("  %s", d.Message)
+			}
+		}
+	}
+}

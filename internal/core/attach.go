@@ -1,6 +1,7 @@
 package core
 
 import (
+	"slices"
 	"time"
 
 	"rbcast/internal/seqset"
@@ -33,17 +34,17 @@ func (h *Host) runAttachment(now time.Duration, fresh bool) {
 	if fresh {
 		h.attach.excluded = nil
 	}
-	var cand HostID
+	var cand *peer
 	switch {
-	case h.parent == Nil:
+	case h.parent == nil:
 		cand = h.pickCaseI(now)
-	case !h.cluster[h.parent]:
+	case !h.parent.inCluster:
 		cand = h.pickCaseII(now)
 	default:
 		cand = h.pickCaseIII(now)
 	}
-	if cand == Nil {
-		if fresh && h.parent == Nil {
+	if cand == nil {
+		if fresh && h.parent == nil {
 			h.attach.barren++
 		}
 		// A timeout/reject retry chain that has run out of candidates has
@@ -62,67 +63,58 @@ func (h *Host) runAttachment(now time.Duration, fresh bool) {
 		h.attach.excluded = make(map[HostID]bool)
 	}
 	h.noteFullInfoSent(cand)
-	h.emit(cand, Message{Kind: MsgAttachReq, Info: h.info.Snapshot()})
+	h.emit(cand.id, Message{Kind: MsgAttachReq, Info: h.info.Snapshot()})
 }
 
 // eligible applies the filters common to every option: never self, never
 // the current parent (re-attaching is a no-op), never an excluded
 // candidate, never a suspected peer still inside its backoff window, and
 // never a host whose INFO (per MAP) is smaller than ours.
-func (h *Host) eligible(now time.Duration, j HostID) bool {
-	if j == h.id || j == h.parent || h.attach.excluded[j] {
+func (h *Host) eligible(now time.Duration, j *peer) bool {
+	if j == h.me || j == h.parent || h.attach.excluded[j.id] {
 		return false
 	}
 	if h.suppressed(now, j) {
 		return false
 	}
-	return seqset.LessOrSimilar(h.info, h.maps[j])
+	return seqset.LessOrSimilar(h.info, j.view)
 }
 
 // viewsAsLeader reports whether, per p_i[], host j is a cluster leader:
 // its parent is NIL/unknown or lies outside this host's cluster view.
-func (h *Host) viewsAsLeader(j HostID) bool {
-	pj := h.parentOf[j]
-	return pj == Nil || !h.cluster[pj]
+func (h *Host) viewsAsLeader(j *peer) bool {
+	pj := h.lookup(j.parentView)
+	return pj == nil || !pj.inCluster
 }
 
-// best returns the candidate maximizing (INFO max, static order, id) —
-// a deterministic choice that prefers the freshest parent, and among
-// equals the highest-ordered one, so that a cluster converges on a single
-// leader.
-func (h *Host) best(cands []HostID) HostID {
-	var out HostID
-	for _, j := range cands {
-		if out == Nil {
-			out = j
-			continue
-		}
-		jm, om := h.maps[j].Max(), h.maps[out].Max()
-		switch {
-		case jm > om:
-			out = j
-		case jm == om && h.order[j] > h.order[out]:
-			out = j
-		case jm == om && h.order[j] == h.order[out] && j > out:
-			out = j
-		}
+// better returns whichever candidate maximizes (INFO max, static order,
+// id) — a deterministic choice that prefers the freshest parent, and
+// among equals the highest-ordered one, so that a cluster converges on a
+// single leader. best is nil until a first candidate is found.
+func better(best, j *peer) *peer {
+	if best == nil {
+		return j
 	}
-	return out
+	jm, bm := j.view.Max(), best.view.Max()
+	if jm > bm || jm == bm && (j.order > best.order || j.order == best.order && j.id > best.id) {
+		return j
+	}
+	return best
 }
 
 // pickCaseI implements Case I (host currently without a parent).
-func (h *Host) pickCaseI(now time.Duration) HostID {
+func (h *Host) pickCaseI(now time.Duration) *peer {
 	// Option 1: a same-cluster leader with a strictly greater INFO set.
-	if j := h.optSameClusterLeaderGreater(now); j != Nil {
+	if j := h.optSameClusterLeaderGreater(now); j != nil {
 		return j
 	}
 	// Option 2: a same-cluster leader with a similar INFO set and a
 	// greater static order.
-	if j := h.optSameClusterLeaderSimilarHigherOrder(now); j != Nil {
+	if j := h.optSameClusterLeaderSimilarHigherOrder(now); j != nil {
 		return j
 	}
 	// Option 3: a host in a different cluster with a greater INFO set.
-	if j := h.optOtherClusterGreaterThan(now, h.info); j != Nil {
+	if j := h.optOtherClusterGreaterThan(now, h.info); j != nil {
 		return j
 	}
 	// Option 4 (beyond §4.2): a host in a different cluster with a
@@ -146,7 +138,7 @@ func (h *Host) pickCaseI(now time.Duration) HostID {
 	// young tree into order-chasing cross-cluster chains instead of
 	// letting the paper's options converge it.
 	if h.attach.barren < escapeBarrenSweeps || h.info.Empty() {
-		return Nil
+		return nil
 	}
 	return h.optOtherClusterSimilarEscape(now)
 }
@@ -155,72 +147,74 @@ func (h *Host) pickCaseI(now time.Duration) HostID {
 // sweeps a detached host tolerates before Case I's option 4 engages.
 const escapeBarrenSweeps = 2
 
-func (h *Host) optOtherClusterSimilarEscape(now time.Duration) HostID {
-	var cands []HostID
-	for _, j := range h.peers {
-		if h.cluster[j] || !h.eligible(now, j) {
+func (h *Host) optOtherClusterSimilarEscape(now time.Duration) *peer {
+	var best *peer
+	for i := range h.table {
+		j := h.at(i)
+		if j.inCluster || !h.eligible(now, j) {
 			continue
 		}
-		if seqset.Similar(h.info, h.maps[j]) && (j == h.source || h.order[h.id] < h.order[j]) {
-			cands = append(cands, j)
+		if seqset.Similar(h.info, j.view) && (j.id == h.source || h.me.order < j.order) {
+			best = better(best, j)
 		}
 	}
-	return h.best(cands)
+	return best
 }
 
 // pickCaseII implements Case II (parent in a different cluster — the
 // host is a cluster leader).
-func (h *Host) pickCaseII(now time.Duration) HostID {
+func (h *Host) pickCaseII(now time.Duration) *peer {
 	// Options 1 and 2 are Case I's: prefer rejoining the cluster's tree.
-	if j := h.optSameClusterLeaderGreater(now); j != Nil {
+	if j := h.optSameClusterLeaderGreater(now); j != nil {
 		return j
 	}
-	if j := h.optSameClusterLeaderSimilarHigherOrder(now); j != Nil {
+	if j := h.optSameClusterLeaderSimilarHigherOrder(now); j != nil {
 		return j
 	}
 	// Option 3: a host in a different cluster whose INFO exceeds the
 	// current parent's — the delay-chasing rule, which also detects a
 	// disconnected parent whose INFO view falls behind.
-	return h.optOtherClusterGreaterThan(now, h.maps[h.parent])
+	return h.optOtherClusterGreaterThan(now, h.parent.view)
 }
 
-func (h *Host) optSameClusterLeaderGreater(now time.Duration) HostID {
-	var cands []HostID
-	for _, j := range h.Cluster() {
-		if j == h.id || !h.eligible(now, j) {
+func (h *Host) optSameClusterLeaderGreater(now time.Duration) *peer {
+	var best *peer
+	for _, j := range h.table {
+		if j == nil || !j.inCluster || !h.eligible(now, j) {
 			continue
 		}
-		if h.viewsAsLeader(j) && seqset.Less(h.info, h.maps[j]) {
-			cands = append(cands, j)
+		if h.viewsAsLeader(j) && seqset.Less(h.info, j.view) {
+			best = better(best, j)
 		}
 	}
-	return h.best(cands)
+	return best
 }
 
-func (h *Host) optSameClusterLeaderSimilarHigherOrder(now time.Duration) HostID {
-	var cands []HostID
-	for _, j := range h.Cluster() {
-		if j == h.id || !h.eligible(now, j) {
+func (h *Host) optSameClusterLeaderSimilarHigherOrder(now time.Duration) *peer {
+	var best *peer
+	for _, j := range h.table {
+		if j == nil || !j.inCluster || !h.eligible(now, j) {
 			continue
 		}
-		if h.viewsAsLeader(j) && seqset.Similar(h.info, h.maps[j]) && h.order[h.id] < h.order[j] {
-			cands = append(cands, j)
+		if h.viewsAsLeader(j) && seqset.Similar(h.info, j.view) && h.me.order < j.order {
+			best = better(best, j)
 		}
 	}
-	return h.best(cands)
+	return best
 }
 
-func (h *Host) optOtherClusterGreaterThan(now time.Duration, bar seqset.Set) HostID {
-	var cands []HostID
-	for _, j := range h.peers {
-		if h.cluster[j] || !h.eligible(now, j) {
+func (h *Host) optOtherClusterGreaterThan(now time.Duration, bar seqset.Set) *peer {
+	var best *peer
+	for i := range h.table {
+		j := h.at(i)
+		if j.inCluster || !h.eligible(now, j) {
 			continue
 		}
-		if seqset.Less(bar, h.maps[j]) {
-			cands = append(cands, j)
+		if seqset.Less(bar, j.view) {
+			best = better(best, j)
 		}
 	}
-	return h.best(cands)
+	return best
 }
 
 // pickCaseIII implements Case III (parent in the same cluster): attach to
@@ -230,57 +224,56 @@ func (h *Host) optOtherClusterGreaterThan(now time.Duration, bar seqset.Set) Hos
 // itself among its own ancestors is on a cycle, and if it carries the
 // highest static order on that cycle it must detach and fall back to
 // Case I.
-func (h *Host) pickCaseIII(now time.Duration) HostID {
+func (h *Host) pickCaseIII(now time.Duration) *peer {
 	chain, cyclic := h.ancestorChain()
 	if cyclic {
-		if h.maxOrderOn(append(chain, h.id)) == h.id {
+		if maxOrderOn(append(chain, h.me)) == h.me {
 			old := h.parent
-			h.parent = Nil
-			h.emit(old, Message{Kind: MsgDetach})
-			h.event(now, EvCycleBroken, old, 0)
+			h.parent = nil
+			h.emit(old.id, Message{Kind: MsgDetach})
+			h.event(now, EvCycleBroken, old.id, 0)
 			return h.pickCaseI(now)
 		}
-		return Nil
+		return nil
 	}
 	for _, j := range chain {
 		if j == h.parent || !h.eligible(now, j) {
 			continue
 		}
-		if h.cluster[j] && h.viewsAsLeader(j) && seqset.LessOrSimilar(h.info, h.maps[j]) {
+		if j.inCluster && h.viewsAsLeader(j) && seqset.LessOrSimilar(h.info, j.view) {
 			return j
 		}
 	}
-	return Nil
+	return nil
 }
 
 // ancestorChain follows p_i[] pointers from the parent upward. It returns
 // the ancestors in order and whether the walk returned to this host (an
-// intra-cluster cycle through i). The walk stops at NIL, at an unknown
-// pointer, at a repeated host, or after len(peers) steps.
-func (h *Host) ancestorChain() (chain []HostID, cyclic bool) {
-	visited := map[HostID]bool{h.id: true}
+// intra-cluster cycle through i). The walk stops at NIL, at a pointer
+// that names no participant, at a repeated host, or after len(peers)
+// steps.
+func (h *Host) ancestorChain() (chain []*peer, cyclic bool) {
 	cur := h.parent
-	for steps := 0; steps < len(h.peers) && cur != Nil; steps++ {
-		if cur == h.id {
+	for steps := 0; steps < len(h.peers) && cur != nil; steps++ {
+		if cur == h.me {
 			return chain, true
 		}
-		if visited[cur] {
+		if slices.Contains(chain, cur) {
 			// A cycle above us that does not pass through us; the hosts on
 			// it will break it themselves.
 			return chain, false
 		}
-		visited[cur] = true
 		chain = append(chain, cur)
-		cur = h.parentOf[cur]
+		cur = h.lookup(cur.parentView)
 	}
 	return chain, false
 }
 
 // maxOrderOn returns the host with the greatest static order among hosts.
-func (h *Host) maxOrderOn(hosts []HostID) HostID {
-	var out HostID
+func maxOrderOn(hosts []*peer) *peer {
+	var out *peer
 	for _, j := range hosts {
-		if out == Nil || h.order[j] > h.order[out] {
+		if out == nil || j.order > out.order {
 			out = j
 		}
 	}
@@ -291,25 +284,25 @@ func (h *Host) maxOrderOn(hosts []HostID) HostID {
 // child and immediately receives the messages it is missing (§4.4 attach
 // gap fill). A request from our own parent is declined — accepting would
 // instantly create a two-cycle.
-func (h *Host) handleAttachReq(now time.Duration, from HostID, m Message) {
+func (h *Host) handleAttachReq(now time.Duration, from *peer, m Message) {
 	if from == h.parent {
-		h.emit(from, Message{Kind: MsgAttachReject})
+		h.emit(from.id, Message{Kind: MsgAttachReject})
 		return
 	}
 	// Crossing requests (we asked from; from asked us) would form an
 	// instant two-cycle if both accepted; the lower-ordered host yields.
-	if h.attach.inProgress && h.attach.candidate == from && h.order[h.id] < h.order[from] {
-		h.emit(from, Message{Kind: MsgAttachReject})
+	if h.attach.inProgress && h.attach.candidate == from && h.me.order < from.order {
+		h.emit(from.id, Message{Kind: MsgAttachReject})
 		return
 	}
 	h.learnInfo(from, m.Info)
-	h.parentOf[from] = h.id
-	if !h.children[from] {
-		h.children[from] = true
-		h.event(now, EvChildAdded, from, 0)
+	from.parentView = h.id
+	if !from.child {
+		from.child = true
+		h.event(now, EvChildAdded, from.id, 0)
 	}
 	h.noteFullInfoSent(from)
-	h.emit(from, Message{Kind: MsgAttachAccept, Info: h.info.Snapshot()})
+	h.emit(from.id, Message{Kind: MsgAttachAccept, Info: h.info.Snapshot()})
 	// Forward what the child is missing and we have, up to the limit; the
 	// periodic neighbour gap fill covers any remainder.
 	missing := h.info.Diff(m.Info)
@@ -326,38 +319,37 @@ func (h *Host) handleAttachReq(now time.Duration, from HostID, m Message) {
 }
 
 // handleAttachAccept completes the handshake begun by runAttachment.
-func (h *Host) handleAttachAccept(now time.Duration, from HostID, m Message) {
+func (h *Host) handleAttachAccept(now time.Duration, from *peer, m Message) {
 	if !h.attach.inProgress || from != h.attach.candidate {
 		// A stale acceptance from an earlier candidate: we are attached
 		// elsewhere by now, so correct the sender's CHILDREN set.
 		if from != h.parent {
-			h.emit(from, Message{Kind: MsgDetach})
+			h.emit(from.id, Message{Kind: MsgDetach})
 		}
 		return
 	}
 	old := h.parent
 	h.parent = from
-	h.parentOf[h.id] = from
 	h.lastFromParent = now
 	h.learnInfo(from, m.Info)
 	h.attach = attachState{}
-	if old != Nil && old != from {
+	if old != nil && old != from {
 		// §4.2: the old parent is notified of the change.
-		h.emit(old, Message{Kind: MsgDetach})
+		h.emit(old.id, Message{Kind: MsgDetach})
 	}
-	h.event(now, EvAttached, from, 0)
+	h.event(now, EvAttached, from.id, 0)
 }
 
 // handleAttachReject excludes the candidate and retries immediately.
-func (h *Host) handleAttachReject(now time.Duration, from HostID) {
+func (h *Host) handleAttachReject(now time.Duration, from *peer) {
 	if !h.attach.inProgress || from != h.attach.candidate {
 		return
 	}
-	h.event(now, EvAttachFailed, from, 0)
+	h.event(now, EvAttachFailed, from.id, 0)
 	if h.attach.excluded == nil {
 		h.attach.excluded = make(map[HostID]bool)
 	}
-	h.attach.excluded[from] = true
+	h.attach.excluded[from.id] = true
 	h.attach.inProgress = false
 	h.runAttachment(now, false)
 }

@@ -43,12 +43,14 @@ import (
 // host escape an equivocating parent once the rest of the network has
 // settled on the real payload.
 
-// payloadDigest fingerprints a data payload for echo/ready voting.
+// PayloadDigest fingerprints a data payload for echo/ready voting; it is
+// the one payload fingerprint of the repo (the harness's delivery check
+// and the adversary's forged votes use it too).
 // FNV-64a is not collision-resistant against an adversary who can
 // choose payloads offline; it is the honest-host agreement fingerprint
 // this simulator needs, chosen because the repo already leans on FNV
 // for deterministic seeding and carries no crypto dependencies.
-func payloadDigest(p []byte) uint64 {
+func PayloadDigest(p []byte) uint64 {
 	d := fnv.New64a()
 	d.Write(p)
 	return d.Sum64()
@@ -236,17 +238,17 @@ func (h *Host) acceptCertified(now time.Duration, from HostID, seq seqset.Seq, s
 // of handleData: the payload goes pending and is voted on instead of
 // being delivered outright. Caller has already done learnHas and the
 // duplicate check.
-func (h *Host) handleDataEcho(now time.Duration, from HostID, m Message) {
-	d := payloadDigest(m.Payload)
+func (h *Host) handleDataEcho(now time.Duration, from *peer, m Message) {
+	d := PayloadDigest(m.Payload)
 	st := h.echoSt(m.Seq)
 	certified := len(st.readies[d]) >= h.readyQuorum()
 	newMax := m.Seq > h.info.Max()
 	// §4.1 with the quorum relaxation: a new-maximum payload is accepted
 	// from the parent or on the strength of a ready quorum for its digest.
 	if newMax && from != h.parent && !certified {
-		h.event(now, EvRejected, from, m.Seq)
+		h.event(now, EvRejected, from.id, m.Seq)
 		if !m.GapFill {
-			h.emit(from, Message{Kind: MsgDetach})
+			h.emit(from.id, Message{Kind: MsgDetach})
 		}
 		return
 	}
@@ -256,7 +258,7 @@ func (h *Host) handleDataEcho(now time.Duration, from HostID, m Message) {
 		// when a ready quorum vouches for it; otherwise first-come wins
 		// and the conflict is just counted.
 		h.equivocations++
-		h.event(now, EvEquivocation, from, m.Seq)
+		h.event(now, EvEquivocation, from.id, m.Seq)
 		if !certified {
 			return
 		}
@@ -278,63 +280,38 @@ func (h *Host) handleDataEcho(now time.Duration, from HostID, m Message) {
 		h.forwardData(from, m.Seq, st.payload, newMax && !m.GapFill)
 	}
 	h.maybeReady(now, m.Seq, st.digest, st)
-	h.maybeDeliver(now, from, m.Seq, st.digest, st)
+	h.maybeDeliver(now, from.id, m.Seq, st.digest, st)
 }
 
-// forwardData relays a data payload: downward to all children for a
-// normal new-maximum arrival, or as §4.4 gap fills to parent-graph
-// neighbours that lack it.
-func (h *Host) forwardData(from HostID, seq seqset.Seq, payload []byte, downward bool) {
-	if downward {
-		fwd := Message{Kind: MsgData, Seq: seq, Payload: payload}
-		for _, c := range h.Children() {
-			if c != from {
-				h.sendMarking(c, fwd)
-			}
-		}
-		return
-	}
-	fwd := Message{Kind: MsgData, Seq: seq, Payload: payload, GapFill: true}
-	for _, nb := range h.neighbors() {
-		if nb == from || h.maps[nb].Contains(seq) {
-			continue
-		}
-		if !h.children[nb] && seq > h.maps[nb].Max() {
-			continue
-		}
-		h.sendMarking(nb, fwd)
-	}
-}
-
-func (h *Host) handleEcho(now time.Duration, from HostID, m Message) {
+func (h *Host) handleEcho(now time.Duration, from *peer, m Message) {
 	if !h.params.EchoReady || m.Seq == 0 || m.Seq <= h.prunedTo {
 		return
 	}
 	st := h.echoSt(m.Seq)
-	h.recordEcho(now, from, m.Seq, m.CheckLen, st)
+	h.recordEcho(now, from.id, m.Seq, m.CheckLen, st)
 	if h.info.Contains(m.Seq) {
 		// Already delivered: answer with our ready vote so a straggler
 		// whose original vote burst was lost can still reach its quorum.
-		h.emit(from, Message{Kind: MsgReady, Seq: m.Seq, CheckLen: st.digest})
+		h.emit(from.id, Message{Kind: MsgReady, Seq: m.Seq, CheckLen: st.digest})
 		return
 	}
 	h.maybeReady(now, m.Seq, m.CheckLen, st)
-	h.maybeDeliver(now, from, m.Seq, m.CheckLen, st)
+	h.maybeDeliver(now, from.id, m.Seq, m.CheckLen, st)
 }
 
-func (h *Host) handleReady(now time.Duration, from HostID, m Message) {
+func (h *Host) handleReady(now time.Duration, from *peer, m Message) {
 	if !h.params.EchoReady || m.Seq == 0 || m.Seq <= h.prunedTo {
 		return
 	}
 	st := h.echoSt(m.Seq)
-	if !h.recordReady(now, from, m.Seq, m.CheckLen, st) {
+	if !h.recordReady(now, from.id, m.Seq, m.CheckLen, st) {
 		return
 	}
 	if h.info.Contains(m.Seq) {
 		return
 	}
 	h.maybeReady(now, m.Seq, m.CheckLen, st)
-	h.maybeDeliver(now, from, m.Seq, m.CheckLen, st)
+	h.maybeDeliver(now, from.id, m.Seq, m.CheckLen, st)
 }
 
 // resendEchoMeta re-advertises this host's votes for every sequence

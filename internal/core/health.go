@@ -2,7 +2,6 @@ package core
 
 import (
 	"hash/fnv"
-	"slices"
 	"time"
 )
 
@@ -18,7 +17,8 @@ import (
 // behavior byte-identical to fixed timers) when Params.BackoffBase is
 // zero.
 
-// peerHealth is one peer's liveness record.
+// peerHealth is one peer's liveness record, held by value in the peer's
+// table record (peer.go).
 type peerHealth struct {
 	// lastHeard is when any message last arrived from the peer; valid
 	// only when everHeard.
@@ -61,29 +61,19 @@ type PeerHealth struct {
 // backoffEnabled reports whether the health layer gates any traffic.
 func (h *Host) backoffEnabled() bool { return h.params.BackoffBase > 0 }
 
-// healthOf returns the peer's record, creating it on first use.
-func (h *Host) healthOf(j HostID) *peerHealth {
-	ph, ok := h.health[j]
-	if !ok {
-		ph = &peerHealth{}
-		h.health[j] = ph
-	}
-	return ph
-}
-
-// suspectedHealth reports whether a record has crossed the suspicion
-// threshold.
-func (h *Host) suspectedHealth(ph *peerHealth) bool {
-	return h.backoffEnabled() && ph != nil && ph.failures >= h.params.SuspicionAfter
+// suspected reports whether a peer (nil for an untouched record) has
+// crossed the suspicion threshold.
+func (h *Host) suspected(j *peer) bool {
+	return h.backoffEnabled() && j != nil && j.health.failures >= h.params.SuspicionAfter
 }
 
 // noteHeard records receipt of a message from a peer. Hearing from a
 // suspected peer clears the suspicion and schedules a fast-resync burst
 // for the next tick, so partition repair is exploited at message
 // latency rather than at InfoGlobalPeriod latency.
-func (h *Host) noteHeard(now time.Duration, from HostID) {
-	ph := h.healthOf(from)
-	wasSuspected := h.suspectedHealth(ph)
+func (h *Host) noteHeard(now time.Duration, from *peer) {
+	ph := &from.health
+	wasSuspected := h.suspected(from)
 	ph.lastHeard = now
 	ph.everHeard = true
 	ph.failures = 0
@@ -91,7 +81,7 @@ func (h *Host) noteHeard(now time.Duration, from HostID) {
 	ph.probePending = false
 	if wasSuspected {
 		ph.resync = true
-		h.event(now, EvPeerRecovered, from, 0)
+		h.event(now, EvPeerRecovered, from.id, 0)
 	}
 }
 
@@ -99,31 +89,24 @@ func (h *Host) noteHeard(now time.Duration, from HostID) {
 // attach-ack timeout, a parent-silence timeout, or a silent global INFO
 // probe interval) and, once the suspicion threshold is crossed, arms the
 // exponential backoff timer.
-func (h *Host) noteProbeFailure(now time.Duration, j HostID) {
+func (h *Host) noteProbeFailure(now time.Duration, j *peer) {
 	if !h.backoffEnabled() {
 		return
 	}
-	ph := h.healthOf(j)
+	ph := &j.health
 	ph.failures++
 	if ph.failures == h.params.SuspicionAfter {
-		h.event(now, EvPeerSuspected, j, 0)
+		h.event(now, EvPeerSuspected, j.id, 0)
 	}
 	if ph.failures >= h.params.SuspicionAfter {
-		ph.nextContact = now + h.backoffDelay(j, ph.failures)
+		ph.nextContact = now + h.backoffDelay(j.id, ph.failures)
 	}
 }
 
 // suppressed reports whether backoff currently gates control traffic
 // toward the peer. Unsuspected peers are never suppressed.
-func (h *Host) suppressed(now time.Duration, j HostID) bool {
-	if !h.backoffEnabled() {
-		return false
-	}
-	ph := h.health[j]
-	if !h.suspectedHealth(ph) {
-		return false
-	}
-	return now < ph.nextContact
+func (h *Host) suppressed(now time.Duration, j *peer) bool {
+	return h.suspected(j) && now < j.health.nextContact
 }
 
 // noteProbeSent records a global INFO probe toward a peer; if the
@@ -131,11 +114,11 @@ func (h *Host) suppressed(now time.Duration, j HostID) bool {
 // failure. Only previously-heard peers participate: a host that has
 // never talked to us (a remote non-leader, silent by design) must not
 // be suspected for staying that way.
-func (h *Host) noteProbeSent(now time.Duration, j HostID) {
+func (h *Host) noteProbeSent(now time.Duration, j *peer) {
 	if !h.backoffEnabled() {
 		return
 	}
-	ph := h.healthOf(j)
+	ph := &j.health
 	if !ph.everHeard {
 		return
 	}
@@ -150,13 +133,9 @@ func (h *Host) noteProbeSent(now time.Duration, j HostID) {
 // was actually sent toward a still-suspected peer, so fire-and-forget
 // probes (global INFO, global gap fill) honor the backoff interval
 // without needing acknowledgment machinery.
-func (h *Host) touchSuspect(now time.Duration, j HostID) {
-	if !h.backoffEnabled() {
-		return
-	}
-	ph := h.health[j]
-	if h.suspectedHealth(ph) {
-		ph.nextContact = now + h.backoffDelay(j, ph.failures)
+func (h *Host) touchSuspect(now time.Duration, j *peer) {
+	if h.suspected(j) {
+		j.health.nextContact = now + h.backoffDelay(j.id, j.health.failures)
 	}
 }
 
@@ -200,27 +179,18 @@ func jitterHash(seed int64, self, peer HostID, failures int) uint64 {
 
 // flushResyncs performs the pending fast-resync bursts: one INFO
 // exchange plus one gap-fill round toward every peer that answered
-// while suspected since the previous tick. Peers are visited in
-// ascending ID order for determinism.
+// while suspected since the previous tick.
 func (h *Host) flushResyncs(now time.Duration) {
 	if !h.backoffEnabled() {
 		return
 	}
-	var pending []HostID
-	for j, ph := range h.health {
-		if ph.resync {
-			pending = append(pending, j)
+	for _, j := range h.table {
+		if j == nil || !j.health.resync {
+			continue
 		}
-	}
-	if len(pending) == 0 {
-		return
-	}
-	slices.Sort(pending)
-	m := h.infoMessage()
-	for _, j := range pending {
-		h.health[j].resync = false
+		j.health.resync = false
 		h.noteFullInfoSent(j)
-		h.emit(j, m)
+		h.emit(j.id, h.infoMessage())
 		h.fillGapsOf(j)
 		h.resyncBursts++
 	}
@@ -228,30 +198,22 @@ func (h *Host) flushResyncs(now time.Duration) {
 
 // PeerHealthOf returns the health snapshot for one peer.
 func (h *Host) PeerHealthOf(j HostID) PeerHealth {
-	out := PeerHealth{Peer: j}
-	ph, ok := h.health[j]
-	if !ok {
-		return out
+	p := h.lookup(j)
+	if p == nil {
+		return PeerHealth{Peer: j}
 	}
-	out.EverHeard = ph.everHeard
-	out.LastHeard = ph.lastHeard
-	out.Failures = ph.failures
-	out.Suspected = h.suspectedHealth(ph)
-	out.NextContact = ph.nextContact
-	return out
+	return PeerHealth{
+		Peer:        j,
+		EverHeard:   p.health.everHeard,
+		LastHeard:   p.health.lastHeard,
+		Failures:    p.health.failures,
+		Suspected:   h.suspected(p),
+		NextContact: p.health.nextContact,
+	}
 }
 
 // SuspectedPeers returns the currently suspected peers, ascending.
-func (h *Host) SuspectedPeers() []HostID {
-	var out []HostID
-	for j, ph := range h.health {
-		if h.suspectedHealth(ph) {
-			out = append(out, j)
-		}
-	}
-	slices.Sort(out)
-	return out
-}
+func (h *Host) SuspectedPeers() []HostID { return h.collect(h.suspected) }
 
 // ResyncBursts counts fast-resync bursts performed so far.
 func (h *Host) ResyncBursts() uint64 { return h.resyncBursts }

@@ -12,10 +12,16 @@ import (
 // machine: the driving runtime must serialize all calls to HandleMessage,
 // Tick, and Broadcast.
 type Host struct {
-	id       HostID
-	source   HostID
-	peers    []HostID // sorted, includes self and source
-	order    map[HostID]int
+	id     HostID
+	source HostID
+	// peers is the participant set — sorted, includes self and source —
+	// with order and table parallel to it: order[i] is the static order
+	// of peers[i], table[i] its record (nil until first touched; see
+	// peer.go). me is the host's own record.
+	peers    []HostID
+	order    []int
+	table    []*peer
+	me       *peer
 	params   Params
 	env      Env
 	observer Observer
@@ -31,38 +37,8 @@ type Host struct {
 	// store holds message payloads for redelivery (the paper's
 	// non-volatile storage).
 	store map[seqset.Seq][]byte
-	// maps is MAP_i: this host's view of every other host's INFO set.
-	// Missing entries mean "empty set". Entries include optimistic marks
-	// for messages this host sent but that may have been lost (the next
-	// Info from the peer restores the truth); pruning must not rely on
-	// them, so confirmed knowledge is tracked separately.
-	maps map[HostID]seqset.Set
-	// confirmed mirrors maps but is updated only on evidence received
-	// from the peer itself (Info, attach requests, data), never on sends.
-	// §6 pruning uses it.
-	confirmed map[HostID]seqset.Set
-	// parentOf is p_i[]: the supposed parent of every host, learned from
-	// the routine parent-pointer exchange. parentOf[id] mirrors parent.
-	parentOf map[HostID]HostID
-	// cluster is CLUSTER_i, inferred from cost bits; always contains id.
-	cluster map[HostID]bool
-	// children is CHILDREN_i.
-	children map[HostID]bool
-	// parent is p_i[i]; Nil when the host has no parent.
-	parent HostID
-
-	// Delta INFO state, active only under Params.DeltaInfo. Sender side:
-	// lastSentInfo holds the full INFO set most recently advertised to
-	// each peer (by full MsgInfo or by delta chain), and sinceFull counts
-	// consecutive deltas since the last full — a resync counter. Receiver
-	// side: infoView reconstructs each peer's full INFO from the last
-	// full set received plus every delta applied since; infoSynced marks
-	// views rooted at a received full set (only those may be promoted to
-	// authoritative on a checksum match).
-	lastSentInfo map[HostID]seqset.Set
-	sinceFull    map[HostID]int
-	infoView     map[HostID]seqset.Set
-	infoSynced   map[HostID]bool
+	// parent is p_i[i]; nil when the host has no parent.
+	parent *peer
 
 	// echo tracks per-sequence echo/ready voting under Params.EchoReady
 	// (nil otherwise); equivocations counts conflicting-vote
@@ -88,10 +64,8 @@ type Host struct {
 
 	attach attachState
 
-	// health is the per-peer liveness tracker (see health.go). Records
-	// are kept regardless of Params, but only gate traffic when the
-	// backoff fields are set.
-	health          map[HostID]*peerHealth
+	// jitterSeed and the two counters belong to the per-peer health
+	// layer (health.go).
 	jitterSeed      int64
 	resyncBursts    uint64
 	suppressedSends uint64
@@ -115,7 +89,7 @@ type Host struct {
 
 type attachState struct {
 	inProgress bool
-	candidate  HostID
+	candidate  *peer
 	deadline   time.Duration
 	// excluded holds candidates that timed out or rejected during the
 	// current procedure run; cleared at each periodic activation.
@@ -150,12 +124,12 @@ func NewHost(cfg Config, env Env) (*Host, error) {
 	peers := make([]HostID, len(cfg.Peers))
 	copy(peers, cfg.Peers)
 	slices.Sort(peers)
-	order := make(map[HostID]int, len(peers))
-	for _, p := range peers {
+	order := make([]int, len(peers))
+	for i, p := range peers {
 		if cfg.Order != nil {
-			order[p] = cfg.Order[p]
+			order[i] = cfg.Order[p]
 		} else {
-			order[p] = int(p)
+			order[i] = int(p)
 		}
 	}
 	h := &Host{
@@ -163,30 +137,20 @@ func NewHost(cfg Config, env Env) (*Host, error) {
 		source:     cfg.Source,
 		peers:      peers,
 		order:      order,
+		table:      make([]*peer, len(peers)),
 		params:     cfg.Params,
 		env:        env,
 		observer:   cfg.Observer,
 		store:      make(map[seqset.Seq][]byte),
-		maps:       make(map[HostID]seqset.Set),
-		confirmed:  make(map[HostID]seqset.Set),
-		parentOf:   make(map[HostID]HostID),
-		cluster:    map[HostID]bool{cfg.ID: true},
-		children:   make(map[HostID]bool),
-		parent:     Nil,
 		nextSeq:    1,
-		health:     make(map[HostID]*peerHealth),
 		jitterSeed: cfg.JitterSeed,
 	}
+	h.me = h.lookup(cfg.ID)
+	h.me.inCluster = true
 	if cfg.Params.ClusterMode != ClusterNone {
-		for _, p := range cfg.InitialCluster {
-			h.cluster[p] = true
+		for _, j := range cfg.InitialCluster {
+			h.lookup(j).inCluster = true
 		}
-	}
-	if cfg.Params.DeltaInfo {
-		h.lastSentInfo = make(map[HostID]seqset.Set)
-		h.sinceFull = make(map[HostID]int)
-		h.infoView = make(map[HostID]seqset.Set)
-		h.infoSynced = make(map[HostID]bool)
 	}
 	if cfg.Params.EchoReady {
 		h.echo = make(map[seqset.Seq]*echoState)
@@ -204,26 +168,16 @@ func (h *Host) ID() HostID { return h.id }
 func (h *Host) IsSource() bool { return h.id == h.source }
 
 // Parent returns the current parent pointer (Nil if none).
-func (h *Host) Parent() HostID { return h.parent }
+func (h *Host) Parent() HostID { return idOf(h.parent) }
 
 // Children returns the current children set, sorted.
 func (h *Host) Children() []HostID {
-	out := make([]HostID, 0, len(h.children))
-	for c := range h.children {
-		out = append(out, c)
-	}
-	slices.Sort(out)
-	return out
+	return h.collect(func(p *peer) bool { return p.child })
 }
 
 // Cluster returns CLUSTER_i, sorted (always includes the host itself).
 func (h *Host) Cluster() []HostID {
-	out := make([]HostID, 0, len(h.cluster))
-	for c := range h.cluster {
-		out = append(out, c)
-	}
-	slices.Sort(out)
-	return out
+	return h.collect(func(p *peer) bool { return p.inCluster })
 }
 
 // Info returns a copy of INFO_i (copy-on-write; mutating either side is
@@ -232,27 +186,27 @@ func (h *Host) Info() seqset.Set { return h.info.Snapshot() }
 
 // MapOf returns a copy of MAP_i[j] — this host's view of j's INFO set.
 func (h *Host) MapOf(j HostID) seqset.Set {
-	s, ok := h.maps[j]
-	if !ok {
-		return seqset.Set{}
+	if p := h.lookup(j); p != nil {
+		return p.view.Snapshot()
 	}
-	snap := s.Snapshot()
-	h.maps[j] = s // write back the copy-on-write mark
-	return snap
+	return seqset.Set{}
 }
 
 // ParentView returns p_i[j], this host's view of j's parent pointer.
 func (h *Host) ParentView(j HostID) HostID {
 	if j == h.id {
-		return h.parent
+		return h.Parent()
 	}
-	return h.parentOf[j]
+	if p := h.lookup(j); p != nil {
+		return p.parentView
+	}
+	return Nil
 }
 
 // IsLeader reports whether this host currently considers itself a cluster
 // leader: its parent is NIL or lies in a different cluster (§4.1).
 func (h *Host) IsLeader() bool {
-	return h.parent == Nil || !h.cluster[h.parent]
+	return h.parent == nil || !h.parent.inCluster
 }
 
 // Start initializes the periodic schedules. Activities are phase-staggered
@@ -263,7 +217,7 @@ func (h *Host) Start(now time.Duration) {
 	h.lastFromParent = now
 	stagger := func(period time.Duration) time.Duration {
 		n := len(h.peers)
-		slot := h.order[h.id] % n
+		slot := h.me.order % n
 		if slot < 0 {
 			slot = -slot
 		}
@@ -296,15 +250,12 @@ func (h *Host) Broadcast(now time.Duration, payload []byte) seqset.Seq {
 	h.store[seq] = append([]byte(nil), payload...)
 	h.env.Deliver(seq, h.store[seq])
 	h.event(now, EvAccepted, h.id, seq)
-	m := Message{Kind: MsgData, Seq: seq, Payload: h.store[seq]}
-	for _, c := range h.Children() {
-		h.sendMarking(c, m)
-	}
+	h.forwardData(nil, seq, h.store[seq], true)
 	if h.params.EchoReady {
 		// The source's own votes: it delivered the real payload, so both
 		// its echo and its ready are legitimate immediately and seed the
 		// quorums everyone else needs.
-		d := payloadDigest(h.store[seq])
+		d := PayloadDigest(h.store[seq])
 		st := h.echoSt(seq)
 		st.digest = d
 		st.havePayload = true
@@ -374,21 +325,15 @@ func (h *Host) end() {
 // not immediately resend it. If the message is lost, the target's next
 // INFO exchange restores the truth and the filler retries. The confirmed
 // view is deliberately not touched.
-func (h *Host) sendMarking(to HostID, m Message) {
-	s := h.maps[to]
-	s.Add(m.Seq)
-	h.maps[to] = s
-	h.emit(to, m)
+func (h *Host) sendMarking(to *peer, m Message) {
+	to.view.Add(m.Seq)
+	h.emit(to.id, m)
 }
 
 // learnHas records first-hand evidence that a peer holds one message.
-func (h *Host) learnHas(from HostID, q seqset.Seq) {
-	s := h.maps[from]
-	s.Add(q)
-	h.maps[from] = s
-	c := h.confirmed[from]
-	c.Add(q)
-	h.confirmed[from] = c
+func (h *Host) learnHas(from *peer, q seqset.Seq) {
+	from.view.Add(q)
+	from.confirmed.Add(q)
 }
 
 // learnInfo records an authoritative INFO snapshot from a peer, replacing
@@ -403,9 +348,9 @@ func (h *Host) learnHas(from HostID, q seqset.Seq) {
 // storage across frames must detach it for exactly those kinds —
 // internal/node's DecodeEnvelope does. Retaining Info for another kind
 // requires updating that rule.
-func (h *Host) learnInfo(from HostID, info seqset.Set) {
-	h.maps[from] = info.Snapshot()
-	h.confirmed[from] = info.Snapshot()
+func (h *Host) learnInfo(from *peer, info seqset.Set) {
+	from.view = info.Snapshot()
+	from.confirmed = info.Snapshot()
 }
 
 func (h *Host) event(now time.Duration, kind EventKind, peer HostID, seq seqset.Seq) {
@@ -417,21 +362,24 @@ func (h *Host) event(now time.Duration, kind EventKind, peer HostID, seq seqset.
 // observeCostBit maintains CLUSTER_i per §4.2: a message from j arriving
 // with the cost bit set evicts j from the cluster; one arriving cheaply
 // admits it. Static and none modes (§6) freeze the set instead.
-func (h *Host) observeCostBit(from HostID, costBit bool) {
-	if from == h.id || h.params.ClusterMode != ClusterDynamic {
-		return
-	}
-	if costBit {
-		delete(h.cluster, from)
-	} else {
-		h.cluster[from] = true
+func (h *Host) observeCostBit(from *peer, costBit bool) {
+	if h.params.ClusterMode == ClusterDynamic {
+		from.inCluster = !costBit
 	}
 }
 
 // HandleMessage processes one received message. costBit reports whether
 // the network flagged the message as having traversed an expensive link.
-func (h *Host) HandleMessage(now time.Duration, from HostID, costBit bool, m Message) {
-	if from == h.id || from == Nil {
+// A frame whose sender is not a participant is rejected whole, before it
+// can touch any state: the protocol's arrays, and the echo/ready quorum
+// arithmetic, range over the known participants only.
+func (h *Host) HandleMessage(now time.Duration, sender HostID, costBit bool, m Message) {
+	if sender == h.id || sender == Nil {
+		return
+	}
+	from := h.lookup(sender)
+	if from == nil {
+		h.event(now, EvRejected, sender, m.Seq)
 		return
 	}
 	h.begin()
@@ -455,7 +403,7 @@ func (h *Host) HandleMessage(now time.Duration, from HostID, costBit bool, m Mes
 	h.dispatch(now, from, m)
 }
 
-func (h *Host) dispatch(now time.Duration, from HostID, m Message) {
+func (h *Host) dispatch(now time.Duration, from *peer, m Message) {
 	switch m.Kind {
 	case MsgData:
 		h.handleData(now, from, m)
@@ -486,7 +434,7 @@ func (h *Host) dispatch(now time.Duration, from HostID, m Message) {
 	}
 }
 
-func (h *Host) handleData(now time.Duration, from HostID, m Message) {
+func (h *Host) handleData(now time.Duration, from *peer, m Message) {
 	if m.Seq == 0 {
 		return
 	}
@@ -494,7 +442,7 @@ func (h *Host) handleData(now time.Duration, from HostID, m Message) {
 	h.learnHas(from, m.Seq)
 
 	if m.Seq <= h.prunedTo || h.info.Contains(m.Seq) {
-		h.event(now, EvDuplicate, from, m.Seq)
+		h.event(now, EvDuplicate, from.id, m.Seq)
 		return
 	}
 	if h.params.EchoReady {
@@ -507,56 +455,60 @@ func (h *Host) handleData(now time.Duration, from HostID, m Message) {
 	// among INFO sets.
 	newMax := m.Seq > h.info.Max()
 	if newMax && from != h.parent {
-		h.event(now, EvRejected, from, m.Seq)
+		h.event(now, EvRejected, from.id, m.Seq)
 		if !m.GapFill {
 			// The sender believes we are its child (stale CHILDREN after a
 			// reattachment the detach notice for which was lost); correct it.
-			h.emit(from, Message{Kind: MsgDetach})
+			h.emit(from.id, Message{Kind: MsgDetach})
 		}
 		return
 	}
 	h.info.Add(m.Seq)
 	h.store[m.Seq] = append([]byte(nil), m.Payload...)
 	h.env.Deliver(m.Seq, h.store[m.Seq])
-	h.event(now, EvAccepted, from, m.Seq)
+	h.event(now, EvAccepted, from.id, m.Seq)
+	h.forwardData(from, m.Seq, h.store[m.Seq], newMax && !m.GapFill)
+}
 
-	if newMax && !m.GapFill {
-		// Normal downward propagation: forward to all children.
-		fwd := Message{Kind: MsgData, Seq: m.Seq, Payload: h.store[m.Seq]}
-		for _, c := range h.Children() {
-			if c != from {
-				h.sendMarking(c, fwd)
-			}
+// forwardData relays a data payload to everyone but from (nil at the
+// source): downward to all children for a normal new-maximum arrival, or
+// — §4.4 — as a gap fill to those parent-graph neighbours that,
+// according to MAP, do not have it.
+func (h *Host) forwardData(from *peer, seq seqset.Seq, payload []byte, downward bool) {
+	fwd := Message{Kind: MsgData, Seq: seq, Payload: payload, GapFill: !downward}
+	for _, p := range h.table {
+		if p == nil || p == from {
+			continue
 		}
-		return
-	}
-	// §4.4: a received gap-filling message is forwarded to those
-	// parent-graph neighbours that, according to MAP, do not have it.
-	fwd := Message{Kind: MsgData, Seq: m.Seq, Payload: h.store[m.Seq], GapFill: true}
-	for _, nb := range h.neighbors() {
-		if nb == from || h.maps[nb].Contains(m.Seq) {
+		if downward {
+			if p.child {
+				h.sendMarking(p, fwd)
+			}
+			continue
+		}
+		if !h.isNeighbor(p) || p.view.Contains(seq) {
 			continue
 		}
 		// Sending a would-be-new-max to a host we do not parent is futile:
 		// the receiver's §4.1 rule discards it.
-		if !h.children[nb] && m.Seq > h.maps[nb].Max() {
+		if !p.child && seq > p.view.Max() {
 			continue
 		}
-		h.sendMarking(nb, fwd)
+		h.sendMarking(p, fwd)
 	}
 }
 
-func (h *Host) handleInfo(now time.Duration, from HostID, m Message) {
+func (h *Host) handleInfo(now time.Duration, from *peer, m Message) {
 	h.learnInfo(from, m.Info)
-	if h.infoView != nil {
+	if h.params.DeltaInfo {
 		// A full set roots a fresh delta chain: later deltas merge into
 		// this view and are checked against the sender's checksum.
 		//
 		// Like learnInfo above, this Snapshot retains m.Info's storage
 		// past the HandleMessage call; see learnInfo for what that asks
 		// of zero-copy decode paths.
-		h.infoView[from] = m.Info.Snapshot()
-		h.infoSynced[from] = true
+		from.infoView = m.Info.Snapshot()
+		from.infoSynced = true
 	}
 	h.afterInfo(now, from, m.Parent)
 }
@@ -569,19 +521,17 @@ func (h *Host) handleInfo(now time.Duration, from HostID, m Message) {
 // when it is rooted at a received full set and matches the sender's
 // (max, length) checksum: a subset view with the right member count and
 // maximum is the full set.
-func (h *Host) handleInfoDelta(now time.Duration, from HostID, m Message) {
-	if h.infoView == nil {
+func (h *Host) handleInfoDelta(now time.Duration, from *peer, m Message) {
+	if !h.params.DeltaInfo {
 		// Delta tracking disabled locally: fall back to the monotone
 		// union. Nothing is lost but optimistic-mark clearing.
 		h.mergeInfoFacts(from, m.Info)
 		h.afterInfo(now, from, m.Parent)
 		return
 	}
-	view := h.infoView[from]
-	view.ApplyDelta(m.Info)
-	h.infoView[from] = view
-	if h.infoSynced[from] && view.Max() == m.Seq && uint64(view.Len()) == m.CheckLen {
-		h.learnInfo(from, view)
+	from.infoView.ApplyDelta(m.Info)
+	if from.infoSynced && from.infoView.Max() == m.Seq && uint64(from.infoView.Len()) == m.CheckLen {
+		h.learnInfo(from, from.infoView)
 	} else {
 		h.mergeInfoFacts(from, m.Info)
 	}
@@ -589,20 +539,16 @@ func (h *Host) handleInfoDelta(now time.Duration, from HostID, m Message) {
 }
 
 // mergeInfoFacts unions peer-held sequence numbers into both tracking
-// maps without replacing them.
-func (h *Host) mergeInfoFacts(from HostID, info seqset.Set) {
-	s := h.maps[from]
-	s.ApplyDelta(info)
-	h.maps[from] = s
-	c := h.confirmed[from]
-	c.ApplyDelta(info)
-	h.confirmed[from] = c
+// sets without replacing them.
+func (h *Host) mergeInfoFacts(from *peer, info seqset.Set) {
+	from.view.ApplyDelta(info)
+	from.confirmed.ApplyDelta(info)
 }
 
 // afterInfo is the tail shared by full and delta INFO handling: parent
 // gossip and reactive gap filling.
-func (h *Host) afterInfo(now time.Duration, from HostID, parent HostID) {
-	h.parentOf[from] = parent
+func (h *Host) afterInfo(now time.Duration, from *peer, parent HostID) {
+	from.parentView = parent
 	// Parent-pointer gossip keeps CHILDREN consistent in both directions:
 	// a host we consider a child that reports a different parent has
 	// moved on and is pruned; a host that reports us as its parent is a
@@ -611,51 +557,39 @@ func (h *Host) afterInfo(now time.Duration, from HostID, parent HostID) {
 	// wire). Without the re-adoption rule the pair deadlocks: the child
 	// keeps hearing our routine Info (so its parent-silence timer never
 	// fires) while we never forward it data.
-	if h.children[from] && parent != h.id {
-		delete(h.children, from)
-		h.event(now, EvChildRemoved, from, 0)
-	} else if !h.children[from] && parent == h.id {
-		h.children[from] = true
-		h.event(now, EvChildAdded, from, 0)
+	if from.child && parent != h.id {
+		from.child = false
+		h.event(now, EvChildRemoved, from.id, 0)
+	} else if !from.child && parent == h.id {
+		from.child = true
+		h.event(now, EvChildAdded, from.id, 0)
 	}
 	// Reactive gap fill towards parent-graph neighbours; leaders also
 	// serve non-neighbour hosts in other clusters (the low-frequency
 	// periodic scan covers the rest).
 	if h.isNeighbor(from) {
 		h.fillGapsOf(from)
-	} else if h.IsLeader() && !h.cluster[from] && !h.params.DisableNonNeighborGapFill {
+	} else if h.IsLeader() && !from.inCluster && !h.params.DisableNonNeighborGapFill {
 		h.fillGapsOf(from)
 	}
 }
 
-func (h *Host) handleDetach(now time.Duration, from HostID) {
-	if h.children[from] {
-		delete(h.children, from)
-		h.event(now, EvChildRemoved, from, 0)
+func (h *Host) handleDetach(now time.Duration, from *peer) {
+	if from.child {
+		from.child = false
+		h.event(now, EvChildRemoved, from.id, 0)
 	}
 	if from == h.parent {
 		// A host we considered our parent disowned us (it accepted our
 		// attach once but no longer counts us as a child).
-		h.parent = Nil
+		h.parent = nil
 	}
 }
 
-// neighbors returns the host parent graph neighbours: the parent (if any)
-// and all children, sorted.
-func (h *Host) neighbors() []HostID {
-	out := make([]HostID, 0, len(h.children)+1)
-	if h.parent != Nil {
-		out = append(out, h.parent)
-	}
-	for c := range h.children {
-		out = append(out, c)
-	}
-	slices.Sort(out)
-	return out
-}
-
-func (h *Host) isNeighbor(j HostID) bool {
-	return j != Nil && (j == h.parent || h.children[j])
+// isNeighbor reports whether p (nil for an untouched record) is a host
+// parent graph neighbour: the parent or a child.
+func (h *Host) isNeighbor(p *peer) bool {
+	return p != nil && (p == h.parent || p.child)
 }
 
 // Tick advances all periodic activities. The runtime must call it roughly
@@ -668,19 +602,19 @@ func (h *Host) Tick(now time.Duration) {
 	defer h.end()
 	// Attach handshake timeout.
 	if h.attach.inProgress && now >= h.attach.deadline {
-		h.event(now, EvAttachFailed, h.attach.candidate, 0)
+		h.event(now, EvAttachFailed, h.attach.candidate.id, 0)
 		h.noteProbeFailure(now, h.attach.candidate)
-		h.attach.excluded[h.attach.candidate] = true
+		h.attach.excluded[h.attach.candidate.id] = true
 		h.attach.inProgress = false
 		// §4.2: on ack timeout the procedure is repeated immediately to
 		// find another candidate.
 		h.runAttachment(now, false)
 	}
 	// Parent-silence timeout (§4.3): set parent to NIL and search anew.
-	if !h.IsSource() && h.parent != Nil && now-h.lastFromParent > h.params.ParentTimeout {
-		h.event(now, EvParentTimeout, h.parent, 0)
+	if !h.IsSource() && h.parent != nil && now-h.lastFromParent > h.params.ParentTimeout {
+		h.event(now, EvParentTimeout, h.parent.id, 0)
 		h.noteProbeFailure(now, h.parent)
-		h.parent = Nil
+		h.parent = nil
 		h.runAttachment(now, true)
 	}
 	// Fast-resync bursts owed to peers that answered while suspected.
@@ -706,17 +640,17 @@ func (h *Host) Tick(now time.Duration) {
 	}
 	if now >= h.nextGapLocal {
 		h.nextGapLocal = now + h.params.GapClusterPeriod
-		for _, nb := range h.neighbors() {
-			if h.cluster[nb] {
-				h.fillGapsOf(nb)
+		for _, p := range h.table {
+			if h.isNeighbor(p) && p.inCluster {
+				h.fillGapsOf(p)
 			}
 		}
 	}
 	if now >= h.nextGapRemote {
 		h.nextGapRemote = now + h.params.GapRemotePeriod
-		for _, nb := range h.neighbors() {
-			if !h.cluster[nb] {
-				h.fillGapsOf(nb)
+		for _, p := range h.table {
+			if h.isNeighbor(p) && !p.inCluster {
+				h.fillGapsOf(p)
 			}
 		}
 	}
@@ -738,7 +672,7 @@ func (h *Host) Tick(now time.Duration) {
 }
 
 func (h *Host) infoMessage() Message {
-	return Message{Kind: MsgInfo, Info: h.info.Snapshot(), Parent: h.parent}
+	return Message{Kind: MsgInfo, Info: h.info.Snapshot(), Parent: h.Parent()}
 }
 
 // deltaResyncEvery bounds a delta chain: after this many consecutive
@@ -755,23 +689,22 @@ const deltaResyncEvery = 8
 // set is forced when there is no send history, when the resync counter
 // expires, or when pruning shrank INFO below the last advertisement (a
 // delta cannot express removals).
-func (h *Host) infoMessageFor(j HostID) Message {
+func (h *Host) infoMessageFor(j *peer) Message {
 	if !h.params.DeltaInfo {
 		return h.infoMessage()
 	}
-	last, ok := h.lastSentInfo[j]
-	if ok && h.sinceFull[j] < deltaResyncEvery && h.info.ContainsAll(last) {
-		delta := h.info.Diff(last)
+	if !j.lastSent.Empty() && j.sinceFull < deltaResyncEvery && h.info.ContainsAll(j.lastSent) {
+		delta := h.info.Diff(j.lastSent)
 		// Wire economics: a delta pays 16 bytes per run plus the 8-byte
 		// length checksum; a full set pays 16 bytes per run. Send the
 		// delta only when strictly cheaper.
 		if 16*delta.RunCount()+8 < 16*h.info.RunCount() {
-			h.lastSentInfo[j] = h.info.Snapshot()
-			h.sinceFull[j]++
+			j.lastSent = h.info.Snapshot()
+			j.sinceFull++
 			return Message{
 				Kind:     MsgInfoDelta,
 				Info:     delta,
-				Parent:   h.parent,
+				Parent:   h.Parent(),
 				Seq:      h.info.Max(),
 				CheckLen: uint64(h.info.Len()),
 			}
@@ -784,29 +717,29 @@ func (h *Host) infoMessageFor(j HostID) Message {
 // noteFullInfoSent records that peer j was just advertised the complete
 // INFO set (routine full MsgInfo, resync burst, or attach handshake), so
 // the delta chain restarts from the current state.
-func (h *Host) noteFullInfoSent(j HostID) {
+func (h *Host) noteFullInfoSent(j *peer) {
 	if !h.params.DeltaInfo {
 		return
 	}
-	h.lastSentInfo[j] = h.info.Snapshot()
-	h.sinceFull[j] = 0
+	j.lastSent = h.info.Snapshot()
+	j.sinceFull = 0
 }
 
 // sendInfoLocal performs the routine intra-cluster INFO + parent-pointer
 // exchange.
 func (h *Host) sendInfoLocal() {
-	for _, j := range h.Cluster() {
-		if j != h.id {
-			h.emit(j, h.infoMessageFor(j))
+	for _, p := range h.table {
+		if p != nil && p.inCluster && p != h.me {
+			h.emit(p.id, h.infoMessageFor(p))
 		}
 	}
 }
 
 // sendInfoRemoteNeighbors keeps cross-cluster parent-graph edges fresh.
 func (h *Host) sendInfoRemoteNeighbors() {
-	for _, nb := range h.neighbors() {
-		if !h.cluster[nb] {
-			h.emit(nb, h.infoMessageFor(nb))
+	for _, p := range h.table {
+		if h.isNeighbor(p) && !p.inCluster {
+			h.emit(p.id, h.infoMessageFor(p))
 		}
 	}
 }
@@ -818,17 +751,18 @@ func (h *Host) sendInfoGlobal(now time.Duration) {
 	if !h.IsLeader() && !h.IsSource() {
 		return
 	}
-	for _, j := range h.peers {
-		if j == h.id || h.cluster[j] || h.isNeighbor(j) {
+	for i := range h.table {
+		p := h.at(i)
+		if p.inCluster || h.isNeighbor(p) { // the cluster includes this host
 			continue
 		}
-		if h.suppressed(now, j) {
+		if h.suppressed(now, p) {
 			h.suppressedSends++
 			continue
 		}
-		h.noteProbeSent(now, j)
-		h.emit(j, h.infoMessageFor(j))
-		h.touchSuspect(now, j)
+		h.noteProbeSent(now, p)
+		h.emit(p.id, h.infoMessageFor(p))
+		h.touchSuspect(now, p)
 	}
 }
 
@@ -836,15 +770,14 @@ func (h *Host) sendInfoGlobal(now time.Duration) {
 // holds and the target's MAP entry lacks. For hosts we do not parent,
 // only sequence numbers below the target's known maximum are sent —
 // anything higher would be discarded by the receiver's §4.1 rule.
-func (h *Host) fillGapsOf(j HostID) int {
-	their := h.maps[j]
-	missing := h.info.Diff(their)
+func (h *Host) fillGapsOf(j *peer) int {
+	missing := h.info.Diff(j.view)
 	if missing.Empty() {
 		return 0
 	}
-	isChild := h.children[j]
+	isChild := j.child
 	limit := h.params.GapFillBatch
-	theirMax := their.Max()
+	theirMax := j.view.Max()
 	sent := 0
 	missing.Each(func(q seqset.Seq) bool {
 		if !isChild && q > theirMax {
@@ -871,25 +804,26 @@ func (h *Host) gapFillGlobal(now time.Duration) {
 	if !h.IsLeader() && !h.IsSource() {
 		return
 	}
-	for _, j := range h.peers {
-		if j == h.id || h.cluster[j] || h.isNeighbor(j) {
+	for i := range h.table {
+		p := h.at(i)
+		if p.inCluster || h.isNeighbor(p) { // the cluster includes this host
 			continue
 		}
-		if h.suppressed(now, j) {
+		if h.suppressed(now, p) {
 			h.suppressedSends++
 			continue
 		}
 		// Re-arm the backoff window only when traffic actually went out;
 		// an empty fill must not silently push the next probe further.
-		if h.fillGapsOf(j) > 0 {
-			h.touchSuspect(now, j)
+		if h.fillGapsOf(p) > 0 {
+			h.touchSuspect(now, p)
 		}
 	}
 }
 
 // pruneStable implements §6 pruning: sequence numbers 1..p that every
 // participant is known (via MAP) to hold are dropped from INFO and the
-// store. Unknown hosts (empty MAP entries) hold the prefix at zero, so
+// store. Unknown hosts (empty or untouched records) hold the prefix at zero, so
 // pruning is conservative — unless this host holds a checkpoint, which
 // liberates the floor: any prefix the checkpoint covers can be healed by
 // snapshot transfer instead of per-message redelivery, so the all-hold
@@ -898,11 +832,13 @@ func (h *Host) gapFillGlobal(now time.Duration) {
 // snapshot path is guaranteed to exist exactly when a host may need it.
 func (h *Host) pruneStable() {
 	p := h.ownPrefix()
-	for _, j := range h.peers {
-		if j == h.id {
+	for _, j := range h.table {
+		if j == h.me {
 			continue
 		}
-		if q := h.contiguousPrefix(h.confirmed[j]); q < p {
+		if j == nil {
+			p = 0
+		} else if q := h.contiguousPrefix(j.confirmed); q < p {
 			p = q
 		}
 		if p == 0 {

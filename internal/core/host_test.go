@@ -108,6 +108,10 @@ func TestConfigValidation(t *testing.T) {
 			ID: 1, Source: 1, Peers: []core.HostID{1, 2},
 			Order: map[core.HostID]int{1: 7, 2: 7},
 		}},
+		{"initial cluster outside peers", core.Config{
+			ID: 1, Source: 1, Peers: []core.HostID{1, 2},
+			InitialCluster: []core.HostID{2, 9},
+		}},
 	}
 	for _, tt := range cases {
 		t.Run(tt.name, func(t *testing.T) {

@@ -360,7 +360,8 @@ type Config struct {
 	// order(i) = int(i). Every peer must have a distinct order.
 	Order map[HostID]int
 	// InitialCluster optionally seeds CLUSTER with static knowledge
-	// (§6); the host's own ID is always included.
+	// (§6); its members must appear in Peers, and the host's own ID is
+	// always included.
 	InitialCluster []HostID
 	// Params tunes the protocol; zero value means DefaultParams.
 	Params Params
@@ -413,6 +414,11 @@ func (c Config) validate() error {
 	}
 	if !haveSource {
 		return fmt.Errorf("core: source %d not in Peers", c.Source)
+	}
+	for _, p := range c.InitialCluster {
+		if !seen[p] {
+			return fmt.Errorf("core: InitialCluster member %d not in Peers", p)
+		}
 	}
 	return nil
 }

@@ -1,0 +1,117 @@
+package core
+
+import (
+	"slices"
+
+	"rbcast/internal/seqset"
+)
+
+// peer is everything this host keeps about one participant j — the
+// paper's per-host arrays MAP_i[j], p_i[j], CLUSTER_i and CHILDREN_i as
+// one record. The participant set is fixed at construction ("hosts know
+// the identities of all participants"), so the records live in
+// Host.table, parallel to the sorted Host.peers. Three invariants hold
+// the design together:
+//
+//   - index order is ascending HostID, and every loop over participants
+//     walks the table in index order — iteration order is never a
+//     choice, so seeded traces are reproducible;
+//   - records are created at one point only, Host.at, on first touch (a
+//     missing record means "nothing known yet", the zero record);
+//   - a HostID outside Host.peers has no index, hence never a record:
+//     HandleMessage drops its frames before any handler runs, and a
+//     non-participant named inside a frame (a gossiped parent pointer)
+//     resolves to nil.
+type peer struct {
+	id    HostID
+	order int // static linear order, Config.Order[id] or int(id)
+
+	// view is MAP_i[j]: this host's view of j's INFO set. It includes
+	// optimistic marks for messages this host sent j that may have been
+	// lost (j's next Info restores the truth); pruning must not rely on
+	// them, so confirmed knowledge is tracked separately.
+	view seqset.Set
+	// confirmed mirrors view but is updated only on evidence received
+	// from j itself (Info, attach requests, data), never on sends. §6
+	// pruning uses it.
+	confirmed seqset.Set
+	// parentView is p_i[j]: j's supposed parent, learned from the routine
+	// parent-pointer exchange. It comes off the wire and may name a
+	// non-participant.
+	parentView HostID
+	// inCluster is j ∈ CLUSTER_i, inferred from cost bits; always set on
+	// the host's own record.
+	inCluster bool
+	// child is j ∈ CHILDREN_i.
+	child bool
+
+	// health is j's liveness record (health.go). It is kept regardless of
+	// Params, but only gates traffic when the backoff fields are set.
+	health peerHealth
+
+	// Delta INFO state, used only under Params.DeltaInfo. Sender side:
+	// lastSent is the full INFO set most recently advertised to j (by
+	// full MsgInfo or by delta chain; empty forces a full set) and
+	// sinceFull counts consecutive deltas since the last full — a resync
+	// counter. Receiver side: infoView reconstructs j's full INFO from
+	// the last full set received plus every delta applied since;
+	// infoSynced marks a view rooted at a received full set (only those
+	// may be promoted to authoritative on a checksum match).
+	lastSent   seqset.Set
+	sinceFull  int
+	infoView   seqset.Set
+	infoSynced bool
+}
+
+// idOf is p's HostID, or Nil for no peer (a nil parent pointer, an idle
+// sync source).
+func idOf(p *peer) HostID {
+	if p == nil {
+		return Nil
+	}
+	return p.id
+}
+
+// index returns j's position in peers, or -1 for a non-participant.
+// Participant IDs are almost always one contiguous range, so the offset
+// from the smallest ID is tried before the binary search.
+func (h *Host) index(j HostID) int {
+	if i := int(j - h.peers[0]); i >= 0 && i < len(h.peers) && h.peers[i] == j {
+		return i
+	}
+	if i, ok := slices.BinarySearch(h.peers, j); ok {
+		return i
+	}
+	return -1
+}
+
+// at returns the record of peers[i]. It is the only place records are
+// created.
+func (h *Host) at(i int) *peer {
+	p := h.table[i]
+	if p == nil {
+		p = &peer{id: h.peers[i], order: h.order[i]}
+		h.table[i] = p
+	}
+	return p
+}
+
+// lookup returns j's record, or nil when j is not a participant.
+func (h *Host) lookup(j HostID) *peer {
+	if i := h.index(j); i >= 0 {
+		return h.at(i)
+	}
+	return nil
+}
+
+// collect lists the participants whose record satisfies keep, in
+// ascending ID order.
+func (h *Host) collect(keep func(*peer) bool) []HostID {
+	var out []HostID
+	for _, p := range h.table {
+		if p != nil && keep(p) {
+			out = append(out, p.id)
+		}
+	}
+	return out
+}

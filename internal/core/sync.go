@@ -49,8 +49,8 @@ type syncReq struct {
 // syncState is the client side of the catch-up layer; nil unless
 // Params.SyncBatch > 0.
 type syncState struct {
-	// source is the peer currently being pulled from; Nil when idle.
-	source HostID
+	// source is the peer currently being pulled from; nil when idle.
+	source *peer
 	// excluded holds sources that went silent mid-transfer and were
 	// failed over; cleared when every candidate is excluded.
 	excluded map[HostID]bool
@@ -62,7 +62,7 @@ type syncState struct {
 	// snapshot being fetched; its length is the resume offset, so a
 	// re-partitioned or restarted transfer continues where it stopped.
 	snapActive   bool
-	snapFrom     HostID
+	snapFrom     *peer
 	snapMark     seqset.Seq
 	snapTotal    uint64
 	snapGot      []byte
@@ -144,7 +144,7 @@ func (h *Host) snapshotMaybe() {
 // when empty — it is authoritative ("this is everything I can give you
 // for this request"), which is what lets the requester retire a request
 // instead of retrying sequence numbers the responder will never have.
-func (h *Host) handleSyncReq(now time.Duration, from HostID, m Message) {
+func (h *Host) handleSyncReq(now time.Duration, from *peer, m Message) {
 	if !h.params.SyncEnabled() {
 		return
 	}
@@ -158,9 +158,7 @@ func (h *Host) handleSyncReq(now time.Duration, from HostID, m Message) {
 		}
 		if payload, ok := h.store[q]; ok {
 			parts = append(parts, Message{Kind: MsgData, Seq: q, Payload: payload, GapFill: true})
-			s := h.maps[from]
-			s.Add(q)
-			h.maps[from] = s
+			from.view.Add(q)
 			served++
 		} else if q <= h.prunedTo || q <= h.snapMark {
 			pruned.Add(q)
@@ -171,7 +169,7 @@ func (h *Host) handleSyncReq(now time.Duration, from HostID, m Message) {
 		}
 		return served < limit
 	})
-	h.emitDirect(from, Message{
+	h.emitDirect(from.id, Message{
 		Kind:     MsgSyncResp,
 		Seq:      m.Seq, // echo the request id
 		Parts:    parts,
@@ -217,7 +215,7 @@ func (h *Host) refreshSnapshotFor(q seqset.Seq) bool {
 // requested byte offset. A request that names a stale watermark (or an
 // offset past the end) restarts the client from offset zero on the
 // current checkpoint.
-func (h *Host) handleSnapReq(now time.Duration, from HostID, m Message) {
+func (h *Host) handleSnapReq(now time.Duration, from *peer, m Message) {
 	if !h.params.SnapshotsEnabled() || h.snapMark == 0 || len(h.snapData) == 0 {
 		return
 	}
@@ -236,7 +234,7 @@ func (h *Host) handleSnapReq(now time.Duration, from HostID, m Message) {
 		if end > total {
 			end = total
 		}
-		h.emitDirect(from, Message{
+		h.emitDirect(from.id, Message{
 			Kind:     MsgSnapChunk,
 			Seq:      seqset.Seq(offset),
 			Payload:  h.snapData[offset:end],
@@ -287,7 +285,7 @@ func (h *Host) requestSnapWindow(now time.Duration, st *syncState) {
 	}
 	st.snapChunks = 0
 	st.snapDeadline = now + h.params.SyncTimeout
-	h.emitDirect(st.snapFrom, Message{
+	h.emitDirect(st.snapFrom.id, Message{
 		Kind:     MsgSnapReq,
 		Seq:      seqset.Seq(len(st.snapGot)),
 		CheckLen: uint64(st.snapMark),
@@ -301,18 +299,18 @@ func (h *Host) requestSnapWindow(now time.Duration, st *syncState) {
 // dropped, and the pump picks the next candidate. Range data already
 // accepted is kept; only the requests are reissued.
 func (h *Host) failoverSync(now time.Duration, st *syncState) {
-	if st.source != Nil {
-		h.event(now, EvSyncFailover, st.source, 0)
+	if st.source != nil {
+		h.event(now, EvSyncFailover, st.source.id, 0)
 		h.syncFailovers++
 		if st.excluded == nil {
 			st.excluded = make(map[HostID]bool)
 		}
-		st.excluded[st.source] = true
+		st.excluded[st.source.id] = true
 	}
-	st.source = Nil
+	st.source = nil
 	st.inflight = nil
 	st.snapActive = false
-	st.snapFrom = Nil
+	st.snapFrom = nil
 	st.snapMark = 0
 	st.snapTotal = 0
 	st.snapGot = nil
@@ -336,7 +334,13 @@ func (h *Host) pumpRanges(now time.Duration, st *syncState) {
 			if now < req.deadline {
 				continue
 			}
-			h.noteProbeFailure(now, st.source)
+			// A request can outlive its source: handleSyncResp rotates a
+			// dead-end source out while other requests are in flight. The
+			// retry goes to whichever source is current, and to nobody
+			// (emitDirect drops Nil) while there is none.
+			if st.source != nil {
+				h.noteProbeFailure(now, st.source)
+			}
 			req.retries++
 			if req.retries > syncMaxRetries {
 				h.failoverSync(now, st)
@@ -348,8 +352,8 @@ func (h *Host) pumpRanges(now time.Duration, st *syncState) {
 				continue
 			}
 			req.deadline = now + h.params.SyncTimeout
-			h.emitDirect(st.source, Message{Kind: MsgSyncReq, Seq: id, Info: outstanding})
-			h.event(now, EvSyncRound, st.source, id)
+			h.emitDirect(idOf(st.source), Message{Kind: MsgSyncReq, Seq: id, Info: outstanding})
+			h.event(now, EvSyncRound, idOf(st.source), id)
 			h.syncRounds++
 		}
 	}
@@ -360,21 +364,21 @@ func (h *Host) pumpRanges(now time.Duration, st *syncState) {
 	// we lack — excluding the pruned floor and anything already in
 	// flight.
 	src := st.source
-	if src == Nil || st.excluded[src] || h.suppressed(now, src) {
+	if src == nil || st.excluded[src.id] || h.suppressed(now, src) {
 		src = h.pickSyncSource(now, st)
-		if src == Nil {
+		if src == nil {
 			// Every candidate excluded or useless: clear the exclusions so
 			// the next pump re-sweeps (the backoff layer, not the exclusion
 			// list, is the long-term gate).
 			st.excluded = nil
-			st.source = Nil
+			st.source = nil
 			return
 		}
 		st.source = src
 	}
 	missing := h.missingFrom(src)
 	if missing.Empty() {
-		st.source = Nil
+		st.source = nil
 		return
 	}
 	var requested seqset.Set
@@ -401,8 +405,8 @@ func (h *Host) pumpRanges(now time.Duration, st *syncState) {
 			st.inflight = make(map[seqset.Seq]*syncReq)
 		}
 		st.inflight[id] = &syncReq{want: want, deadline: now + h.params.SyncTimeout}
-		h.emitDirect(src, Message{Kind: MsgSyncReq, Seq: id, Info: want})
-		h.event(now, EvSyncRound, src, id)
+		h.emitDirect(src.id, Message{Kind: MsgSyncReq, Seq: id, Info: want})
+		h.event(now, EvSyncRound, src.id, id)
 		h.syncRounds++
 	}
 }
@@ -425,9 +429,9 @@ func (h *Host) pumpRanges(now time.Duration, st *syncState) {
 // source choice can wedge on it — missingFrom non-empty keeps the
 // source sticky, while the floor filter keeps the want set empty, so
 // no request is ever issued and no other source is ever tried.
-func (h *Host) missingFrom(j HostID) seqset.Set {
-	missing := h.confirmed[j].Diff(h.info)
-	if min := h.confirmed[j].Min(); min > 0 {
+func (h *Host) missingFrom(j *peer) seqset.Set {
+	missing := j.confirmed.Diff(h.info)
+	if min := j.confirmed.Min(); min > 0 {
 		if lo := h.ownPrefix() + 1; min > lo {
 			missing.AddRange(lo, min-1)
 		}
@@ -439,11 +443,12 @@ func (h *Host) missingFrom(j HostID) seqset.Set {
 // pickSyncSource chooses the peer whose confirmed view has the most we
 // lack, by (missing count, static order, id) — a deterministic choice
 // mirroring attach.go's candidate rule.
-func (h *Host) pickSyncSource(now time.Duration, st *syncState) HostID {
-	var best HostID
+func (h *Host) pickSyncSource(now time.Duration, st *syncState) *peer {
+	var best *peer
 	bestGain := 0
-	for _, j := range h.peers {
-		if j == h.id || st.excluded[j] || h.suppressed(now, j) {
+	for _, j := range h.table {
+		// An untouched record has an empty confirmed view: no gain.
+		if j == nil || j == h.me || st.excluded[j.id] || h.suppressed(now, j) {
 			continue
 		}
 		gain := h.missingFrom(j).Len()
@@ -451,9 +456,9 @@ func (h *Host) pickSyncSource(now time.Duration, st *syncState) HostID {
 			continue
 		}
 		switch {
-		case best == Nil, gain > bestGain,
-			gain == bestGain && h.order[j] > h.order[best],
-			gain == bestGain && h.order[j] == h.order[best] && j > best:
+		case best == nil, gain > bestGain,
+			gain == bestGain && j.order > best.order,
+			gain == bestGain && j.order == best.order && j.id > best.id:
 			best = j
 			bestGain = gain
 		}
@@ -468,7 +473,7 @@ func (h *Host) pickSyncSource(now time.Duration, st *syncState) HostID {
 // its request, so the request is retired whole; sequence numbers the
 // responder could not serve resurface in the next pump round (or are
 // covered by the snapshot the responder's watermark advertises).
-func (h *Host) handleSyncResp(now time.Duration, from HostID, m Message) {
+func (h *Host) handleSyncResp(now time.Duration, from *peer, m Message) {
 	st := h.catchup
 	if st == nil {
 		return
@@ -515,9 +520,9 @@ func (h *Host) handleSyncResp(now time.Duration, from HostID, m Message) {
 		if st.excluded == nil {
 			st.excluded = make(map[HostID]bool)
 		}
-		st.excluded[from] = true
+		st.excluded[from.id] = true
 		if st.source == from {
-			st.source = Nil
+			st.source = nil
 		}
 	}
 }
@@ -539,10 +544,10 @@ func (h *Host) snapshotUseful(mark seqset.Seq) bool {
 // the authority — the same shape as echo.go's quorum relaxation). Under
 // EchoReady the payload still goes through the voting machinery rather
 // than being delivered outright.
-func (h *Host) acceptSyncData(now time.Duration, from HostID, seq seqset.Seq, payload []byte) {
+func (h *Host) acceptSyncData(now time.Duration, from *peer, seq seqset.Seq, payload []byte) {
 	h.learnHas(from, seq)
 	if seq <= h.prunedTo || h.info.Contains(seq) {
-		h.event(now, EvDuplicate, from, seq)
+		h.event(now, EvDuplicate, from.id, seq)
 		return
 	}
 	if h.params.EchoReady {
@@ -552,7 +557,7 @@ func (h *Host) acceptSyncData(now time.Duration, from HostID, seq seqset.Seq, pa
 	h.info.Add(seq)
 	h.store[seq] = append([]byte(nil), payload...)
 	h.env.Deliver(seq, h.store[seq])
-	h.event(now, EvAccepted, from, seq)
+	h.event(now, EvAccepted, from.id, seq)
 }
 
 // handleSnapChunk verifies and appends one snapshot chunk. Only the
@@ -560,7 +565,7 @@ func (h *Host) acceptSyncData(now time.Duration, from HostID, seq seqset.Seq, pa
 // byte offset are accepted — every accepted chunk extends the verified
 // prefix, so a transfer interrupted at any point resumes from
 // len(snapGot) and never restarts from zero.
-func (h *Host) handleSnapChunk(now time.Duration, from HostID, m Message) {
+func (h *Host) handleSnapChunk(now time.Duration, from *peer, m Message) {
 	st := h.catchup
 	if st == nil || !st.snapActive || from != st.snapFrom {
 		return
@@ -582,7 +587,7 @@ func (h *Host) handleSnapChunk(now time.Duration, from HostID, m Message) {
 		// healthy, so no failover.
 		if !h.snapshotUseful(mark) {
 			st.snapActive = false
-			st.snapFrom = Nil
+			st.snapFrom = nil
 			return
 		}
 		st.snapMark = mark
@@ -607,9 +612,9 @@ func (h *Host) handleSnapChunk(now time.Duration, from HostID, m Message) {
 	st.snapRetries = 0
 	st.snapDeadline = now + h.params.SyncTimeout
 	if uint64(len(st.snapGot)) == total {
-		h.installSnapshot(now, from, st.snapMark, st.snapGot)
+		h.installSnapshot(now, from.id, st.snapMark, st.snapGot)
 		st.snapActive = false
-		st.snapFrom = Nil
+		st.snapFrom = nil
 		st.snapMark = 0
 		st.snapTotal = 0
 		st.snapGot = nil

@@ -61,7 +61,7 @@ func ClusterKnowledge(seed int64) (Report, error) {
 		}
 		interData := func() uint64 {
 			res := rt.Result()
-			return res.InterClusterByKind["data"] + res.InterClusterByKind["gapfill"]
+			return res.InterClusterByKind[harness.KindData] + res.InterClusterByKind[harness.KindGapFill]
 		}
 		msgsBy := func(at time.Duration) int {
 			n := 0

@@ -226,7 +226,7 @@ func Partition(seed int64) (Report, error) {
 		}
 		results[proto] = res
 		t.AddRow(proto.String(), res.UnreachableSends,
-			res.UnreachableSendsByKind["data"], res.Complete)
+			res.UnreachableSendsByKind[harness.KindData], res.Complete)
 	}
 	rep.addTable(t)
 	rep.note("cluster 2 (2 hosts) isolated from t=5s to t=25s; messages flow throughout")
@@ -235,9 +235,9 @@ func Partition(seed int64) (Report, error) {
 	rep.expect(len(tree.EventErrors) == 0 && len(basicRes.EventErrors) == 0, "event errors")
 	rep.expect(tree.Complete, "tree did not complete after heal")
 	rep.expect(basicRes.Complete, "basic did not complete after heal")
-	rep.expect(basicRes.UnreachableSendsByKind["data"] > 2*tree.UnreachableSendsByKind["data"],
+	rep.expect(basicRes.UnreachableSendsByKind[harness.KindData] > 2*tree.UnreachableSendsByKind[harness.KindData],
 		"basic wasted data sends (%d) not well above tree's (%d)",
-		basicRes.UnreachableSendsByKind["data"], tree.UnreachableSendsByKind["data"])
+		basicRes.UnreachableSendsByKind[harness.KindData], tree.UnreachableSendsByKind[harness.KindData])
 	return rep, nil
 }
 
@@ -263,7 +263,7 @@ func Congestion(seed int64) (Report, error) {
 			return nil, err
 		}
 		results[proto] = res
-		dissem := res.SourceLinkByKind["data"] + res.SourceLinkByKind["gapfill"] + res.SourceLinkByKind["ack"]
+		dissem := res.SourceLinkByKind[harness.KindData] + res.SourceLinkByKind[harness.KindGapFill] + res.SourceLinkByKind[harness.KindAck]
 		t.AddRow(proto.String(), res.SourceHostLinkTransmissions, dissem,
 			float64(dissem)/float64(res.Messages), res.Complete)
 	}
@@ -273,7 +273,7 @@ func Congestion(seed int64) (Report, error) {
 
 	tree, basicRes := results[harness.ProtocolTree], results[harness.ProtocolBasic]
 	dissem := func(r *harness.Result) uint64 {
-		return r.SourceLinkByKind["data"] + r.SourceLinkByKind["gapfill"] + r.SourceLinkByKind["ack"]
+		return r.SourceLinkByKind[harness.KindData] + r.SourceLinkByKind[harness.KindGapFill] + r.SourceLinkByKind[harness.KindAck]
 	}
 	rep.expect(tree.Complete && basicRes.Complete, "incomplete runs")
 	rep.expect(tree.SourceHostLinkTransmissions < basicRes.SourceHostLinkTransmissions,
@@ -318,7 +318,7 @@ func ControlOverhead(seed int64) (Report, error) {
 			if proto == harness.ProtocolTree {
 				treeControl = res.ControlSends()
 			} else {
-				acks = res.SendsByKind["ack"]
+				acks = res.SendsByKind[harness.KindAck]
 			}
 		}
 		treeControls = append(treeControls, float64(treeControl))

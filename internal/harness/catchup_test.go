@@ -159,8 +159,8 @@ func TestCatchupZeroKnobsInert(t *testing.T) {
 		t.Errorf("catch-up layer active with zero knobs: bytes=%d rounds=%d installs=%d",
 			res.CatchupWireBytes, res.SyncRounds, res.SnapInstalls)
 	}
-	for _, kind := range []string{"sync-req", "sync-resp", "snap-req", "snap-chunk"} {
-		if n := res.SendsByKind[kind]; n != 0 {
+	for _, kind := range []core.MsgKind{core.MsgSyncReq, core.MsgSyncResp, core.MsgSnapReq, core.MsgSnapChunk} {
+		if n := res.SendsByKind[harness.SendKind(kind)]; n != 0 {
 			t.Errorf("sends[%s] = %d, want 0", kind, n)
 		}
 	}

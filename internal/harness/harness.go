@@ -7,7 +7,6 @@ package harness
 
 import (
 	"fmt"
-	"hash/fnv"
 	"time"
 
 	"rbcast/internal/adversary"
@@ -187,10 +186,10 @@ type Runtime struct {
 // writes only its own accumulator; Result fields derive from a
 // deterministic lane-order merge.
 type laneAcc struct {
-	sendsByKind             map[string]uint64
-	interClusterByKind      map[string]uint64
-	unreachableSendsByKind  map[string]uint64
-	sourceLinkByKind        map[string]uint64
+	sendsByKind             KindCounts
+	interClusterByKind      KindCounts
+	unreachableSendsByKind  KindCounts
+	sourceLinkByKind        KindCounts
 	logicalSends            uint64
 	unreachableSends        uint64
 	wireBytes               uint64
@@ -211,15 +210,6 @@ type laneAcc struct {
 	snapshotDeliveries  int
 	sendErrors          int
 	events              []core.Event
-}
-
-func newLaneAcc() laneAcc {
-	return laneAcc{
-		sendsByKind:            make(map[string]uint64),
-		interClusterByKind:     make(map[string]uint64),
-		unreachableSendsByKind: make(map[string]uint64),
-		sourceLinkByKind:       make(map[string]uint64),
-	}
 }
 
 // laneOf reports the lane executing host id's protocol code.
@@ -283,9 +273,6 @@ func Prepare(s Scenario) (*Runtime, error) {
 		result:   newResult(s, tp),
 	}
 	rt.acc = make([]laneAcc, tp.Net.Lanes())
-	for i := range rt.acc {
-		rt.acc[i] = newLaneAcc()
-	}
 	if len(rt.acc) > 1 {
 		// Pre-populate the per-host delivery maps: lane events then only
 		// read the outer maps and write their own hosts' inner maps, so
@@ -433,7 +420,7 @@ func (rt *Runtime) instrument() {
 	}
 	rt.Net.OnLinkTransmit = func(lane int, _ netsim.LinkID, class netsim.LinkClass, env netsim.Envelope) {
 		kind := classify(env.Payload)
-		if kind == kindData || kind == kindGapFill {
+		if kind == KindData || kind == KindGapFill {
 			a := &rt.acc[lane]
 			a.dataLinkTraversals++
 			if class == netsim.Expensive {
@@ -467,7 +454,7 @@ func (rt *Runtime) BroadcastNow(payload []byte) error {
 	}
 	rt.broadcasting = false
 	rt.result.BroadcastAt[seq] = now
-	rt.result.BroadcastDigest[seq] = fnvDigest(payload)
+	rt.result.BroadcastDigest[seq] = core.PayloadDigest(payload)
 	rt.result.ManualMessages++
 	rt.result.ExpectedCount += rt.result.Hosts
 	rt.result.DeliveredCount = rt.deliveredTotal()
@@ -475,33 +462,56 @@ func (rt *Runtime) BroadcastNow(payload []byte) error {
 	return nil
 }
 
-// Send-kind labels. Data and gap fills are separated because the paper's
-// cost accounting distinguishes first-delivery traffic from redelivery.
+// SendKind indexes the per-kind send counters. A tree-protocol message
+// of kind k counts at SendKind(k) — KindData meaning first-delivery data
+// only: gap fills are separated because the paper's cost accounting
+// distinguishes first-delivery traffic from redelivery. The basic
+// algorithm's data counts as KindData, its acks as KindAck; KindOther
+// takes any other payload.
+type SendKind int
+
 const (
-	kindData    = "data"
-	kindGapFill = "gapfill"
-	kindAck     = "ack"
-	kindOther   = "other"
+	KindOther   SendKind = 0
+	KindData             = SendKind(core.MsgData)
+	KindGapFill          = SendKind(core.MsgSnapChunk) + 1
+	KindAck              = KindGapFill + 1
+
+	numSendKinds = int(KindAck) + 1
 )
 
-func classify(payload any) string {
+// KindCounts is one counter per SendKind.
+type KindCounts [numSendKinds]uint64
+
+// String is the kind's label in Summary and the experiment tables.
+func (k SendKind) String() string {
+	switch k {
+	case KindOther:
+		return "other"
+	case KindGapFill:
+		return "gapfill"
+	case KindAck:
+		return "ack"
+	default:
+		return core.MsgKind(k).String()
+	}
+}
+
+func classify(payload any) SendKind {
 	switch m := payload.(type) {
 	case core.Message:
-		if m.Kind == core.MsgData {
-			if m.GapFill {
-				return kindGapFill
-			}
-			return kindData
+		switch {
+		case m.Kind == core.MsgData && m.GapFill:
+			return KindGapFill
+		case m.Kind >= core.MsgData && m.Kind <= core.MsgSnapChunk:
+			return SendKind(m.Kind)
 		}
-		return m.Kind.String()
 	case basic.Message:
 		if m.Kind == basic.KindData {
-			return kindData
+			return KindData
 		}
-		return kindAck
-	default:
-		return kindOther
+		return KindAck
 	}
+	return KindOther
 }
 
 // infoWireBytes prices the INFO-channel content of one protocol message:
@@ -771,7 +781,7 @@ func (rt *Runtime) scheduleWorkload() {
 			}
 			rt.broadcasting = false
 			rt.result.BroadcastAt[seq] = now
-			rt.result.BroadcastDigest[seq] = fnvDigest(payload)
+			rt.result.BroadcastDigest[seq] = core.PayloadDigest(payload)
 		})
 	}
 }
@@ -795,7 +805,7 @@ func (rt *Runtime) record(lane int, id core.HostID, seq seqset.Seq, payload []by
 		dig = make(map[seqset.Seq]uint64)
 		res.DeliveredDigest[id] = dig
 	}
-	dig[seq] = fnvDigest(payload)
+	dig[seq] = core.PayloadDigest(payload)
 	sent, known := res.BroadcastAt[seq]
 	if !known {
 		if !rt.broadcasting {
@@ -815,12 +825,4 @@ func (rt *Runtime) record(lane int, id core.HostID, seq seqset.Seq, payload []by
 	a.deliveredCount++
 	a.deliveryTimes = append(a.deliveryTimes, now)
 	a.delays.Add(now - sent)
-}
-
-// fnvDigest mirrors the echo/ready payload fingerprint in internal/core,
-// so the harness's agreement checks compare the same value hosts vote on.
-func fnvDigest(p []byte) uint64 {
-	h := fnv.New64a()
-	h.Write(p)
-	return h.Sum64()
 }

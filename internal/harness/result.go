@@ -57,19 +57,18 @@ type Result struct {
 	// toward DeliveredCount or completion.
 	ForeignDeliveries int
 
-	// SendsByKind counts host-level sends per message kind ("data",
-	// "gapfill", "info", "attach-req", "attach-accept", "attach-reject",
-	// "detach", "ack").
-	SendsByKind map[string]uint64
+	// SendsByKind counts host-level sends per message kind (KindData,
+	// KindGapFill, SendKind(core.MsgInfo), …, KindAck).
+	SendsByKind KindCounts
 	// InterClusterByKind restricts SendsByKind to sends crossing true
 	// cluster boundaries — the paper's §5 cost metric.
-	InterClusterByKind map[string]uint64
+	InterClusterByKind KindCounts
 
 	// UnreachableSends counts host-level sends made while no path to the
 	// destination existed — traffic wasted into a partition.
 	UnreachableSends uint64
 	// UnreachableSendsByKind breaks UnreachableSends down by kind.
-	UnreachableSendsByKind map[string]uint64
+	UnreachableSendsByKind KindCounts
 	// DataLinkTraversals counts server-link traversals of data and
 	// gap-fill messages (Figure 3.1's link-cost metric).
 	DataLinkTraversals uint64
@@ -98,7 +97,7 @@ type Result struct {
 	SourceHostLinkTransmissions uint64
 	// SourceLinkByKind breaks the source access-link traffic down by
 	// message kind (both directions).
-	SourceLinkByKind map[string]uint64
+	SourceLinkByKind KindCounts
 
 	// SyncRounds totals catch-up range requests issued across hosts.
 	SyncRounds uint64
@@ -157,18 +156,14 @@ func newResult(s Scenario, tp *topo.Topology) *Result {
 		HostList: hostList,
 		// A run that expects nothing is trivially complete; BroadcastNow
 		// revokes this when it raises the expectation.
-		Complete:               s.Messages == 0,
-		Clusters:               len(tp.HostsByCluster),
-		Messages:               s.Messages,
-		BroadcastAt:            make(map[seqset.Seq]time.Duration),
-		BroadcastDigest:        make(map[seqset.Seq]uint64),
-		DeliveredAt:            make(map[core.HostID]map[seqset.Seq]time.Duration),
-		DeliveredDigest:        make(map[core.HostID]map[seqset.Seq]uint64),
-		ExpectedCount:          len(tp.Hosts) * s.Messages,
-		SendsByKind:            make(map[string]uint64),
-		InterClusterByKind:     make(map[string]uint64),
-		UnreachableSendsByKind: make(map[string]uint64),
-		SourceLinkByKind:       make(map[string]uint64),
+		Complete:        s.Messages == 0,
+		Clusters:        len(tp.HostsByCluster),
+		Messages:        s.Messages,
+		BroadcastAt:     make(map[seqset.Seq]time.Duration),
+		BroadcastDigest: make(map[seqset.Seq]uint64),
+		DeliveredAt:     make(map[core.HostID]map[seqset.Seq]time.Duration),
+		DeliveredDigest: make(map[core.HostID]map[seqset.Seq]uint64),
+		ExpectedCount:   len(tp.Hosts) * s.Messages,
 	}
 }
 
@@ -179,10 +174,8 @@ func newResult(s Scenario, tp *topo.Topology) *Result {
 // timing. Parked contexts only.
 func (rt *Runtime) merge() {
 	res := rt.result
-	res.SendsByKind = make(map[string]uint64)
-	res.InterClusterByKind = make(map[string]uint64)
-	res.UnreachableSendsByKind = make(map[string]uint64)
-	res.SourceLinkByKind = make(map[string]uint64)
+	res.SendsByKind, res.InterClusterByKind = KindCounts{}, KindCounts{}
+	res.UnreachableSendsByKind, res.SourceLinkByKind = KindCounts{}, KindCounts{}
 	res.LogicalSends, res.UnreachableSends = 0, 0
 	res.WireBytes, res.CatchupWireBytes, res.InfoWireBytes = 0, 0, 0
 	res.DataLinkTraversals, res.DataExpensiveTraversals = 0, 0
@@ -194,17 +187,11 @@ func (rt *Runtime) merge() {
 	var events []core.Event
 	for i := range rt.acc {
 		a := &rt.acc[i]
-		for k, v := range a.sendsByKind {
-			res.SendsByKind[k] += v
-		}
-		for k, v := range a.interClusterByKind {
-			res.InterClusterByKind[k] += v
-		}
-		for k, v := range a.unreachableSendsByKind {
-			res.UnreachableSendsByKind[k] += v
-		}
-		for k, v := range a.sourceLinkByKind {
-			res.SourceLinkByKind[k] += v
+		for k := range res.SendsByKind {
+			res.SendsByKind[k] += a.sendsByKind[k]
+			res.InterClusterByKind[k] += a.interClusterByKind[k]
+			res.UnreachableSendsByKind[k] += a.unreachableSendsByKind[k]
+			res.SourceLinkByKind[k] += a.sourceLinkByKind[k]
 		}
 		res.LogicalSends += a.logicalSends
 		res.UnreachableSends += a.unreachableSends
@@ -270,40 +257,29 @@ func (rt *Runtime) finalize() {
 }
 
 // InterClusterData returns inter-cluster first-delivery data sends.
-func (r *Result) InterClusterData() uint64 { return r.InterClusterByKind[kindData] }
+func (r *Result) InterClusterData() uint64 { return r.InterClusterByKind[KindData] }
 
-// InterClusterControl returns inter-cluster sends that are not plain
-// data (control messages plus gap-fill redeliveries are reported
-// separately by kind; this sums everything but "data").
-func (r *Result) InterClusterControl() uint64 {
+// total sums the counters of every kind; control leaves out first
+// deliveries and gap-fill redeliveries.
+func (c KindCounts) total() uint64 {
 	var sum uint64
-	for kind, n := range r.InterClusterByKind {
-		if kind != kindData && kind != kindGapFill {
-			sum += n
-		}
-	}
-	return sum
-}
-
-// TotalSends sums all host-level sends.
-func (r *Result) TotalSends() uint64 {
-	var sum uint64
-	for _, n := range r.SendsByKind {
+	for _, n := range c {
 		sum += n
 	}
 	return sum
 }
 
+func (c KindCounts) control() uint64 { return c.total() - c[KindData] - c[KindGapFill] }
+
+// InterClusterControl returns the inter-cluster sends that carry no data
+// (plain data and gap-fill redeliveries are reported by kind).
+func (r *Result) InterClusterControl() uint64 { return r.InterClusterByKind.control() }
+
+// TotalSends sums all host-level sends.
+func (r *Result) TotalSends() uint64 { return r.SendsByKind.total() }
+
 // ControlSends sums non-data, non-gapfill host-level sends.
-func (r *Result) ControlSends() uint64 {
-	var sum uint64
-	for kind, n := range r.SendsByKind {
-		if kind != kindData && kind != kindGapFill {
-			sum += n
-		}
-	}
-	return sum
-}
+func (r *Result) ControlSends() uint64 { return r.SendsByKind.control() }
 
 // TotalMessages counts scheduled plus manually injected broadcasts.
 func (r *Result) TotalMessages() int { return r.Messages + r.ManualMessages }
@@ -315,7 +291,7 @@ func (r *Result) InterClusterDataPerMessage() float64 {
 	if r.TotalMessages() == 0 {
 		return 0
 	}
-	return float64(r.InterClusterByKind[kindData]+r.InterClusterByKind[kindGapFill]) /
+	return float64(r.InterClusterByKind[KindData]+r.InterClusterByKind[KindGapFill]) /
 		float64(r.TotalMessages())
 }
 
@@ -378,13 +354,16 @@ func (r *Result) Summary() string {
 		t.AddRow("snapshot deliveries", r.SnapshotDeliveries)
 		t.AddRow("catch-up wire bytes", r.CatchupWireBytes)
 	}
-	kinds := make([]string, 0, len(r.SendsByKind))
-	for k := range r.SendsByKind {
-		kinds = append(kinds, k)
+	// One row per kind that was sent, in label order.
+	var kinds []SendKind
+	for k, n := range r.SendsByKind {
+		if n > 0 {
+			kinds = append(kinds, SendKind(k))
+		}
 	}
-	sort.Strings(kinds)
+	sort.Slice(kinds, func(i, j int) bool { return kinds[i].String() < kinds[j].String() })
 	for _, k := range kinds {
-		t.AddRow("sends["+k+"]", r.SendsByKind[k])
+		t.AddRow("sends["+k.String()+"]", r.SendsByKind[k])
 	}
 	return t.String()
 }

@@ -137,3 +137,102 @@ func TestRawGarbageIgnored(t *testing.T) {
 		t.Fatal("broadcast failed after garbage datagrams")
 	}
 }
+
+// forgedInfo is a routine-looking INFO frame claiming to come from a
+// host outside the participant set and naming the victim as its parent
+// — over UDP, From is whatever the datagram says.
+func forgedInfo(from, victim core.HostID) wire.Frame {
+	return wire.Frame{From: from, Message: core.Message{
+		Kind: core.MsgInfo, Info: seqset.FromRange(1, 3), Parent: victim,
+	}}
+}
+
+// expectNoOutsiderState fails the test if the node's host holds anything
+// about IDs at or above 1000 (none of which participate in these tests).
+func expectNoOutsiderState(t *testing.T, n *udp.Node, forged int) {
+	t.Helper()
+	var children, members, records int
+	if err := n.Inspect(func(h *core.Host) {
+		for _, c := range h.Children() {
+			if c >= 1000 {
+				children++
+			}
+		}
+		for _, c := range h.Cluster() {
+			if c >= 1000 {
+				members++
+			}
+		}
+		for j := core.HostID(1000); j < core.HostID(1000+forged); j++ {
+			if h.PeerHealthOf(j).EverHeard || !h.MapOf(j).Empty() || h.ParentView(j) != core.Nil {
+				records++
+			}
+		}
+	}); err != nil {
+		t.Fatal(err)
+	}
+	if children+members+records != 0 {
+		t.Errorf("forged senders left state behind: %d children, %d cluster members, %d peer records",
+			children, members, records)
+	}
+}
+
+// TestForgedSenderIgnored: datagrams whose From names no participant are
+// received and decoded, and then change nothing — the host adopts no
+// child, admits no cluster member, keeps no record — and the group still
+// converges with such traffic in flight.
+func TestForgedSenderIgnored(t *testing.T) {
+	const forged = 50
+
+	// A lone node (its one peer is a phantom that never talks), so the
+	// received counter counts the forged datagrams exactly.
+	conn, err := net.ListenUDP("udp", &net.UDPAddr{IP: net.IPv4(127, 0, 0, 1)})
+	if err != nil {
+		t.Fatal(err)
+	}
+	lone, err := udp.StartNode(udp.NodeConfig{
+		ID:     1,
+		Source: 1,
+		Peers:  map[core.HostID]string{1: conn.LocalAddr().String(), 2: "127.0.0.1:1"},
+		Params: udp.DefaultNodeParams(),
+		Conn:   conn,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer lone.Stop()
+	for i := 0; i < forged; i++ {
+		sendRaw(t, lone.Addr(), time.Now(), forgedInfo(core.HostID(1000+i), 1))
+	}
+	deadline := time.Now().Add(5 * time.Second)
+	for {
+		_, received, decodeErrs, _ := lone.Stats()
+		if received == forged && decodeErrs == 0 {
+			break
+		}
+		if time.Now().After(deadline) {
+			t.Fatalf("received %d of %d forged datagrams (%d decode errors)", received, forged, decodeErrs)
+		}
+		time.Sleep(5 * time.Millisecond)
+	}
+	expectNoOutsiderState(t, lone, forged)
+
+	// A live group, forged frames interleaved with its own traffic.
+	g, err := udp.StartGroup(3, core.Params{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer g.Stop()
+	victim := g.Nodes[2]
+	for i := 0; i < forged; i++ {
+		sendRaw(t, victim.Addr(), time.Now(), forgedInfo(core.HostID(1000+i), 2))
+	}
+	seq, err := g.Broadcast([]byte("despite the forgeries"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !g.WaitAll(seq, waitBudget) {
+		t.Fatal("group did not converge with forged-sender traffic in flight")
+	}
+	expectNoOutsiderState(t, victim, forged)
+}

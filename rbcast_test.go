@@ -36,7 +36,7 @@ func TestSimulateBasicAlgorithm(t *testing.T) {
 	if !res.Complete {
 		t.Fatal("basic simulation incomplete")
 	}
-	if res.SendsByKind["ack"] == 0 {
+	if res.SendsByKind[rbcast.SendAck] == 0 {
 		t.Error("basic run recorded no acks")
 	}
 }

@@ -78,6 +78,20 @@ type PartitionSpec struct {
 // InterClusterDataPerMessage — all available through this alias.
 type Result = harness.Result
 
+// SendKind indexes Result's per-kind send counters (SendsByKind,
+// InterClusterByKind, UnreachableSendsByKind, SourceLinkByKind): a
+// protocol message of kind k counts at SendKind(k), with gap-fill
+// redeliveries, the basic algorithm's acks and foreign payloads apart.
+type SendKind = harness.SendKind
+
+// The send kinds that are not plain MsgKind values.
+const (
+	SendData    = harness.KindData // first-delivery data only
+	SendGapFill = harness.KindGapFill
+	SendAck     = harness.KindAck
+	SendOther   = harness.KindOther
+)
+
 // Simulate runs one deterministic broadcast simulation and returns its
 // measurements.
 func Simulate(cfg SimulationConfig) (*Result, error) {
