@@ -147,10 +147,14 @@ bench-repo:
 	$(GO) run ./benchmarks
 
 # bench-repo-smoke is the CI-sized check of the same program: three
-# seconds of the 512-host control-plane workload, untraced. It fails
-# unless the run's closing JSON line reports "correct":true.
+# seconds each of the 512-host control-plane workload and of the
+# 10 000-broadcast data-plane one, untraced. The second checks every
+# delivery's payload digest and the exact delivery count, so the store
+# and recording path are self-checked on every pull request. It fails
+# unless each run's closing JSON line reports "correct":true.
 bench-repo-smoke:
 	$(GO) run ./benchmarks -workload sim-wide-seq -seed 1 -seconds 3 -trace 0 | tail -n 1 | grep -q '"correct":true'
+	$(GO) run ./benchmarks -workload sim-stream -seed 1 -seconds 3 -trace 0 | tail -n 1 | grep -q '"correct":true'
 
 # fuzz gives each fuzz target a short budget; raise -fuzztime for real
 # campaigns.
@@ -159,6 +163,7 @@ fuzz:
 	$(GO) test -run=^$$ -fuzz=FuzzDecodeEnvelope -fuzztime=$(FUZZTIME) ./internal/live/
 	$(GO) test -run=^$$ -fuzz=FuzzDecode -fuzztime=$(FUZZTIME) ./internal/wire/
 	$(GO) test -run=^$$ -fuzz=FuzzEngineOrder -fuzztime=$(FUZZTIME) ./internal/sim/
+	$(GO) test -run=^$$ -fuzz=FuzzWindow -fuzztime=$(FUZZTIME) ./internal/seqset/
 
 # fuzz-smoke is the CI-sized fuzz budget: long enough to shake out
 # shallow decoder and event-order regressions, short enough for every

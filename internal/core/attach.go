@@ -308,7 +308,7 @@ func (h *Host) handleAttachReq(now time.Duration, from *peer, m Message) {
 	missing := h.info.Diff(m.Info)
 	sent := 0
 	missing.Each(func(q seqset.Seq) bool {
-		payload, ok := h.store[q]
+		payload, ok := h.store.Get(q)
 		if !ok {
 			return true
 		}

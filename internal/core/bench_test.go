@@ -86,6 +86,32 @@ func BenchmarkHandleDuplicateData(b *testing.B) {
 	})
 }
 
+// BenchmarkHandleDataStream is the store layer's own number: one host
+// takes a 10 000-message stream from its parent in order, except that
+// every twentieth message is skipped and arrives 40 later as a gap fill,
+// so the store sees appends at the top and writes below it, and INFO a
+// steady trickle of runs opening and closing. One op is one message.
+func BenchmarkHandleDataStream(b *testing.B) {
+	const stream = 10_000
+	payload := make([]byte, 256)
+	b.ReportAllocs()
+	for done := 0; done < b.N; {
+		b.StopTimer()
+		h := attachedHost(b, 16)
+		b.StartTimer()
+		for q := seqset.Seq(2); q <= stream+1 && done < b.N; q++ {
+			if q%20 != 0 {
+				h.HandleMessage(0, 3, true, core.Message{Kind: core.MsgData, Seq: q, Payload: payload})
+				done++
+			}
+			if late := q - 40; q > 40 && late%20 == 0 {
+				h.HandleMessage(0, 3, true, core.Message{Kind: core.MsgData, Seq: late, Payload: payload, GapFill: true})
+				done++
+			}
+		}
+	}
+}
+
 // routineInfo is a periodic INFO frame with a realistic (mostly
 // contiguous) set.
 func routineInfo() core.Message {

@@ -2,7 +2,6 @@ package core
 
 import (
 	"hash/fnv"
-	"slices"
 	"time"
 
 	"rbcast/internal/seqset"
@@ -77,7 +76,7 @@ type echoState struct {
 
 // echoSt returns (creating on demand) the voting state for seq.
 func (h *Host) echoSt(seq seqset.Seq) *echoState {
-	st, ok := h.echo[seq]
+	st, ok := h.echo.Get(seq)
 	if !ok {
 		st = &echoState{
 			echoes:    make(map[uint64]map[HostID]bool),
@@ -85,7 +84,7 @@ func (h *Host) echoSt(seq seqset.Seq) *echoState {
 			echoFrom:  make(map[HostID]uint64),
 			readyFrom: make(map[HostID]uint64),
 		}
-		h.echo[seq] = st
+		h.echo.Put(seq, st)
 	}
 	return st
 }
@@ -228,9 +227,10 @@ func (h *Host) maybeDeliver(now time.Duration, from HostID, seq seqset.Seq, d ui
 // fills.
 func (h *Host) acceptCertified(now time.Duration, from HostID, seq seqset.Seq, st *echoState) {
 	h.info.Add(seq)
-	h.store[seq] = st.payload
+	stored := st.payload
 	st.payload = nil
-	h.env.Deliver(seq, h.store[seq])
+	h.store.Put(seq, stored)
+	h.env.Deliver(seq, stored)
 	h.event(now, EvAccepted, from, seq)
 }
 
@@ -320,33 +320,16 @@ func (h *Host) handleReady(now time.Duration, from *peer, m Message) {
 // re-advertisement a lossy burst could leave a quorum permanently one
 // vote short.
 func (h *Host) resendEchoMeta() {
-	if len(h.echo) == 0 {
-		return
-	}
-	pending := make([]seqset.Seq, 0, len(h.echo))
-	for q := range h.echo {
-		if q > h.prunedTo && !h.info.Contains(q) {
-			pending = append(pending, q)
+	h.echo.Each(func(q seqset.Seq, st *echoState) bool {
+		if q <= h.prunedTo || h.info.Contains(q) {
+			return true
 		}
-	}
-	slices.Sort(pending)
-	for _, q := range pending {
-		st := h.echo[q]
 		if st.echoed {
 			h.broadcastMeta(MsgEcho, q, st.echoFrom[h.id])
 		}
 		if st.readySent {
 			h.broadcastMeta(MsgReady, q, st.readyFrom[h.id])
 		}
-	}
-}
-
-// pruneEchoStates drops voting state for pruned sequence numbers; they
-// are globally held, so no straggler can still need the votes.
-func (h *Host) pruneEchoStates() {
-	for q := range h.echo {
-		if q <= h.prunedTo {
-			delete(h.echo, q)
-		}
-	}
+		return true
+	})
 }

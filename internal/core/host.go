@@ -35,15 +35,15 @@ type Host struct {
 	// even though info no longer contains it.
 	prunedTo seqset.Seq
 	// store holds message payloads for redelivery (the paper's
-	// non-volatile storage).
-	store map[seqset.Seq][]byte
+	// non-volatile storage), indexed densely above prunedTo.
+	store seqset.Window[[]byte]
 	// parent is p_i[i]; nil when the host has no parent.
 	parent *peer
 
 	// echo tracks per-sequence echo/ready voting under Params.EchoReady
-	// (nil otherwise); equivocations counts conflicting-vote
+	// (empty otherwise); equivocations counts conflicting-vote
 	// observations. See echo.go.
-	echo          map[seqset.Seq]*echoState
+	echo          seqset.Window[*echoState]
 	equivocations uint64
 
 	// catchup is the client side of the catch-up sync layer (sync.go);
@@ -141,7 +141,6 @@ func NewHost(cfg Config, env Env) (*Host, error) {
 		params:     cfg.Params,
 		env:        env,
 		observer:   cfg.Observer,
-		store:      make(map[seqset.Seq][]byte),
 		nextSeq:    1,
 		jitterSeed: cfg.JitterSeed,
 	}
@@ -151,9 +150,6 @@ func NewHost(cfg Config, env Env) (*Host, error) {
 		for _, j := range cfg.InitialCluster {
 			h.lookup(j).inCluster = true
 		}
-	}
-	if cfg.Params.EchoReady {
-		h.echo = make(map[seqset.Seq]*echoState)
 	}
 	if cfg.Params.SyncEnabled() {
 		h.catchup = &syncState{}
@@ -247,15 +243,16 @@ func (h *Host) Broadcast(now time.Duration, payload []byte) seqset.Seq {
 	seq := h.nextSeq
 	h.nextSeq++
 	h.info.Add(seq)
-	h.store[seq] = append([]byte(nil), payload...)
-	h.env.Deliver(seq, h.store[seq])
+	stored := append([]byte(nil), payload...)
+	h.store.Put(seq, stored)
+	h.env.Deliver(seq, stored)
 	h.event(now, EvAccepted, h.id, seq)
-	h.forwardData(nil, seq, h.store[seq], true)
+	h.forwardData(nil, seq, stored, true)
 	if h.params.EchoReady {
 		// The source's own votes: it delivered the real payload, so both
 		// its echo and its ready are legitimate immediately and seed the
 		// quorums everyone else needs.
-		d := PayloadDigest(h.store[seq])
+		d := PayloadDigest(stored)
 		st := h.echoSt(seq)
 		st.digest = d
 		st.havePayload = true
@@ -464,10 +461,11 @@ func (h *Host) handleData(now time.Duration, from *peer, m Message) {
 		return
 	}
 	h.info.Add(m.Seq)
-	h.store[m.Seq] = append([]byte(nil), m.Payload...)
-	h.env.Deliver(m.Seq, h.store[m.Seq])
+	stored := append([]byte(nil), m.Payload...)
+	h.store.Put(m.Seq, stored)
+	h.env.Deliver(m.Seq, stored)
 	h.event(now, EvAccepted, from.id, m.Seq)
-	h.forwardData(from, m.Seq, h.store[m.Seq], newMax && !m.GapFill)
+	h.forwardData(from, m.Seq, stored, newMax && !m.GapFill)
 }
 
 // forwardData relays a data payload to everyone but from (nil at the
@@ -665,9 +663,6 @@ func (h *Host) Tick(now time.Duration) {
 	h.snapshotMaybe()
 	if h.params.PruneStable {
 		h.pruneStable()
-		if h.params.EchoReady {
-			h.pruneEchoStates()
-		}
 	}
 }
 
@@ -783,7 +778,7 @@ func (h *Host) fillGapsOf(j *peer) int {
 		if !isChild && q > theirMax {
 			return false // ascending iteration: nothing later qualifies
 		}
-		payload, ok := h.store[q]
+		payload, ok := h.store.Get(q)
 		if !ok {
 			return true // pruned; skip
 		}
@@ -822,8 +817,9 @@ func (h *Host) gapFillGlobal(now time.Duration) {
 }
 
 // pruneStable implements §6 pruning: sequence numbers 1..p that every
-// participant is known (via MAP) to hold are dropped from INFO and the
-// store. Unknown hosts (empty or untouched records) hold the prefix at zero, so
+// participant is known (via MAP) to hold are dropped from INFO, the
+// store and the echo/ready voting state. Unknown hosts (empty or
+// untouched records) hold the prefix at zero, so
 // pruning is conservative — unless this host holds a checkpoint, which
 // liberates the floor: any prefix the checkpoint covers can be healed by
 // snapshot transfer instead of per-message redelivery, so the all-hold
@@ -857,11 +853,10 @@ func (h *Host) pruneStable() {
 	}
 	h.info.Prune(p - 1) // keep p itself so Max stays meaningful even if alone
 	h.prunedTo = p - 1
-	for q := range h.store {
-		if q < p {
-			delete(h.store, q)
-		}
-	}
+	h.store.Release(h.prunedTo)
+	// Voting state goes with the payloads: pruned sequence numbers are
+	// globally held, so no straggler can still need the votes.
+	h.echo.Release(h.prunedTo)
 }
 
 // contiguousPrefix returns the largest p such that 1..p are all members.

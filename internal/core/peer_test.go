@@ -89,8 +89,8 @@ func TestForeignSenderTouchesNothing(t *testing.T) {
 	if !h.Info().Empty() || h.Parent() != Nil || h.attach.inProgress {
 		t.Errorf("host state moved: INFO %v, parent %d, attaching %v", h.Info(), h.Parent(), h.attach.inProgress)
 	}
-	if len(h.echo) != 0 {
-		t.Errorf("%d echo/ready voting rounds opened by outsiders", len(h.echo))
+	if h.echo.Len() != 0 {
+		t.Errorf("%d echo/ready voting rounds opened by outsiders", h.echo.Len())
 	}
 	if len(env.sent) != 0 || env.delivered != 0 {
 		t.Errorf("outsiders provoked %d sends and %d deliveries", len(env.sent), env.delivered)

@@ -156,7 +156,7 @@ func (h *Host) handleSyncReq(now time.Duration, from *peer, m Message) {
 		if q == 0 {
 			return true
 		}
-		if payload, ok := h.store[q]; ok {
+		if payload, ok := h.store.Get(q); ok {
 			parts = append(parts, Message{Kind: MsgData, Seq: q, Payload: payload, GapFill: true})
 			from.view.Add(q)
 			served++
@@ -555,8 +555,9 @@ func (h *Host) acceptSyncData(now time.Duration, from *peer, seq seqset.Seq, pay
 		return
 	}
 	h.info.Add(seq)
-	h.store[seq] = append([]byte(nil), payload...)
-	h.env.Deliver(seq, h.store[seq])
+	stored := append([]byte(nil), payload...)
+	h.store.Put(seq, stored)
+	h.env.Deliver(seq, stored)
 	h.event(now, EvAccepted, from.id, seq)
 }
 

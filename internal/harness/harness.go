@@ -6,6 +6,7 @@
 package harness
 
 import (
+	"bytes"
 	"fmt"
 	"time"
 
@@ -172,14 +173,40 @@ type Runtime struct {
 	// order from parked contexts. The epoch-job channel handoff inside
 	// sim.Sharded is the happens-before edge making that safe.
 	acc []laneAcc
+	// sent records every broadcast by sequence number. It is written from
+	// parked contexts only (broadcast), so lane events read it freely;
+	// merge exports it as Result.BroadcastAt/BroadcastDigest.
+	sent         seqset.Window[broadcastRec]
+	sentExported int
 	// broadcasting is true while a Broadcast call is on the stack: the
 	// source delivers to itself synchronously, before the caller can
-	// register the new sequence number in BroadcastAt, and record must
-	// not mistake that self-delivery for an adversary-fabricated frame.
-	// Broadcast is only ever invoked from parked contexts (the global
-	// queue or test code between runs), so no lane event can observe the
-	// flag mid-flight.
-	broadcasting bool
+	// register the new sequence number in sent, and record must not
+	// mistake that self-delivery for an adversary-fabricated frame.
+	// selfDelivered is the payload of that self-delivery — the source's
+	// stored copy, which nothing mutates afterwards. Broadcast is only
+	// ever invoked from parked contexts (the global queue or test code
+	// between runs), so no lane event can observe either mid-flight.
+	broadcasting  bool
+	selfDelivered []byte
+	// tap, when set, sees every Deliver (coverage false) and every
+	// snapshot install (coverage true, seq the watermark) before the
+	// recorder does. Tests feed a reference recorder from it.
+	tap func(lane int, id core.HostID, seq seqset.Seq, payload []byte, coverage bool)
+}
+
+// broadcastRec is what the harness keeps of one broadcast: when, the
+// payload's digest, and the payload itself so record can recognize an
+// unaltered delivery by comparing bytes instead of hashing them again.
+type broadcastRec struct {
+	at      time.Duration
+	digest  uint64
+	payload []byte
+}
+
+// deliveredRec is one host's first delivery of one sequence number.
+type deliveredRec struct {
+	at     time.Duration
+	digest uint64
 }
 
 // laneAcc accumulates everything one lane's events measure. Each lane
@@ -199,11 +226,17 @@ type laneAcc struct {
 	dataExpensiveTraversals uint64
 
 	delays metrics.Durations
-	// deliveryTimes records the instant of every counted delivery
+	// hosts lists the lane's hosts in enrolment order; delivered holds one
+	// window per entry, carved from one slab at the lane's first delivery
+	// and sized from Scenario.Messages; exported is each window's Len at
+	// the last export into the Result maps.
+	hosts     []core.HostID
+	delivered []seqset.Window[deliveredRec]
+	exported  []int
+	// lastDelivery is the instant of the lane's latest counted delivery
 	// (including self-deliveries and snapshot coverage, which take no
-	// delay sample); completion time is recovered from the merged
-	// sequence at finalize.
-	deliveryTimes       []time.Duration
+	// delay sample); completion time is the maximum over lanes.
+	lastDelivery        time.Duration
 	deliveredCount      int
 	duplicateDeliveries int
 	foreignDeliveries   int
@@ -215,6 +248,25 @@ type laneAcc struct {
 // laneOf reports the lane executing host id's protocol code.
 func (rt *Runtime) laneOf(id core.HostID) int {
 	return rt.Net.LaneOfHost(netsim.HostID(id))
+}
+
+// enroll gives host id a delivery window in its lane's accumulator and
+// returns the lane and the window's index there.
+func (rt *Runtime) enroll(id core.HostID) (lane, slot int) {
+	lane = rt.laneOf(id)
+	a := &rt.acc[lane]
+	a.hosts = append(a.hosts, id)
+	return lane, len(a.hosts) - 1
+}
+
+// window returns the delivery window at slot, creating the lane's
+// windows on first use.
+func (a *laneAcc) window(slot, messages int) *seqset.Window[deliveredRec] {
+	if a.delivered == nil {
+		a.delivered = seqset.NewWindows[deliveredRec](len(a.hosts), messages)
+		a.exported = make([]int, len(a.hosts))
+	}
+	return &a.delivered[slot]
 }
 
 // deliveredTotal sums counted deliveries across lanes. Parked contexts
@@ -273,15 +325,6 @@ func Prepare(s Scenario) (*Runtime, error) {
 		result:   newResult(s, tp),
 	}
 	rt.acc = make([]laneAcc, tp.Net.Lanes())
-	if len(rt.acc) > 1 {
-		// Pre-populate the per-host delivery maps: lane events then only
-		// read the outer maps and write their own hosts' inner maps, so
-		// concurrent lanes never mutate a shared map.
-		for _, h := range tp.Hosts {
-			rt.result.DeliveredAt[core.HostID(h)] = make(map[seqset.Seq]time.Duration)
-			rt.result.DeliveredDigest[core.HostID(h)] = make(map[seqset.Seq]uint64)
-		}
-	}
 	rt.instrument()
 	switch s.Protocol {
 	case ProtocolTree:
@@ -440,21 +483,7 @@ func (rt *Runtime) instrument() {
 // scheduled workload); scenario events use it for precisely timed
 // broadcasts. The result's accounting treats it like any other message.
 func (rt *Runtime) BroadcastNow(payload []byte) error {
-	now := rt.Engine.Now()
-	var seq seqset.Seq
-	rt.broadcasting = true
-	switch rt.scenario.Protocol {
-	case ProtocolTree:
-		seq = rt.TreeHosts[core.HostID(rt.Topo.Source)].Broadcast(now, payload)
-	case ProtocolBasic:
-		seq = rt.BasicSource.Broadcast(now, payload)
-	default:
-		rt.broadcasting = false
-		return fmt.Errorf("harness: unknown protocol %v", rt.scenario.Protocol)
-	}
-	rt.broadcasting = false
-	rt.result.BroadcastAt[seq] = now
-	rt.result.BroadcastDigest[seq] = core.PayloadDigest(payload)
+	rt.broadcast(payload)
 	rt.result.ManualMessages++
 	rt.result.ExpectedCount += rt.result.Hosts
 	rt.result.DeliveredCount = rt.deliveredTotal()
@@ -537,6 +566,7 @@ type treeEnv struct {
 	rt   *Runtime
 	id   core.HostID
 	lane int
+	slot int // of the host's delivery window in the lane's accumulator
 }
 
 func (e treeEnv) Send(to core.HostID, m core.Message) {
@@ -546,7 +576,7 @@ func (e treeEnv) Send(to core.HostID, m core.Message) {
 }
 
 func (e treeEnv) Deliver(seq seqset.Seq, payload []byte) {
-	e.rt.record(e.lane, e.id, seq, payload)
+	e.rt.record(e.lane, e.slot, seq, payload)
 	if st := e.rt.Replicas[e.id]; st != nil {
 		if u, err := replica.DecodeUpdate(payload); err == nil {
 			st.Apply(u)
@@ -583,7 +613,7 @@ func (e treeEnv) InstallSnapshot(upTo seqset.Seq, data []byte) bool {
 		return false
 	}
 	st.InstallRows(rows)
-	e.rt.recordSnapshotCoverage(e.lane, e.id, upTo)
+	e.rt.recordSnapshotCoverage(e.lane, e.slot, upTo)
 	return true
 }
 
@@ -593,32 +623,25 @@ func (e treeEnv) InstallSnapshot(upTo seqset.Seq, data []byte) bool {
 // carries the same state those deliveries would have built). No delay
 // sample is taken — catch-up latency is measured by the sync metrics,
 // not the per-delivery distribution.
-func (rt *Runtime) recordSnapshotCoverage(lane int, id core.HostID, mark seqset.Seq) {
-	res := rt.result
+func (rt *Runtime) recordSnapshotCoverage(lane, slot int, mark seqset.Seq) {
 	a := &rt.acc[lane]
+	if rt.tap != nil {
+		rt.tap(lane, a.hosts[slot], mark, nil, true)
+	}
+	w := a.window(slot, rt.scenario.Messages)
 	now := rt.Engine.NowOf(lane)
-	per, ok := res.DeliveredAt[id]
-	if !ok {
-		per = make(map[seqset.Seq]time.Duration)
-		res.DeliveredAt[id] = per
-	}
-	dig, ok := res.DeliveredDigest[id]
-	if !ok {
-		dig = make(map[seqset.Seq]uint64)
-		res.DeliveredDigest[id] = dig
-	}
 	for seq := seqset.Seq(1); seq <= mark; seq++ {
-		if _, known := res.BroadcastAt[seq]; !known {
+		sent, known := rt.sent.Get(seq)
+		if !known {
 			continue
 		}
-		if _, have := per[seq]; have {
+		if _, have := w.Get(seq); have {
 			continue
 		}
-		per[seq] = now
-		dig[seq] = res.BroadcastDigest[seq]
+		w.Put(seq, deliveredRec{at: now, digest: sent.digest})
 		a.snapshotDeliveries++
 		a.deliveredCount++
-		a.deliveryTimes = append(a.deliveryTimes, now)
+		a.lastDelivery = max(a.lastDelivery, now)
 	}
 }
 
@@ -652,7 +675,7 @@ func (rt *Runtime) buildTree() error {
 	}
 	for _, id := range peers {
 		id := id
-		lane := rt.laneOf(id)
+		lane, slot := rt.enroll(id)
 		var obs core.Observer
 		if s.CollectEvents {
 			obs = func(ev core.Event) {
@@ -668,7 +691,7 @@ func (rt *Runtime) buildTree() error {
 			InitialCluster: staticClusters[id],
 			JitterSeed:     s.Seed,
 			Observer:       obs,
-		}, treeEnv{rt: rt, id: id, lane: lane})
+		}, treeEnv{rt: rt, id: id, lane: lane, slot: slot})
 		if err != nil {
 			return fmt.Errorf("harness: host %d: %w", id, err)
 		}
@@ -691,6 +714,7 @@ type basicEnv struct {
 	rt   *Runtime
 	id   core.HostID
 	lane int
+	slot int
 }
 
 func (e basicEnv) Send(to core.HostID, m basic.Message) {
@@ -700,7 +724,7 @@ func (e basicEnv) Send(to core.HostID, m basic.Message) {
 }
 
 func (e basicEnv) Deliver(seq seqset.Seq, payload []byte) {
-	e.rt.record(e.lane, e.id, seq, payload)
+	e.rt.record(e.lane, e.slot, seq, payload)
 }
 
 func (rt *Runtime) buildBasic() error {
@@ -710,7 +734,8 @@ func (rt *Runtime) buildBasic() error {
 	for _, h := range rt.Topo.Hosts {
 		peers = append(peers, core.HostID(h))
 	}
-	src, err := basic.NewSource(source, peers, s.BasicParams, basicEnv{rt: rt, id: source, lane: rt.laneOf(source)})
+	lane, slot := rt.enroll(source)
+	src, err := basic.NewSource(source, peers, s.BasicParams, basicEnv{rt: rt, id: source, lane: lane, slot: slot})
 	if err != nil {
 		return err
 	}
@@ -725,12 +750,13 @@ func (rt *Runtime) buildBasic() error {
 	}); err != nil {
 		return err
 	}
-	rt.tickLoop(rt.laneOf(source), s.BasicParams.TickInterval, src.Tick)
+	rt.tickLoop(lane, s.BasicParams.TickInterval, src.Tick)
 	for _, id := range peers {
 		if id == source {
 			continue
 		}
-		rcv, err := basic.NewReceiver(id, source, basicEnv{rt: rt, id: id, lane: rt.laneOf(id)})
+		lane, slot := rt.enroll(id)
+		rcv, err := basic.NewReceiver(id, source, basicEnv{rt: rt, id: id, lane: lane, slot: slot})
 		if err != nil {
 			return err
 		}
@@ -770,43 +796,54 @@ func (rt *Runtime) scheduleWorkload() {
 			if s.PayloadFor != nil {
 				payload = s.PayloadFor(i)
 			}
-			now := rt.Engine.Now()
-			var seq seqset.Seq
-			rt.broadcasting = true
-			switch s.Protocol {
-			case ProtocolTree:
-				seq = rt.TreeHosts[core.HostID(rt.Topo.Source)].Broadcast(now, payload)
-			case ProtocolBasic:
-				seq = rt.BasicSource.Broadcast(now, payload)
-			}
-			rt.broadcasting = false
-			rt.result.BroadcastAt[seq] = now
-			rt.result.BroadcastDigest[seq] = core.PayloadDigest(payload)
+			rt.broadcast(payload)
 		})
 	}
 }
 
-func (rt *Runtime) record(lane int, id core.HostID, seq seqset.Seq, payload []byte) {
-	res := rt.result
-	a := &rt.acc[lane]
-	now := rt.Engine.NowOf(lane)
-	per, ok := res.DeliveredAt[id]
-	if !ok {
-		per = make(map[seqset.Seq]time.Duration)
-		res.DeliveredAt[id] = per
+// broadcast generates one data message at the source now and registers
+// it in sent. Parked contexts only.
+func (rt *Runtime) broadcast(payload []byte) {
+	now := rt.Engine.Now()
+	var seq seqset.Seq
+	if rt.sent.Cap() == 0 {
+		rt.sent = seqset.NewWindows[broadcastRec](1, rt.scenario.Messages)[0]
 	}
-	if _, dup := per[seq]; dup {
+	rt.broadcasting, rt.selfDelivered = true, nil
+	switch rt.scenario.Protocol {
+	case ProtocolTree:
+		seq = rt.TreeHosts[core.HostID(rt.Topo.Source)].Broadcast(now, payload)
+	case ProtocolBasic:
+		seq = rt.BasicSource.Broadcast(now, payload)
+	}
+	rt.broadcasting = false
+	rt.sent.Put(seq, broadcastRec{at: now, digest: core.PayloadDigest(payload), payload: rt.selfDelivered})
+}
+
+// record notes host (lane, slot)'s delivery of seq: an index into the
+// host's window and into sent, and — for the expected case of a payload
+// that is byte-for-byte the broadcast one — no hashing: equal bytes have
+// the broadcast's digest. Anything else (an altered payload, a sequence
+// number nobody broadcast, the source's self-delivery ahead of its
+// registration) is hashed, so every stored digest is the FNV of the
+// bytes delivered.
+func (rt *Runtime) record(lane, slot int, seq seqset.Seq, payload []byte) {
+	a := &rt.acc[lane]
+	if rt.tap != nil {
+		rt.tap(lane, a.hosts[slot], seq, payload, false)
+	}
+	w := a.window(slot, rt.scenario.Messages)
+	if _, dup := w.Get(seq); dup {
 		a.duplicateDeliveries++
 		return
 	}
-	per[seq] = now
-	dig, ok := res.DeliveredDigest[id]
-	if !ok {
-		dig = make(map[seqset.Seq]uint64)
-		res.DeliveredDigest[id] = dig
+	now := rt.Engine.NowOf(lane)
+	sent, known := rt.sent.Get(seq)
+	rec := deliveredRec{at: now, digest: sent.digest}
+	if !known || sent.payload == nil || !bytes.Equal(sent.payload, payload) {
+		rec.digest = core.PayloadDigest(payload)
 	}
-	dig[seq] = core.PayloadDigest(payload)
-	sent, known := res.BroadcastAt[seq]
+	w.Put(seq, rec)
 	if !known {
 		if !rt.broadcasting {
 			// A sequence number nobody broadcast can only come from an
@@ -818,11 +855,12 @@ func (rt *Runtime) record(lane int, id core.HostID, seq seqset.Seq, payload []by
 		// Source self-delivery inside its own Broadcast call: the caller
 		// registers the sequence number right after it returns. Count the
 		// delivery; there is no meaningful delay sample (sent == now).
+		rt.selfDelivered = payload
 		a.deliveredCount++
-		a.deliveryTimes = append(a.deliveryTimes, now)
+		a.lastDelivery = max(a.lastDelivery, now)
 		return
 	}
 	a.deliveredCount++
-	a.deliveryTimes = append(a.deliveryTimes, now)
-	a.delays.Add(now - sent)
+	a.lastDelivery = max(a.lastDelivery, now)
+	a.delays.Add(now - sent.at)
 }

@@ -161,8 +161,8 @@ func newResult(s Scenario, tp *topo.Topology) *Result {
 		Messages:        s.Messages,
 		BroadcastAt:     make(map[seqset.Seq]time.Duration),
 		BroadcastDigest: make(map[seqset.Seq]uint64),
-		DeliveredAt:     make(map[core.HostID]map[seqset.Seq]time.Duration),
-		DeliveredDigest: make(map[core.HostID]map[seqset.Seq]uint64),
+		DeliveredAt:     make(map[core.HostID]map[seqset.Seq]time.Duration, len(tp.Hosts)),
+		DeliveredDigest: make(map[core.HostID]map[seqset.Seq]uint64, len(tp.Hosts)),
 		ExpectedCount:   len(tp.Hosts) * s.Messages,
 	}
 }
@@ -183,7 +183,7 @@ func (rt *Runtime) merge() {
 	res.ForeignDeliveries, res.SnapshotDeliveries = 0, 0
 	res.SendErrors = 0
 	res.Delays = metrics.Durations{}
-	var times []time.Duration
+	var last time.Duration
 	var events []core.Event
 	for i := range rt.acc {
 		a := &rt.acc[i]
@@ -206,9 +206,11 @@ func (rt *Runtime) merge() {
 		res.SnapshotDeliveries += a.snapshotDeliveries
 		res.SendErrors += a.sendErrors
 		res.Delays.Merge(&a.delays)
-		times = append(times, a.deliveryTimes...)
+		last = max(last, a.lastDelivery)
 		events = append(events, a.events...)
+		rt.exportDelivered(a)
 	}
+	rt.exportSent()
 	// Events merge by instant; the stable sort keeps lane order as the
 	// tie-break for same-instant events, and within-lane order intact.
 	sort.SliceStable(events, func(i, j int) bool { return events[i].At < events[j].At })
@@ -216,9 +218,56 @@ func (rt *Runtime) merge() {
 	res.Complete = res.DeliveredCount == res.ExpectedCount
 	res.CompletionAt = 0
 	if res.Complete && res.ExpectedCount > 0 {
-		sort.Slice(times, func(i, j int) bool { return times[i] < times[j] })
-		res.CompletionAt = times[len(times)-1]
+		res.CompletionAt = last
 	}
+}
+
+// exportDelivered brings Result.DeliveredAt and DeliveredDigest up to
+// date with one lane's delivery windows. The recording path keeps no
+// map: the exported ones are filled here, where every reader of a Result
+// passes, and only for hosts that delivered since the last export. A
+// delivery record is written once and never removed, so a window changed
+// exactly when its Len did, and re-assigning its entries into the host's
+// existing maps — presized at the first export — adds the new ones and
+// leaves the rest as they were.
+func (rt *Runtime) exportDelivered(a *laneAcc) {
+	res := rt.result
+	for slot := range a.delivered {
+		w := &a.delivered[slot]
+		if w.Len() == a.exported[slot] {
+			continue
+		}
+		a.exported[slot] = w.Len()
+		id := a.hosts[slot]
+		at, dig := res.DeliveredAt[id], res.DeliveredDigest[id]
+		if at == nil {
+			at = make(map[seqset.Seq]time.Duration, w.Len())
+			dig = make(map[seqset.Seq]uint64, w.Len())
+			res.DeliveredAt[id], res.DeliveredDigest[id] = at, dig
+		}
+		w.Each(func(seq seqset.Seq, rec deliveredRec) bool {
+			at[seq], dig[seq] = rec.at, rec.digest
+			return true
+		})
+	}
+}
+
+// exportSent is exportDelivered for Result.BroadcastAt and
+// BroadcastDigest.
+func (rt *Runtime) exportSent() {
+	if rt.sent.Len() == rt.sentExported {
+		return
+	}
+	rt.sentExported = rt.sent.Len()
+	res := rt.result
+	if len(res.BroadcastAt) == 0 {
+		res.BroadcastAt = make(map[seqset.Seq]time.Duration, rt.sent.Len())
+		res.BroadcastDigest = make(map[seqset.Seq]uint64, rt.sent.Len())
+	}
+	rt.sent.Each(func(seq seqset.Seq, rec broadcastRec) bool {
+		res.BroadcastAt[seq], res.BroadcastDigest[seq] = rec.at, rec.digest
+		return true
+	})
 }
 
 func (rt *Runtime) finalize() {
