@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all build vet fmt-check lint lint-sarif lint-selftest test race race-shard-identity exp-check check soak soak-byzantine soak-catchup soak-smoke-race fuzz fuzz-smoke bench-json bench-smoke bench-repo bench-repo-smoke clean
+.PHONY: all build vet fmt-check lint lint-sarif lint-selftest test race race-shard-identity exp-check check soak soak-byzantine soak-catchup soak-smoke-race fuzz fuzz-smoke bench-smoke bench-repo bench-repo-smoke clean
 
 all: check
 
@@ -82,8 +82,8 @@ exp-check:
 # check is the gate for every change: compile everything, lint with
 # gofmt, vet and rblint, hold the experiment capture to the code, and run
 # the full suite under the race detector. It does
-# not run benchmarks; use `make bench-json` before and after perf work
-# to record BENCH_<date>.json snapshots.
+# not run benchmarks: a perf claim is measured with `go run ./benchmarks`
+# on the parent and on the change (`-compare a.json b.json`).
 check: build vet fmt-check lint exp-check race
 
 # soak runs a quick randomized sweep of every scenario class (the
@@ -125,18 +125,12 @@ soak-smoke-race:
 	$(GO) run -race ./cmd/rbsoak -class byzantine -count 10
 	$(GO) run -race ./cmd/rbsoak -class late-joiner -count 10
 
-# bench-json records the perf-tracking suite (internal/bench) as a
-# BENCH_<date>.json snapshot via cmd/rbbench; schema in README
-# "Performance". BENCHTIME=2s gives stable numbers for committed
-# snapshots.
-BENCHTIME ?= 2s
-bench-json: build
-	$(GO) run ./cmd/rbbench -benchtime $(BENCHTIME)
-
-# bench-smoke is the CI-sized run: one iteration per case, enough to
-# catch benchmarks that break without burning CI minutes on timing.
-bench-smoke: build
-	$(GO) run ./cmd/rbbench -benchtime 1x -label ci-smoke -out bench-smoke.json
+# bench-smoke runs every Benchmark* function in the module for one
+# iteration: enough to catch one that stops compiling or starts failing,
+# with no timing worth reading. For a layer's own figures run its package,
+# e.g. `go test -run '^$' -bench EngineQueueDepth ./internal/sim`.
+bench-smoke:
+	$(GO) test -run '^$$' -bench . -benchtime 1x ./...
 
 # bench-repo runs the repository benchmark declared in BENCHMARK.json
 # (benchmarks/README.md): four workloads, an untraced pass for the
@@ -173,4 +167,4 @@ fuzz-smoke:
 
 clean:
 	$(GO) clean ./...
-	rm -f rblint.sarif rblint-selftest.sarif bench-smoke.json
+	rm -f rblint.sarif rblint-selftest.sarif

@@ -3,14 +3,11 @@ package rbcast_test
 // One benchmark per reproduced figure/table: each regenerates the
 // corresponding experiment end to end and fails if the paper's
 // qualitative claim stops holding, so `go test -bench=.` doubles as a
-// performance run and an evaluation re-check. The trailing benchmarks
-// measure raw simulator and protocol throughput.
+// performance run and an evaluation re-check.
 
 import (
-	"fmt"
 	"testing"
 
-	"rbcast/internal/bench"
 	"rbcast/internal/experiments"
 )
 
@@ -46,30 +43,3 @@ func BenchmarkE8Scale(b *testing.B)      { benchExperiment(b, "E8") }
 func BenchmarkE9Cluster(b *testing.B)    { benchExperiment(b, "E9") }
 func BenchmarkE10Piggyback(b *testing.B) { benchExperiment(b, "E10") }
 func BenchmarkE11Multi(b *testing.B)     { benchExperiment(b, "E11") }
-
-// The trailing benchmarks delegate to internal/bench so that
-// `go test -bench` and the cmd/rbbench JSON snapshot runner measure
-// exactly the same code.
-
-func BenchmarkSimulatorThroughput(b *testing.B) { bench.SimulatorThroughput(b) }
-func BenchmarkPublicSimulate(b *testing.B)      { bench.PublicSimulate(b) }
-
-func BenchmarkShardScaling(b *testing.B) {
-	for _, shards := range []int{1, 2, 4, 8} {
-		b.Run(fmt.Sprint(shards), bench.ShardScaling(shards))
-	}
-}
-func BenchmarkEngineQueueDepth(b *testing.B) {
-	b.Run("clustered", bench.EngineQueueDepth(false))
-	b.Run("jittered", bench.EngineQueueDepth(true))
-}
-func BenchmarkLiveFleetBroadcast(b *testing.B)   { bench.LiveFleetBroadcast(b) }
-func BenchmarkEngineTimerChurn(b *testing.B)     { bench.EngineTimerChurn(b) }
-func BenchmarkNetsimHop(b *testing.B)            { bench.NetsimHop(b) }
-func BenchmarkSeqsetDiff(b *testing.B)           { bench.SeqsetDiff(b) }
-func BenchmarkWireEncodeInfo(b *testing.B)       { bench.WireEncodeInfo(b) }
-func BenchmarkWireAppendEncodeInfo(b *testing.B) { bench.WireAppendEncodeInfo(b) }
-func BenchmarkWireDecodeInfo(b *testing.B)       { bench.WireDecodeInfo(b) }
-func BenchmarkWireCodecKinds(b *testing.B)       { bench.WireCodecKinds(b) }
-func BenchmarkRBLintSuite(b *testing.B)          { bench.RBLintSuite(b) }
-func BenchmarkCallGraph(b *testing.B)            { bench.CallGraph(b) }

@@ -91,3 +91,28 @@ func TestCallGraphStructure(t *testing.T) {
 		t.Errorf("Reachable(SpawnClosure) crossed a go edge: %d nodes, want 1", len(reach))
 	}
 }
+
+// BenchmarkCallGraph measures whole-program call-graph construction —
+// node discovery, static/go/defer edges, address-taken collection, and
+// CHA-style dynamic resolution — over every package in the module.
+// Loading and type-checking happen once outside the timer; the loop
+// measures pure graph-building cost, the fixed overhead every
+// whole-program analyzer pays per rblint run.
+func BenchmarkCallGraph(b *testing.B) {
+	b.ReportAllocs()
+	loader, err := analysis.NewLoader(".")
+	if err != nil {
+		b.Fatal(err)
+	}
+	pkgs, err := loader.LoadPatterns("./...")
+	if err != nil {
+		b.Fatal(err)
+	}
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		p := analysis.NewProgram(loader.Fset, pkgs)
+		if p.Graph == nil || len(p.Graph.Nodes) == 0 {
+			b.Fatal("empty call graph")
+		}
+	}
+}

@@ -1,6 +1,7 @@
 package analysis_test
 
 import (
+	"path/filepath"
 	"testing"
 
 	"rbcast/internal/analysis"
@@ -44,5 +45,38 @@ func TestAnalyzers(t *testing.T) {
 		t.Run(tt.name, func(t *testing.T) {
 			analysistest.Run(t, tt.analyzer, tt.dir, tt.asPath)
 		})
+	}
+}
+
+// BenchmarkRBLintSuite measures a full run of the static analysis suite —
+// all twelve analyzers, CFG and call-graph construction, lock summaries,
+// taint dataflow, and the abstract-interpretation layer (interval
+// inference, effect summaries, and the quorum prover) — over the
+// protocol state machine package and the simulated network package.
+// Both are in scope: core exercises quorumlint's relational proofs,
+// netsim exercises lanelint's whole-program lane-provenance walk.
+// Loading and type-checking happen once outside the timer; the loop
+// measures pure analysis cost.
+func BenchmarkRBLintSuite(b *testing.B) {
+	b.ReportAllocs()
+	loader, err := analysis.NewLoader(".")
+	if err != nil {
+		b.Fatal(err)
+	}
+	core, err := loader.Load(filepath.Join(loader.ModRoot, "internal", "core"), "rbcast/internal/core")
+	if err != nil {
+		b.Fatal(err)
+	}
+	netsim, err := loader.Load(filepath.Join(loader.ModRoot, "internal", "netsim"), "rbcast/internal/netsim")
+	if err != nil {
+		b.Fatal(err)
+	}
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		for _, pkg := range []*analysis.Package{core, netsim} {
+			if _, err := analysis.RunPackage(loader, pkg, analysis.Analyzers()); err != nil {
+				b.Fatal(err)
+			}
+		}
 	}
 }

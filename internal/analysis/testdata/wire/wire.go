@@ -1,6 +1,6 @@
 // Package wire is wirelint's testdata: a three-kind codec where one
 // kind is missing from the Encode path, two from the Decode path, one
-// from the fuzz corpus, two from the sibling bench package (../bench
+// from the fuzz corpus, two from the benchmark corpus (BenchmarkCodec
 // names MsgA only), and one from the sibling live package's fuzz corpus
 // (../live seeds MsgA and MsgB).
 package wire
@@ -27,7 +27,7 @@ func Encode(k MsgKind) []byte { // want `message kind MsgC is not handled on the
 // the Encode path.
 func encodeB() []byte { return []byte{byte(MsgB)} }
 
-func Decode(b []byte) MsgKind { // want `message kind MsgB is not handled on the Decode path` `message kind MsgC is not handled on the Decode path` `message kind MsgB has no codec case in the sibling bench package` `message kind MsgC has no codec case in the sibling bench package` `message kind MsgC is not seeded in the sibling live package's Fuzz\* corpus`
+func Decode(b []byte) MsgKind { // want `message kind MsgB is not handled on the Decode path` `message kind MsgC is not handled on the Decode path` `message kind MsgC is not seeded in the sibling live package's Fuzz\* corpus`
 	if len(b) == 1 && MsgKind(b[0]) == MsgA {
 		return MsgA
 	}

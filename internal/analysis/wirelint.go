@@ -14,28 +14,27 @@ import (
 // package that declares top-level Encode and Decode functions, every
 // constant of the MsgKind type must be handled on both the encode and
 // the decode path (reachable same-package code must reference it from
-// each entry point), and every kind must be seeded into a fuzz corpus
-// (appear by name inside a Fuzz* function in the package's test files).
-// A kind that encodes but does not decode is a protocol message that
-// silently vanishes on the far side; a kind absent from the fuzz corpus
-// never gets its frame layout exercised.
-//
-// When the codec package has a sibling bench package (../bench), every
-// kind must additionally appear there by name: the benchmark suite's
-// codec cases are the regression tripwire for encode/decode cost, and a
-// kind missing from them can regress silently.
+// each entry point), every kind must be seeded into a fuzz corpus
+// (appear by name inside a Fuzz* function in the package's test files),
+// and every kind must be in a benchmark corpus (appear by name inside a
+// Benchmark* function there). A kind that encodes but does not decode is
+// a protocol message that silently vanishes on the far side; a kind
+// absent from the fuzz corpus never gets its frame layout exercised; a
+// kind absent from the benchmarks has no tripwire for its encode/decode
+// cost, which can then regress silently.
 //
 // When the codec package has a sibling live package (../live) with its
 // own Fuzz* functions, every kind must also be seeded there: the
 // real-time runtimes wrap frames in the host driver's stream-prefixed
 // envelope (internal/node's codec, fuzzed from the live package, whose
 // transport accepts envelope bytes from any caller), and a kind fuzzed
-// only at the frame layer can still panic the envelope path. Packages without such a sibling (or whose sibling
-// has no fuzz targets) are exempt.
+// only at the frame layer can still panic the envelope path. Packages
+// without such a sibling (or whose sibling has no fuzz targets) are
+// exempt.
 var WireLint = &Analyzer{
 	Name: "wirelint",
 	Doc: "every MsgKind must be handled by both Encode and Decode, seeded " +
-		"in a Fuzz* corpus, and covered by the sibling bench and live-fuzz packages",
+		"in a Fuzz* and a Benchmark* corpus, and covered by the sibling live-fuzz package",
 	Run: runWireLint,
 }
 
@@ -56,7 +55,7 @@ func runWireLint(pass *Pass) error {
 
 	encodeRefs := reachableKindRefs(pass, encode, kindType)
 	decodeRefs := reachableKindRefs(pass, decode, kindType)
-	fuzzFuncs, fuzzNames := fuzzSeedNames(pass)
+	fuzzFuncs, fuzzNames := testFuncNames(pass.TestFiles, "Fuzz")
 
 	for _, k := range kinds {
 		if !encodeRefs[k] {
@@ -79,12 +78,18 @@ func runWireLint(pass *Pass) error {
 				"message kind %s is not seeded in any Fuzz* corpus: its frame layout is never fuzzed", k.Name())
 		}
 	}
-	if benchNames, ok := siblingBenchNames(pass); ok {
-		for _, k := range kinds {
-			if !benchNames[k.Name()] {
-				pass.Reportf(decode.Pos(),
-					"message kind %s has no codec case in the sibling bench package: its encode/decode cost can regress unnoticed", k.Name())
-			}
+	// Reported against the first Benchmark* function, or against Decode
+	// when the package has none: a codec without benchmarks is reported
+	// for every kind, not exempted.
+	benchFuncs, benchNames := testFuncNames(pass.TestFiles, "Benchmark")
+	benchPos := decode.Pos()
+	if len(benchFuncs) > 0 {
+		benchPos = benchFuncs[0].Pos()
+	}
+	for _, k := range kinds {
+		if !benchNames[k.Name()] {
+			pass.Reportf(benchPos,
+				"message kind %s is not named in any Benchmark* corpus: its encode/decode cost can regress unnoticed", k.Name())
 		}
 	}
 	if liveNames, ok := siblingLiveFuzzNames(pass); ok {
@@ -98,10 +103,10 @@ func runWireLint(pass *Pass) error {
 	return nil
 }
 
-// siblingLiveFuzzNames parses the codec package's sibling live
-// directory (../live) and collects every identifier name inside Fuzz*
-// function bodies of its test files. ok is false when no such directory
-// exists or it declares no fuzz targets — such packages are exempt.
+// siblingLiveFuzzNames parses the test files of the codec package's
+// sibling live directory (../live) and collects the names inside their
+// Fuzz* functions. ok is false when no such directory exists or it
+// declares no fuzz targets — such packages are exempt.
 func siblingLiveFuzzNames(pass *Pass) (map[string]bool, bool) {
 	dir := filepath.Join(filepath.Dir(pass.Dir), "live")
 	entries, err := os.ReadDir(dir)
@@ -109,63 +114,17 @@ func siblingLiveFuzzNames(pass *Pass) (map[string]bool, bool) {
 		return nil, false
 	}
 	fset := token.NewFileSet()
-	names := make(map[string]bool)
-	found := false
+	var files []*ast.File
 	for _, e := range entries {
 		if e.IsDir() || !strings.HasSuffix(e.Name(), "_test.go") {
 			continue
 		}
-		f, err := parser.ParseFile(fset, filepath.Join(dir, e.Name()), nil, 0)
-		if err != nil {
-			continue
-		}
-		for _, decl := range f.Decls {
-			fd, ok := decl.(*ast.FuncDecl)
-			if !ok || fd.Recv != nil || !strings.HasPrefix(fd.Name.Name, "Fuzz") || fd.Body == nil {
-				continue
-			}
-			found = true
-			ast.Inspect(fd.Body, func(n ast.Node) bool {
-				if id, ok := n.(*ast.Ident); ok {
-					names[id.Name] = true
-				}
-				return true
-			})
+		if f, err := parser.ParseFile(fset, filepath.Join(dir, e.Name()), nil, 0); err == nil {
+			files = append(files, f)
 		}
 	}
-	return names, found
-}
-
-// siblingBenchNames parses the codec package's sibling bench directory
-// (../bench relative to the analyzed package) and collects every
-// identifier name in its non-test sources. ok is false when no such
-// directory exists — packages without a bench sibling are exempt.
-func siblingBenchNames(pass *Pass) (map[string]bool, bool) {
-	dir := filepath.Join(filepath.Dir(pass.Dir), "bench")
-	entries, err := os.ReadDir(dir)
-	if err != nil {
-		return nil, false
-	}
-	fset := token.NewFileSet()
-	names := make(map[string]bool)
-	found := false
-	for _, e := range entries {
-		if e.IsDir() || !strings.HasSuffix(e.Name(), ".go") {
-			continue
-		}
-		f, err := parser.ParseFile(fset, filepath.Join(dir, e.Name()), nil, 0)
-		if err != nil {
-			continue
-		}
-		found = true
-		ast.Inspect(f, func(n ast.Node) bool {
-			if id, ok := n.(*ast.Ident); ok {
-				names[id.Name] = true
-			}
-			return true
-		})
-	}
-	return names, found
+	funcs, names := testFuncNames(files, "Fuzz")
+	return names, len(funcs) > 0
 }
 
 // topLevelFunc finds a package-level function (no receiver) by name.
@@ -262,21 +221,21 @@ func reachableKindRefs(pass *Pass, root *ast.FuncDecl, kind *types.Named) map[*t
 	return refs
 }
 
-// fuzzSeedNames scans the package's test files (parsed only: they may
-// belong to an external _test package) for Fuzz* functions and collects
-// every identifier and selector name inside them. A kind counts as
-// seeded when its name appears — as `MsgData` or `core.MsgData` — in
-// some Fuzz* body.
-func fuzzSeedNames(pass *Pass) ([]*ast.FuncDecl, map[string]bool) {
-	var fuzz []*ast.FuncDecl
+// testFuncNames scans test files (parsed only: they may belong to an
+// external _test package) for top-level functions whose name starts with
+// prefix — "Fuzz" or "Benchmark" — and collects every identifier and
+// selector name inside them. A kind counts as covered when its name
+// appears — as `MsgData` or `core.MsgData` — in some such body.
+func testFuncNames(files []*ast.File, prefix string) ([]*ast.FuncDecl, map[string]bool) {
+	var funcs []*ast.FuncDecl
 	names := make(map[string]bool)
-	for _, file := range pass.TestFiles {
+	for _, file := range files {
 		for _, decl := range file.Decls {
 			fd, ok := decl.(*ast.FuncDecl)
-			if !ok || fd.Recv != nil || !strings.HasPrefix(fd.Name.Name, "Fuzz") || fd.Body == nil {
+			if !ok || fd.Recv != nil || !strings.HasPrefix(fd.Name.Name, prefix) || fd.Body == nil {
 				continue
 			}
-			fuzz = append(fuzz, fd)
+			funcs = append(funcs, fd)
 			ast.Inspect(fd.Body, func(n ast.Node) bool {
 				if id, ok := n.(*ast.Ident); ok {
 					names[id.Name] = true
@@ -285,5 +244,5 @@ func fuzzSeedNames(pass *Pass) ([]*ast.FuncDecl, map[string]bool) {
 			})
 		}
 	}
-	return fuzz, names
+	return funcs, names
 }

@@ -24,6 +24,11 @@ import (
 // set (per MAP) is not smaller than its own — the invariant §4.3's
 // acyclicity argument rests on.
 
+// attachFillLimit caps the number of missing messages a new parent
+// forwards immediately on accepting a child; the periodic neighbour gap
+// fill delivers the rest.
+const attachFillLimit = 256
+
 // runAttachment activates the attachment procedure. fresh indicates a
 // periodic activation (which clears the excluded set) as opposed to an
 // immediate retry after a timeout or rejection.
@@ -314,7 +319,7 @@ func (h *Host) handleAttachReq(now time.Duration, from *peer, m Message) {
 		}
 		h.sendMarking(from, Message{Kind: MsgData, Seq: q, Payload: payload, GapFill: true})
 		sent++
-		return sent < h.params.AttachFillLimit
+		return sent < attachFillLimit
 	})
 }
 

@@ -72,9 +72,14 @@ type Host struct {
 
 	// outbox buffers sends within one activation when Params.Piggyback is
 	// set; activationDepth guards against double-flushing on reentrant
-	// entry points.
+	// entry points. flushSlot (per peer index: 1 + the destination's
+	// position in flushGroups, 0 when it has none yet) and flushGroups are
+	// the flush's scratch, reused like the outbox. They live here and not
+	// on the peer record: n² records exist in a run, n hosts.
 	outbox          []outboundMsg
 	activationDepth int
+	flushSlot       []int32
+	flushGroups     []flushGroup
 
 	// next fire times for periodic activities.
 	nextAttach     time.Duration
@@ -266,9 +271,20 @@ func (h *Host) Broadcast(now time.Duration, payload []byte) seqset.Seq {
 	return seq
 }
 
+// outboundMsg is one buffered send: dest is the destination's index in
+// Host.peers.
 type outboundMsg struct {
-	to HostID
-	m  Message
+	dest int
+	m    Message
+}
+
+// flushGroup is one destination of an outbox flush: where its first
+// message sits in the outbox, how many it gets, and — for more than one —
+// the bundle being filled.
+type flushGroup struct {
+	first int
+	n     int
+	parts []Message
 }
 
 // emit wraps Env.Send; every outbound message funnels through here. With
@@ -279,7 +295,7 @@ func (h *Host) emit(to HostID, m Message) {
 		return
 	}
 	if h.params.Piggyback {
-		h.outbox = append(h.outbox, outboundMsg{to: to, m: m})
+		h.outbox = append(h.outbox, outboundMsg{dest: h.index(to), m: m})
 		return
 	}
 	h.env.Send(to, m)
@@ -295,26 +311,50 @@ func (h *Host) end() {
 	if h.activationDepth > 0 || len(h.outbox) == 0 {
 		return
 	}
-	pending := h.outbox
-	h.outbox = nil
-	// Group per destination, preserving first-appearance order for
-	// determinism and in-bundle message order.
-	order := make([]HostID, 0, 4)
-	byDest := make(map[HostID][]Message, 4)
-	for _, out := range pending {
-		if _, seen := byDest[out.to]; !seen {
-			order = append(order, out.to)
-		}
-		byDest[out.to] = append(byDest[out.to], out.m)
+	// Group per destination in index space, preserving first-appearance
+	// order for determinism and in-bundle message order. A bundle's Parts
+	// travels with the message and outlives the call, so it is the one
+	// allocation here, made at its exact size; everything else is reused
+	// scratch.
+	if h.flushSlot == nil {
+		h.flushSlot = make([]int32, len(h.peers))
 	}
-	for _, to := range order {
-		parts := byDest[to]
-		if len(parts) == 1 {
-			h.env.Send(to, parts[0])
-			continue
+	groups := h.flushGroups[:0]
+	for k := range h.outbox {
+		slot := &h.flushSlot[h.outbox[k].dest]
+		if *slot == 0 {
+			groups = append(groups, flushGroup{first: k})
+			*slot = int32(len(groups))
 		}
-		h.env.Send(to, Message{Kind: MsgBundle, Parts: parts})
+		groups[*slot-1].n++
 	}
+	if len(groups) < len(h.outbox) { // some destination gets a bundle
+		for k := range h.outbox {
+			out := &h.outbox[k]
+			if g := &groups[h.flushSlot[out.dest]-1]; g.n > 1 {
+				if g.parts == nil {
+					g.parts = make([]Message, 0, g.n)
+				}
+				g.parts = append(g.parts, out.m)
+			}
+		}
+	}
+	for i := range groups {
+		g := &groups[i]
+		first := &h.outbox[g.first]
+		h.flushSlot[first.dest] = 0
+		if g.n == 1 {
+			h.env.Send(h.peers[first.dest], first.m)
+		} else {
+			h.env.Send(h.peers[first.dest], Message{Kind: MsgBundle, Parts: g.parts})
+		}
+	}
+	// The buffers are kept, the payloads and INFO sets they point at are
+	// not.
+	clear(h.outbox)
+	h.outbox = h.outbox[:0]
+	clear(groups)
+	h.flushGroups = groups[:0]
 }
 
 // sendMarking sends a data message and optimistically records the
@@ -861,11 +901,10 @@ func (h *Host) pruneStable() {
 
 // contiguousPrefix returns the largest p such that 1..p are all members.
 func (h *Host) contiguousPrefix(s seqset.Set) seqset.Seq {
-	ivs := s.Intervals()
-	if len(ivs) == 0 || ivs[0].Lo != 1 {
+	if s.RunCount() == 0 || s.Run(0).Lo != 1 {
 		return 0
 	}
-	return ivs[0].Hi
+	return s.Run(0).Hi
 }
 
 // ownPrefix is contiguousPrefix of INFO_i accounting for the pruning
@@ -873,9 +912,8 @@ func (h *Host) contiguousPrefix(s seqset.Set) seqset.Seq {
 // prunedTo+1 continues the prefix. Without this, pruning would stall
 // after its first round (INFO would never again start at 1).
 func (h *Host) ownPrefix() seqset.Seq {
-	ivs := h.info.Intervals()
-	if len(ivs) == 0 || ivs[0].Lo > h.prunedTo+1 {
+	if h.info.RunCount() == 0 || h.info.Run(0).Lo > h.prunedTo+1 {
 		return h.prunedTo
 	}
-	return ivs[0].Hi
+	return h.info.Run(0).Hi
 }

@@ -85,10 +85,6 @@ type Params struct {
 	// GapFillBatch caps the number of gap-fill data messages sent to one
 	// target in one round.
 	GapFillBatch int
-	// AttachFillLimit caps the number of missing messages a new parent
-	// forwards immediately on accepting a child; the periodic neighbour
-	// gap fill delivers the rest.
-	AttachFillLimit int
 
 	// PruneStable enables §6 INFO-set pruning: sequence numbers known (via
 	// MAP) to be held by every participant are dropped from INFO and the
@@ -254,7 +250,6 @@ func DefaultParams() Params {
 		AttachTimeout:     300 * time.Millisecond,
 		ParentTimeout:     1500 * time.Millisecond,
 		GapFillBatch:      64,
-		AttachFillLimit:   256,
 	}
 }
 
@@ -282,9 +277,6 @@ func (p Params) Validate() error {
 	}
 	if p.GapFillBatch <= 0 {
 		return fmt.Errorf("core: GapFillBatch must be positive, got %d", p.GapFillBatch)
-	}
-	if p.AttachFillLimit <= 0 {
-		return fmt.Errorf("core: AttachFillLimit must be positive, got %d", p.AttachFillLimit)
 	}
 	if p.ParentTimeout <= p.InfoClusterPeriod {
 		return errors.New("core: ParentTimeout must exceed InfoClusterPeriod or in-cluster parents flap")

@@ -122,3 +122,47 @@ func TestPiggybackEndToEndEquivalence(t *testing.T) {
 		t.Errorf("children differ: %v vs %v", ac, bc)
 	}
 }
+
+// TestPiggybackInterleavedDestinations pins the flush contract on an
+// activation whose sends interleave destinations: packets leave in the
+// order their destinations first appeared, and each bundle keeps its
+// messages in emission order. A source with children 3 and 5 in
+// echo/ready mode emits data→3, data→5, then an echo and then a ready
+// vote to each of 2, 3, 4, 5.
+func TestPiggybackInterleavedDestinations(t *testing.T) {
+	p := piggyParams()
+	p.EchoReady = true
+	env := &fakeEnv{}
+	h := newTestHost(t, 1, p, env)
+	for _, child := range []core.HostID{3, 5} {
+		h.HandleMessage(0, child, false, core.Message{Kind: core.MsgAttachReq})
+	}
+	env.reset()
+	h.Broadcast(0, []byte("x"))
+
+	type packet struct {
+		to    core.HostID
+		kinds []core.MsgKind
+	}
+	want := []packet{
+		{3, []core.MsgKind{core.MsgData, core.MsgEcho, core.MsgReady}},
+		{5, []core.MsgKind{core.MsgData, core.MsgEcho, core.MsgReady}},
+		{2, []core.MsgKind{core.MsgEcho, core.MsgReady}},
+		{4, []core.MsgKind{core.MsgEcho, core.MsgReady}},
+	}
+	if len(env.sent) != len(want) {
+		t.Fatalf("sent %d packets, want %d: %+v", len(env.sent), len(want), env.sent)
+	}
+	for i, w := range want {
+		got := env.sent[i]
+		if got.to != w.to || got.m.Kind != core.MsgBundle || len(got.m.Parts) != len(w.kinds) {
+			t.Fatalf("packet %d = to %d, %v with %d parts; want a bundle of %d to %d",
+				i, got.to, got.m.Kind, len(got.m.Parts), len(w.kinds), w.to)
+		}
+		for j, k := range w.kinds {
+			if part := got.m.Parts[j]; part.Kind != k || part.Seq != 1 {
+				t.Errorf("packet %d part %d = %v seq %d, want %v seq 1", i, j, part.Kind, part.Seq, k)
+			}
+		}
+	}
+}

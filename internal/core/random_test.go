@@ -124,7 +124,6 @@ func newSoupWorld(t *testing.T, seed int64, n int, clusters [][]core.HostID) *so
 		AttachTimeout:     12 * time.Millisecond,
 		ParentTimeout:     60 * time.Millisecond,
 		GapFillBatch:      32,
-		AttachFillLimit:   64,
 	}
 	w := &soupWorld{
 		s:         s,

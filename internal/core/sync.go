@@ -571,11 +571,10 @@ func (h *Host) handleSnapChunk(now time.Duration, from *peer, m Message) {
 	if st == nil || !st.snapActive || from != st.snapFrom {
 		return
 	}
-	ivs := m.Info.Intervals()
-	if len(ivs) != 1 || ivs[0].Lo != 1 {
+	if m.Info.RunCount() != 1 || m.Info.Run(0).Lo != 1 {
 		return
 	}
-	mark := ivs[0].Hi
+	mark := m.Info.Run(0).Hi
 	total := m.CheckLen
 	offset := uint64(m.Seq)
 	if total == 0 || total > maxSnapshotBytes || uint64(len(m.Payload)) > total {

@@ -285,7 +285,9 @@ type Event struct {
 // slices passed to Send beyond the call.
 type Env interface {
 	// Send transmits m to host to, best-effort. The network may lose,
-	// duplicate, reorder, or arbitrarily delay it.
+	// duplicate, reorder, or arbitrarily delay it. It must not call back
+	// into the sending host: a send may be issued from the middle of an
+	// outbox flush.
 	Send(to HostID, m Message)
 	// Deliver hands an accepted broadcast message to the application.
 	// Called exactly once per sequence number per host, in arrival (not

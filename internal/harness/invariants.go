@@ -13,38 +13,75 @@ import (
 // graph against simulator ground truth. Tests call these after letting a
 // scenario converge.
 
+// Both walks below take their start hosts in the order given, and every
+// caller passes ascending IDs, so for a given runtime state every report —
+// which cycle, which rotation of it, which host's broken ancestry — is a
+// pure function of the parent graph.
+
+// parentOf is id's current parent pointer; core.Nil for a host that has
+// none or is not part of the run.
+func (rt *Runtime) parentOf(id core.HostID) core.HostID {
+	if h, ok := rt.TreeHosts[id]; ok {
+		return h.Parent()
+	}
+	return core.Nil
+}
+
+// parentCycle follows parent pointers from each host in turn, in the
+// order given, and returns the first host whose walk revisits a host,
+// with the cycle it ran into listed from the revisited host on. cycle is
+// nil when the graph is acyclic.
+func parentCycle(hosts []core.HostID, parent func(core.HostID) core.HostID) (from core.HostID, cycle []core.HostID) {
+	for _, id := range hosts {
+		seen := map[core.HostID]bool{}
+		for cur := id; cur != core.Nil; cur = parent(cur) {
+			if !seen[cur] {
+				seen[cur] = true
+				continue
+			}
+			cycle = append(cycle, cur)
+			for at := parent(cur); at != cur; at = parent(at) {
+				cycle = append(cycle, at)
+			}
+			return id, cycle
+		}
+	}
+	return core.Nil, nil
+}
+
+// unrooted follows parent pointers from each host in turn, in the order
+// given, and says why the graph is not a spanning tree rooted at source;
+// "" when it is one.
+func unrooted(hosts []core.HostID, source core.HostID, parent func(core.HostID) core.HostID) string {
+	for _, id := range hosts {
+		if id == source {
+			if p := parent(id); p != core.Nil {
+				return fmt.Sprintf("source has parent %d", p)
+			}
+			continue
+		}
+		cur := id
+		for steps := 0; cur != source; steps++ {
+			if cur == core.Nil {
+				return fmt.Sprintf("host %d's ancestry ends at NIL", id)
+			}
+			if steps > len(hosts) {
+				return fmt.Sprintf("host %d's ancestry does not terminate (cycle)", id)
+			}
+			cur = parent(cur)
+		}
+	}
+	return ""
+}
+
 // ParentGraphAcyclic reports whether the current parent pointers contain
-// no cycle.
+// no cycle; when they do, it returns one.
 func (rt *Runtime) ParentGraphAcyclic() (bool, []core.HostID) {
 	if rt.TreeHosts == nil {
 		return true, nil
 	}
-	for id := range rt.TreeHosts {
-		seen := map[core.HostID]bool{}
-		cur := id
-		for cur != core.Nil {
-			if seen[cur] {
-				// Walk the cycle for the report.
-				var cycle []core.HostID
-				at := cur
-				for {
-					cycle = append(cycle, at)
-					at = rt.TreeHosts[at].Parent()
-					if at == cur || at == core.Nil {
-						break
-					}
-				}
-				return false, cycle
-			}
-			seen[cur] = true
-			h, ok := rt.TreeHosts[cur]
-			if !ok {
-				break
-			}
-			cur = h.Parent()
-		}
-	}
-	return true, nil
+	_, cycle := parentCycle(rt.sortedHosts(), rt.parentOf)
+	return cycle == nil, cycle
 }
 
 // SpanningTreeRooted reports whether every host reaches the source by
@@ -54,28 +91,8 @@ func (rt *Runtime) SpanningTreeRooted() (bool, string) {
 	if rt.TreeHosts == nil {
 		return false, "not a tree-protocol run"
 	}
-	source := core.HostID(rt.Topo.Source)
-	for id := range rt.TreeHosts {
-		if id == source {
-			if p := rt.TreeHosts[id].Parent(); p != core.Nil {
-				return false, fmt.Sprintf("source has parent %d", p)
-			}
-			continue
-		}
-		cur := id
-		steps := 0
-		for cur != source {
-			if cur == core.Nil {
-				return false, fmt.Sprintf("host %d's ancestry ends at NIL", id)
-			}
-			if steps > len(rt.TreeHosts) {
-				return false, fmt.Sprintf("host %d's ancestry does not terminate (cycle)", id)
-			}
-			cur = rt.TreeHosts[cur].Parent()
-			steps++
-		}
-	}
-	return true, ""
+	why := unrooted(rt.sortedHosts(), core.HostID(rt.Topo.Source), rt.parentOf)
+	return why == "", why
 }
 
 // InducesClusterTree checks the §4.1 definition against true clusters:
@@ -87,6 +104,11 @@ func (rt *Runtime) InducesClusterTree() (bool, string) {
 	if ok, why := rt.SpanningTreeRooted(); !ok {
 		return false, why
 	}
+	return rt.oneLeaderPerCluster()
+}
+
+// oneLeaderPerCluster is condition (2) of InducesClusterTree.
+func (rt *Runtime) oneLeaderPerCluster() (bool, string) {
 	truth := rt.Net.TrueClusters()
 	clusterHosts := map[int][]core.HostID{}
 	for h, c := range truth {
@@ -172,12 +194,14 @@ func (rt *Runtime) CheckInvariants(opts InvariantOptions) []Violation {
 		}
 	}
 	if rt.TreeHosts != nil {
-		if v, ok := rt.checkAcyclicSorted(); !ok {
-			out = append(out, v)
+		hosts := rt.sortedHosts()
+		if from, cycle := parentCycle(hosts, rt.parentOf); cycle != nil {
+			out = append(out, Violation{"acyclic",
+				fmt.Sprintf("parent cycle reachable from host %d (via %d)", from, cycle[0])})
 		} else if opts.RequireTree {
-			if v, ok := rt.checkSpanningSorted(); !ok {
-				out = append(out, v)
-			} else if ok, why := rt.InducesClusterTree(); !ok {
+			if why := unrooted(hosts, core.HostID(rt.Topo.Source), rt.parentOf); why != "" {
+				out = append(out, Violation{"spanning-tree", why})
+			} else if ok, why := rt.oneLeaderPerCluster(); !ok {
 				out = append(out, Violation{"cluster-tree", why})
 			}
 		}
@@ -261,56 +285,6 @@ func (rt *Runtime) sortedHosts() []core.HostID {
 	copy(hosts, rt.result.HostList)
 	sort.Slice(hosts, func(i, j int) bool { return hosts[i] < hosts[j] })
 	return hosts
-}
-
-// checkAcyclicSorted is ParentGraphAcyclic with deterministic host order
-// and a Violation-shaped report.
-func (rt *Runtime) checkAcyclicSorted() (Violation, bool) {
-	for _, id := range rt.sortedHosts() {
-		seen := map[core.HostID]bool{}
-		cur := id
-		for cur != core.Nil {
-			if seen[cur] {
-				return Violation{"acyclic",
-					fmt.Sprintf("parent cycle reachable from host %d (via %d)", id, cur)}, false
-			}
-			seen[cur] = true
-			h, ok := rt.TreeHosts[cur]
-			if !ok {
-				break
-			}
-			cur = h.Parent()
-		}
-	}
-	return Violation{}, true
-}
-
-// checkSpanningSorted is SpanningTreeRooted with deterministic host order.
-func (rt *Runtime) checkSpanningSorted() (Violation, bool) {
-	source := core.HostID(rt.Topo.Source)
-	for _, id := range rt.sortedHosts() {
-		if id == source {
-			if p := rt.TreeHosts[id].Parent(); p != core.Nil {
-				return Violation{"spanning-tree", fmt.Sprintf("source has parent %d", p)}, false
-			}
-			continue
-		}
-		cur := id
-		steps := 0
-		for cur != source {
-			if cur == core.Nil {
-				return Violation{"spanning-tree",
-					fmt.Sprintf("host %d's ancestry ends at NIL", id)}, false
-			}
-			if steps > len(rt.TreeHosts) {
-				return Violation{"spanning-tree",
-					fmt.Sprintf("host %d's ancestry does not terminate (cycle)", id)}, false
-			}
-			cur = rt.TreeHosts[cur].Parent()
-			steps++
-		}
-	}
-	return Violation{}, true
 }
 
 // LeadersPerTrueCluster counts current leaders in every true cluster.

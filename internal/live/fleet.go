@@ -48,7 +48,6 @@ func LiveParams() core.Params {
 		AttachTimeout:     25 * time.Millisecond,
 		ParentTimeout:     120 * time.Millisecond,
 		GapFillBatch:      64,
-		AttachFillLimit:   256,
 	}
 }
 

@@ -69,7 +69,6 @@ func fastParams() core.Params {
 		AttachTimeout:     12 * time.Millisecond,
 		ParentTimeout:     60 * time.Millisecond,
 		GapFillBatch:      32,
-		AttachFillLimit:   64,
 	}
 }
 

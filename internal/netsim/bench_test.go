@@ -1,6 +1,7 @@
 package netsim
 
 import (
+	"runtime"
 	"testing"
 	"time"
 
@@ -84,4 +85,50 @@ func BenchmarkSendWarmRoutes(b *testing.B) {
 			b.Fatal(err)
 		}
 	}
+}
+
+// BenchmarkNetsimHop measures the transmit path alone: one warm Send from
+// corner to corner of the 10×10 server grid — two access links and
+// eighteen server links — run to delivery on the sequential engine, with
+// no protocol above it. It reports the wall time and the heap
+// allocations of one link traversal (route lookup, loss/jitter draw, one
+// event through the queue); the payload is boxed once, outside the loop,
+// so the allocation figure is the transmit path's own.
+func BenchmarkNetsimHop(b *testing.B) {
+	const from, to = HostID(1), HostID(10)
+	eng, n := buildGrid(b, 10)
+	delivered := 0
+	if err := n.Handle(to, func(time.Duration, Envelope) { delivered++ }); err != nil {
+		b.Fatal(err)
+	}
+	var payload any = "payload"
+	traverse := func() {
+		if err := n.Send(from, to, payload); err != nil {
+			b.Fatal(err)
+		}
+		if err := eng.RunUntilIdle(); err != nil {
+			b.Fatal(err)
+		}
+	}
+	traverse() // warm the route tables, the event heap and the flight pool
+	n.ResetStats()
+	delivered = 0
+	b.ReportAllocs()
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		traverse()
+	}
+	b.StopTimer()
+	runtime.ReadMemStats(&after)
+	if delivered != b.N {
+		b.Fatalf("delivered %d of %d messages", delivered, b.N)
+	}
+	var hops uint64
+	for _, v := range n.Stats().LinkTransmissions {
+		hops += v
+	}
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(hops), "ns/hop")
+	b.ReportMetric(float64(after.Mallocs-before.Mallocs)/float64(hops), "allocs/hop")
 }

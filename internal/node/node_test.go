@@ -29,7 +29,6 @@ func fastParams() core.Params {
 		AttachTimeout:     25 * time.Millisecond,
 		ParentTimeout:     120 * time.Millisecond,
 		GapFillBatch:      64,
-		AttachFillLimit:   256,
 	}
 }
 

@@ -421,7 +421,8 @@ func (s Set) GapCount() int {
 // allocation Intervals makes.
 func (s Set) Run(i int) Interval { return s.runs[i] }
 
-// Intervals returns a copy of the interval coding.
+// Intervals returns a copy of the interval coding. Code that only reads
+// the runs uses RunCount and Run, which do not allocate.
 func (s Set) Intervals() []Interval {
 	out := make([]Interval, len(s.runs))
 	copy(out, s.runs)

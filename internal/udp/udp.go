@@ -145,7 +145,6 @@ func DefaultNodeParams() core.Params {
 		AttachTimeout:     25 * time.Millisecond,
 		ParentTimeout:     150 * time.Millisecond,
 		GapFillBatch:      64,
-		AttachFillLimit:   256,
 	}
 }
 

@@ -219,3 +219,50 @@ func BenchmarkDecodeInfo(b *testing.B) {
 		}
 	}
 }
+
+// BenchmarkCodecKinds measures an encode+decode round trip of one frame
+// of every message kind. The corpus is written out in the function body
+// because wirelint scans it: a kind not named here has no regression
+// tripwire for its codec cost, and `make lint` says so.
+func BenchmarkCodecKinds(b *testing.B) {
+	b.ReportAllocs()
+	info := seqset.FromRange(1, 64)
+	info.AddRange(70, 90)
+	frames := []wire.Frame{
+		{From: 3, Message: core.Message{Kind: core.MsgData, Seq: 91, Payload: make([]byte, 32)}},
+		{From: 3, Message: core.Message{Kind: core.MsgInfo, Info: info, Parent: 2}},
+		{From: 3, Message: core.Message{Kind: core.MsgAttachReq, Info: info}},
+		{From: 2, Message: core.Message{Kind: core.MsgAttachAccept, Info: info}},
+		{From: 2, Message: core.Message{Kind: core.MsgAttachReject}},
+		{From: 3, Message: core.Message{Kind: core.MsgDetach}},
+		{From: 3, Message: core.Message{Kind: core.MsgBundle, Parts: []core.Message{
+			{Kind: core.MsgData, Seq: 91, Payload: make([]byte, 32), GapFill: true},
+			{Kind: core.MsgInfo, Info: info, Parent: 2},
+		}}},
+		{From: 3, Message: core.Message{Kind: core.MsgInfoDelta, Info: seqset.FromRange(85, 90),
+			Seq: 90, CheckLen: uint64(info.Len()), Parent: 2}},
+		{From: 3, Message: core.Message{Kind: core.MsgEcho, Seq: 91, CheckLen: 0x9e3779b97f4a7c15}},
+		{From: 3, Message: core.Message{Kind: core.MsgReady, Seq: 91, CheckLen: 0x9e3779b97f4a7c15}},
+		{From: 3, Message: core.Message{Kind: core.MsgSyncReq, Seq: 65, Info: seqset.FromRange(65, 90)}},
+		{From: 2, Message: core.Message{Kind: core.MsgSyncResp, Seq: 65, Parts: []core.Message{
+			{Kind: core.MsgData, Seq: 65, Payload: make([]byte, 32), GapFill: true},
+			{Kind: core.MsgData, Seq: 66, Payload: make([]byte, 32), GapFill: true},
+		}, Info: seqset.FromRange(67, 70), CheckLen: 64}},
+		{From: 3, Message: core.Message{Kind: core.MsgSnapReq, Seq: 4096, CheckLen: 64}},
+		{From: 2, Message: core.Message{Kind: core.MsgSnapChunk, Seq: 4096,
+			Payload: make([]byte, 256), CheckLen: 8192, Info: seqset.FromRange(1, 64)}},
+	}
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		for _, f := range frames {
+			data, err := wire.Encode(f)
+			if err != nil {
+				b.Fatal(err)
+			}
+			if _, err := wire.Decode(data); err != nil {
+				b.Fatal(err)
+			}
+		}
+	}
+	b.ReportMetric(float64(b.N)*float64(len(frames))/b.Elapsed().Seconds(), "frames/s")
+}
