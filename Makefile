@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all build vet fmt-check lint lint-sarif lint-selftest test race race-shard-identity exp-check check soak soak-byzantine soak-catchup soak-smoke-race fuzz fuzz-smoke bench-smoke bench-repo bench-repo-smoke clean
+.PHONY: all build vet fmt-check lint lint-sarif lint-selftest test race exp-check check soak soak-byzantine soak-catchup soak-smoke-race fuzz fuzz-smoke bench-smoke bench-repo bench-repo-smoke clean
 
 all: check
 
@@ -55,18 +55,13 @@ lint-selftest:
 test:
 	$(GO) test ./...
 
+# race is the whole suite under the race detector. That includes the
+# sharded engine's determinism tests (worker-count trace identity in sim
+# and netsim, shard-count invariance of soak traces and replay reports);
+# CI runs it at GOMAXPROCS 1 and 4, so they are checked under both
+# serialized and genuinely parallel worker schedules.
 race:
 	$(GO) test -race ./...
-
-# race-shard-identity re-runs just the sharded-engine determinism
-# tests race-enabled and with higher verbosity: worker-count trace
-# identity at the sim and netsim layers, and shard-count invariance of
-# soak event traces and replay reports (including the byzantine and
-# late-joiner arms). CI runs it across the GOMAXPROCS matrix so the
-# bit-identical-at-any-shard-count guarantee is checked under both
-# serialized and genuinely parallel worker schedules.
-race-shard-identity:
-	$(GO) test -race -v -run 'TestShardedWorkerCountIdentity|TestShardTraceIdentity|TestShardPlan|TestShardCount' ./internal/sim/ ./internal/netsim/ ./internal/soak/
 
 # exp-check holds the committed experiment capture to the code: every
 # experiment at seed 1, minus rbexp's wall-clock lines, must print

@@ -201,15 +201,7 @@ func parsePartition(s string) ([]harness.TimedEvent, error) {
 	if end <= start {
 		return nil, fmt.Errorf("-partition end %v not after start %v", end, start)
 	}
-	return []harness.TimedEvent{
-		{At: start, Do: func(rt *harness.Runtime) error {
-			_, err := rt.Topo.IsolateCluster(cluster)
-			return err
-		}},
-		{At: end, Do: func(rt *harness.Runtime) error {
-			return rt.Topo.RestoreLinks(rt.Topo.WANLinksOfCluster(cluster))
-		}},
-	}, nil
+	return harness.PartitionWindow(cluster, start, end), nil
 }
 
 // writeMemProfile dumps a post-GC heap profile, best-effort.

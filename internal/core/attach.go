@@ -37,7 +37,7 @@ func (h *Host) runAttachment(now time.Duration, fresh bool) {
 		return
 	}
 	if fresh {
-		h.attach.excluded = nil
+		h.readmit(noAttach)
 	}
 	var cand *peer
 	switch {
@@ -64,9 +64,6 @@ func (h *Host) runAttachment(now time.Duration, fresh bool) {
 	h.attach.inProgress = true
 	h.attach.candidate = cand
 	h.attach.deadline = now + h.params.AttachTimeout
-	if h.attach.excluded == nil {
-		h.attach.excluded = make(map[HostID]bool)
-	}
 	h.noteFullInfoSent(cand)
 	h.emit(cand.id, Message{Kind: MsgAttachReq, Info: h.info.Snapshot()})
 }
@@ -76,7 +73,7 @@ func (h *Host) runAttachment(now time.Duration, fresh bool) {
 // candidate, never a suspected peer still inside its backoff window, and
 // never a host whose INFO (per MAP) is smaller than ours.
 func (h *Host) eligible(now time.Duration, j *peer) bool {
-	if j == h.me || j == h.parent || h.attach.excluded[j.id] {
+	if j == h.me || j == h.parent || j.excluded&noAttach != 0 {
 		return false
 	}
 	if h.suppressed(now, j) {
@@ -256,22 +253,25 @@ func (h *Host) pickCaseIII(now time.Duration) *peer {
 // the ancestors in order and whether the walk returned to this host (an
 // intra-cluster cycle through i). The walk stops at NIL, at a pointer
 // that names no participant, at a repeated host, or after len(peers)
-// steps.
+// steps. The chain is Host.chain, scratch the next walk overwrites.
 func (h *Host) ancestorChain() (chain []*peer, cyclic bool) {
+	chain = h.chain[:0]
 	cur := h.parent
 	for steps := 0; steps < len(h.peers) && cur != nil; steps++ {
 		if cur == h.me {
-			return chain, true
+			cyclic = true
+			break
 		}
 		if slices.Contains(chain, cur) {
 			// A cycle above us that does not pass through us; the hosts on
 			// it will break it themselves.
-			return chain, false
+			break
 		}
 		chain = append(chain, cur)
 		cur = h.lookup(cur.parentView)
 	}
-	return chain, false
+	h.chain = chain
+	return chain, cyclic
 }
 
 // maxOrderOn returns the host with the greatest static order among hosts.
@@ -338,6 +338,7 @@ func (h *Host) handleAttachAccept(now time.Duration, from *peer, m Message) {
 	h.lastFromParent = now
 	h.learnInfo(from, m.Info)
 	h.attach = attachState{}
+	h.readmit(noAttach)
 	if old != nil && old != from {
 		// §4.2: the old parent is notified of the change.
 		h.emit(old.id, Message{Kind: MsgDetach})
@@ -351,10 +352,7 @@ func (h *Host) handleAttachReject(now time.Duration, from *peer) {
 		return
 	}
 	h.event(now, EvAttachFailed, from.id, 0)
-	if h.attach.excluded == nil {
-		h.attach.excluded = make(map[HostID]bool)
-	}
-	h.attach.excluded[from.id] = true
+	h.exclude(from, noAttach)
 	h.attach.inProgress = false
 	h.runAttachment(now, false)
 }

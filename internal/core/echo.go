@@ -65,25 +65,52 @@ type echoState struct {
 	// echoed / readySent record this host's own votes.
 	echoed    bool
 	readySent bool
-	// echoes / readies count votes per digest; echoFrom / readyFrom pin
-	// each peer to its first vote so a peer voting for two digests is
-	// counted once and flagged as equivocation.
-	echoes    map[uint64]map[HostID]bool
-	readies   map[uint64]map[HostID]bool
-	echoFrom  map[HostID]uint64
-	readyFrom map[HostID]uint64
+	// votes is the round's vote row, parallel to Host.peers and made at
+	// the first vote. It pins each participant to its first vote of each
+	// phase, so a peer voting for two digests is counted once and flagged
+	// as equivocation.
+	votes []vote
+	// tallies counts the row per digest, in first-seen order: one entry
+	// unless some participant lies, never more than two per participant.
+	tallies []tally
+}
+
+// phase indexes the two votes of a round.
+type phase int
+
+const (
+	echoPhase phase = iota
+	readyPhase
+)
+
+// vote is one row entry: by phase, whether the participant has voted and
+// the digest it first voted for.
+type vote struct {
+	digest [2]uint64
+	cast   [2]bool
+}
+
+// tally is how many participants' first votes one digest holds, by phase.
+type tally struct {
+	digest uint64
+	count  [2]int
+}
+
+// count is the number of first votes of one phase that d holds.
+func (st *echoState) count(ph phase, d uint64) int {
+	for i := range st.tallies {
+		if st.tallies[i].digest == d {
+			return st.tallies[i].count[ph]
+		}
+	}
+	return 0
 }
 
 // echoSt returns (creating on demand) the voting state for seq.
 func (h *Host) echoSt(seq seqset.Seq) *echoState {
 	st, ok := h.echo.Get(seq)
 	if !ok {
-		st = &echoState{
-			echoes:    make(map[uint64]map[HostID]bool),
-			readies:   make(map[uint64]map[HostID]bool),
-			echoFrom:  make(map[HostID]uint64),
-			readyFrom: make(map[HostID]uint64),
-		}
+		st = &echoState{}
 		h.echo.Put(seq, st)
 	}
 	return st
@@ -139,43 +166,31 @@ func (h *Host) readyAmplify() int { return h.byzF() + 1 }
 // host has made under EchoReady (0 when the mode is off).
 func (h *Host) Equivocations() uint64 { return h.equivocations }
 
-// recordEcho counts one echo vote for (seq, d). It reports whether the
-// vote was fresh; a peer changing its vote is flagged as equivocation
-// and not re-counted.
-func (h *Host) recordEcho(now time.Duration, from HostID, seq seqset.Seq, d uint64, st *echoState) bool {
-	if prev, ok := st.echoFrom[from]; ok {
-		if prev != d {
+// recordVote counts one vote of phase ph for (seq, d) by participant
+// from. It reports whether the vote was fresh; a peer changing its vote
+// is flagged as equivocation and not re-counted.
+func (h *Host) recordVote(now time.Duration, ph phase, from HostID, seq seqset.Seq, d uint64, st *echoState) bool {
+	if st.votes == nil {
+		st.votes = make([]vote, len(h.peers))
+	}
+	v := &st.votes[h.index(from)]
+	if v.cast[ph] {
+		if v.digest[ph] != d {
 			h.equivocations++
 			h.event(now, EvEquivocation, from, seq)
 		}
 		return false
 	}
-	st.echoFrom[from] = d
-	set := st.echoes[d]
-	if set == nil {
-		set = make(map[HostID]bool)
-		st.echoes[d] = set
-	}
-	set[from] = true
-	return true
-}
-
-// recordReady is recordEcho for the ready phase.
-func (h *Host) recordReady(now time.Duration, from HostID, seq seqset.Seq, d uint64, st *echoState) bool {
-	if prev, ok := st.readyFrom[from]; ok {
-		if prev != d {
-			h.equivocations++
-			h.event(now, EvEquivocation, from, seq)
+	v.digest[ph], v.cast[ph] = d, true
+	for i := range st.tallies {
+		if st.tallies[i].digest == d {
+			st.tallies[i].count[ph]++
+			return true
 		}
-		return false
 	}
-	st.readyFrom[from] = d
-	set := st.readies[d]
-	if set == nil {
-		set = make(map[HostID]bool)
-		st.readies[d] = set
-	}
-	set[from] = true
+	t := tally{digest: d}
+	t.count[ph] = 1
+	st.tallies = append(st.tallies, t)
 	return true
 }
 
@@ -191,17 +206,16 @@ func (h *Host) broadcastMeta(kind MsgKind, seq seqset.Seq, d uint64) {
 
 // maybeReady casts this host's ready vote for (seq, d) if d just
 // reached the echo quorum or the f+1 ready amplification threshold.
-// Quorum checks run only for the digest whose count just changed, so no
-// map iteration (and no iteration-order dependence) is ever needed.
+// Quorum checks run only for the digest whose count just changed.
 func (h *Host) maybeReady(now time.Duration, seq seqset.Seq, d uint64, st *echoState) {
 	if st.readySent {
 		return
 	}
-	if len(st.echoes[d]) < h.echoQuorum() && len(st.readies[d]) < h.readyAmplify() {
+	if st.count(echoPhase, d) < h.echoQuorum() && st.count(readyPhase, d) < h.readyAmplify() {
 		return
 	}
 	st.readySent = true
-	h.recordReady(now, h.id, seq, d, st)
+	h.recordVote(now, readyPhase, h.id, seq, d, st)
 	h.broadcastMeta(MsgReady, seq, d)
 }
 
@@ -214,7 +228,7 @@ func (h *Host) maybeDeliver(now time.Duration, from HostID, seq seqset.Seq, d ui
 	if !st.havePayload || st.digest != d {
 		return
 	}
-	if len(st.readies[d]) < h.readyQuorum() {
+	if st.count(readyPhase, d) < h.readyQuorum() {
 		return
 	}
 	h.acceptCertified(now, from, seq, st)
@@ -241,7 +255,7 @@ func (h *Host) acceptCertified(now time.Duration, from HostID, seq seqset.Seq, s
 func (h *Host) handleDataEcho(now time.Duration, from *peer, m Message) {
 	d := PayloadDigest(m.Payload)
 	st := h.echoSt(m.Seq)
-	certified := len(st.readies[d]) >= h.readyQuorum()
+	certified := st.count(readyPhase, d) >= h.readyQuorum()
 	newMax := m.Seq > h.info.Max()
 	// §4.1 with the quorum relaxation: a new-maximum payload is accepted
 	// from the parent or on the strength of a ready quorum for its digest.
@@ -271,7 +285,7 @@ func (h *Host) handleDataEcho(now time.Duration, from *peer, m Message) {
 	}
 	if !st.echoed {
 		st.echoed = true
-		h.recordEcho(now, h.id, m.Seq, st.digest, st)
+		h.recordVote(now, echoPhase, h.id, m.Seq, st.digest, st)
 		h.broadcastMeta(MsgEcho, m.Seq, st.digest)
 	}
 	if first {
@@ -288,7 +302,7 @@ func (h *Host) handleEcho(now time.Duration, from *peer, m Message) {
 		return
 	}
 	st := h.echoSt(m.Seq)
-	h.recordEcho(now, from.id, m.Seq, m.CheckLen, st)
+	h.recordVote(now, echoPhase, from.id, m.Seq, m.CheckLen, st)
 	if h.info.Contains(m.Seq) {
 		// Already delivered: answer with our ready vote so a straggler
 		// whose original vote burst was lost can still reach its quorum.
@@ -304,7 +318,7 @@ func (h *Host) handleReady(now time.Duration, from *peer, m Message) {
 		return
 	}
 	st := h.echoSt(m.Seq)
-	if !h.recordReady(now, from.id, m.Seq, m.CheckLen, st) {
+	if !h.recordVote(now, readyPhase, from.id, m.Seq, m.CheckLen, st) {
 		return
 	}
 	if h.info.Contains(m.Seq) {
@@ -320,15 +334,17 @@ func (h *Host) handleReady(now time.Duration, from *peer, m Message) {
 // re-advertisement a lossy burst could leave a quorum permanently one
 // vote short.
 func (h *Host) resendEchoMeta() {
+	self := h.index(h.id)
 	h.echo.Each(func(q seqset.Seq, st *echoState) bool {
 		if q <= h.prunedTo || h.info.Contains(q) {
 			return true
 		}
+		// A vote this host has cast is in its own row entry.
 		if st.echoed {
-			h.broadcastMeta(MsgEcho, q, st.echoFrom[h.id])
+			h.broadcastMeta(MsgEcho, q, st.votes[self].digest[echoPhase])
 		}
 		if st.readySent {
-			h.broadcastMeta(MsgReady, q, st.readyFrom[h.id])
+			h.broadcastMeta(MsgReady, q, st.votes[self].digest[readyPhase])
 		}
 		return true
 	})

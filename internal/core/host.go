@@ -39,6 +39,8 @@ type Host struct {
 	store seqset.Window[[]byte]
 	// parent is p_i[i]; nil when the host has no parent.
 	parent *peer
+	// excluding names the exclusion sets (peer.go) that have members.
+	excluding exclusion
 
 	// echo tracks per-sequence echo/ready voting under Params.EchoReady
 	// (empty otherwise); equivocations counts conflicting-vote
@@ -75,11 +77,13 @@ type Host struct {
 	// entry points. flushSlot (per peer index: 1 + the destination's
 	// position in flushGroups, 0 when it has none yet) and flushGroups are
 	// the flush's scratch, reused like the outbox. They live here and not
-	// on the peer record: n² records exist in a run, n hosts.
+	// on the peer record: n² records exist in a run, n hosts. chain is
+	// scratch of the same kind, for Case III's ancestor walk (attach.go).
 	outbox          []outboundMsg
 	activationDepth int
 	flushSlot       []int32
 	flushGroups     []flushGroup
+	chain           []*peer
 
 	// next fire times for periodic activities.
 	nextAttach     time.Duration
@@ -96,9 +100,6 @@ type attachState struct {
 	inProgress bool
 	candidate  *peer
 	deadline   time.Duration
-	// excluded holds candidates that timed out or rejected during the
-	// current procedure run; cleared at each periodic activation.
-	excluded map[HostID]bool
 	// exhausted is set when a retry sweep runs out of candidates; while
 	// set, further activations are skipped until new evidence (any
 	// received message) arrives, so an unreachable host does not burn a
@@ -123,19 +124,11 @@ func NewHost(cfg Config, env Env) (*Host, error) {
 	if err := cfg.Params.Validate(); err != nil {
 		return nil, err
 	}
-	if err := cfg.validate(); err != nil {
-		return nil, err
-	}
-	peers := make([]HostID, len(cfg.Peers))
-	copy(peers, cfg.Peers)
+	peers := slices.Clone(cfg.Peers)
 	slices.Sort(peers)
-	order := make([]int, len(peers))
-	for i, p := range peers {
-		if cfg.Order != nil {
-			order[i] = cfg.Order[p]
-		} else {
-			order[i] = int(p)
-		}
+	order, err := cfg.validate(peers)
+	if err != nil {
+		return nil, err
 	}
 	h := &Host{
 		id:         cfg.ID,
@@ -263,8 +256,8 @@ func (h *Host) Broadcast(now time.Duration, payload []byte) seqset.Seq {
 		st.havePayload = true
 		st.echoed = true
 		st.readySent = true
-		h.recordEcho(now, h.id, seq, d, st)
-		h.recordReady(now, h.id, seq, d, st)
+		h.recordVote(now, echoPhase, h.id, seq, d, st)
+		h.recordVote(now, readyPhase, h.id, seq, d, st)
 		h.broadcastMeta(MsgEcho, seq, d)
 		h.broadcastMeta(MsgReady, seq, d)
 	}
@@ -642,7 +635,7 @@ func (h *Host) Tick(now time.Duration) {
 	if h.attach.inProgress && now >= h.attach.deadline {
 		h.event(now, EvAttachFailed, h.attach.candidate.id, 0)
 		h.noteProbeFailure(now, h.attach.candidate)
-		h.attach.excluded[h.attach.candidate.id] = true
+		h.exclude(h.attach.candidate, noAttach)
 		h.attach.inProgress = false
 		// §4.2: on ack timeout the procedure is repeated immediately to
 		// find another candidate.

@@ -1,6 +1,7 @@
 package core_test
 
 import (
+	"slices"
 	"testing"
 	"time"
 
@@ -95,33 +96,61 @@ func TestConfigValidation(t *testing.T) {
 	cases := []struct {
 		name string
 		cfg  core.Config
+		want string
 	}{
-		{"zero id", core.Config{ID: 0, Source: 1, Peers: []core.HostID{1}}},
-		{"self not in peers", core.Config{ID: 2, Source: 1, Peers: []core.HostID{1, 3}}},
-		{"source not in peers", core.Config{ID: 2, Source: 1, Peers: []core.HostID{2, 3}}},
-		{"duplicate peers", core.Config{ID: 1, Source: 1, Peers: []core.HostID{1, 2, 2}}},
+		{"zero id", core.Config{ID: 0, Source: 1, Peers: []core.HostID{1}},
+			"core: invalid host id 0"},
+		{"zero source", core.Config{ID: 1, Source: 0, Peers: []core.HostID{1}},
+			"core: invalid source id 0"},
+		{"bad peer id", core.Config{ID: 1, Source: 1, Peers: []core.HostID{1, 2, -3}},
+			"core: invalid peer id -3"},
+		{"self not in peers", core.Config{ID: 2, Source: 1, Peers: []core.HostID{1, 3}},
+			"core: host 2 not in Peers"},
+		{"source not in peers", core.Config{ID: 2, Source: 1, Peers: []core.HostID{2, 3}},
+			"core: source 1 not in Peers"},
+		{"duplicate peers", core.Config{ID: 1, Source: 1, Peers: []core.HostID{1, 2, 2}},
+			"core: duplicate peer 2"},
 		{"order missing peer", core.Config{
 			ID: 1, Source: 1, Peers: []core.HostID{1, 2},
 			Order: map[core.HostID]int{1: 1},
-		}},
+		}, "core: peer 2 missing from Order"},
 		{"order collision", core.Config{
 			ID: 1, Source: 1, Peers: []core.HostID{1, 2},
 			Order: map[core.HostID]int{1: 7, 2: 7},
-		}},
+		}, "core: peers 1 and 2 share order 7"},
 		{"initial cluster outside peers", core.Config{
 			ID: 1, Source: 1, Peers: []core.HostID{1, 2},
 			InitialCluster: []core.HostID{2, 9},
-		}},
+		}, "core: InitialCluster member 9 not in Peers"},
 	}
 	for _, tt := range cases {
 		t.Run(tt.name, func(t *testing.T) {
 			if _, err := core.NewHost(tt.cfg, env); err == nil {
 				t.Errorf("NewHost accepted bad config %+v", tt.cfg)
+			} else if err.Error() != tt.want {
+				t.Errorf("NewHost rejected %+v with %q, want %q", tt.cfg, err, tt.want)
 			}
 		})
 	}
 	if _, err := core.NewHost(core.Config{ID: 1, Source: 1, Peers: []core.HostID{1, 2}}, nil); err == nil {
 		t.Error("NewHost accepted nil Env")
+	}
+	// Peers need be neither sorted nor contiguous, and the caller's slice
+	// is left as it was.
+	peers := []core.HostID{40, 7, 1000, 12}
+	h, err := core.NewHost(core.Config{
+		ID: 12, Source: 1000, Peers: peers,
+		Order:          map[core.HostID]int{7: 3, 12: -1, 40: 0, 1000: 9},
+		InitialCluster: []core.HostID{1000, 7},
+	}, env)
+	if err != nil {
+		t.Fatalf("NewHost rejected unsorted, non-contiguous Peers: %v", err)
+	}
+	if got := h.Cluster(); !slices.Equal(got, []core.HostID{7, 12, 1000}) {
+		t.Errorf("Cluster = %v, want [7 12 1000]", got)
+	}
+	if !slices.Equal(peers, []core.HostID{40, 7, 1000, 12}) {
+		t.Errorf("NewHost reordered the caller's Peers: %v", peers)
 	}
 }
 

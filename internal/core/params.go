@@ -3,6 +3,7 @@ package core
 import (
 	"errors"
 	"fmt"
+	"slices"
 	"time"
 )
 
@@ -365,52 +366,59 @@ type Config struct {
 	Observer Observer
 }
 
-func (c Config) validate() error {
+// validate reports the first problem with c, or else the static order
+// of every participant. sorted is c.Peers ascending — NewHost sorts the
+// list once, for the table it keeps — and the orders run parallel to it.
+// Two peers that share an order are named in ascending ID order.
+func (c Config) validate(sorted []HostID) ([]int, error) {
 	if c.ID <= 0 {
-		return fmt.Errorf("core: invalid host id %d", c.ID)
+		return nil, fmt.Errorf("core: invalid host id %d", c.ID)
 	}
 	if c.Source <= 0 {
-		return fmt.Errorf("core: invalid source id %d", c.Source)
+		return nil, fmt.Errorf("core: invalid source id %d", c.Source)
 	}
-	var haveSelf, haveSource bool
-	seen := make(map[HostID]bool, len(c.Peers))
-	orders := make(map[int]HostID, len(c.Peers))
-	for _, p := range c.Peers {
+	order := make([]int, len(sorted))
+	for i, p := range sorted {
 		if p <= 0 {
-			return fmt.Errorf("core: invalid peer id %d", p)
+			return nil, fmt.Errorf("core: invalid peer id %d", p)
 		}
-		if seen[p] {
-			return fmt.Errorf("core: duplicate peer %d", p)
+		if i > 0 && p == sorted[i-1] {
+			return nil, fmt.Errorf("core: duplicate peer %d", p)
 		}
-		seen[p] = true
-		if p == c.ID {
-			haveSelf = true
-		}
-		if p == c.Source {
-			haveSource = true
-		}
-		o := int(p)
+		order[i] = int(p)
 		if c.Order != nil {
 			var ok bool
-			if o, ok = c.Order[p]; !ok {
-				return fmt.Errorf("core: peer %d missing from Order", p)
+			if order[i], ok = c.Order[p]; !ok {
+				return nil, fmt.Errorf("core: peer %d missing from Order", p)
 			}
 		}
-		if prev, dup := orders[o]; dup {
-			return fmt.Errorf("core: peers %d and %d share order %d", prev, p, o)
+	}
+	// Without an override the orders are the IDs, distinct already.
+	if c.Order != nil {
+		byOrder := slices.Clone(order)
+		slices.Sort(byOrder)
+		for i := 1; i < len(byOrder); i++ {
+			if o := byOrder[i]; o == byOrder[i-1] {
+				a := slices.Index(order, o)
+				b := a + 1 + slices.Index(order[a+1:], o)
+				return nil, fmt.Errorf("core: peers %d and %d share order %d", sorted[a], sorted[b], o)
+			}
 		}
-		orders[o] = p
 	}
-	if !haveSelf {
-		return fmt.Errorf("core: host %d not in Peers", c.ID)
+	member := func(j HostID) bool {
+		_, ok := slices.BinarySearch(sorted, j)
+		return ok
 	}
-	if !haveSource {
-		return fmt.Errorf("core: source %d not in Peers", c.Source)
+	if !member(c.ID) {
+		return nil, fmt.Errorf("core: host %d not in Peers", c.ID)
+	}
+	if !member(c.Source) {
+		return nil, fmt.Errorf("core: source %d not in Peers", c.Source)
 	}
 	for _, p := range c.InitialCluster {
-		if !seen[p] {
-			return fmt.Errorf("core: InitialCluster member %d not in Peers", p)
+		if !member(p) {
+			return nil, fmt.Errorf("core: InitialCluster member %d not in Peers", p)
 		}
 	}
-	return nil
+	return order, nil
 }

@@ -44,6 +44,9 @@ type peer struct {
 	inCluster bool
 	// child is j ∈ CHILDREN_i.
 	child bool
+	// excluded says which of the host's exclusion sets j is in. The byte
+	// fits the padding behind the two bools: n² records pay nothing for it.
+	excluded exclusion
 
 	// health is j's liveness record (health.go). It is kept regardless of
 	// Params, but only gates traffic when the backoff fields are set.
@@ -61,6 +64,39 @@ type peer struct {
 	sinceFull  int
 	infoView   seqset.Set
 	infoSynced bool
+}
+
+// exclusion names the host's exclusion sets: peers passed over until the
+// set is next emptied.
+type exclusion uint8
+
+const (
+	// noAttach: candidates that timed out or rejected during the current
+	// run of the attachment procedure; each periodic activation empties it.
+	noAttach exclusion = 1 << iota
+	// noSync: sync sources that went silent mid-transfer or could not back
+	// what they advertise; emptied once every candidate is in it.
+	noSync
+)
+
+// exclude puts p in an exclusion set.
+func (h *Host) exclude(p *peer, set exclusion) {
+	p.excluded |= set
+	h.excluding |= set
+}
+
+// readmit empties an exclusion set. Host.excluding says which sets have
+// members, so emptying an empty one walks nothing.
+func (h *Host) readmit(set exclusion) {
+	if h.excluding&set == 0 {
+		return
+	}
+	for _, p := range h.table {
+		if p != nil {
+			p.excluded &^= set
+		}
+	}
+	h.excluding &^= set
 }
 
 // idOf is p's HostID, or Nil for no peer (a nil parent pointer, an idle

@@ -1,7 +1,6 @@
 package core
 
 import (
-	"slices"
 	"time"
 
 	"rbcast/internal/seqset"
@@ -40,6 +39,7 @@ const (
 
 // syncReq is one in-flight range request.
 type syncReq struct {
+	id       seqset.Seq // request id: the low bound of the requested range
 	want     seqset.Set // requested sequence numbers
 	got      seqset.Set // subset received (or reported pruned) so far
 	deadline time.Duration
@@ -51,12 +51,10 @@ type syncReq struct {
 type syncState struct {
 	// source is the peer currently being pulled from; nil when idle.
 	source *peer
-	// excluded holds sources that went silent mid-transfer and were
-	// failed over; cleared when every candidate is excluded.
-	excluded map[HostID]bool
-	// inflight holds outstanding range requests keyed by request id
-	// (the low bound of the requested range).
-	inflight map[seqset.Seq]*syncReq
+	// inflight holds the outstanding range requests, at most SyncWindow,
+	// in ascending request-id order — the order timed-out ones are
+	// retried in.
+	inflight []*syncReq
 
 	// Snapshot transfer state. snapGot is the verified prefix of the
 	// snapshot being fetched; its length is the resume offset, so a
@@ -69,6 +67,34 @@ type syncState struct {
 	snapChunks   int // chunks received since the last MsgSnapReq
 	snapDeadline time.Duration
 	snapRetries  int
+}
+
+// find returns the position in inflight of request id, or -1.
+func (st *syncState) find(id seqset.Seq) int {
+	for i, req := range st.inflight {
+		if req.id == id {
+			return i
+		}
+	}
+	return -1
+}
+
+// issue puts a new request in flight, at its place in id order.
+func (st *syncState) issue(req *syncReq) {
+	i := len(st.inflight)
+	st.inflight = append(st.inflight, req)
+	for ; i > 0 && st.inflight[i-1].id > req.id; i-- {
+		st.inflight[i] = st.inflight[i-1]
+	}
+	st.inflight[i] = req
+}
+
+// retire takes the request at position i out of flight.
+func (st *syncState) retire(i int) {
+	last := len(st.inflight) - 1
+	copy(st.inflight[i:], st.inflight[i+1:])
+	st.inflight[last] = nil
+	st.inflight = st.inflight[:last]
 }
 
 // SyncStats is an exported snapshot of the catch-up layer's counters.
@@ -302,10 +328,7 @@ func (h *Host) failoverSync(now time.Duration, st *syncState) {
 	if st.source != nil {
 		h.event(now, EvSyncFailover, st.source.id, 0)
 		h.syncFailovers++
-		if st.excluded == nil {
-			st.excluded = make(map[HostID]bool)
-		}
-		st.excluded[st.source.id] = true
+		h.exclude(st.source, noSync)
 	}
 	st.source = nil
 	st.inflight = nil
@@ -321,41 +344,34 @@ func (h *Host) failoverSync(now time.Duration, st *syncState) {
 // pumpRanges retries timed-out range requests and keeps the in-flight
 // window full.
 func (h *Host) pumpRanges(now time.Duration, st *syncState) {
-	// Retry or fail over timed-out requests, in request-id order for
-	// determinism.
-	if len(st.inflight) > 0 {
-		ids := make([]seqset.Seq, 0, len(st.inflight))
-		for id := range st.inflight {
-			ids = append(ids, id)
+	// Retry or fail over timed-out requests, in request-id order.
+	for i := 0; i < len(st.inflight); i++ {
+		req := st.inflight[i]
+		if now < req.deadline {
+			continue
 		}
-		slices.Sort(ids)
-		for _, id := range ids {
-			req := st.inflight[id]
-			if now < req.deadline {
-				continue
-			}
-			// A request can outlive its source: handleSyncResp rotates a
-			// dead-end source out while other requests are in flight. The
-			// retry goes to whichever source is current, and to nobody
-			// (emitDirect drops Nil) while there is none.
-			if st.source != nil {
-				h.noteProbeFailure(now, st.source)
-			}
-			req.retries++
-			if req.retries > syncMaxRetries {
-				h.failoverSync(now, st)
-				break
-			}
-			outstanding := req.want.Diff(req.got)
-			if outstanding.Empty() {
-				delete(st.inflight, id)
-				continue
-			}
-			req.deadline = now + h.params.SyncTimeout
-			h.emitDirect(idOf(st.source), Message{Kind: MsgSyncReq, Seq: id, Info: outstanding})
-			h.event(now, EvSyncRound, idOf(st.source), id)
-			h.syncRounds++
+		// A request can outlive its source: handleSyncResp rotates a
+		// dead-end source out while other requests are in flight. The
+		// retry goes to whichever source is current, and to nobody
+		// (emitDirect drops Nil) while there is none.
+		if st.source != nil {
+			h.noteProbeFailure(now, st.source)
 		}
+		req.retries++
+		if req.retries > syncMaxRetries {
+			h.failoverSync(now, st) // drops every request, the unvisited ones too
+			break
+		}
+		outstanding := req.want.Diff(req.got)
+		if outstanding.Empty() {
+			st.retire(i)
+			i--
+			continue
+		}
+		req.deadline = now + h.params.SyncTimeout
+		h.emitDirect(idOf(st.source), Message{Kind: MsgSyncReq, Seq: req.id, Info: outstanding})
+		h.event(now, EvSyncRound, idOf(st.source), req.id)
+		h.syncRounds++
 	}
 	if st.snapActive || len(st.inflight) >= h.params.SyncWindow {
 		return
@@ -364,13 +380,13 @@ func (h *Host) pumpRanges(now time.Duration, st *syncState) {
 	// we lack — excluding the pruned floor and anything already in
 	// flight.
 	src := st.source
-	if src == nil || st.excluded[src.id] || h.suppressed(now, src) {
+	if src == nil || src.excluded&noSync != 0 || h.suppressed(now, src) {
 		src = h.pickSyncSource(now, st)
 		if src == nil {
 			// Every candidate excluded or useless: clear the exclusions so
 			// the next pump re-sweeps (the backoff layer, not the exclusion
 			// list, is the long-term gate).
-			st.excluded = nil
+			h.readmit(noSync)
 			st.source = nil
 			return
 		}
@@ -401,10 +417,7 @@ func (h *Host) pumpRanges(now time.Duration, st *syncState) {
 		}
 		requested.Union(want)
 		id := want.Min()
-		if st.inflight == nil {
-			st.inflight = make(map[seqset.Seq]*syncReq)
-		}
-		st.inflight[id] = &syncReq{want: want, deadline: now + h.params.SyncTimeout}
+		st.issue(&syncReq{id: id, want: want, deadline: now + h.params.SyncTimeout})
 		h.emitDirect(src.id, Message{Kind: MsgSyncReq, Seq: id, Info: want})
 		h.event(now, EvSyncRound, src.id, id)
 		h.syncRounds++
@@ -448,7 +461,7 @@ func (h *Host) pickSyncSource(now time.Duration, st *syncState) *peer {
 	bestGain := 0
 	for _, j := range h.table {
 		// An untouched record has an empty confirmed view: no gain.
-		if j == nil || j == h.me || st.excluded[j.id] || h.suppressed(now, j) {
+		if j == nil || j == h.me || j.excluded&noSync != 0 || h.suppressed(now, j) {
 			continue
 		}
 		gain := h.missingFrom(j).Len()
@@ -478,10 +491,11 @@ func (h *Host) handleSyncResp(now time.Duration, from *peer, m Message) {
 	if st == nil {
 		return
 	}
-	req, ok := st.inflight[m.Seq]
-	if !ok {
+	at := st.find(m.Seq)
+	if at < 0 {
 		return
 	}
+	req := st.inflight[at]
 	for _, part := range m.Parts {
 		if part.Kind != MsgData || part.Seq == 0 {
 			continue
@@ -494,7 +508,7 @@ func (h *Host) handleSyncResp(now time.Duration, from *peer, m Message) {
 		req.got.Add(part.Seq)
 		h.acceptSyncData(now, from, part.Seq, part.Payload)
 	}
-	delete(st.inflight, m.Seq)
+	st.retire(at)
 	// The responder advertises its checkpoint watermark on every
 	// response; if it reaches past our contiguous prefix, a snapshot can
 	// cover what per-message sync cannot (range sync continues above the
@@ -517,10 +531,7 @@ func (h *Host) handleSyncResp(now time.Duration, from *peer, m Message) {
 	// catch-up cycle so the pump picks a peer that can actually help
 	// (the exclusion set clears once every candidate has been tried).
 	if unbacked := req.want.Diff(req.got).Diff(m.Info); !unbacked.Empty() && !useful {
-		if st.excluded == nil {
-			st.excluded = make(map[HostID]bool)
-		}
-		st.excluded[from.id] = true
+		h.exclude(from, noSync)
 		if st.source == from {
 			st.source = nil
 		}

@@ -44,20 +44,12 @@ func Piggyback(seed int64) (Report, error) {
 				Cheap:           netsim.LinkConfig{Class: netsim.Cheap, LossProb: 0.05},
 				Expensive:       netsim.LinkConfig{Class: netsim.Expensive, LossProb: 0.25},
 			}),
-			Protocol:    harness.ProtocolTree,
-			Params:      params,
-			Messages:    60,
-			MsgInterval: 150 * time.Millisecond,
-			WarmUp:      3 * time.Second,
-			Events: []harness.TimedEvent{
-				{At: 4 * time.Second, Do: func(rt *harness.Runtime) error {
-					_, err := rt.Topo.IsolateCluster(3)
-					return err
-				}},
-				{At: 11 * time.Second, Do: func(rt *harness.Runtime) error {
-					return rt.Topo.RestoreLinks(rt.Topo.WANLinksOfCluster(3))
-				}},
-			},
+			Protocol:         harness.ProtocolTree,
+			Params:           params,
+			Messages:         60,
+			MsgInterval:      150 * time.Millisecond,
+			WarmUp:           3 * time.Second,
+			Events:           harness.PartitionWindow(3, 4*time.Second, 11*time.Second),
 			Drain:            90 * time.Second,
 			StopWhenComplete: true,
 		})

@@ -36,23 +36,15 @@ func BackoffRecovery(seed int64) (Report, error) {
 			name = "backoff"
 		}
 		rt, err := harness.Prepare(harness.Scenario{
-			Name:        "e12-" + name,
-			Seed:        seed,
-			Build:       clusteredBuild(topo.ClusteredConfig{Clusters: 3, HostsPerCluster: 2, Shape: topo.WANStar}),
-			Protocol:    harness.ProtocolTree,
-			Params:      params,
-			Messages:    30,
-			MsgInterval: 200 * time.Millisecond,
-			WarmUp:      2 * time.Second,
-			Events: []harness.TimedEvent{
-				{At: cutAt, Do: func(rt *harness.Runtime) error {
-					_, err := rt.Topo.IsolateCluster(2)
-					return err
-				}},
-				{At: healAt, Do: func(rt *harness.Runtime) error {
-					return rt.Topo.RestoreLinks(rt.Topo.WANLinksOfCluster(2))
-				}},
-			},
+			Name:             "e12-" + name,
+			Seed:             seed,
+			Build:            clusteredBuild(topo.ClusteredConfig{Clusters: 3, HostsPerCluster: 2, Shape: topo.WANStar}),
+			Protocol:         harness.ProtocolTree,
+			Params:           params,
+			Messages:         30,
+			MsgInterval:      200 * time.Millisecond,
+			WarmUp:           2 * time.Second,
+			Events:           harness.PartitionWindow(2, cutAt, healAt),
 			Drain:            90 * time.Second,
 			StopWhenComplete: true,
 		})

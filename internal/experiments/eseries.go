@@ -198,15 +198,7 @@ func Recovery(seed int64) (Report, error) {
 func Partition(seed int64) (Report, error) {
 	rep := newReport("E4", "traffic sent toward unreachable hosts during a 20s partition")
 	cutAt, healAt := 5*time.Second, 25*time.Second
-	events := []harness.TimedEvent{
-		{At: cutAt, Do: func(rt *harness.Runtime) error {
-			_, err := rt.Topo.IsolateCluster(2)
-			return err
-		}},
-		{At: healAt, Do: func(rt *harness.Runtime) error {
-			return rt.Topo.RestoreLinks(rt.Topo.WANLinksOfCluster(2))
-		}},
-	}
+	events := harness.PartitionWindow(2, cutAt, healAt)
 	t := metrics.NewTable("protocol", "unreachable sends", "of which data", "complete after heal")
 	results := map[harness.Protocol]*harness.Result{}
 	for _, proto := range []harness.Protocol{harness.ProtocolTree, harness.ProtocolBasic} {
@@ -416,15 +408,7 @@ func Tradeoff(seed int64) (Report, error) {
 		if pt := mul(params.ParentTimeout); pt > params.ParentTimeout {
 			params.ParentTimeout = pt
 		}
-		events := []harness.TimedEvent{
-			{At: cutAt, Do: func(rt *harness.Runtime) error {
-				_, err := rt.Topo.IsolateCluster(1)
-				return err
-			}},
-			{At: healAt, Do: func(rt *harness.Runtime) error {
-				return rt.Topo.RestoreLinks(rt.Topo.WANLinksOfCluster(1))
-			}},
-		}
+		events := harness.PartitionWindow(1, cutAt, healAt)
 		res, err := harness.Run(harness.Scenario{
 			Name:        fmt.Sprintf("e7-scale-%.2f", scale),
 			Seed:        seed,

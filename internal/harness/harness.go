@@ -51,6 +51,21 @@ type TimedEvent struct {
 	Do func(*Runtime) error
 }
 
+// PartitionWindow is the schedule of one partition that heals: every WAN
+// link touching the cluster is cut at cutAt, and those links come back at
+// healAt.
+func PartitionWindow(cluster int, cutAt, healAt time.Duration) []TimedEvent {
+	return []TimedEvent{
+		{At: cutAt, Do: func(rt *Runtime) error {
+			_, err := rt.Topo.IsolateCluster(cluster)
+			return err
+		}},
+		{At: healAt, Do: func(rt *Runtime) error {
+			return rt.Topo.RestoreLinks(rt.Topo.WANLinksOfCluster(cluster))
+		}},
+	}
+}
+
 // Scenario describes one simulation run.
 type Scenario struct {
 	// Name labels the run in results.
@@ -435,11 +450,6 @@ func (rt *Runtime) instrument() {
 		a := &rt.acc[lane]
 		kind := classify(env.Payload)
 		a.sendsByKind[kind]++
-		if m, ok := env.Payload.(core.Message); ok && m.Kind == core.MsgBundle {
-			a.logicalSends += uint64(len(m.Parts))
-		} else {
-			a.logicalSends++
-		}
 		if inter {
 			a.interClusterByKind[kind]++
 		}
@@ -447,19 +457,30 @@ func (rt *Runtime) instrument() {
 			a.unreachableSends++
 			a.unreachableSendsByKind[kind]++
 		}
+		logical := 1
 		if m, ok := env.Payload.(core.Message); ok {
-			// EncodedSize prices the frame without encoding it — this hook
-			// runs on every host-level send, so the accounting must not
-			// allocate a throwaway buffer per message.
-			if size, err := wire.EncodedSize(wire.Frame{From: core.HostID(env.From), Message: m}); err == nil {
-				a.wireBytes += uint64(size)
-				switch m.Kind {
-				case core.MsgSyncReq, core.MsgSyncResp, core.MsgSnapReq, core.MsgSnapChunk:
-					a.catchupWireBytes += uint64(size)
+			// This hook runs on every host-level send, so it prices each
+			// frame once, and without encoding it.
+			from := core.HostID(env.From)
+			size := encodedSize(from, m)
+			a.wireBytes += size
+			switch m.Kind {
+			case core.MsgInfo, core.MsgInfoDelta:
+				a.infoWireBytes += size
+			case core.MsgBundle:
+				// A bundle's share of the INFO channel is what its INFO
+				// parts would cost as frames of their own.
+				logical = len(m.Parts)
+				for _, part := range m.Parts {
+					if part.Kind == core.MsgInfo || part.Kind == core.MsgInfoDelta {
+						a.infoWireBytes += encodedSize(from, part)
+					}
 				}
+			case core.MsgSyncReq, core.MsgSyncResp, core.MsgSnapReq, core.MsgSnapChunk:
+				a.catchupWireBytes += size
 			}
-			a.infoWireBytes += infoWireBytes(core.HostID(env.From), m)
 		}
+		a.logicalSends += uint64(logical)
 	}
 	rt.Net.OnLinkTransmit = func(lane int, _ netsim.LinkID, class netsim.LinkClass, env netsim.Envelope) {
 		kind := classify(env.Payload)
@@ -543,23 +564,14 @@ func classify(payload any) SendKind {
 	return KindOther
 }
 
-// infoWireBytes prices the INFO-channel content of one protocol message:
-// the wire size of MsgInfo/MsgInfoDelta frames, descending into bundles
-// so piggybacked INFO exchanges are counted too.
-func infoWireBytes(from core.HostID, m core.Message) uint64 {
-	switch m.Kind {
-	case core.MsgInfo, core.MsgInfoDelta:
-		if size, err := wire.EncodedSize(wire.Frame{From: from, Message: m}); err == nil {
-			return uint64(size)
-		}
-	case core.MsgBundle:
-		var total uint64
-		for _, part := range m.Parts {
-			total += infoWireBytes(from, part)
-		}
-		return total
+// encodedSize is the wire size of m as a frame of its own from the given
+// host, 0 when the codec would refuse it.
+func encodedSize(from core.HostID, m core.Message) uint64 {
+	size, err := wire.EncodedSize(wire.Frame{From: from, Message: m})
+	if err != nil {
+		return 0
 	}
-	return 0
+	return uint64(size)
 }
 
 type treeEnv struct {

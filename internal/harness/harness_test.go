@@ -153,36 +153,41 @@ func TestTreeCompletesUnderDuplication(t *testing.T) {
 }
 
 func TestPartitionHealsAndDeliveryResumes(t *testing.T) {
-	var cut []harness.TimedEvent
-	cut = append(cut,
-		harness.TimedEvent{
+	// The schedule written out by hand, as six call sites had it before
+	// harness.PartitionWindow; the helper must produce the same run.
+	byHand := []harness.TimedEvent{
+		{
 			At: 4 * time.Second,
 			Do: func(rt *harness.Runtime) error {
 				_, err := rt.Topo.IsolateCluster(2)
 				return err
 			},
 		},
-		harness.TimedEvent{
+		{
 			At: 20 * time.Second,
 			Do: func(rt *harness.Runtime) error {
 				return rt.Topo.RestoreLinks(rt.Topo.WANLinksOfCluster(2))
 			},
 		},
-	)
-	res, err := harness.Run(harness.Scenario{
-		Name:             "partition-3x2",
-		Seed:             11,
-		Build:            clusteredBuild(3, 2, topo.WANChain),
-		Protocol:         harness.ProtocolTree,
-		Messages:         30,
-		MsgInterval:      300 * time.Millisecond,
-		Events:           cut,
-		Drain:            60 * time.Second,
-		StopWhenComplete: true,
-	})
-	if err != nil {
-		t.Fatal(err)
 	}
+	run := func(events []harness.TimedEvent) *harness.Result {
+		res, err := harness.Run(harness.Scenario{
+			Name:             "partition-3x2",
+			Seed:             11,
+			Build:            clusteredBuild(3, 2, topo.WANChain),
+			Protocol:         harness.ProtocolTree,
+			Messages:         30,
+			MsgInterval:      300 * time.Millisecond,
+			Events:           events,
+			Drain:            60 * time.Second,
+			StopWhenComplete: true,
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return res
+	}
+	res := run(harness.PartitionWindow(2, 4*time.Second, 20*time.Second))
 	if len(res.EventErrors) != 0 {
 		t.Fatalf("event errors: %v", res.EventErrors)
 	}
@@ -197,6 +202,13 @@ func TestPartitionHealsAndDeliveryResumes(t *testing.T) {
 	}
 	if !(res.CompletionAt > 20*time.Second) {
 		t.Errorf("completion at %v, expected after the 20s repair", res.CompletionAt)
+	}
+	if res.UnreachableSends == 0 {
+		t.Error("no send toward an unreachable host: the partition never took effect")
+	}
+	if want := run(byHand); res.Summary() != want.Summary() || res.WireBytes != want.WireBytes {
+		t.Errorf("PartitionWindow and the hand-written schedule ran differently:\n%s(%d wire bytes)\nvs\n%s(%d wire bytes)",
+			res.Summary(), res.WireBytes, want.Summary(), want.WireBytes)
 	}
 }
 

@@ -105,7 +105,7 @@ func (m *HealthMonitor) PeakSuspectedPairs() int {
 func (rt *Runtime) checkBackoffLiveness() (Violation, bool) {
 	p := rt.scenario.Params
 	now := rt.Engine.Now()
-	hosts := rt.sortedHosts()
+	hosts := rt.result.HostList
 	for _, i := range hosts {
 		h := rt.TreeHosts[i]
 		for _, j := range hosts {

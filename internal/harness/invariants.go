@@ -14,9 +14,10 @@ import (
 // scenario converge.
 
 // Both walks below take their start hosts in the order given, and every
-// caller passes ascending IDs, so for a given runtime state every report —
-// which cycle, which rotation of it, which host's broken ancestry — is a
-// pure function of the parent graph.
+// caller passes Result.HostList, which newResult sorts ascending, so for
+// a given runtime state every report — which cycle, which rotation of
+// it, which host's broken ancestry — is a pure function of the parent
+// graph.
 
 // parentOf is id's current parent pointer; core.Nil for a host that has
 // none or is not part of the run.
@@ -80,7 +81,7 @@ func (rt *Runtime) ParentGraphAcyclic() (bool, []core.HostID) {
 	if rt.TreeHosts == nil {
 		return true, nil
 	}
-	_, cycle := parentCycle(rt.sortedHosts(), rt.parentOf)
+	_, cycle := parentCycle(rt.result.HostList, rt.parentOf)
 	return cycle == nil, cycle
 }
 
@@ -91,7 +92,7 @@ func (rt *Runtime) SpanningTreeRooted() (bool, string) {
 	if rt.TreeHosts == nil {
 		return false, "not a tree-protocol run"
 	}
-	why := unrooted(rt.sortedHosts(), core.HostID(rt.Topo.Source), rt.parentOf)
+	why := unrooted(rt.result.HostList, core.HostID(rt.Topo.Source), rt.parentOf)
 	return why == "", why
 }
 
@@ -194,7 +195,7 @@ func (rt *Runtime) CheckInvariants(opts InvariantOptions) []Violation {
 		}
 	}
 	if rt.TreeHosts != nil {
-		hosts := rt.sortedHosts()
+		hosts := res.HostList
 		if from, cycle := parentCycle(hosts, rt.parentOf); cycle != nil {
 			out = append(out, Violation{"acyclic",
 				fmt.Sprintf("parent cycle reachable from host %d (via %d)", from, cycle[0])})
@@ -207,7 +208,7 @@ func (rt *Runtime) CheckInvariants(opts InvariantOptions) []Violation {
 		}
 	}
 	if opts.RequireDelivery {
-		for _, h := range rt.sortedHosts() {
+		for _, h := range res.HostList {
 			if rt.adversarial(h) {
 				// An adversary may silence or corrupt its own traffic; the
 				// paper's delivery guarantee is owed to correct hosts only.
@@ -246,7 +247,7 @@ func (rt *Runtime) checkByzantine() []Violation {
 	res := rt.result
 	firstHost := map[seqset.Seq]core.HostID{}
 	firstDigest := map[seqset.Seq]uint64{}
-	for _, h := range rt.sortedHosts() {
+	for _, h := range res.HostList {
 		if rt.adversarial(h) {
 			continue
 		}
@@ -278,13 +279,6 @@ func (rt *Runtime) checkByzantine() []Violation {
 		}
 	}
 	return out
-}
-
-func (rt *Runtime) sortedHosts() []core.HostID {
-	hosts := make([]core.HostID, len(rt.result.HostList))
-	copy(hosts, rt.result.HostList)
-	sort.Slice(hosts, func(i, j int) bool { return hosts[i] < hosts[j] })
-	return hosts
 }
 
 // LeadersPerTrueCluster counts current leaders in every true cluster.

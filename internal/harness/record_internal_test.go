@@ -7,12 +7,14 @@ import (
 	"time"
 
 	"rbcast/internal/adversary"
+	"rbcast/internal/basic"
 	"rbcast/internal/core"
 	"rbcast/internal/netsim"
 	"rbcast/internal/replica"
 	"rbcast/internal/seqset"
 	"rbcast/internal/sim"
 	"rbcast/internal/topo"
+	"rbcast/internal/wire"
 )
 
 // refRecorder is the recorder the harness had before its windows: four
@@ -297,5 +299,65 @@ func TestRecordAllocatesOnlyTheDelaySample(t *testing.T) {
 	}
 	if res.DeliveredDigest[2][seq] != core.PayloadDigest(payload) {
 		t.Error("the byte-compare shortcut stored a digest that is not the payload's")
+	}
+}
+
+// TestOnSendPricesEachFrameOnce feeds the send hook one frame at a time
+// and checks the byte and logical-send counters against the pricing rule
+// written out: a frame costs its encoded size; the INFO channel is that
+// size for a top-level INFO frame and, for a bundle, what its INFO parts
+// would cost as frames of their own; a bundle is as many logical sends as
+// it has parts.
+func TestOnSendPricesEachFrameOnce(t *testing.T) {
+	rt, err := Prepare(Scenario{Seed: 1, Build: recordTopo(1, 2, netsim.LinkConfig{})})
+	if err != nil {
+		t.Fatal(err)
+	}
+	size := func(m core.Message) uint64 {
+		n, err := wire.EncodedSize(wire.Frame{From: 1, Message: m})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return uint64(n)
+	}
+	data := core.Message{Kind: core.MsgData, Seq: 3, Payload: []byte("payload")}
+	info := core.Message{Kind: core.MsgInfo, Info: seqset.FromRange(1, 3), Parent: 2}
+	var gained seqset.Set
+	gained.Add(2)
+	gained.Add(5)
+	delta := core.Message{Kind: core.MsgInfoDelta, Info: gained, Parent: 2, Seq: 5, CheckLen: 4}
+	bundle := core.Message{Kind: core.MsgBundle, Parts: []core.Message{data, info, delta}}
+	syncReq := core.Message{Kind: core.MsgSyncReq, Seq: 1, Info: seqset.FromRange(1, 9)}
+
+	var want struct {
+		wire, info, catchup, logical uint64
+		kinds                        KindCounts
+	}
+	for _, tc := range []struct {
+		payload                      any
+		kind                         SendKind
+		wire, info, catchup, logical uint64
+	}{
+		{bundle, SendKind(core.MsgBundle), size(bundle), size(info) + size(delta), 0, 3},
+		{info, SendKind(core.MsgInfo), size(info), size(info), 0, 1},
+		{delta, SendKind(core.MsgInfoDelta), size(delta), size(delta), 0, 1},
+		{data, KindData, size(data), 0, 0, 1},
+		{syncReq, SendKind(core.MsgSyncReq), size(syncReq), 0, size(syncReq), 1},
+		{core.Message{Kind: core.MsgBundle}, SendKind(core.MsgBundle), size(core.Message{Kind: core.MsgBundle}), 0, 0, 0},
+		{basic.Message{Kind: basic.KindAck}, KindAck, 0, 0, 0, 1},
+	} {
+		rt.Net.OnSend(0, netsim.Envelope{From: 1, To: 2, Payload: tc.payload}, false)
+		want.wire += tc.wire
+		want.info += tc.info
+		want.catchup += tc.catchup
+		want.logical += tc.logical
+		want.kinds[tc.kind]++
+		res := rt.Result()
+		if res.WireBytes != want.wire || res.InfoWireBytes != want.info ||
+			res.CatchupWireBytes != want.catchup || res.LogicalSends != want.logical || res.SendsByKind != want.kinds {
+			t.Fatalf("after %+v: wire %d, info %d, catch-up %d, logical %d, kinds %v; want %d, %d, %d, %d, %v",
+				tc.payload, res.WireBytes, res.InfoWireBytes, res.CatchupWireBytes, res.LogicalSends, res.SendsByKind,
+				want.wire, want.info, want.catchup, want.logical, want.kinds)
+		}
 	}
 }

@@ -2,6 +2,7 @@ package harness
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 	"time"
 
@@ -149,6 +150,7 @@ func newResult(s Scenario, tp *topo.Topology) *Result {
 	for _, h := range tp.Hosts {
 		hostList = append(hostList, core.HostID(h))
 	}
+	slices.Sort(hostList)
 	return &Result{
 		Name:     s.Name,
 		Protocol: s.Protocol,

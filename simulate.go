@@ -133,15 +133,7 @@ func Simulate(cfg SimulationConfig) (*Result, error) {
 		if p.Cluster < 0 || p.Cluster >= cfg.Clusters {
 			return nil, fmt.Errorf("rbcast: partition cluster %d out of range [0,%d)", p.Cluster, cfg.Clusters)
 		}
-		events = append(events,
-			harness.TimedEvent{At: p.At, Do: func(rt *harness.Runtime) error {
-				_, err := rt.Topo.IsolateCluster(p.Cluster)
-				return err
-			}},
-			harness.TimedEvent{At: p.HealAt, Do: func(rt *harness.Runtime) error {
-				return rt.Topo.RestoreLinks(rt.Topo.WANLinksOfCluster(p.Cluster))
-			}},
-		)
+		events = harness.PartitionWindow(p.Cluster, p.At, p.HealAt)
 	}
 	return harness.Run(harness.Scenario{
 		Name:             fmt.Sprintf("simulate-%dx%d", cfg.Clusters, cfg.HostsPerCluster),
