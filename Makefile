@@ -140,9 +140,17 @@ bench-repo:
 # 10 000-broadcast data-plane one, untraced. The second checks every
 # delivery's payload digest and the exact delivery count, so the store
 # and recording path are self-checked on every pull request. It fails
-# unless each run's closing JSON line reports "correct":true.
+# unless each run's closing JSON line reports "correct":true — and
+# unless the first one's allocs_per_work is at most 0.07: the one
+# benchmark number that is a count, not a timing, and repeats to six
+# digits on any machine (0.0445; 0.2304 before sends stopped boxing
+# their payload).
 bench-repo-smoke:
-	$(GO) run ./benchmarks -workload sim-wide-seq -seed 1 -seconds 3 -trace 0 | tail -n 1 | grep -q '"correct":true'
+	@line=$$($(GO) run ./benchmarks -workload sim-wide-seq -seed 1 -seconds 3 -trace 0 | tail -n 1); \
+	echo "$$line" | grep -q '"correct":true' || { echo "bench-repo-smoke: sim-wide-seq did not report correct: $$line"; exit 1; }; \
+	allocs=$$(echo "$$line" | sed -n 's/.*"allocs_per_work":{"value":\([0-9.e+-]*\).*/\1/p'); \
+	echo "bench-repo-smoke: sim-wide-seq correct, allocs_per_work $$allocs (limit 0.07)"; \
+	awk -v a="$$allocs" 'BEGIN { exit !(a != "" && a + 0 <= 0.07) }' || { echo "bench-repo-smoke: allocs_per_work over the limit"; exit 1; }
 	$(GO) run ./benchmarks -workload sim-stream -seed 1 -seconds 3 -trace 0 | tail -n 1 | grep -q '"correct":true'
 
 # fuzz gives each fuzz target a short budget; raise -fuzztime for real

@@ -49,7 +49,7 @@ func run() int {
 		dotFile   = flag.String("dot", "", "write the final parent graph as Graphviz DOT to this file")
 		csvFile   = flag.String("csv", "", "write the per-delivery timeline as CSV to this file")
 		cpuProf   = flag.String("cpuprofile", "", "write a CPU profile of the run to this file (inspect with `go tool pprof`)")
-		memProf   = flag.String("memprofile", "", "write a heap profile at exit to this file (inspect with `go tool pprof`)")
+		memProf   = flag.String("memprofile", "", "record every allocation of the run and write the allocs profile to this `file` (inspect with go tool pprof -sample_index=alloc_objects)")
 	)
 	flag.Parse()
 	if *cpuProf != "" {
@@ -67,6 +67,11 @@ func run() int {
 			pprof.StopCPUProfile()
 			f.Close()
 		}()
+	}
+	if *memProf != "" {
+		// Every allocation, not one per 512 KiB: the counts read off this
+		// profile are exact and repeat from run to run.
+		runtime.MemProfileRate = 1
 	}
 	defer writeMemProfile(*memProf)
 
@@ -204,7 +209,8 @@ func parsePartition(s string) ([]harness.TimedEvent, error) {
 	return harness.PartitionWindow(cluster, start, end), nil
 }
 
-// writeMemProfile dumps a post-GC heap profile, best-effort.
+// writeMemProfile dumps the allocs profile — everything allocated since
+// the start, which a GC first has to publish — best-effort.
 func writeMemProfile(path string) {
 	if path == "" {
 		return
@@ -216,7 +222,7 @@ func writeMemProfile(path string) {
 	}
 	defer f.Close()
 	runtime.GC()
-	if err := pprof.WriteHeapProfile(f); err != nil {
+	if err := pprof.Lookup("allocs").WriteTo(f, 0); err != nil {
 		fmt.Fprintln(os.Stderr, "rbsim:", err)
 	}
 }

@@ -55,7 +55,7 @@ func run() int {
 		shrink  = flag.Bool("shrink", true, "shrink failing seeds to minimal reproducing specs")
 		verbose = flag.Bool("v", false, "print each seed's result as it completes")
 		cpuProf = flag.String("cpuprofile", "", "write a CPU profile of the sweep to this file (inspect with `go tool pprof`)")
-		memProf = flag.String("memprofile", "", "write a heap profile at exit to this file (inspect with `go tool pprof`)")
+		memProf = flag.String("memprofile", "", "record every allocation of the sweep and write the allocs profile to this `file` (inspect with go tool pprof -sample_index=alloc_objects)")
 	)
 	flag.Parse()
 	if flag.NArg() > 0 {
@@ -86,6 +86,11 @@ func run() int {
 			pprof.StopCPUProfile()
 			f.Close()
 		}()
+	}
+	if *memProf != "" {
+		// Every allocation, not one per 512 KiB: the counts read off this
+		// profile are exact and repeat from run to run.
+		runtime.MemProfileRate = 1
 	}
 	defer writeMemProfile("rbsoak", *memProf)
 
@@ -158,7 +163,8 @@ func run() int {
 	return 1
 }
 
-// writeMemProfile dumps a post-GC heap profile, best-effort.
+// writeMemProfile dumps the allocs profile — everything allocated since
+// the start, which a GC first has to publish — best-effort.
 func writeMemProfile(tool, path string) {
 	if path == "" {
 		return
@@ -170,7 +176,7 @@ func writeMemProfile(tool, path string) {
 	}
 	defer f.Close()
 	runtime.GC()
-	if err := pprof.WriteHeapProfile(f); err != nil {
+	if err := pprof.Lookup("allocs").WriteTo(f, 0); err != nil {
 		fmt.Fprintf(os.Stderr, "%s: %v\n", tool, err)
 	}
 }

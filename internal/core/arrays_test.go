@@ -66,13 +66,14 @@ func TestCoreDeclaresNoMaps(t *testing.T) {
 	}
 }
 
-// TestPeerRecordStaysInItsSizeClass: a run holds n² peer records, so the
-// record's allocation size class is what every field added to it costs.
-// The exclusion flags sit in padding; this is the check that the next
-// field does too, or is worth 16 more bytes times n².
+// TestPeerRecordStaysInItsSizeClass: a run holds n² peer records, packed
+// into slabs, so every word added to the record costs 8 n² bytes — there
+// is no size-class slack left to hide one in. The exclusion flags sit in
+// padding; this is the check that the next field does too, or is worth
+// what it costs.
 func TestPeerRecordStaysInItsSizeClass(t *testing.T) {
-	if got := unsafe.Sizeof(peer{}); got > 240 {
-		t.Errorf("peer record is %d bytes, past the 240-byte size class", got)
+	if got := unsafe.Sizeof(peer{}); got > 232 {
+		t.Errorf("peer record is %d bytes, was 232", got)
 	}
 }
 
@@ -98,6 +99,60 @@ func TestNewHostWideBudget(t *testing.T) {
 	}
 	if got := allocatedBytes(build); got > 20<<10 {
 		t.Errorf("NewHost at %d peers allocated %d bytes, budget %d", n, got, 20<<10)
+	}
+}
+
+// TestPeerRecordsComeFromSlabs: a started host that touches every one of
+// 512 participants — its first attachment sweep does — allocates a
+// handful of slabs, not 511 records; the slabs hold exactly the records
+// needed and cost no more memory than the records did one by one, in a
+// 240-byte object each. A six-peer host makes one slab for the other
+// five, in the size class their 1 160 bytes fall into.
+func TestPeerRecordsComeFromSlabs(t *testing.T) {
+	for _, tc := range []struct {
+		n, budget int
+		bytes     uint64
+	}{{512, 8, 511 * 240}, {6, 1, 1280}} {
+		peers := make([]HostID, tc.n)
+		for i := range peers {
+			peers[i] = HostID(i + 1)
+		}
+		const runs = 5
+		var fresh []*Host
+		for i := 0; i < runs+2; i++ { // AllocsPerRun warms up once; allocatedBytes takes the last
+			h, err := NewHost(Config{ID: 2, Source: 1, Peers: peers, Params: DefaultParams()}, nopEnv{})
+			if err != nil {
+				t.Fatal(err)
+			}
+			h.Start(0)
+			fresh = append(fresh, h)
+		}
+		var h *Host
+		touchAll := func() {
+			h, fresh = fresh[0], fresh[1:]
+			for i := range h.table {
+				h.at(i)
+			}
+		}
+		if got := testing.AllocsPerRun(runs, touchAll); got > float64(tc.budget) {
+			t.Errorf("touching all %d records: %v allocations in at, budget %d", tc.n, got, tc.budget)
+		}
+		if got := allocatedBytes(touchAll); got > tc.bytes {
+			t.Errorf("touching all %d records allocated %d bytes, budget %d", tc.n, got, tc.bytes)
+		}
+		if len(h.slab) != 0 {
+			t.Errorf("%d records of the last slab are left over at %d peers", len(h.slab), tc.n)
+		}
+		seen := make(map[*peer]bool, tc.n)
+		for i, p := range h.table {
+			if p == nil || p.id != peers[i] || p.order != h.order[i] || seen[p] {
+				t.Fatalf("table[%d] = %+v: want a record of its own for peer %d", i, p, peers[i])
+			}
+			seen[p] = true
+		}
+		if h.me != h.table[h.index(2)] || !h.me.inCluster {
+			t.Errorf("at %d peers the host's own record moved or lost its state", tc.n)
+		}
 	}
 }
 

@@ -17,10 +17,12 @@ type Host struct {
 	// peers is the participant set — sorted, includes self and source —
 	// with order and table parallel to it: order[i] is the static order
 	// of peers[i], table[i] its record (nil until first touched; see
-	// peer.go). me is the host's own record.
+	// peer.go). slab is the unused rest of the latest allocation of
+	// records. me is the host's own record.
 	peers    []HostID
 	order    []int
 	table    []*peer
+	slab     []peer
 	me       *peer
 	params   Params
 	env      Env

@@ -2,6 +2,7 @@ package core
 
 import (
 	"slices"
+	"unsafe"
 
 	"rbcast/internal/seqset"
 )
@@ -17,7 +18,8 @@ import (
 //     walks the table in index order — iteration order is never a
 //     choice, so seeded traces are reproducible;
 //   - records are created at one point only, Host.at, on first touch (a
-//     missing record means "nothing known yet", the zero record);
+//     missing record means "nothing known yet", the zero record), carved
+//     from slabs that are themselves made on first need;
 //   - a HostID outside Host.peers has no index, hence never a record:
 //     HandleMessage drops its frames before any handler runs, and a
 //     non-participant named inside a frame (a gossiped parent pointer)
@@ -121,15 +123,45 @@ func (h *Host) index(j HostID) int {
 	return -1
 }
 
+// peerSlab is the most records one slab holds: what fits the allocator's
+// largest small-object class, 32 KiB, so that no slab is rounded up to
+// pages and a host that touches few of many peers pays for few.
+const peerSlab = 32 << 10 / int(unsafe.Sizeof(peer{}))
+
 // at returns the record of peers[i]. It is the only place records are
-// created.
+// created: the record is carved from the host's current slab, and a touch
+// that finds the slab used up makes the next one.
 func (h *Host) at(i int) *peer {
 	p := h.table[i]
 	if p == nil {
-		p = &peer{id: h.peers[i], order: h.order[i]}
+		if len(h.slab) == 0 {
+			h.slab = make([]peer, h.nextSlab())
+		}
+		p, h.slab = &h.slab[0], h.slab[1:]
+		p.id, p.order = h.peers[i], h.order[i]
 		h.table[i] = p
 	}
 	return p
+}
+
+// nextSlab sizes a new slab. A started host's first attachment sweep
+// touches every participant, so it gets room for all that are still
+// untouched, up to peerSlab. Before Start the records come one at a time
+// — NewHost makes the host's own and those of a static cluster — because
+// construction must cost the same however wide the run: n hosts' slabs
+// are n² records, 61 MB at 512 hosts, and belong to the run, not to its
+// set-up.
+func (h *Host) nextSlab() int {
+	if !h.started {
+		return 1
+	}
+	untouched := 0
+	for _, p := range h.table {
+		if p == nil {
+			untouched++
+		}
+	}
+	return min(untouched, peerSlab)
 }
 
 // lookup returns j's record, or nil when j is not a participant.

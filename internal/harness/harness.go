@@ -441,14 +441,18 @@ func (rt *Runtime) Result() *Result {
 	return rt.result
 }
 
-// instrument classifies every host-level send by protocol message kind,
-// counts sends to currently-unreachable destinations (the §5 partition
-// waste metric), and counts server-link traversals of data messages (the
-// Figure 3.1 link-cost metric).
+// instrument has the network stamp every transmission with its SendKind
+// as it enters (netsim.Envelope.Class), and from that stamp counts
+// host-level sends by kind, sends to currently-unreachable destinations
+// (the §5 partition waste metric), and server-link traversals of data
+// messages (the Figure 3.1 link-cost metric). Only the send hook opens
+// the payload, to price it; the two hop hooks run some eight times per
+// send and read the stamp alone.
 func (rt *Runtime) instrument() {
+	rt.Net.Classify = func(payload any) uint8 { return uint8(classify(payload)) }
 	rt.Net.OnSend = func(lane int, env netsim.Envelope, inter bool) {
 		a := &rt.acc[lane]
-		kind := classify(env.Payload)
+		kind := SendKind(env.Class)
 		a.sendsByKind[kind]++
 		if inter {
 			a.interClusterByKind[kind]++
@@ -458,11 +462,11 @@ func (rt *Runtime) instrument() {
 			a.unreachableSendsByKind[kind]++
 		}
 		logical := 1
-		if m, ok := env.Payload.(core.Message); ok {
+		if m, ok := env.Payload.(*core.Message); ok {
 			// This hook runs on every host-level send, so it prices each
 			// frame once, and without encoding it.
 			from := core.HostID(env.From)
-			size := encodedSize(from, m)
+			size := encodedSize(from, *m)
 			a.wireBytes += size
 			switch m.Kind {
 			case core.MsgInfo, core.MsgInfoDelta:
@@ -483,8 +487,7 @@ func (rt *Runtime) instrument() {
 		a.logicalSends += uint64(logical)
 	}
 	rt.Net.OnLinkTransmit = func(lane int, _ netsim.LinkID, class netsim.LinkClass, env netsim.Envelope) {
-		kind := classify(env.Payload)
-		if kind == KindData || kind == KindGapFill {
+		if kind := SendKind(env.Class); kind == KindData || kind == KindGapFill {
 			a := &rt.acc[lane]
 			a.dataLinkTraversals++
 			if class == netsim.Expensive {
@@ -495,7 +498,7 @@ func (rt *Runtime) instrument() {
 	source := rt.Topo.Source
 	rt.Net.OnHostLinkTransmit = func(lane int, h netsim.HostID, env netsim.Envelope) {
 		if h == source {
-			rt.acc[lane].sourceLinkByKind[classify(env.Payload)]++
+			rt.acc[lane].sourceLinkByKind[SendKind(env.Class)]++
 		}
 	}
 }
@@ -546,16 +549,19 @@ func (k SendKind) String() string {
 	}
 }
 
+// classify names the SendKind of a payload as the network carries it:
+// hosts send their messages by value (netsim.SendValue), so what travels
+// is a pointer into the in-flight record.
 func classify(payload any) SendKind {
 	switch m := payload.(type) {
-	case core.Message:
+	case *core.Message:
 		switch {
 		case m.Kind == core.MsgData && m.GapFill:
 			return KindGapFill
 		case m.Kind >= core.MsgData && m.Kind <= core.MsgSnapChunk:
 			return SendKind(m.Kind)
 		}
-	case basic.Message:
+	case *basic.Message:
 		if m.Kind == basic.KindData {
 			return KindData
 		}
@@ -582,7 +588,7 @@ type treeEnv struct {
 }
 
 func (e treeEnv) Send(to core.HostID, m core.Message) {
-	if err := e.rt.Net.Send(netsim.HostID(e.id), netsim.HostID(to), m); err != nil {
+	if err := netsim.SendValue(e.rt.Net, netsim.HostID(e.id), netsim.HostID(to), m); err != nil {
 		e.rt.acc[e.lane].sendErrors++
 	}
 }
@@ -709,11 +715,11 @@ func (rt *Runtime) buildTree() error {
 		}
 		rt.TreeHosts[id] = h
 		if err := rt.Net.Handle(netsim.HostID(id), func(now time.Duration, env netsim.Envelope) {
-			m, ok := env.Payload.(core.Message)
+			m, ok := env.Payload.(*core.Message)
 			if !ok {
 				return
 			}
-			h.HandleMessage(now, core.HostID(env.From), env.CostBit, m)
+			h.HandleMessage(now, core.HostID(env.From), env.CostBit, *m)
 		}); err != nil {
 			return err
 		}
@@ -730,7 +736,7 @@ type basicEnv struct {
 }
 
 func (e basicEnv) Send(to core.HostID, m basic.Message) {
-	if err := e.rt.Net.Send(netsim.HostID(e.id), netsim.HostID(to), m); err != nil {
+	if err := netsim.SendValue(e.rt.Net, netsim.HostID(e.id), netsim.HostID(to), m); err != nil {
 		e.rt.acc[e.lane].sendErrors++
 	}
 }
@@ -754,11 +760,11 @@ func (rt *Runtime) buildBasic() error {
 	rt.BasicSource = src
 	rt.BasicReceivers = make(map[core.HostID]*basic.Receiver)
 	if err := rt.Net.Handle(netsim.HostID(source), func(now time.Duration, env netsim.Envelope) {
-		m, ok := env.Payload.(basic.Message)
+		m, ok := env.Payload.(*basic.Message)
 		if !ok {
 			return
 		}
-		src.HandleMessage(now, core.HostID(env.From), m)
+		src.HandleMessage(now, core.HostID(env.From), *m)
 	}); err != nil {
 		return err
 	}
@@ -774,11 +780,11 @@ func (rt *Runtime) buildBasic() error {
 		}
 		rt.BasicReceivers[id] = rcv
 		if err := rt.Net.Handle(netsim.HostID(id), func(now time.Duration, env netsim.Envelope) {
-			m, ok := env.Payload.(basic.Message)
+			m, ok := env.Payload.(*basic.Message)
 			if !ok {
 				return
 			}
-			rcv.HandleMessage(now, core.HostID(env.From), m)
+			rcv.HandleMessage(now, core.HostID(env.From), *m)
 		}); err != nil {
 			return err
 		}

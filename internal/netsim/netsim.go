@@ -165,7 +165,13 @@ type Envelope struct {
 	// CostBit reports whether the message traversed an expensive link,
 	// per the paper's cost-bit service.
 	CostBit bool
-	// Payload is the opaque host-level message.
+	// Class is what Network.Classify made of the payload when the message
+	// entered the network, 0 without a classifier. It lets the per-hop
+	// observers tell traffic apart without opening the payload.
+	Class uint8
+	// Payload is the opaque host-level message: the value Send was given,
+	// or a pointer to the value SendValue was given, valid until the
+	// handler returns.
 	Payload any
 	// SentAt is the virtual time the source host handed the message to
 	// its server.
@@ -248,10 +254,12 @@ type laneStats struct {
 type laneState struct {
 	stats laneStats
 
-	// free heads the lane's list of idle flights; made counts the flights
-	// ever allocated through this lane (see flight).
-	free *flight
-	made int
+	// free heads the lane's list of idle flights, chunk is what is left of
+	// the lane's latest allocation of records, and made counts the flights
+	// ever carved from a chunk of this lane (see flight).
+	free  *flight
+	chunk []flight
+	made  int
 
 	// routes[src][dst] is the forwarding decision at server src for
 	// traffic to server dst; a source's table is built on first use and
@@ -295,10 +303,15 @@ type Network struct {
 	lanes      int
 	planFrozen bool
 
-	// OnSend, if set, observes every host-level Send after it is
-	// classified (for metrics/tracing). lane is the executing lane (0
-	// without a shard plan); observers must confine mutable state per
-	// lane or synchronize it themselves.
+	// Classify, if set, maps each message's payload to Envelope.Class. It
+	// runs once per transmission, on the sending host's lane, after any
+	// transmit hook has decided what is sent.
+	Classify func(payload any) uint8
+	// OnSend, if set, observes every host-level send once its envelope is
+	// made and its endpoints' true clusters are compared (for
+	// metrics/tracing). lane is the executing lane (0 without a shard
+	// plan); observers must confine mutable state per lane or synchronize
+	// it themselves.
 	OnSend func(lane int, env Envelope, interCluster bool)
 	// OnLinkTransmit, if set, observes every server-to-server link
 	// traversal (after loss is decided, before delay), on the executing

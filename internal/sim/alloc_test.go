@@ -1,6 +1,7 @@
 package sim
 
 import (
+	"slices"
 	"testing"
 	"time"
 )
@@ -36,6 +37,55 @@ func TestScheduleRunZeroAllocs(t *testing.T) {
 	}
 	if allocs != 0 {
 		t.Errorf("schedule/run cycle: %.1f allocs/op, want 0", allocs)
+	}
+}
+
+// ScheduleCross hands out no Timer, so on the sequential engine too it
+// takes no cancel cell: a warm engine's free list is as long after the
+// call as before, and after the event ran. Cross and cancelable events of
+// one instant still fire in the order they were scheduled, a canceled one
+// between them skipped.
+func TestScheduleCrossTakesNoCell(t *testing.T) {
+	e := NewEngine(1)
+	var fired []int
+	note := func(i int) Event { return func() { fired = append(fired, i) } }
+	// Warm: two cells come back to the free list.
+	e.Schedule(0, note(-1))
+	e.Schedule(0, note(-2))
+	if err := e.RunUntilIdle(); err != nil {
+		t.Fatal(err)
+	}
+	fired = fired[:0]
+	cells := len(e.freeCells)
+	if cells != 2 {
+		t.Fatalf("%d cells on the warm free list, want 2", cells)
+	}
+	e.ScheduleCross(0, 0, time.Millisecond, note(0))
+	if got := len(e.freeCells); got != cells {
+		t.Errorf("ScheduleCross took a cancel cell: %d on the free list, was %d", got, cells)
+	}
+	e.Schedule(time.Millisecond, note(1))
+	e.Schedule(time.Millisecond, note(2)).Cancel()
+	e.ScheduleCross(0, 0, time.Millisecond, note(3))
+	e.Schedule(time.Millisecond, note(4))
+	if err := e.RunUntilIdle(); err != nil {
+		t.Fatal(err)
+	}
+	if want := []int{0, 1, 3, 4}; !slices.Equal(fired, want) {
+		t.Errorf("fired %v, want %v", fired, want)
+	}
+	if got := len(e.freeCells); got != 3 {
+		t.Errorf("%d cells on the free list after the run, want the 3 that Schedule took", got)
+	}
+	ev := note(5)
+	allocs := testing.AllocsPerRun(100, func() {
+		e.ScheduleCross(0, 0, time.Millisecond, ev)
+		if err := e.RunUntilIdle(); err != nil {
+			t.Fatal(err)
+		}
+	})
+	if allocs != 0 {
+		t.Errorf("ScheduleCross + run: %.1f allocs/op, want 0", allocs)
 	}
 }
 

@@ -142,12 +142,13 @@ func (e *Engine) Schedule(delay time.Duration, fn Event) Timer {
 
 // pushCross admits an event at an absolute instant without allocating a
 // cancel cell; the event cannot be canceled. This is the admission seam
-// for the sharded engine's mailbox drain: cross-lane events arrive with
-// a precomputed absolute time and must not touch the cell free list
-// (getCell may allocate, and drains run on the hot barrier path). An
-// instant in the engine's past is clamped to now.
+// for ScheduleCross on both engines — a link traversal nobody holds a
+// Timer for — and for the sharded engine's mailbox drain: cross-lane
+// events arrive with a precomputed absolute time and must not touch the
+// cell free list (getCell may allocate, and drains run on the hot barrier
+// path). An instant in the engine's past is clamped to now.
 //
-//rblint:hotpath mailbox drain runs once per lane pair per epoch barrier
+//rblint:hotpath every link traversal, and the mailbox drain at each epoch barrier
 func (e *Engine) pushCross(at time.Duration, fn Event) {
 	if at < e.now {
 		at = e.now

@@ -107,9 +107,18 @@ func (e *Engine) EveryOn(_ int, period time.Duration, fn Event) Timer {
 }
 
 // ScheduleCross schedules on the single queue; the lane arguments are
-// ignored.
+// ignored. The call returns no Timer, so nobody can cancel the event and
+// it takes no cancel cell — the same admission as on a sharded lane.
+//
+//rblint:hotpath every simulated link traversal is admitted here
 func (e *Engine) ScheduleCross(_, _ int, delay time.Duration, fn Event) {
-	e.Schedule(delay, fn)
+	if fn == nil {
+		panic("sim: ScheduleCross called with nil event")
+	}
+	if delay < 0 {
+		delay = 0
+	}
+	e.pushCross(instantAfter(e.now, delay), fn)
 }
 
 var _ Loop = (*Engine)(nil)

@@ -46,10 +46,12 @@ func (o seqOrder) schedule(d time.Duration, fn Event) func() {
 	return o.e.Schedule(d, fn).Cancel
 }
 func (o seqOrder) spawn(d time.Duration, fn Event) func() { return o.schedule(d, fn) }
-func (o seqOrder) crossAt(at time.Duration, fn Event)     { o.e.pushCross(at, fn) }
-func (o seqOrder) run(until time.Duration) error          { return o.e.Run(until) }
-func (o seqOrder) runUntilIdle() error                    { return o.e.RunUntilIdle() }
-func (o seqOrder) stop()                                  { o.e.Stop() }
+func (o seqOrder) crossAt(at time.Duration, fn Event) {
+	o.e.ScheduleCross(0, 0, at-o.e.Now(), fn)
+}
+func (o seqOrder) run(until time.Duration) error { return o.e.Run(until) }
+func (o seqOrder) runUntilIdle() error           { return o.e.RunUntilIdle() }
+func (o seqOrder) stop()                         { o.e.Stop() }
 
 // laneOrder drives lane 0 of a two-lane, two-worker Sharded engine. The
 // other lane stays idle; the short lookahead makes the coordinator stop
