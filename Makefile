@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all build vet fmt-check lint lint-sarif lint-selftest test race exp-check check soak soak-byzantine soak-catchup soak-smoke-race fuzz fuzz-smoke bench-smoke bench-repo bench-repo-smoke clean
+.PHONY: all build vet fmt-check lint test race exp-check check soak soak-byzantine soak-catchup soak-smoke-race fuzz fuzz-smoke bench-smoke bench-repo bench-repo-smoke clean
 
 all: check
 
@@ -14,43 +14,14 @@ vet:
 fmt-check:
 	@out=$$(gofmt -l .); [ -z "$$out" ] || { echo "gofmt -l:"; echo "$$out"; exit 1; }
 
-# lint runs the protocol-aware analyzer suite (alloclint, detlint,
-# lanelint, leaklint, locklint, monolint, ordlint, paramlint,
-# quorumlint, sharelint, taintlint, wirelint) over one whole-program
-# call graph against the committed baseline; see
-# internal/analysis/README.md. New findings fail the run; accepted ones
-# live in .rblint-baseline.json.
+# lint is the analyzer sweep `go test ./...` already runs, by name: the
+# protocol-aware suite (alloclint, detlint, lanelint, leaklint,
+# locklint, monolint, ordlint, paramlint, quorumlint, sharelint,
+# taintlint, wirelint) over every package of the module against one
+# whole-program call graph, one subtest per package directory; see
+# internal/analysis/README.md. Any finding fails it.
 lint:
-	$(GO) run ./cmd/rblint -baseline .rblint-baseline.json ./...
-
-# lint-sarif is the CI flavor: same run, but also writes rblint.sarif
-# for code-scanning upload.
-lint-sarif:
-	$(GO) run ./cmd/rblint -baseline .rblint-baseline.json -sarif rblint.sarif ./...
-
-# lint-selftest proves the analyzers still bite: rblint runs over the
-# deliberately-broken fixtures, each checked under an in-scope import
-# path so the path-scoped analyzers are in jurisdiction, and must exit 1
-# with sharelint, ordlint, alloclint, lanelint, and quorumlint findings
-# in the SARIF logs. A passing fixture run means an analyzer fell silent
-# — that fails CI. SARIF output lands under a throwaway temp dir, never
-# in the tree.
-lint-selftest:
-	@tmp=$$(mktemp -d) || exit 1; \
-	fail() { echo "lint-selftest: $$1"; rm -rf "$$tmp"; exit 1; }; \
-	$(GO) run ./cmd/rblint -as rbcast/internal/udp -sarif "$$tmp/broken.sarif" internal/analysis/testdata/broken; \
-	[ $$? -eq 1 ] || fail "broken: expected exit 1 (findings)"; \
-	$(GO) run ./cmd/rblint -as rbcast/internal/sim -sarif "$$tmp/lane.sarif" internal/analysis/testdata/lane; \
-	[ $$? -eq 1 ] || fail "lane: expected exit 1 (findings)"; \
-	$(GO) run ./cmd/rblint -as rbcast/internal/core -sarif "$$tmp/quorum.sarif" internal/analysis/testdata/quorum; \
-	[ $$? -eq 1 ] || fail "quorum: expected exit 1 (findings)"; \
-	for rule in sharelint ordlint alloclint; do \
-		grep -q "\"ruleId\": \"$$rule\"" "$$tmp/broken.sarif" || fail "no $$rule finding for testdata/broken"; \
-	done; \
-	grep -q '"ruleId": "lanelint"' "$$tmp/lane.sarif" || fail "no lanelint finding for testdata/lane"; \
-	grep -q '"ruleId": "quorumlint"' "$$tmp/quorum.sarif" || fail "no quorumlint finding for testdata/quorum"; \
-	rm -rf "$$tmp"; \
-	echo "lint-selftest: ok (sharelint, ordlint, alloclint, lanelint, quorumlint all firing)"
+	$(GO) test -count=1 -run '^TestTreeIsClean$$' ./internal/analysis
 
 test:
 	$(GO) test ./...
@@ -63,23 +34,22 @@ test:
 race:
 	$(GO) test -race ./...
 
-# exp-check holds the committed experiment capture to the code: every
-# experiment at seed 1, minus rbexp's wall-clock lines, must print
-# exactly experiments_output.txt (the figures EXPERIMENTS.md quotes). A
-# protocol refactor gets a byte-identity gate from it in about a second;
-# a deliberate change regenerates the file with the command it prints.
+# exp-check is the capture gate `go test ./...` already runs, by name:
+# every experiment at seed 1 must hold its claim and print exactly
+# experiments_output.txt (the figures EXPERIMENTS.md quotes). A protocol
+# refactor gets a byte-identity gate from it in about a second; a
+# deliberate change regenerates the file with the command the failure
+# prints.
 exp-check:
-	@$(GO) run ./cmd/rbexp | grep -v '(wall clock: ' | diff -u experiments_output.txt - || { \
-		echo "exp-check: rbexp output differs from experiments_output.txt; if the change is intended, regenerate it:"; \
-		echo "  $(GO) run ./cmd/rbexp | grep -v '(wall clock: ' > experiments_output.txt"; \
-		echo "and re-check the figures EXPERIMENTS.md quotes."; exit 1; }
+	$(GO) test -count=1 -run '^TestAllExperimentsHold$$' ./internal/experiments
 
 # check is the gate for every change: compile everything, lint with
-# gofmt, vet and rblint, hold the experiment capture to the code, and run
-# the full suite under the race detector. It does
+# gofmt and vet, and run the full suite under the race detector — which
+# holds the analyzer sweep (TestTreeIsClean), the experiment capture
+# (TestAllExperimentsHold) and the soak traces (TestGoldenTraces). It does
 # not run benchmarks: a perf claim is measured with `go run ./benchmarks`
 # on the parent and on the change (`-compare a.json b.json`).
-check: build vet fmt-check lint exp-check race
+check: build vet fmt-check race
 
 # soak runs a quick randomized sweep of every scenario class (the
 # partition-trap class is excluded: it fails by design).
@@ -170,4 +140,3 @@ fuzz-smoke:
 
 clean:
 	$(GO) clean ./...
-	rm -f rblint.sarif rblint-selftest.sarif

@@ -1,5 +1,6 @@
 // Package analysis is a protocol-aware static analysis suite for this
-// repository, exposed through the cmd/rblint multichecker.
+// repository. It runs inside `go test`: TestTreeIsClean applies every
+// analyzer to every package of the module and fails on any finding.
 //
 // The protocol's correctness claims rest on properties the Go compiler
 // cannot see: simulation and soak runs must be bit-deterministic for
@@ -47,16 +48,6 @@ type Analyzer struct {
 // runs them.
 func Analyzers() []*Analyzer {
 	return []*Analyzer{AllocLint, DetLint, LaneLint, LeakLint, LockLint, MonoLint, OrdLint, ParamLint, QuorumLint, ShareLint, TaintLint, WireLint}
-}
-
-// analyzerNames returns the set of valid analyzer names for directive
-// validation.
-func analyzerNames() map[string]bool {
-	names := make(map[string]bool)
-	for _, a := range Analyzers() {
-		names[a.Name] = true
-	}
-	return names
 }
 
 // A Pass is one analyzer's view of one package.
@@ -117,24 +108,6 @@ type Diagnostic struct {
 	Analyzer string
 	Pos      token.Pos
 	Message  string
-	// SuggestedFixes, when present, are machine-applicable edits that
-	// resolve the finding (applied by rblint -fix).
-	SuggestedFixes []SuggestedFix
-}
-
-// A SuggestedFix is one way to resolve a diagnostic: a set of text edits
-// that must be applied together.
-type SuggestedFix struct {
-	// Message describes the fix ("delete the stale directive").
-	Message string
-	Edits   []TextEdit
-}
-
-// A TextEdit replaces the source text in [Pos, End) with NewText.
-type TextEdit struct {
-	Pos     token.Pos
-	End     token.Pos
-	NewText string
 }
 
 // sortDiagnostics orders findings by file position for stable output.

@@ -23,17 +23,16 @@ import (
 	"rbcast/internal/analysis"
 )
 
-// Run loads the package in dir (relative to the module root containing
-// the caller's working directory), checks it under asPath (empty derives
-// the real path — useful to keep a testdata package OUT of an analyzer's
-// scope), runs the analyzer plus the //rblint:ignore machinery, and
-// diffs diagnostics against the package's want comments.
-func Run(t *testing.T, a *analysis.Analyzer, dir, asPath string) {
+// Run loads the package in dir (relative to the caller's working
+// directory), checks it under asPath (empty derives the real path —
+// useful to keep a testdata package OUT of an analyzer's scope), runs
+// the analyzer plus the //rblint:ignore machinery, and diffs diagnostics
+// against the package's want comments. Fixtures may share one loader,
+// which type-checks the standard library once for all of them: testdata
+// packages never enter its cache, so two fixtures checked under one
+// assumed path do not meet.
+func Run(t *testing.T, loader *analysis.Loader, a *analysis.Analyzer, dir, asPath string) {
 	t.Helper()
-	loader, err := analysis.NewLoader(".")
-	if err != nil {
-		t.Fatalf("NewLoader: %v", err)
-	}
 	pkg, err := loader.Load(dir, asPath)
 	if err != nil {
 		t.Fatalf("Load %s: %v", dir, err)

@@ -13,10 +13,7 @@ import (
 // hierarchy analysis).
 func loadCallgraphProgram(t *testing.T) *analysis.Program {
 	t.Helper()
-	loader, err := analysis.NewLoader(".")
-	if err != nil {
-		t.Fatal(err)
-	}
+	loader := fixtureLoader(t)
 	pkg, err := loader.Load("testdata/callgraph", "")
 	if err != nil {
 		t.Fatal(err)
@@ -97,7 +94,7 @@ func TestCallGraphStructure(t *testing.T) {
 // CHA-style dynamic resolution — over every package in the module.
 // Loading and type-checking happen once outside the timer; the loop
 // measures pure graph-building cost, the fixed overhead every
-// whole-program analyzer pays per rblint run.
+// whole-program analyzer pays per sweep of the tree.
 func BenchmarkCallGraph(b *testing.B) {
 	b.ReportAllocs()
 	loader, err := analysis.NewLoader(".")

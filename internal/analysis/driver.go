@@ -1,10 +1,6 @@
 package analysis
 
-import (
-	"fmt"
-	"go/token"
-	"io"
-)
+import "fmt"
 
 // RunPackage applies every analyzer to one loaded package and applies
 // the package's //rblint:ignore directives (parsed from its non-test
@@ -54,62 +50,21 @@ func runPackage(loader *Loader, prog *Program, pkg *Package, analyzers []*Analyz
 	return diags, nil
 }
 
-// Run loads the packages matched by patterns (resolved relative to the
-// module containing dir), builds one whole-program call graph over all
-// of them, and applies the full analyzer suite to each package against
-// that shared view — so spawn edges, lock orders, and taint summaries
-// cross package boundaries. It returns all surviving diagnostics, the
-// FileSet to position them with, and the module root (for root-relative
-// output paths).
-func Run(dir string, patterns ...string) ([]Diagnostic, *token.FileSet, string, error) {
-	loader, err := NewLoader(dir)
-	if err != nil {
-		return nil, nil, "", err
-	}
-	pkgs, err := loader.LoadPatterns(patterns...)
-	if err != nil {
-		return nil, nil, "", err
-	}
+// Run applies the full analyzer suite to each of pkgs against one
+// whole-program call graph built over all of them — so spawn edges, lock
+// orders, and taint summaries cross package boundaries — and returns
+// every diagnostic that survives the ignore directives, in file order.
+// The tree sweep (TestTreeIsClean) is Run over loader.LoadPatterns("./...").
+func Run(loader *Loader, pkgs []*Package) ([]Diagnostic, error) {
 	prog := NewProgram(loader.Fset, pkgs)
 	var all []Diagnostic
 	for _, pkg := range pkgs {
 		diags, err := runPackage(loader, prog, pkg, Analyzers())
 		if err != nil {
-			return nil, nil, "", err
+			return nil, err
 		}
 		all = append(all, diags...)
 	}
 	sortDiagnostics(loader.Fset, all)
-	return all, loader.Fset, loader.ModRoot, nil
-}
-
-// RunDir loads the single package in dir — type-checked under asPath
-// when non-empty — and applies the full analyzer suite to it in
-// isolation (the package is its own whole program). This is the fixture
-// entry point: a deliberately-broken testdata package can be checked
-// under an in-scope import path (say rbcast/internal/udp) so the
-// path-scoped analyzers are in jurisdiction, which is how CI proves the
-// suite still produces findings at all.
-func RunDir(dir, asPath string) ([]Diagnostic, *token.FileSet, string, error) {
-	loader, err := NewLoader(dir)
-	if err != nil {
-		return nil, nil, "", err
-	}
-	pkg, err := loader.Load(dir, asPath)
-	if err != nil {
-		return nil, nil, "", err
-	}
-	diags, err := RunPackage(loader, pkg, Analyzers())
-	if err != nil {
-		return nil, nil, "", err
-	}
-	return diags, loader.Fset, loader.ModRoot, nil
-}
-
-// Print writes diagnostics in the conventional file:line:col format.
-func Print(w io.Writer, fset *token.FileSet, diags []Diagnostic) {
-	for _, d := range diags {
-		pos := fset.Position(d.Pos)
-		fmt.Fprintf(w, "%s: %s: %s\n", pos, d.Analyzer, d.Message)
-	}
+	return all, nil
 }

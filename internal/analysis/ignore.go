@@ -20,7 +20,6 @@ const ignorePrefix = "//rblint:ignore"
 // Ignore is one parsed, well-formed directive.
 type Ignore struct {
 	Pos       token.Pos
-	End       token.Pos
 	Analyzers []string // validated analyzer names
 	Reason    string
 	// Line is the directive's own source line; it suppresses findings on
@@ -94,7 +93,6 @@ func parseIgnoreText(fset *token.FileSet, c *ast.Comment, body string, valid map
 	pos := fset.Position(c.Pos())
 	return &Ignore{
 		Pos:       c.Pos(),
-		End:       c.End(),
 		Analyzers: names,
 		Reason:    reason,
 		Line:      pos.Line,
@@ -147,10 +145,6 @@ func applyIgnores(fset *token.FileSet, ignores []*Ignore, diags []Diagnostic) []
 				Pos:      ig.Pos,
 				Message: "stale rblint:ignore directive: no " + strings.Join(ig.Analyzers, ",") +
 					" diagnostic here to suppress — delete the directive",
-				SuggestedFixes: []SuggestedFix{{
-					Message: "delete the stale directive",
-					Edits:   []TextEdit{{Pos: ig.Pos, End: ig.End}},
-				}},
 			})
 		}
 	}

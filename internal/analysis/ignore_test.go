@@ -166,13 +166,6 @@ func f() {}
 	if len(out) != 1 || !strings.Contains(out[0].Message, "stale rblint:ignore directive") {
 		t.Fatalf("out = %+v, want one stale-directive diagnostic", out)
 	}
-	if len(out[0].SuggestedFixes) != 1 || len(out[0].SuggestedFixes[0].Edits) != 1 {
-		t.Fatalf("stale diagnostic carries no deletion fix: %+v", out[0])
-	}
-	edit := out[0].SuggestedFixes[0].Edits[0]
-	if edit.Pos != ignores[0].Pos || edit.End != ignores[0].End || edit.NewText != "" {
-		t.Fatalf("deletion fix edits = %+v, want the directive's own extent", edit)
-	}
 }
 
 func TestIgnoreWrongAnalyzerDoesNotSuppress(t *testing.T) {

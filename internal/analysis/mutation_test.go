@@ -51,10 +51,10 @@ func mutateDir(t *testing.T, srcDir, old, new string) string {
 	return dir
 }
 
-// runOn loads dir under asPath with a fresh loader (fresh, so the
+// loadAs loads dir under asPath with a fresh loader (fresh, so the
 // original and mutated copies of one import path never share a package
-// cache) and runs a single analyzer.
-func runOn(t *testing.T, a *analysis.Analyzer, dir, asPath string) []analysis.Diagnostic {
+// cache).
+func loadAs(t *testing.T, dir, asPath string) (*analysis.Loader, *analysis.Package) {
 	t.Helper()
 	loader, err := analysis.NewLoader(".")
 	if err != nil {
@@ -64,6 +64,13 @@ func runOn(t *testing.T, a *analysis.Analyzer, dir, asPath string) []analysis.Di
 	if err != nil {
 		t.Fatalf("Load %s: %v", dir, err)
 	}
+	return loader, pkg
+}
+
+// runOn runs a single analyzer over dir loaded under asPath.
+func runOn(t *testing.T, a *analysis.Analyzer, dir, asPath string) []analysis.Diagnostic {
+	t.Helper()
+	loader, pkg := loadAs(t, dir, asPath)
 	diags, err := analysis.RunPackage(loader, pkg, []*analysis.Analyzer{a})
 	if err != nil {
 		t.Fatalf("RunPackage: %v", err)
@@ -157,4 +164,20 @@ func TestMonoLintMutation(t *testing.T) {
 			}
 		}
 	}
+}
+
+// TestTreeSweepBites proves the gate TestTreeIsClean is: the same sweep,
+// over the real internal/core with one wall-clock read smuggled in,
+// reports it under detlint.
+func TestTreeSweepBites(t *testing.T) {
+	const anchor = "func (h *Host) afterInfo(now time.Duration, from *peer, parent HostID) {\n"
+	mutated := mutateDir(t, "../core", anchor, anchor+"\t_ = time.Now()\n")
+	loader, pkg := loadAs(t, mutated, "rbcast/internal/core")
+	lines := sweep(t, loader, []*analysis.Package{pkg})[mutated]
+	for _, line := range lines {
+		if strings.Contains(line, ": detlint: ") && strings.Contains(line, "time.Now") {
+			return
+		}
+	}
+	t.Errorf("the sweep missed time.Now() smuggled into core.afterInfo; it reported %q", lines)
 }

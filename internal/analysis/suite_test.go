@@ -2,11 +2,29 @@ package analysis_test
 
 import (
 	"path/filepath"
+	"sync"
 	"testing"
 
 	"rbcast/internal/analysis"
 	"rbcast/internal/analysis/analysistest"
 )
+
+// fixtureLoader returns the one loader the testdata fixtures share, so
+// the standard library is type-checked from source once for all of
+// them. Testdata packages never enter a loader's cache, so fixtures
+// checked under one assumed import path do not meet in it. Anything that
+// loads a copy of a real package (the mutation tests) takes a fresh
+// loader instead.
+func fixtureLoader(t *testing.T) *analysis.Loader {
+	t.Helper()
+	loader, err := newFixtureLoader()
+	if err != nil {
+		t.Fatalf("NewLoader: %v", err)
+	}
+	return loader
+}
+
+var newFixtureLoader = sync.OnceValues(func() (*analysis.Loader, error) { return analysis.NewLoader(".") })
 
 // TestAnalyzers runs every analyzer over its testdata package. Each
 // package contains both triggering code (marked with `// want` comment
@@ -41,9 +59,10 @@ func TestAnalyzers(t *testing.T) {
 		{"quorumlint/out-of-scope-package", analysis.QuorumLint, "testdata/quorumclean", ""},
 		{"ignore-directive", analysis.DetLint, "testdata/ignoretd", "rbcast/internal/core"},
 	}
+	loader := fixtureLoader(t)
 	for _, tt := range tests {
 		t.Run(tt.name, func(t *testing.T) {
-			analysistest.Run(t, tt.analyzer, tt.dir, tt.asPath)
+			analysistest.Run(t, loader, tt.analyzer, tt.dir, tt.asPath)
 		})
 	}
 }

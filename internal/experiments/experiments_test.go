@@ -1,6 +1,7 @@
 package experiments_test
 
 import (
+	"os"
 	"strings"
 	"testing"
 
@@ -35,22 +36,54 @@ func TestRegistry(t *testing.T) {
 	}
 }
 
+// TestAllExperimentsHold runs every experiment at seed 1, checks its
+// verdict, and holds what the seventeen print, in registry order, to the
+// committed capture byte for byte: a refactor gets an identity gate, a
+// deliberate protocol change regenerates the file on purpose.
 func TestAllExperimentsHold(t *testing.T) {
-	for _, r := range experiments.All() {
-		r := r
+	all := experiments.All()
+	renders := make([]string, len(all))
+	// The subtests are parallel, so they finish after this function
+	// returns; its cleanup runs once they all have.
+	t.Cleanup(func() {
+		want, err := os.ReadFile("../../experiments_output.txt")
+		if err != nil {
+			t.Error(err)
+			return
+		}
+		rest := string(want)
+		for i, r := range all {
+			if renders[i] == "" {
+				return // left out by -run, or failed to run and said so
+			}
+			got := renders[i] + "\n\n"
+			if !strings.HasPrefix(rest, got) {
+				t.Errorf("%s is the first experiment to differ from experiments_output.txt; it printed:\n%s\n"+
+					"If simulated behaviour was meant to move, regenerate the capture from the repository root and re-check the figures EXPERIMENTS.md quotes:\n"+
+					"  go run ./cmd/rbexp | grep -v '(wall clock: ' > experiments_output.txt", r.ID, renders[i])
+				return
+			}
+			rest = rest[len(got):]
+		}
+		if rest != "" {
+			t.Errorf("experiments_output.txt holds %d bytes after the last experiment", len(rest))
+		}
+	})
+	for i, r := range all {
 		t.Run(r.ID, func(t *testing.T) {
 			t.Parallel()
 			rep, err := r.Run(1)
 			if err != nil {
 				t.Fatalf("run error: %v", err)
 			}
+			renders[i] = rep.Render()
 			if err := rep.Check(); err != nil {
-				t.Errorf("claim does not hold:\n%s", rep.Render())
+				t.Errorf("claim does not hold:\n%s", renders[i])
 			}
 			if rep.ID() != r.ID {
 				t.Errorf("report id %q != runner id %q", rep.ID(), r.ID)
 			}
-			if !strings.Contains(rep.Render(), rep.ID()) {
+			if !strings.Contains(renders[i], rep.ID()) {
 				t.Error("Render does not include the experiment id")
 			}
 		})
