@@ -59,7 +59,7 @@ func main() {
 
 	for id, node := range group.Nodes {
 		sent, received, decodeErrs, _ := node.Stats()
-		fmt.Printf("  host %d: %d datagrams sent, %d received, %d decode errors\n",
-			id, sent, received, decodeErrs)
+		fmt.Printf("  host %d: %d datagrams sent, %d received, %d decode errors, %d dropped at a full inbox\n",
+			id, sent, received, decodeErrs, node.InboxDrops())
 	}
 }

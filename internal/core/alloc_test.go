@@ -58,3 +58,30 @@ func TestPiggybackFlushAllocs(t *testing.T) {
 		t.Errorf("flushing %d messages with 2 bundled destinations allocates %v times, want 2", len(dests), got)
 	}
 }
+
+// TestDataAcceptAllocs: a thousand data messages accepted from the parent
+// — duplicate check, INFO, the payload copy, the store, Deliver — cost a
+// payload chunk and a doubling of the store's ring, not a thousand copies.
+func TestDataAcceptAllocs(t *testing.T) {
+	h, err := NewHost(Config{ID: 2, Source: 1, Peers: []HostID{1, 2, 3}, Params: DefaultParams()}, nopEnv{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	h.Start(0)
+	h.parent = h.lookup(1)
+	payload := make([]byte, 64)
+	next := seqset.Seq(1)
+	thousand := func() {
+		for i := 0; i < 1000; i++ {
+			h.HandleMessage(0, 1, false, Message{Kind: MsgData, Seq: next, Payload: payload})
+			next++
+		}
+	}
+	got := testing.AllocsPerRun(1, thousand) // after one warm-up thousand
+	if h.store.Len() != 2000 {
+		t.Fatalf("store holds %d payloads after 2000 data messages from the parent", h.store.Len())
+	}
+	if got > 8 {
+		t.Errorf("1000 accepted 64-byte data messages allocate %v times, want at most 8", got)
+	}
+}

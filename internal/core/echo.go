@@ -279,7 +279,9 @@ func (h *Host) handleDataEcho(now time.Duration, from *peer, m Message) {
 	}
 	first := !st.havePayload
 	if first || (certified && st.digest != d) {
-		st.payload = append([]byte(nil), m.Payload...)
+		// A replaced payload is dropped, not overwritten: kept bytes are
+		// never rewritten in place.
+		st.payload = h.keep(m.Payload)
 		st.digest = d
 		st.havePayload = true
 	}

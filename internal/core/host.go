@@ -96,6 +96,11 @@ type Host struct {
 	nextGapRemote  time.Duration
 	nextGapGlobal  time.Duration
 	nextSync       time.Duration
+
+	// chunk is the unused rest of the latest allocation of payload
+	// storage, chunkSize that allocation's size; see keep.
+	chunk     []byte
+	chunkSize int
 }
 
 type attachState struct {
@@ -243,7 +248,7 @@ func (h *Host) Broadcast(now time.Duration, payload []byte) seqset.Seq {
 	seq := h.nextSeq
 	h.nextSeq++
 	h.info.Add(seq)
-	stored := append([]byte(nil), payload...)
+	stored := h.keep(payload)
 	h.store.Put(seq, stored)
 	h.env.Deliver(seq, stored)
 	h.event(now, EvAccepted, h.id, seq)
@@ -496,11 +501,49 @@ func (h *Host) handleData(now time.Duration, from *peer, m Message) {
 		return
 	}
 	h.info.Add(m.Seq)
-	stored := append([]byte(nil), m.Payload...)
+	stored := h.keep(m.Payload)
 	h.store.Put(m.Seq, stored)
 	h.env.Deliver(m.Seq, stored)
 	h.event(now, EvAccepted, from.id, m.Seq)
 	h.forwardData(from, m.Seq, stored, newMax && !m.GapFill)
+}
+
+// maxChunk is the largest allocation of payload storage: the allocator's
+// largest small-object class, as for peer slabs — past it every chunk
+// would take the large-object path, which measured slower than the
+// per-payload allocations the chunks replace. ownAlloc is the payload
+// size above which carving stops paying: the allocation a chunk saves is
+// amortised over at least that many bytes anyway, and a payload that
+// large would strand up to its own size at a chunk's end.
+const (
+	maxChunk = 32 << 10
+	ownAlloc = maxChunk / 4
+)
+
+// keep returns the host's own copy of p, the one the store, Env.Deliver
+// and every forward of the message share. The copy is carved front to
+// back out of a host-owned chunk — the first chunk holds exactly the
+// first payload, each later one doubles up to maxChunk — so a stream of
+// small payloads costs one allocation per chunk, not per message. The
+// bytes are written here, once, and never again: nothing is recycled,
+// and a chunk is the garbage collector's once the store has released
+// every payload in it (DESIGN decision 12). Capacity is cut to length,
+// so an append by whoever holds the slice cannot reach its neighbour.
+func (h *Host) keep(p []byte) []byte {
+	n := len(p)
+	if n > len(h.chunk) {
+		if n > ownAlloc {
+			own := make([]byte, n)
+			copy(own, p)
+			return own
+		}
+		h.chunkSize = min(max(2*h.chunkSize, n), maxChunk)
+		h.chunk = make([]byte, h.chunkSize)
+	}
+	stored := h.chunk[:n:n]
+	h.chunk = h.chunk[n:]
+	copy(stored, p)
+	return stored
 }
 
 // forwardData relays a data payload to everyone but from (nil at the

@@ -566,7 +566,7 @@ func (h *Host) acceptSyncData(now time.Duration, from *peer, seq seqset.Seq, pay
 		return
 	}
 	h.info.Add(seq)
-	stored := append([]byte(nil), payload...)
+	stored := h.keep(payload)
 	h.store.Put(seq, stored)
 	h.env.Deliver(seq, stored)
 	h.event(now, EvAccepted, from.id, seq)

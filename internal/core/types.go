@@ -292,7 +292,10 @@ type Env interface {
 	// Deliver hands an accepted broadcast message to the application.
 	// Called exactly once per sequence number per host, in arrival (not
 	// necessarily sequence) order — the paper explicitly relaxes ordered
-	// delivery.
+	// delivery. payload is the host's stored copy: it is never written
+	// again and must not be written by the application. It is carved from
+	// a chunk of up to 32 KiB that other stored payloads share (Host.keep),
+	// so an application that retains it keeps that whole chunk alive.
 	Deliver(seq seqset.Seq, payload []byte)
 }
 

@@ -29,7 +29,9 @@ type FleetConfig struct {
 	// Seed drives the transport's randomness and, via JitterSeed, the
 	// health layer's deterministic backoff jitter.
 	Seed int64
-	// OnDeliver, if set, observes every application delivery.
+	// OnDeliver, if set, observes every application delivery. payload is
+	// the host's stored copy (node.Config.OnDeliver): read-only, and
+	// retaining it keeps up to 32 KiB of its neighbours alive.
 	OnDeliver func(host core.HostID, stream core.HostID, seq seqset.Seq, payload []byte)
 }
 

@@ -113,7 +113,10 @@ type Config struct {
 	// Bus configures the host's protocol instances, one per source.
 	Bus multi.Config
 	// OnDeliver observes every application delivery on the node
-	// goroutine; may be nil.
+	// goroutine; may be nil. payload is the host's stored copy and shares
+	// an allocation of up to 32 KiB with its neighbours (core.Env.Deliver):
+	// read it freely, never write it, and copy it if it is to be kept for
+	// long.
 	OnDeliver func(stream core.HostID, seq seqset.Seq, payload []byte)
 }
 
@@ -143,7 +146,7 @@ type Driver struct {
 	started   time.Time
 
 	inbox    chan inbound
-	cmds     chan func(now time.Duration)
+	cmds     chan *command
 	stop     chan struct{}
 	done     chan struct{}
 	stopOnce sync.Once
@@ -173,7 +176,7 @@ func newDriver(cfg Config, tr Transport) (*Driver, error) {
 		tick:      cfg.Bus.Params.TickInterval,
 		started:   time.Now(),
 		inbox:     make(chan inbound, inboxDepth),
-		cmds:      make(chan func(time.Duration), 16),
+		cmds:      make(chan *command, 16),
 		stop:      make(chan struct{}),
 		done:      make(chan struct{}),
 	}
@@ -202,8 +205,8 @@ func (d *Driver) run() {
 			d.bus.Tick(d.now())
 		case in := <-d.inbox:
 			d.receive(in)
-		case cmd := <-d.cmds:
-			cmd(d.now())
+		case c := <-d.cmds:
+			d.exec(c)
 		}
 	}
 }
@@ -255,16 +258,57 @@ func (e *busEnv) Deliver(stream core.HostID, seq seqset.Seq, payload []byte) {
 	}
 }
 
-// call runs fn on the node goroutine and waits for it.
-func (d *Driver) call(fn func(now time.Duration)) error {
-	done := make(chan struct{})
+// command is one Broadcast or Inspect rendezvous: what the caller asks,
+// what the node goroutine answers, and the channel the answer is
+// signalled on. A command is reused through the commands pool, its done
+// channel with it.
+type command struct {
+	// payload is a Broadcast's message; host, when set, makes the command
+	// an Inspect of it with inspect instead.
+	payload []byte
+	host    *core.Host
+	inspect func(h *core.Host)
+
+	// seq and err are a Broadcast's results, valid once done is signalled.
+	seq seqset.Seq
+	err error
+	// done holds one token per execution; buffered, so the node goroutine
+	// never waits for a caller that Stop has already released.
+	done chan struct{}
+}
+
+var commands = sync.Pool{New: func() any {
+	return &command{done: make(chan struct{}, 1)}
+}}
+
+// release returns an answered command to the pool, holding nothing of
+// its caller's.
+func (c *command) release() {
+	*c = command{done: c.done}
+	commands.Put(c)
+}
+
+// exec runs c on the node goroutine and signals its caller.
+func (d *Driver) exec(c *command) {
+	if c.host != nil {
+		c.inspect(c.host)
+	} else {
+		c.seq, c.err = d.bus.Broadcast(d.now(), c.payload)
+	}
+	c.done <- struct{}{}
+}
+
+// call hands c to the node goroutine and waits for it. On ErrStopped the
+// caller must abandon c rather than pool it: the node goroutine may
+// still hold it.
+func (d *Driver) call(c *command) error {
 	select {
-	case d.cmds <- func(now time.Duration) { fn(now); close(done) }:
+	case d.cmds <- c:
 	case <-d.stop:
 		return ErrStopped
 	}
 	select {
-	case <-done:
+	case <-c.done:
 		return nil
 	case <-d.stop:
 		return ErrStopped
@@ -275,11 +319,13 @@ func (d *Driver) call(fn func(now time.Duration)) error {
 // returns once the node goroutine has processed it. It errors if the
 // host is not a source.
 func (d *Driver) Broadcast(payload []byte) (seqset.Seq, error) {
-	var seq seqset.Seq
-	var err error
-	if stopped := d.call(func(now time.Duration) { seq, err = d.bus.Broadcast(now, payload) }); stopped != nil {
-		return 0, stopped
+	c := commands.Get().(*command)
+	c.payload = payload
+	if err := d.call(c); err != nil {
+		return 0, err
 	}
+	seq, err := c.seq, c.err
+	c.release()
 	return seq, err
 }
 
@@ -291,7 +337,13 @@ func (d *Driver) Inspect(stream core.HostID, fn func(h *core.Host)) error {
 	if h == nil {
 		return fmt.Errorf("node: unknown stream %d", stream)
 	}
-	return d.call(func(time.Duration) { fn(h) })
+	c := commands.Get().(*command)
+	c.host, c.inspect = h, fn
+	if err := d.call(c); err != nil {
+		return err
+	}
+	c.release()
+	return nil
 }
 
 // Stats returns a snapshot of the driver's counters.

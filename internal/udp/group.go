@@ -20,6 +20,12 @@ type Group struct {
 // node per host ID 1..n, with host 1 as the source. Passing params ==
 // core.Params{} uses DefaultNodeParams.
 func StartGroup(n int, params core.Params) (*Group, error) {
+	return startGroup(n, params, (*net.UDPAddr).String)
+}
+
+// startGroup is StartGroup with the spelling of each bound address in
+// Peers left to the caller.
+func startGroup(n int, params core.Params, spell func(*net.UDPAddr) string) (*Group, error) {
 	if n < 1 {
 		return nil, fmt.Errorf("udp: group size %d", n)
 	}
@@ -37,7 +43,7 @@ func StartGroup(n int, params core.Params) (*Group, error) {
 			return nil, fmt.Errorf("udp: binding node %d: %w", i, err)
 		}
 		conns[core.HostID(i)] = conn
-		peers[core.HostID(i)] = conn.LocalAddr().String()
+		peers[core.HostID(i)] = spell(conn.LocalAddr().(*net.UDPAddr))
 	}
 	g := &Group{Nodes: make(map[core.HostID]*Node, n), Source: 1}
 	for id, conn := range conns {

@@ -24,6 +24,7 @@ import (
 	"errors"
 	"fmt"
 	"net"
+	"net/netip"
 	"sync"
 	"time"
 
@@ -57,7 +58,9 @@ type NodeConfig struct {
 	// match Peers[ID]); used to avoid bind races when allocating a group
 	// of nodes on ephemeral ports.
 	Conn *net.UDPConn
-	// OnDeliver observes application deliveries; may be nil.
+	// OnDeliver observes application deliveries; may be nil. payload is
+	// the host's stored copy (node.Config.OnDeliver): read-only, and
+	// retaining it keeps up to 32 KiB of its neighbours alive.
 	OnDeliver func(seq seqset.Seq, payload []byte)
 }
 
@@ -100,17 +103,17 @@ func StartNode(cfg NodeConfig) (*Node, error) {
 	}
 	n := &Node{
 		cfg:        cfg,
-		sock:       socket{conn: conn, addrs: make(map[core.HostID]*net.UDPAddr, len(cfg.Peers))},
+		sock:       socket{conn: conn, addrs: make(map[core.HostID]netip.AddrPort, len(cfg.Peers))},
 		readerDone: make(chan struct{}),
 	}
 	var peers []core.HostID
 	for id, a := range cfg.Peers {
-		ua, err := net.ResolveUDPAddr("udp", a)
+		ap, err := resolvePeer(a)
 		if err != nil {
 			_ = conn.Close()
 			return nil, fmt.Errorf("udp: resolving peer %d %q: %w", id, a, err)
 		}
-		n.sock.addrs[id] = ua
+		n.sock.addrs[id] = ap
 		peers = append(peers, id)
 	}
 	drv, err := node.Start(node.Config{
@@ -129,6 +132,19 @@ func StartNode(cfg NodeConfig) (*Node, error) {
 	n.drv = drv
 	go n.readLoop()
 	return n, nil
+}
+
+// resolvePeer turns a peer's address, in any spelling, into the value the
+// socket sends to. The address is unmapped: a resolved IPv4 address comes
+// back in its 16-byte form, ::ffff:a.b.c.d, and an AF_INET socket refuses
+// to send to that.
+func resolvePeer(addr string) (netip.AddrPort, error) {
+	ua, err := net.ResolveUDPAddr("udp", addr)
+	if err != nil {
+		return netip.AddrPort{}, err
+	}
+	ap := ua.AddrPort()
+	return netip.AddrPortFrom(ap.Addr().Unmap(), ap.Port()), nil
 }
 
 // DefaultNodeParams returns tunables scaled for loopback UDP.
@@ -154,14 +170,16 @@ func (n *Node) Addr() string { return n.sock.conn.LocalAddr().String() }
 // ID returns the node's host ID.
 func (n *Node) ID() core.HostID { return n.cfg.ID }
 
-// socket is the node.Transport of a UDP node.
+// socket is the node.Transport of a UDP node. Addresses are held, sent to
+// and read by value (netip.AddrPort), so a datagram costs no allocation
+// in either direction.
 type socket struct {
 	conn  *net.UDPConn
-	addrs map[core.HostID]*net.UDPAddr
+	addrs map[core.HostID]netip.AddrPort
 }
 
 // Send stamps the envelope with the send time and writes the datagram.
-// WriteToUDP finishes with the buffer before returning, so the envelope
+// The write finishes with the buffer before returning, so the envelope
 // goes straight back to the pool.
 func (s *socket) Send(to core.HostID, env *node.Envelope) error {
 	defer env.Release()
@@ -170,8 +188,23 @@ func (s *socket) Send(to core.HostID, env *node.Envelope) error {
 		return fmt.Errorf("udp: no address for host %d", to)
 	}
 	*env = binary.BigEndian.AppendUint64(*env, uint64(time.Now().UnixNano()))
-	_, err := s.conn.WriteToUDP(*env, addr)
+	_, err := s.conn.WriteToUDPAddrPort(*env, addr)
 	return err
+}
+
+// receive reads one datagram into buf and returns its envelope — copied
+// out of buf, the stamp cut off — and whether its transit time exceeded
+// threshold. env is nil for a datagram too short to carry a stamp.
+func (s *socket) receive(buf []byte, threshold time.Duration) (env *node.Envelope, costBit bool, err error) {
+	count, _, err := s.conn.ReadFromUDPAddrPort(buf)
+	if err != nil || count < stampLen {
+		return nil, false, err
+	}
+	body := count - stampLen
+	sentAt := time.Unix(0, int64(binary.BigEndian.Uint64(buf[body:count])))
+	env = node.NewEnvelope()
+	*env = append(*env, buf[:body]...)
+	return env, time.Since(sentAt) > threshold, nil
 }
 
 func (n *Node) deliver(_ core.HostID, seq seqset.Seq, payload []byte) {
@@ -190,18 +223,13 @@ func (n *Node) readLoop() {
 	defer close(n.readerDone)
 	buf := make([]byte, maxDatagram)
 	for {
-		count, _, err := n.sock.conn.ReadFromUDP(buf)
+		env, costBit, err := n.sock.receive(buf, n.cfg.ExpensiveThreshold)
 		if errors.Is(err, net.ErrClosed) {
 			return
 		}
-		if err != nil || count < stampLen {
-			continue
+		if env != nil {
+			n.drv.Offer(env, costBit)
 		}
-		body := count - stampLen
-		sentAt := time.Unix(0, int64(binary.BigEndian.Uint64(buf[body:count])))
-		env := node.NewEnvelope()
-		*env = append(*env, buf[:body]...)
-		n.drv.Offer(env, time.Since(sentAt) > n.cfg.ExpensiveThreshold)
 	}
 }
 
@@ -235,6 +263,10 @@ func (n *Node) Stats() (sent, received, decodeErrs, sendErrs uint64) {
 	s := n.drv.Stats()
 	return s.Sent, s.Received, s.DecodeErrors, s.SendErrors
 }
+
+// InboxDrops returns how many datagrams arrived while the driver's inbox
+// was full and were dropped: nonzero means the node is shedding load.
+func (n *Node) InboxDrops() uint64 { return n.drv.Stats().InboxDrops }
 
 // Stop closes the socket and waits for the driver and the socket reader
 // to exit. Safe to call twice.
