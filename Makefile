@@ -15,11 +15,9 @@ fmt-check:
 	@out=$$(gofmt -l .); [ -z "$$out" ] || { echo "gofmt -l:"; echo "$$out"; exit 1; }
 
 # lint is the analyzer sweep `go test ./...` already runs, by name: the
-# protocol-aware suite (alloclint, detlint, lanelint, leaklint,
-# locklint, monolint, ordlint, paramlint, quorumlint, sharelint,
-# taintlint, wirelint) over every package of the module against one
-# whole-program call graph, one subtest per package directory; see
-# internal/analysis/README.md. Any finding fails it.
+# protocol-aware suite (analysis.Analyzers()) over every package of the
+# module against one whole-program call graph, one subtest per package
+# directory; see internal/analysis/README.md. Any finding fails it.
 lint:
 	$(GO) test -count=1 -run '^TestTreeIsClean$$' ./internal/analysis
 

@@ -47,7 +47,7 @@ type Analyzer struct {
 // Analyzers lists every analyzer in the suite, in the order the driver
 // runs them.
 func Analyzers() []*Analyzer {
-	return []*Analyzer{AllocLint, DetLint, LaneLint, LeakLint, LockLint, MonoLint, OrdLint, ParamLint, QuorumLint, ShareLint, TaintLint, WireLint}
+	return []*Analyzer{AllocLint, DetLint, LaneLint, LeakLint, LockLint, MonoLint, OrdLint, ParamLint, ShareLint, TaintLint, WireLint}
 }
 
 // A Pass is one analyzer's view of one package.

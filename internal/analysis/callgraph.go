@@ -193,11 +193,9 @@ type Program struct {
 	laneDiags  []progDiag
 	laneDone   bool
 
-	// Abstract-interpretation caches (see intervals.go, effects.go):
-	// per-function interval fixpoints and Loop-effect summaries.
-	ivFacts      map[*FuncNode]*intervalFacts
-	ivInProgress map[*FuncNode]bool
-	loopEffects  map[*FuncNode]*loopEffects
+	// loopEffects caches per-function Loop-effect summaries (see
+	// effects.go).
+	loopEffects map[*FuncNode]*loopEffects
 	// fieldFuncs indexes the functions stored in each struct field; built
 	// on first use (see fieldFuncsOf).
 	fieldFuncs map[*types.Var][]*FuncNode
@@ -222,8 +220,6 @@ func NewProgram(fset *token.FileSet, pkgs []*Package) *Program {
 		exitCache:       make(map[*FuncNode]bool),
 		lockSummaries:   make(map[*FuncNode]*lockSummary),
 		lockInProgress:  make(map[*FuncNode]bool),
-		ivFacts:         make(map[*FuncNode]*intervalFacts),
-		ivInProgress:    make(map[*FuncNode]bool),
 		loopEffects:     make(map[*FuncNode]*loopEffects),
 	}
 	for _, pkg := range pkgs {

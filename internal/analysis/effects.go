@@ -5,14 +5,15 @@ package analysis
 // operations its own body may perform (global Schedule/Every/Now/Rand,
 // parked-only ScheduleOn/EveryOn, lane-addressed NowOf/RandOf, and
 // ScheduleCross) together with the provenance of each lane argument:
-// a compile-time constant (folded by the type checker or inferred by
-// the interval analysis), a specific variable object, or opaque.
+// a compile-time constant (folded by the type checker), a specific
+// variable object, or opaque.
 // lanelint substitutes these summaries along the call graph from every
 // scheduled event to decide which operations a lane event may reach and
 // whether the lane ids it passes are the executing lane's.
 
 import (
 	"go/ast"
+	"go/constant"
 	"go/types"
 	"strconv"
 )
@@ -67,7 +68,7 @@ type laneRefKind uint8
 const (
 	// laneRefOpaque: nothing provable — lanelint stays silent.
 	laneRefOpaque laneRefKind = iota
-	// laneRefConst: a compile-time (or interval-inferred) constant.
+	// laneRefConst: a compile-time constant.
 	laneRefConst
 	// laneRefObject: the value of one specific variable (a parameter or
 	// a captured local, compared by types.Object identity).
@@ -152,8 +153,7 @@ func (p *Program) EffectsOf(n *FuncNode) *loopEffects {
 }
 
 // resolveLaneRef determines what is known about a lane argument
-// expression: a typed constant, a singleton from the interval analysis,
-// a specific variable, or opaque.
+// expression: a typed constant, a specific variable, or opaque.
 func (p *Program) resolveLaneRef(n *FuncNode, e ast.Expr) laneRef {
 	info := n.Pkg.TypesInfo
 	if c, ok := constIntOf(info, e); ok {
@@ -164,16 +164,23 @@ func (p *Program) resolveLaneRef(n *FuncNode, e ast.Expr) laneRef {
 			return laneRef{kind: laneRefObject, obj: v}
 		}
 	}
-	// The interval analysis folds locals the type checker cannot:
-	// lane := base + 1 with constant operands, loop-narrowed indices.
-	root := n.EnclosingDecl()
-	if root == nil {
-		root = n
-	}
-	if c, ok := p.InferIntervals(root).ExprInterval(e).Const(); ok {
-		return laneRef{kind: laneRefConst, c: c}
-	}
 	return laneRef{}
+}
+
+// constIntOf returns e's value when the type checker folded it to an
+// integer constant that fits int64.
+func constIntOf(info *types.Info, e ast.Expr) (int64, bool) {
+	tv, ok := info.Types[e]
+	if !ok || tv.Value == nil || tv.Value.Kind() != constant.Int {
+		return 0, false
+	}
+	return constant.Int64Val(tv.Value)
+}
+
+// isIntType reports whether t is an integer type (signed or unsigned).
+func isIntType(t types.Type) bool {
+	b, ok := t.Underlying().(*types.Basic)
+	return ok && b.Info()&types.IsInteger != 0
 }
 
 // walkShallow visits every node in body without descending into nested

@@ -55,8 +55,6 @@ func TestAnalyzers(t *testing.T) {
 		{"alloclint", analysis.AllocLint, "testdata/alloc", ""},
 		{"lanelint", analysis.LaneLint, "testdata/lane", "rbcast/internal/sim"},
 		{"lanelint/out-of-scope-package", analysis.LaneLint, "testdata/laneclean", ""},
-		{"quorumlint", analysis.QuorumLint, "testdata/quorum", "rbcast/internal/core"},
-		{"quorumlint/out-of-scope-package", analysis.QuorumLint, "testdata/quorumclean", ""},
 		{"ignore-directive", analysis.DetLint, "testdata/ignoretd", "rbcast/internal/core"},
 	}
 	loader := fixtureLoader(t)
@@ -67,35 +65,41 @@ func TestAnalyzers(t *testing.T) {
 	}
 }
 
-// BenchmarkRBLintSuite measures a full run of the static analysis suite —
-// all twelve analyzers, CFG and call-graph construction, lock summaries,
-// taint dataflow, and the abstract-interpretation layer (interval
-// inference, effect summaries, and the quorum prover) — over the
-// protocol state machine package and the simulated network package.
-// Both are in scope: core exercises quorumlint's relational proofs,
-// netsim exercises lanelint's whole-program lane-provenance walk.
-// Loading and type-checking happen once outside the timer; the loop
-// measures pure analysis cost.
+// BenchmarkRBLintSuite measures each analyzer of the suite on its own,
+// one sub-benchmark per entry of Analyzers(), over the protocol state
+// machine package and the simulated network package (core is the most
+// analyzer-dense package; netsim exercises lanelint's whole-program
+// lane-provenance walk). Loading and type-checking happen once outside
+// the timer; every iteration builds each package's call graph afresh, so
+// a figure is that fixed cost — the "none" case, no analyzer at all —
+// plus the analyzer's own CFGs, summaries and dataflow.
 func BenchmarkRBLintSuite(b *testing.B) {
-	b.ReportAllocs()
 	loader, err := analysis.NewLoader(".")
 	if err != nil {
 		b.Fatal(err)
 	}
-	core, err := loader.Load(filepath.Join(loader.ModRoot, "internal", "core"), "rbcast/internal/core")
-	if err != nil {
-		b.Fatal(err)
-	}
-	netsim, err := loader.Load(filepath.Join(loader.ModRoot, "internal", "netsim"), "rbcast/internal/netsim")
-	if err != nil {
-		b.Fatal(err)
-	}
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		for _, pkg := range []*analysis.Package{core, netsim} {
-			if _, err := analysis.RunPackage(loader, pkg, analysis.Analyzers()); err != nil {
-				b.Fatal(err)
-			}
+	var pkgs []*analysis.Package
+	for _, name := range []string{"core", "netsim"} {
+		pkg, err := loader.Load(filepath.Join(loader.ModRoot, "internal", name), "rbcast/internal/"+name)
+		if err != nil {
+			b.Fatal(err)
 		}
+		pkgs = append(pkgs, pkg)
+	}
+	run := func(name string, suite []*analysis.Analyzer) {
+		b.Run(name, func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				for _, pkg := range pkgs {
+					if _, err := analysis.RunPackage(loader, pkg, suite); err != nil {
+						b.Fatal(err)
+					}
+				}
+			}
+		})
+	}
+	run("none", nil)
+	for _, a := range analysis.Analyzers() {
+		run(a.Name, []*analysis.Analyzer{a})
 	}
 }

@@ -28,7 +28,7 @@ func sweep(t *testing.T, loader *analysis.Loader, pkgs []*analysis.Package) map[
 	return lines
 }
 
-// TestTreeIsClean is the lint gate: all twelve analyzers over every
+// TestTreeIsClean is the lint gate: every analyzer of Analyzers() over every
 // package of the module (cmd/, benchmarks/ and examples/ included), one
 // loader, one whole-program call graph, ignore directives applied. Each
 // package directory is a subtest, so a finding names its package and

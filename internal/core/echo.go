@@ -116,11 +116,15 @@ func (h *Host) echoSt(seq seqset.Seq) *echoState {
 	return st
 }
 
-// The quorum inequalities. Write n = len(h.peers) and f = byzF(). The
-// agreement argument below rests on four arithmetic facts, which
-// quorumlint (internal/analysis) proves mechanically for *every*
-// parameter combination Params.Validate admits — the prose here is the
-// why, the analyzer is the guarantee that edits keep it true:
+// The quorum inequalities. Write n for the participant count and f for
+// the Byzantine budget. The agreement argument rests on the arithmetic
+// facts below; the prose is the why, and TestQuorumInequalities
+// (quorum_test.go) checks each of them by name on the four functions
+// that follow, for every n ≤ 600 with every budget Params.Validate
+// admits up to n+2 and MaxEchoFaulty itself, and for n = 2³¹−1, 2³¹ and
+// 2⁴⁰ at the default budget and at the cap. That is a sweep, not a
+// proof over all n; it is also run against four off-by-one variants of
+// these functions and must reject each.
 //
 //   intersection   2·echoQuorum − n − f − 1 ≥ 0
 //     Two echo quorums for different digests overlap in at least
@@ -136,31 +140,49 @@ func (h *Host) echoSt(seq seqset.Seq) *echoState {
 //   defaulting   f ≤ ⌊(n−1)/3⌋ when EchoMaxFaulty is unset
 //     The defaulted budget respects the classical n > 3f resilience
 //     bound.
+//   reachability   echoQuorum ≤ n − f and readyQuorum ≤ n − f
+//     The n − f correct hosts alone can assemble both quorums, so f
+//     silent hosts cost no delivery. It holds exactly when n > 3f, which
+//     the default budget guarantees and NewHost demands of an explicit
+//     one (admitsBudget).
 //
-// quorumlint additionally proves the threshold arithmetic overflow-free;
-// that proof needs f bounded, which is what Params.MaxEchoFaulty is for.
+// No threshold is negative or overflows either: the arithmetic is in
+// int, n is a slice length and an explicit f is at most MaxEchoFaulty.
 
-// byzF is the assumed Byzantine budget f for quorum sizing.
-func (h *Host) byzF() int {
-	if h.params.EchoMaxFaulty > 0 {
-		return h.params.EchoMaxFaulty
+// byzBudget is the assumed Byzantine budget f for n participants: the
+// explicit Params.EchoMaxFaulty when set, otherwise ⌊(n−1)/3⌋.
+func byzBudget(n, maxFaulty int) int {
+	if maxFaulty > 0 {
+		return maxFaulty
 	}
-	return (len(h.peers) - 1) / 3
+	return (n - 1) / 3
 }
 
-// echoQuorum is the matching-echo count that justifies a ready vote:
+// admitsBudget is NewHost's rule for the budget setting: the default
+// always, an explicit f only where the correct hosts can reach the
+// quorums below (the reachability obligation above).
+func admitsBudget(n, maxFaulty int) bool { return maxFaulty == 0 || n > 3*maxFaulty }
+
+// echoQuorumOf is the matching-echo count that justifies a ready vote:
 // (n+f)/2+1, so two distinct digests cannot both reach it while at most
 // f voters are faulty.
-func (h *Host) echoQuorum() int { return (len(h.peers)+h.byzF())/2 + 1 }
+func echoQuorumOf(n, f int) int { return (n+f)/2 + 1 }
 
-// readyQuorum is the ready count that justifies delivery: 2f+1, of
+// readyQuorumOf is the ready count that justifies delivery: 2f+1, of
 // which at least f+1 are correct hosts that will keep answering.
-func (h *Host) readyQuorum() int { return 2*h.byzF() + 1 }
+func readyQuorumOf(f int) int { return 2*f + 1 }
 
-// readyAmplify is the Bracha amplification threshold: f+1 readies prove
-// at least one correct host saw an echo quorum, so joining is safe even
-// without having seen the quorum first-hand.
-func (h *Host) readyAmplify() int { return h.byzF() + 1 }
+// readyAmplifyOf is the Bracha amplification threshold: f+1 readies
+// prove at least one correct host saw an echo quorum, so joining is safe
+// even without having seen the quorum first-hand.
+func readyAmplifyOf(f int) int { return f + 1 }
+
+// The host's thresholds: the functions above at its participant count
+// and configured budget.
+func (h *Host) byzF() int         { return byzBudget(len(h.peers), h.params.EchoMaxFaulty) }
+func (h *Host) echoQuorum() int   { return echoQuorumOf(len(h.peers), h.byzF()) }
+func (h *Host) readyQuorum() int  { return readyQuorumOf(h.byzF()) }
+func (h *Host) readyAmplify() int { return readyAmplifyOf(h.byzF()) }
 
 // Equivocations returns how many conflicting-vote observations this
 // host has made under EchoReady (0 when the mode is off).

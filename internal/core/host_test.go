@@ -93,6 +93,9 @@ func infoFrom(h *core.Host, now time.Duration, j core.HostID, costBit bool, info
 
 func TestConfigValidation(t *testing.T) {
 	env := &fakeEnv{}
+	echoBudget := core.DefaultParams()
+	echoBudget.EchoReady = true
+	echoBudget.EchoMaxFaulty = 2
 	cases := []struct {
 		name string
 		cfg  core.Config
@@ -122,6 +125,9 @@ func TestConfigValidation(t *testing.T) {
 			ID: 1, Source: 1, Peers: []core.HostID{1, 2},
 			InitialCluster: []core.HostID{2, 9},
 		}, "core: InitialCluster member 9 not in Peers"},
+		{"explicit echo budget without its quorum", core.Config{
+			ID: 1, Source: 1, Peers: []core.HostID{1, 2, 3, 4, 5, 6}, Params: echoBudget,
+		}, "core: EchoMaxFaulty 2 needs more than 6 participants, have 6"},
 	}
 	for _, tt := range cases {
 		t.Run(tt.name, func(t *testing.T) {
@@ -134,6 +140,9 @@ func TestConfigValidation(t *testing.T) {
 	}
 	if _, err := core.NewHost(core.Config{ID: 1, Source: 1, Peers: []core.HostID{1, 2}}, nil); err == nil {
 		t.Error("NewHost accepted nil Env")
+	}
+	if _, err := core.NewHost(core.Config{ID: 1, Source: 1, Peers: []core.HostID{1, 2, 3, 4, 5, 6, 7}, Params: echoBudget}, env); err != nil {
+		t.Errorf("NewHost rejected EchoMaxFaulty 2 at 7 participants: %v", err)
 	}
 	// Peers need be neither sorted nor contiguous, and the caller's slice
 	// is left as it was.

@@ -187,12 +187,14 @@ type Params struct {
 	SnapChunk int
 }
 
-// MaxEchoFaulty caps an explicit EchoMaxFaulty budget. Quorum sizing in
-// echo.go computes (n+f)/2+1 and 2f+1; bounding f keeps that arithmetic
-// provably overflow-free for every admitted parameter combination
-// (quorumlint discharges the proof over exactly this range) while
-// sitting far above any plausible deployment — f is classically at most
-// ⌊(n−1)/3⌋, and no simulated network approaches a million hosts.
+// MaxEchoFaulty caps an explicit EchoMaxFaulty budget. The field is
+// outside input (a flag, a soak spec, a config file), and quorum sizing
+// in echo.go computes (n+f)/2+1 and 2f+1 in int: bounding f keeps that
+// arithmetic from overflowing on any platform, and
+// TestQuorumInequalities exercises the thresholds at exactly this
+// bound. It sits far above any plausible deployment — f is classically
+// at most ⌊(n−1)/3⌋, and no simulated network approaches a million
+// hosts.
 const MaxEchoFaulty = 1 << 20
 
 // BackoffEnabled reports whether the per-peer health/backoff layer is
@@ -419,6 +421,13 @@ func (c Config) validate(sorted []HostID) ([]int, error) {
 		if !member(p) {
 			return nil, fmt.Errorf("core: InitialCluster member %d not in Peers", p)
 		}
+	}
+	// An explicit budget is held to n > 3f, as the default one is by
+	// construction: at n ≤ 3f the ready quorum 2f+1 exceeds the n − f
+	// correct hosts and nothing but the source's own messages is ever
+	// delivered (echo.go, "reachability").
+	if f := c.Params.EchoMaxFaulty; !admitsBudget(len(sorted), f) {
+		return nil, fmt.Errorf("core: EchoMaxFaulty %d needs more than %d participants, have %d", f, 3*f, len(sorted))
 	}
 	return order, nil
 }

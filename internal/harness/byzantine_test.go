@@ -274,3 +274,36 @@ func TestEchoReadyBlocksEquivocation(t *testing.T) {
 		t.Error("echo/ready mode blocked delivery but never detected the equivocation")
 	}
 }
+
+// TestExplicitEchoBudgetNeedsItsQuorum holds the explicit fault budget to
+// n > 3f end to end: with EchoMaxFaulty = 2, seven hosts complete the
+// broadcast, and six — where the ready quorum of five would need a vote
+// from one of the two hosts assumed faulty — are refused at Prepare, not
+// run to a silent non-delivery.
+func TestExplicitEchoBudgetNeedsItsQuorum(t *testing.T) {
+	scenario := func(hosts int) harness.Scenario {
+		params := core.DefaultParams()
+		params.EchoReady = true
+		params.EchoMaxFaulty = 2
+		return harness.Scenario{
+			Name:             "echo-budget",
+			Seed:             7,
+			Build:            clusteredBuild(1, hosts, topo.WANStar),
+			Protocol:         harness.ProtocolTree,
+			Params:           params,
+			Messages:         5,
+			StopWhenComplete: true,
+		}
+	}
+	res, err := harness.Run(scenario(7))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !res.Complete {
+		t.Errorf("n = 7, f = 2: %d/%d delivered", res.DeliveredCount, res.ExpectedCount)
+	}
+	_, err = harness.Prepare(scenario(6))
+	if want := "core: EchoMaxFaulty 2 needs more than 6 participants, have 6"; err == nil || !strings.Contains(err.Error(), want) {
+		t.Errorf("Prepare(n = 6, f = 2) = %v, want an error containing %q", err, want)
+	}
+}

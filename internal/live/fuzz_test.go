@@ -15,7 +15,14 @@ import (
 // accepts from any caller and hands to a node. The corpus seeds with
 // well-formed envelopes of every message kind plus the short-prefix
 // edge cases. The decoder must never panic; whatever it accepts must
-// round-trip through node.EncodeEnvelope. Run with `go test -fuzz FuzzDecodeEnvelope
+// round-trip through node.EncodeEnvelope. Every input also goes through
+// one wire.Decoder reused across all invocations, as a driver's receive
+// loop does: node.DecodeEnvelope on it must agree with the one-shot
+// wire.Decode of the frame bytes on accept/reject and on every field,
+// parts included, and what a handler may keep of the previous accepted
+// frame — Info as returned for the kinds DecodeEnvelope detaches, a clone
+// otherwise, a copy of Payload, the parts — must read the same after the
+// next call. Run with `go test -fuzz FuzzDecodeEnvelope
 // ./internal/live` for a real session; as a plain test it replays the
 // corpus.
 func FuzzDecodeEnvelope(f *testing.F) {
@@ -78,15 +85,34 @@ func FuzzDecodeEnvelope(f *testing.F) {
 	f.Add([]byte{0, 0, 0, 5})
 	f.Add(append([]byte{0, 0, 0, 5}, 0xFF, 0xB7, 0x00))
 
+	var reused wire.Decoder
+	var kept, keptWant *wire.Frame // of the previous accepted input
 	f.Fuzz(func(t *testing.T, data []byte) {
-		var dec wire.Decoder
-		stream, frame, err := node.DecodeEnvelope(&dec, data)
+		stream, frame, err := node.DecodeEnvelope(&reused, data)
+		if kept != nil && !framesEqual(*kept, *keptWant) {
+			t.Fatalf("decoding %x changed what was kept of the previous frame:\n%+v\nwant\n%+v", data, *kept, *keptWant)
+		}
+		kept, keptWant = nil, nil
+		want, wantErr := wire.Decode(data[min(4, len(data)):])
+		if accepted := len(data) >= 4 && wantErr == nil; (err == nil) != accepted {
+			t.Fatalf("DecodeEnvelope on the reused Decoder says %v; of %d bytes, one-shot wire.Decode past the stream prefix says %v", err, len(data), wantErr)
+		}
 		if err != nil {
 			return // rejection is fine; panicking is not
 		}
-		if len(data) < 4 {
-			t.Fatalf("accepted %d-byte envelope, shorter than the stream prefix", len(data))
+		if !framesEqual(frame, want) {
+			t.Fatalf("DecodeEnvelope on the reused Decoder diverged from wire.Decode:\n%+v\nvs\n%+v", frame, want)
 		}
+		held := frame
+		held.Message.Payload = bytes.Clone(frame.Message.Payload)
+		switch frame.Message.Kind {
+		case core.MsgInfo, core.MsgAttachReq, core.MsgAttachAccept:
+			// learnInfo keeps this Info as it is given.
+		default:
+			held.Message.Info = frame.Message.Info.Clone()
+		}
+		kept, keptWant = &held, &want
+
 		env, err := node.EncodeEnvelope(stream, frame)
 		if err != nil {
 			t.Fatalf("re-encode of accepted envelope failed: %v (stream %d, frame %+v)", err, stream, frame)
@@ -108,14 +134,29 @@ func FuzzDecodeEnvelope(f *testing.F) {
 		if stream2 != stream {
 			t.Fatalf("stream diverged: %d vs %d", stream, stream2)
 		}
-		if frame2.From != frame.From || frame2.Message.Kind != frame.Message.Kind ||
-			frame2.Message.Seq != frame.Message.Seq ||
-			frame2.Message.GapFill != frame.Message.GapFill ||
-			frame2.Message.Parent != frame.Message.Parent ||
-			string(frame2.Message.Payload) != string(frame.Message.Payload) ||
-			!frame2.Message.Info.Equal(frame.Message.Info) ||
-			len(frame2.Message.Parts) != len(frame.Message.Parts) {
+		if !framesEqual(frame2, frame) {
 			t.Fatalf("round trip diverged:\n%+v\nvs\n%+v", frame, frame2)
 		}
 	})
+}
+
+func framesEqual(a, b wire.Frame) bool {
+	return a.From == b.From && messagesEqual(a.Message, b.Message)
+}
+
+// messagesEqual compares every field, parts included; payloads by
+// content (nil and empty are one) and Info by membership.
+func messagesEqual(a, b core.Message) bool {
+	if a.Kind != b.Kind || a.Seq != b.Seq || a.GapFill != b.GapFill ||
+		a.Parent != b.Parent || a.CheckLen != b.CheckLen ||
+		string(a.Payload) != string(b.Payload) || !a.Info.Equal(b.Info) ||
+		len(a.Parts) != len(b.Parts) {
+		return false
+	}
+	for i := range a.Parts {
+		if !messagesEqual(a.Parts[i], b.Parts[i]) {
+			return false
+		}
+	}
+	return true
 }

@@ -1,6 +1,7 @@
 package wire_test
 
 import (
+	"bytes"
 	"testing"
 
 	"rbcast/internal/core"
@@ -11,6 +12,12 @@ import (
 // FuzzDecode drives the decoder with arbitrary bytes (the corpus seeds
 // with valid frames of every kind). The decoder must never panic, and
 // anything it accepts must re-encode and re-decode to the same frame.
+// Every input also goes through one Decoder reused across all
+// invocations, the way a host driver uses it: it must agree with the
+// one-shot Decode on accept/reject and on every field, parts included,
+// and what a caller kept of the previous accepted frame by the documented
+// rule (Payload copied, Info cloned, parts as they came) must read the
+// same after the next call.
 // Run with `go test -fuzz FuzzDecode ./internal/wire` for a real fuzzing
 // session; as a plain test it replays the seed corpus.
 func FuzzDecode(f *testing.F) {
@@ -67,11 +74,27 @@ func FuzzDecode(f *testing.F) {
 	f.Add([]byte{})
 	f.Add([]byte{0xB7})
 
+	var reused wire.Decoder
+	var kept, keptWant *wire.Frame // of the previous accepted input
 	f.Fuzz(func(t *testing.T, data []byte) {
 		frame, err := wire.Decode(data)
+		got, reusedErr := reused.Decode(data)
+		if kept != nil && !framesEqual(*kept, *keptWant) {
+			t.Fatalf("decoding %x changed what was kept of the previous frame:\n%+v\nwant\n%+v", data, *kept, *keptWant)
+		}
+		kept, keptWant = nil, nil
+		if (err == nil) != (reusedErr == nil) {
+			t.Fatalf("one-shot Decode says %v, the reused Decoder %v", err, reusedErr)
+		}
 		if err != nil {
 			return // rejection is fine; panicking is not
 		}
+		if !framesEqual(got, frame) {
+			t.Fatalf("reused Decoder diverged from Decode:\n%+v\nvs\n%+v", got, frame)
+		}
+		got.Message.Payload = bytes.Clone(got.Message.Payload)
+		got.Message.Info = got.Message.Info.Clone()
+		kept, keptWant = &got, &frame
 		// Accepted frames must round-trip losslessly.
 		re, err := wire.Encode(frame)
 		if err != nil {
@@ -81,14 +104,7 @@ func FuzzDecode(f *testing.F) {
 		if err != nil {
 			t.Fatalf("re-decode failed: %v", err)
 		}
-		if again.From != frame.From || again.Message.Kind != frame.Message.Kind ||
-			again.Message.Seq != frame.Message.Seq ||
-			again.Message.GapFill != frame.Message.GapFill ||
-			again.Message.Parent != frame.Message.Parent ||
-			again.Message.CheckLen != frame.Message.CheckLen ||
-			string(again.Message.Payload) != string(frame.Message.Payload) ||
-			!again.Message.Info.Equal(frame.Message.Info) ||
-			len(again.Message.Parts) != len(frame.Message.Parts) {
+		if !framesEqual(again, frame) {
 			t.Fatalf("round trip diverged:\n%+v\nvs\n%+v", frame, again)
 		}
 	})

@@ -24,15 +24,24 @@ func roundTrip(t *testing.T, f wire.Frame) wire.Frame {
 }
 
 func framesEqual(a, b wire.Frame) bool {
-	if a.From != b.From || a.Message.Kind != b.Message.Kind ||
-		a.Message.Seq != b.Message.Seq || a.Message.GapFill != b.Message.GapFill ||
-		a.Message.Parent != b.Message.Parent {
+	return a.From == b.From && messagesEqual(a.Message, b.Message)
+}
+
+// messagesEqual compares every field, parts included; payloads by
+// content (nil and empty are one) and Info by membership.
+func messagesEqual(a, b core.Message) bool {
+	if a.Kind != b.Kind || a.Seq != b.Seq || a.GapFill != b.GapFill ||
+		a.Parent != b.Parent || a.CheckLen != b.CheckLen ||
+		string(a.Payload) != string(b.Payload) || !a.Info.Equal(b.Info) ||
+		len(a.Parts) != len(b.Parts) {
 		return false
 	}
-	if string(a.Message.Payload) != string(b.Message.Payload) {
-		return false
+	for i := range a.Parts {
+		if !messagesEqual(a.Parts[i], b.Parts[i]) {
+			return false
+		}
 	}
-	return a.Message.Info.Equal(b.Message.Info)
+	return true
 }
 
 func TestRoundTripKinds(t *testing.T) {
