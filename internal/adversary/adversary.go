@@ -105,6 +105,11 @@ type Controller struct {
 type hostState struct {
 	ctx       *Ctx
 	behaviors []Behavior
+	// outs and wire are the hook's candidate list and its result, kept
+	// from one transmission to the next: the network reads the result
+	// before the hook can run again (netsim.TransmitHook).
+	outs []Send
+	wire []netsim.Outbound
 }
 
 // Attach installs transmit hooks for every listed host. The per-host
@@ -154,11 +159,11 @@ func (st *hostState) hook(to netsim.HostID, payload any) []netsim.Outbound {
 		return []netsim.Outbound{{To: to, Payload: payload}}
 	}
 	st.ctx.applications++
-	outs := []Send{{To: core.HostID(to), M: m}}
+	outs := append(st.outs[:0], Send{To: core.HostID(to), M: m})
 	for _, b := range st.behaviors {
 		outs = b.Apply(st.ctx, outs)
 	}
-	wire := make([]netsim.Outbound, 0, len(outs))
+	wire := st.wire[:0]
 	for _, o := range outs {
 		wire = append(wire, netsim.Outbound{
 			To:           netsim.HostID(o.To),
@@ -166,6 +171,11 @@ func (st *hostState) hook(to netsim.HostID, payload any) []netsim.Outbound {
 			ForceCostBit: o.ForceCostBit,
 		})
 	}
+	// The list is kept, the payloads and INFO sets it points at are not —
+	// up to its capacity, because a behavior may have shortened it.
+	outs = outs[:cap(outs)]
+	clear(outs)
+	st.outs, st.wire = outs, wire
 	return wire
 }
 

@@ -77,7 +77,7 @@ var monoApprovedMutators = map[string]bool{
 // the copy-on-write mark) are deliberately absent.
 var monoMutatingSetMethods = map[string]bool{
 	"Add": true, "AddRange": true, "Union": true, "ApplyDelta": true,
-	"Prune": true, "Remove": true, "Clear": true,
+	"Assign": true, "Prune": true, "Remove": true, "Clear": true,
 }
 
 func runMonoLint(pass *Pass) error {

@@ -120,6 +120,7 @@ func TestMonoLintMutation(t *testing.T) {
 	for _, m := range []struct{ smuggled, want string }{
 		{"\tfrom.confirmed.Prune(1)\n", "peer.confirmed mutated outside the approved mutator set"},
 		{"\tfrom.view = seqset.Set{}\n", "peer.view written outside the approved mutator set"},
+		{"\tfrom.view.Assign(seqset.Set{})\n", "peer.view mutated outside the approved mutator set"},
 		{"\th.table[0] = nil\n", "Host.table written outside the approved mutator set"},
 	} {
 		mutated := mutateDir(t, "../core", anchor, anchor+m.smuggled)

@@ -156,6 +156,77 @@ func TestPeerRecordsComeFromSlabs(t *testing.T) {
 	}
 }
 
+// TestPeerSetsComeFromSlabs: a 512-peer host that hears INFO from
+// everyone gives the 1 022 MAP and confirmed sets their first storage
+// from 64 run slabs of eight peers each — 64 bytes a peer — and from
+// nothing at all while the INFO it hears is still empty. A set that
+// outgrows its two carved runs moves to an array of its own: its
+// neighbours in the slab keep reading what they were told.
+func TestPeerSetsComeFromSlabs(t *testing.T) {
+	const n = 512
+	peers := make([]HostID, n)
+	for i := range peers {
+		peers[i] = HostID(i + 1)
+	}
+	newHost := func() *Host {
+		h, err := NewHost(Config{ID: 2, Source: 1, Peers: peers, Params: DefaultParams()}, nopEnv{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		h.Start(0)
+		for i := range h.table {
+			h.at(i)
+		}
+		return h
+	}
+	hearAll := func(h *Host, info seqset.Set) {
+		for _, j := range peers {
+			h.HandleMessage(time.Second, j, false, Message{Kind: MsgInfo, Info: info})
+		}
+	}
+	const runs = 3
+	var fresh []*Host
+	for i := 0; i < 2*(runs+1)+1; i++ {
+		fresh = append(fresh, newHost())
+	}
+	var h *Host
+	next := func() { h, fresh = fresh[0], fresh[1:] }
+
+	if got := testing.AllocsPerRun(runs, func() { next(); hearAll(h, seqset.Set{}) }); got != 0 {
+		t.Errorf("hearing an empty INFO from all %d peers: %v allocations, want 0", n, got)
+	}
+	if h.runSlab != nil || h.lookup(3).carved {
+		t.Error("an empty INFO made a run slab")
+	}
+	one := seqset.FromRange(1, 3)
+	if got, want := testing.AllocsPerRun(runs, func() { next(); hearAll(h, one) }), float64((n-1+setSlab-1)/setSlab); got != want {
+		t.Errorf("hearing one run from all %d peers: %v allocations, want %v run slabs", n, got, want)
+	}
+	next()
+	if got, budget := allocatedBytes(func() { hearAll(h, one) }), uint64(n*64); got > budget {
+		t.Errorf("hearing one run from all %d peers allocated %d bytes, budget %d", n, got, budget)
+	}
+	if len(h.runSlab) != 0 {
+		t.Errorf("%d runs of the last slab are left over", len(h.runSlab))
+	}
+
+	// Peer 5 now advertises three runs, then receives data that adds more.
+	three := seqset.FromSlice([]seqset.Seq{1, 3, 5})
+	h.HandleMessage(2*time.Second, 5, false, Message{Kind: MsgInfo, Info: three})
+	p5 := h.lookup(5)
+	for q := seqset.Seq(7); q <= 15; q += 2 {
+		h.learnHas(p5, q)
+	}
+	if want := seqset.FromSlice([]seqset.Seq{1, 3, 5, 7, 9, 11, 13, 15}); !p5.view.Equal(want) || !p5.confirmed.Equal(want) {
+		t.Errorf("peer 5 after outgrowing its carved storage: view %v, confirmed %v, want %v", p5.view, p5.confirmed, want)
+	}
+	for _, j := range peers {
+		if p := h.lookup(j); p != h.me && p != p5 && (!p.view.Equal(one) || !p.confirmed.Equal(one)) {
+			t.Fatalf("peer %d reads view %v, confirmed %v after peer 5 outgrew its slots; want %v", j, p.view, p.confirmed, one)
+		}
+	}
+}
+
 // voteHost is host 2 of seven under EchoReady, so f = 2, the echo quorum
 // is 5 and ready amplification takes 3. Its sends land on the returned
 // queue.

@@ -310,9 +310,9 @@ func (h *Host) handleAttachReq(now time.Duration, from *peer, m Message) {
 	h.emit(from.id, Message{Kind: MsgAttachAccept, Info: h.info.Snapshot()})
 	// Forward what the child is missing and we have, up to the limit; the
 	// periodic neighbour gap fill covers any remainder.
-	missing := h.info.Diff(m.Info)
+	h.info.DiffInto(&h.scratch, m.Info)
 	sent := 0
-	missing.Each(func(q seqset.Seq) bool {
+	h.scratch.Each(func(q seqset.Seq) bool {
 		payload, ok := h.store.Get(q)
 		if !ok {
 			return true

@@ -101,6 +101,20 @@ type Host struct {
 	// storage, chunkSize that allocation's size; see keep.
 	chunk     []byte
 	chunkSize int
+
+	// runSlab is the unused rest of the latest allocation of first storage
+	// for peers' view and confirmed sets, carvedPeers how many peers have
+	// theirs (carveRuns in peer.go). scratch is where a set difference that
+	// is only walked lands: fillGapsOf, missingFrom and handleAttachReq
+	// overwrite it on every call.
+	runSlab     []seqset.Interval
+	carvedPeers int
+	scratch     seqset.Set
+
+	// syncOn and snapsOn are Params.SyncEnabled() and SnapshotsEnabled(),
+	// asked once: the methods take the 200-byte Params by value, and Tick
+	// asks on every call.
+	syncOn, snapsOn bool
 }
 
 type attachState struct {
@@ -148,6 +162,8 @@ func NewHost(cfg Config, env Env) (*Host, error) {
 		observer:   cfg.Observer,
 		nextSeq:    1,
 		jitterSeed: cfg.JitterSeed,
+		syncOn:     cfg.Params.SyncEnabled(),
+		snapsOn:    cfg.Params.SnapshotsEnabled(),
 	}
 	h.me = h.lookup(cfg.ID)
 	h.me.inCluster = true
@@ -156,7 +172,7 @@ func NewHost(cfg Config, env Env) (*Host, error) {
 			h.lookup(j).inCluster = true
 		}
 	}
-	if cfg.Params.SyncEnabled() {
+	if h.syncOn {
 		h.catchup = &syncState{}
 	}
 	return h, nil
@@ -231,7 +247,7 @@ func (h *Host) Start(now time.Duration) {
 	h.nextGapLocal = stagger(h.params.GapClusterPeriod)
 	h.nextGapRemote = stagger(h.params.GapRemotePeriod)
 	h.nextGapGlobal = stagger(h.params.GapGlobalPeriod)
-	if h.params.SyncEnabled() {
+	if h.syncOn {
 		h.nextSync = stagger(h.params.SyncPeriod)
 	}
 }
@@ -375,19 +391,18 @@ func (h *Host) learnHas(from *peer, q seqset.Seq) {
 
 // learnInfo records an authoritative INFO snapshot from a peer, replacing
 // both the working MAP entry (clearing stale optimistic marks) and the
-// confirmed view. The entries are copy-on-write snapshots: no run
-// storage is copied until one side mutates.
-//
-// This is the retention point for a handler's m.Info: the snapshots
-// share info's storage past the HandleMessage call. It is reached for
-// MsgInfo, MsgAttachReq and MsgAttachAccept (and handleInfo keeps one
-// more snapshot as the delta view), so a decode path that reuses Info
-// storage across frames must detach it for exactly those kinds —
-// internal/node's DecodeEnvelope does. Retaining Info for another kind
-// requires updating that rule.
+// confirmed view. The entries are the host's own arrays, overwritten in
+// place: nothing of info is shared, so a frame's Info may sit in a buffer
+// its decoder reuses. An empty INFO — all there is before the first
+// broadcast — needs no storage and is given none.
 func (h *Host) learnInfo(from *peer, info seqset.Set) {
-	from.view = info.Snapshot()
-	from.confirmed = info.Snapshot()
+	if !from.carved && !info.Empty() {
+		view, confirmed := h.carveRuns()
+		from.view, from.confirmed = seqset.WithStorage(view), seqset.WithStorage(confirmed)
+		from.carved = true
+	}
+	from.view.Assign(info)
+	from.confirmed.Assign(info)
 }
 
 func (h *Host) event(now time.Duration, kind EventKind, peer HostID, seq seqset.Seq) {
@@ -579,11 +594,7 @@ func (h *Host) handleInfo(now time.Duration, from *peer, m Message) {
 	if h.params.DeltaInfo {
 		// A full set roots a fresh delta chain: later deltas merge into
 		// this view and are checked against the sender's checksum.
-		//
-		// Like learnInfo above, this Snapshot retains m.Info's storage
-		// past the HandleMessage call; see learnInfo for what that asks
-		// of zero-copy decode paths.
-		from.infoView = m.Info.Snapshot()
+		from.infoView.Assign(m.Info)
 		from.infoSynced = true
 	}
 	h.afterInfo(now, from, m.Parent)
@@ -734,7 +745,7 @@ func (h *Host) Tick(now time.Duration) {
 		h.nextGapGlobal = now + h.params.GapGlobalPeriod
 		h.gapFillGlobal(now)
 	}
-	if h.params.SyncEnabled() && now >= h.nextSync {
+	if h.syncOn && now >= h.nextSync {
 		h.nextSync = now + h.params.SyncPeriod
 		h.syncPump(now)
 	}
@@ -772,7 +783,7 @@ func (h *Host) infoMessageFor(j *peer) Message {
 		// length checksum; a full set pays 16 bytes per run. Send the
 		// delta only when strictly cheaper.
 		if 16*delta.RunCount()+8 < 16*h.info.RunCount() {
-			j.lastSent = h.info.Snapshot()
+			j.lastSent.Assign(h.info)
 			j.sinceFull++
 			return Message{
 				Kind:     MsgInfoDelta,
@@ -794,7 +805,7 @@ func (h *Host) noteFullInfoSent(j *peer) {
 	if !h.params.DeltaInfo {
 		return
 	}
-	j.lastSent = h.info.Snapshot()
+	j.lastSent.Assign(h.info)
 	j.sinceFull = 0
 }
 
@@ -844,15 +855,15 @@ func (h *Host) sendInfoGlobal(now time.Duration) {
 // only sequence numbers below the target's known maximum are sent —
 // anything higher would be discarded by the receiver's §4.1 rule.
 func (h *Host) fillGapsOf(j *peer) int {
-	missing := h.info.Diff(j.view)
-	if missing.Empty() {
+	h.info.DiffInto(&h.scratch, j.view)
+	if h.scratch.Empty() {
 		return 0
 	}
 	isChild := j.child
 	limit := h.params.GapFillBatch
 	theirMax := j.view.Max()
 	sent := 0
-	missing.Each(func(q seqset.Seq) bool {
+	h.scratch.Each(func(q seqset.Seq) bool {
 		if !isChild && q > theirMax {
 			return false // ascending iteration: nothing later qualifies
 		}

@@ -49,6 +49,9 @@ type peer struct {
 	// excluded says which of the host's exclusion sets j is in. The byte
 	// fits the padding behind the two bools: n² records pay nothing for it.
 	excluded exclusion
+	// carved says view and confirmed got their first storage from the
+	// host's run slab (carveRuns); the last byte of the same padding.
+	carved bool
 
 	// health is j's liveness record (health.go). It is kept regardless of
 	// Params, but only gates traffic when the backoff fields are set.
@@ -162,6 +165,33 @@ func (h *Host) nextSlab() int {
 		}
 	}
 	return min(untouched, peerSlab)
+}
+
+// setSlab is the most peers one run slab serves, at 64 bytes each. It is
+// far below what peerSlab would allow because a wide host hears INFO from
+// few of its peers — about 66 of 511 in the 512-host benchmark — and
+// every unused slot of a last slab is memory that sharing the frame's
+// storage, which carving replaced, never cost.
+const setSlab = 8
+
+// carveRuns returns the first storage of one peer's view and confirmed
+// sets: two runs each, carved from the host's current run slab the way at
+// carves records. Two runs hold an INFO set with one gap, which is what
+// most peers ever advertise; a set that needs a third moves to an array
+// of its own (append past a capacity cut to the set's share) and leaves
+// its neighbours' slots alone. learnInfo asks when a non-empty INFO first
+// arrives — peers that never say more than "nothing yet" cost nothing.
+func (h *Host) carveRuns() (view, confirmed []seqset.Interval) {
+	if len(h.runSlab) == 0 {
+		// Every peer but the host itself may still ask; counting them on
+		// the host, not by a walk of the records, keeps a wide host's
+		// many slabs from touching every record each.
+		h.runSlab = make([]seqset.Interval, 4*min(len(h.peers)-1-h.carvedPeers, setSlab))
+	}
+	h.carvedPeers++
+	s := h.runSlab
+	h.runSlab = s[4:]
+	return s[0:2:2], s[2:4:4]
 }
 
 // lookup returns j's record, or nil when j is not a participant.

@@ -188,3 +188,93 @@ func TestTableOrder(t *testing.T) {
 		t.Errorf("SuspectedPeers() = %v, want %v", got, want)
 	}
 }
+
+// TestHandlersRetainNoInfoStorage: no handler keeps the storage of the
+// Info it is handed. Twin hosts handle the same frame — every kind, on
+// its own and as the one part of a bundle, with its Info over a buffer as
+// a reused wire decoder would hold it; one twin's buffer is then
+// scribbled over, as the decoder's next frame would. MAP, the confirmed
+// and delta views, INFO and the next advertisement must still read the
+// same on both.
+func TestHandlersRetainNoInfoStorage(t *testing.T) {
+	p := DefaultParams()
+	p.DeltaInfo = true
+	p.SyncBatch, p.SyncWindow = 16, 2
+	p.SyncTimeout, p.SyncPeriod = time.Second, time.Second
+	const sender = HostID(3)
+	runs := []seqset.Interval{{Lo: 1, Hi: 2}, {Lo: 4, Hi: 9}}
+	want, err := seqset.FromSortedRuns(slices.Clone(runs))
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	handle := func(frame Message, bundled bool) (*Host, []seqset.Interval) {
+		h, err := NewHost(Config{ID: 2, Source: 1, Peers: []HostID{1, 2, 3}, Params: p}, nopEnv{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		h.Start(0)
+		h.parent = h.lookup(1)
+		for q := seqset.Seq(1); q <= 5; q++ {
+			h.HandleMessage(0, 1, false, Message{Kind: MsgData, Seq: q, Payload: []byte("held")})
+		}
+		if frame.Kind == MsgAttachAccept {
+			h.attach.inProgress, h.attach.candidate = true, h.lookup(sender)
+		}
+		buf := slices.Clone(runs)
+		if frame.Info, err = seqset.FromSortedRuns(buf); err != nil {
+			t.Fatal(err)
+		}
+		if bundled {
+			frame = Message{Kind: MsgBundle, Parts: []Message{frame}}
+		}
+		h.HandleMessage(time.Second, sender, false, frame)
+		return h, buf
+	}
+
+	for _, frame := range everyKindFrom(2) {
+		if frame.Kind == MsgBundle {
+			continue
+		}
+		for _, bundled := range []bool{false, true} {
+			scribbled, buf := handle(frame, bundled)
+			kept, _ := handle(frame, bundled)
+			for i := range buf {
+				buf[i] = seqset.Interval{Lo: 1000 + seqset.Seq(i), Hi: 1000 + seqset.Seq(i)}
+			}
+			name := frame.Kind.String()
+			if bundled {
+				name += " in a bundle"
+			}
+			a, b := scribbled.lookup(sender), kept.lookup(sender)
+			for _, set := range []struct {
+				what string
+				a, b seqset.Set
+			}{
+				{"MapOf", scribbled.MapOf(sender), kept.MapOf(sender)},
+				{"confirmed", a.confirmed, b.confirmed},
+				{"infoView", a.infoView, b.infoView},
+				{"lastSent", a.lastSent, b.lastSent},
+				{"Info()", scribbled.Info(), kept.Info()},
+			} {
+				if !set.a.Equal(set.b) {
+					t.Errorf("%s: %s reads %v once the frame's buffer is overwritten, %v otherwise", name, set.what, set.a, set.b)
+				}
+			}
+			ma, mb := scribbled.infoMessageFor(a), kept.infoMessageFor(b)
+			if ma.Kind != mb.Kind || ma.Seq != mb.Seq || ma.CheckLen != mb.CheckLen || ma.Parent != mb.Parent || !ma.Info.Equal(mb.Info) {
+				t.Errorf("%s: the next advertisement is %+v once the frame's buffer is overwritten, %+v otherwise", name, ma, mb)
+			}
+			switch frame.Kind {
+			case MsgInfo, MsgAttachReq, MsgAttachAccept:
+				if got := a.confirmed; !got.Equal(want) { // the MAP entry also has what gap fill just sent
+					t.Errorf("%s: confirmed view = %v, want the frame's %v", name, got, want)
+				}
+			case MsgInfoDelta:
+				if got := a.infoView; !got.Equal(want) {
+					t.Errorf("%s: delta view = %v, want the frame's %v", name, got, want)
+				}
+			}
+		}
+	}
+}

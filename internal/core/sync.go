@@ -142,7 +142,7 @@ func (h *Host) emitDirect(to HostID, m Message) {
 // the latest checkpoint is kept; a resuming client that presents a
 // stale watermark restarts from offset zero.
 func (h *Host) snapshotMaybe() {
-	if !h.params.SnapshotsEnabled() {
+	if !h.snapsOn {
 		return
 	}
 	snap, ok := h.env.(Snapshotter)
@@ -171,7 +171,7 @@ func (h *Host) snapshotMaybe() {
 // for this request"), which is what lets the requester retire a request
 // instead of retrying sequence numbers the responder will never have.
 func (h *Host) handleSyncReq(now time.Duration, from *peer, m Message) {
-	if !h.params.SyncEnabled() {
+	if !h.syncOn {
 		return
 	}
 	limit := h.params.SyncBatch
@@ -217,7 +217,7 @@ func (h *Host) handleSyncReq(now time.Duration, from *peer, m Message) {
 // invariant that everything in INFO is servable — as data, or as
 // checkpoint coverage.
 func (h *Host) refreshSnapshotFor(q seqset.Seq) bool {
-	if !h.params.SnapshotsEnabled() {
+	if !h.snapsOn {
 		return false
 	}
 	snap, ok := h.env.(Snapshotter)
@@ -242,7 +242,7 @@ func (h *Host) refreshSnapshotFor(q seqset.Seq) bool {
 // offset past the end) restarts the client from offset zero on the
 // current checkpoint.
 func (h *Host) handleSnapReq(now time.Duration, from *peer, m Message) {
-	if !h.params.SnapshotsEnabled() || h.snapMark == 0 || len(h.snapData) == 0 {
+	if !h.snapsOn || h.snapMark == 0 || len(h.snapData) == 0 {
 		return
 	}
 	offset := uint64(m.Seq)
@@ -442,15 +442,19 @@ func (h *Host) pumpRanges(now time.Duration, st *syncState) {
 // source choice can wedge on it — missingFrom non-empty keeps the
 // source sticky, while the floor filter keeps the want set empty, so
 // no request is ever issued and no other source is ever tried.
+//
+// The result is the host's scratch set: read it before the next call
+// here, to fillGapsOf or to handleAttachReq.
 func (h *Host) missingFrom(j *peer) seqset.Set {
-	missing := j.confirmed.Diff(h.info)
+	missing := &h.scratch
+	j.confirmed.DiffInto(missing, h.info)
 	if min := j.confirmed.Min(); min > 0 {
 		if lo := h.ownPrefix() + 1; min > lo {
 			missing.AddRange(lo, min-1)
 		}
 	}
 	missing.Prune(h.prunedTo)
-	return missing
+	return *missing
 }
 
 // pickSyncSource chooses the peer whose confirmed view has the most we

@@ -9,6 +9,7 @@ import (
 	"rbcast/internal/core"
 	"rbcast/internal/harness"
 	"rbcast/internal/sim"
+	"rbcast/internal/soak"
 	"rbcast/internal/topo"
 )
 
@@ -305,5 +306,57 @@ func TestExplicitEchoBudgetNeedsItsQuorum(t *testing.T) {
 	_, err = harness.Prepare(scenario(6))
 	if want := "core: EchoMaxFaulty 2 needs more than 6 participants, have 6"; err == nil || !strings.Contains(err.Error(), want) {
 		t.Errorf("Prepare(n = 6, f = 2) = %v, want an error containing %q", err, want)
+	}
+}
+
+// TestInvariantsHoldAgreesWithTheReport: InvariantsHold is CheckInvariants
+// without the report — after every step of a soak seed whose source
+// equivocates (every delivery forged, thousands of findings) and of one
+// whose adversaries the protocol masks, from the first event to the end
+// of the settle, under every combination of options.
+func TestInvariantsHoldAgreesWithTheReport(t *testing.T) {
+	var trap, clean *soak.Spec
+	for seed := int64(1); trap == nil || clean == nil; seed++ {
+		sp := soak.NewSpec(soak.ClassByzantine, seed)
+		if sp.ExpectViolation && trap == nil {
+			trap = &sp
+		} else if !sp.ExpectViolation && clean == nil {
+			clean = &sp
+		}
+	}
+	for _, sp := range []*soak.Spec{trap, clean} {
+		sc, err := sp.Scenario()
+		if err != nil {
+			t.Fatal(err)
+		}
+		rt, err := harness.Prepare(sc)
+		if err != nil {
+			t.Fatal(err)
+		}
+		held, broken := 0, 0
+		end := rt.Horizon() + time.Duration(sp.SettleMS)*time.Millisecond
+		for step := end / 60; rt.Engine.Now() < end; {
+			if err := rt.Settle(step); err != nil {
+				t.Fatal(err)
+			}
+			for _, opts := range []harness.InvariantOptions{
+				{}, {RequireDelivery: true}, {RequireTree: true}, {RequireDelivery: true, RequireTree: true},
+			} {
+				report := rt.CheckInvariants(opts)
+				if got := rt.InvariantsHold(opts); got != (len(report) == 0) {
+					t.Fatalf("seed %d at %v, %+v: InvariantsHold = %v, CheckInvariants reports %d violations (first: %v)",
+						sp.Seed, rt.Engine.Now(), opts, got, len(report), report[:min(1, len(report))])
+				}
+				if len(report) == 0 {
+					held++
+				} else {
+					broken++
+				}
+			}
+		}
+		if held == 0 || broken == 0 {
+			t.Errorf("seed %d (trap %v): invariants held at %d samples and broke at %d; both sides must be sampled",
+				sp.Seed, sp.ExpectViolation, held, broken)
+		}
 	}
 }

@@ -178,6 +178,21 @@ type InvariantOptions struct {
 // state the report is byte-for-byte deterministic — a property the soak
 // engine's worker-count-independence guarantee rests on.
 func (rt *Runtime) CheckInvariants(opts InvariantOptions) []Violation {
+	return rt.violations(opts, false)
+}
+
+// InvariantsHold reports whether CheckInvariants(opts) would come back
+// empty, without writing the report: it stops at the first violation. A
+// caller that polls until a scenario has converged asks this per step,
+// and CheckInvariants once for the report it keeps — under an adversary
+// that forges every delivery, one report is thousands of formatted lines.
+func (rt *Runtime) InvariantsHold(opts InvariantOptions) bool {
+	return len(rt.violations(opts, true)) == 0
+}
+
+// violations is the walker behind both: every violation, or — with first
+// — none past the first one found.
+func (rt *Runtime) violations(opts InvariantOptions, first bool) []Violation {
 	rt.merge()
 	var out []Violation
 	res := rt.result
@@ -207,6 +222,9 @@ func (rt *Runtime) CheckInvariants(opts InvariantOptions) []Violation {
 			}
 		}
 	}
+	if first && len(out) > 0 {
+		return out
+	}
 	if opts.RequireDelivery {
 		for _, h := range res.HostList {
 			if rt.adversarial(h) {
@@ -218,11 +236,14 @@ func (rt *Runtime) CheckInvariants(opts InvariantOptions) []Violation {
 				out = append(out, Violation{"delivery",
 					fmt.Sprintf("host %d missing %d of %d messages (first %v)",
 						h, len(missing), res.TotalMessages(), missing[0])})
+				if first {
+					return out
+				}
 			}
 		}
 	}
 	if rt.Adversary != nil {
-		out = append(out, rt.checkByzantine()...)
+		out = append(out, rt.checkByzantine(first)...)
 	}
 	return out
 }
@@ -241,8 +262,11 @@ func (rt *Runtime) adversarial(h core.HostID) bool {
 // pairwise consequence of the former, kept as its own named invariant
 // because equivocation breaks it even when the broadcast record is
 // unavailable to an observer). Hosts and sequence numbers are visited in
-// ascending order, so the report is byte-for-byte deterministic.
-func (rt *Runtime) checkByzantine() []Violation {
+// ascending order, so the report is byte-for-byte deterministic. With
+// first, the walk returns at its first finding and takes each host's
+// sequence numbers as the map yields them: whether a finding exists does
+// not depend on the order.
+func (rt *Runtime) checkByzantine(first bool) []Violation {
 	var out []Violation
 	res := rt.result
 	firstHost := map[seqset.Seq]core.HostID{}
@@ -256,7 +280,9 @@ func (rt *Runtime) checkByzantine() []Violation {
 		for q := range per {
 			seqs = append(seqs, q)
 		}
-		sort.Slice(seqs, func(i, j int) bool { return seqs[i] < seqs[j] })
+		if !first {
+			sort.Slice(seqs, func(i, j int) bool { return seqs[i] < seqs[j] })
+		}
 		for _, q := range seqs {
 			d := per[q]
 			if want, broadcast := res.BroadcastDigest[q]; !broadcast {
@@ -275,6 +301,9 @@ func (rt *Runtime) checkByzantine() []Violation {
 			} else {
 				firstHost[q] = h
 				firstDigest[q] = d
+			}
+			if first && len(out) > 0 {
+				return out
 			}
 		}
 	}

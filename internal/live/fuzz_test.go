@@ -20,9 +20,9 @@ import (
 // loop does: node.DecodeEnvelope on it must agree with the one-shot
 // wire.Decode of the frame bytes on accept/reject and on every field,
 // parts included, and what a handler may keep of the previous accepted
-// frame — Info as returned for the kinds DecodeEnvelope detaches, a clone
-// otherwise, a copy of Payload, the parts — must read the same after the
-// next call. Run with `go test -fuzz FuzzDecodeEnvelope
+// frame — a clone of Info and a copy of Payload, whatever the kind (the
+// frame itself is valid only until the decoder's next use), and the
+// parts — must read the same after the next call. Run with `go test -fuzz FuzzDecodeEnvelope
 // ./internal/live` for a real session; as a plain test it replays the
 // corpus.
 func FuzzDecodeEnvelope(f *testing.F) {
@@ -105,12 +105,7 @@ func FuzzDecodeEnvelope(f *testing.F) {
 		}
 		held := frame
 		held.Message.Payload = bytes.Clone(frame.Message.Payload)
-		switch frame.Message.Kind {
-		case core.MsgInfo, core.MsgAttachReq, core.MsgAttachAccept:
-			// learnInfo keeps this Info as it is given.
-		default:
-			held.Message.Info = frame.Message.Info.Clone()
-		}
+		held.Message.Info = frame.Message.Info.Clone()
 		kept, keptWant = &held, &want
 
 		env, err := node.EncodeEnvelope(stream, frame)

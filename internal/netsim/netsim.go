@@ -202,7 +202,9 @@ type Outbound struct {
 // (duplication, equivocation to extra destinations). The fault-injection
 // layer (internal/adversary) installs these to model hostile hosts
 // without touching protocol code; the host above the hook keeps running
-// the correct algorithm and never learns its traffic was rewritten.
+// the correct algorithm and never learns its traffic was rewritten. The
+// network has read the returned list by the time it calls the hook again,
+// so a hook may return the same backing array every time.
 type TransmitHook func(to HostID, payload any) []Outbound
 
 // Stats aggregates network-level counters for a run.

@@ -79,8 +79,8 @@ func EncodeEnvelope(stream core.HostID, f wire.Frame) (*Envelope, error) {
 
 // DecodeEnvelope is the one place inbound bytes become a message. It
 // splits envelope bytes into stream and frame using dec, so the frame's
-// Payload and Info are valid only until dec is next used — except where
-// a handler would retain them past the call, which is detached here.
+// Payload and Info are valid only until dec is next used; no handler of
+// core keeps either past its return.
 func DecodeEnvelope(dec *wire.Decoder, data []byte) (core.HostID, wire.Frame, error) {
 	if len(data) < streamLen {
 		return 0, wire.Frame{}, fmt.Errorf("node: envelope too short")
@@ -88,14 +88,6 @@ func DecodeEnvelope(dec *wire.Decoder, data []byte) (core.HostID, wire.Frame, er
 	f, err := dec.Decode(data[streamLen:])
 	if err != nil {
 		return 0, wire.Frame{}, err
-	}
-	switch f.Message.Kind {
-	case core.MsgInfo, core.MsgAttachReq, core.MsgAttachAccept:
-		// These handlers reach core's learnInfo, which keeps the Info
-		// it is given as the sender's MAP entry; dec's next frame would
-		// overwrite it. Every other kind merges Info by membership and
-		// copies Payload, and parts own their storage.
-		f.Message.Info = f.Message.Info.Clone()
 	}
 	return core.HostID(binary.BigEndian.Uint32(data[:streamLen])), f, nil
 }

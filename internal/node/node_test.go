@@ -80,9 +80,8 @@ func randomMessage(rng *rand.Rand, kind core.MsgKind, peers []core.HostID) core.
 // driver's receive path — the other through a fresh wire.Decode per
 // frame, whose storage nothing overwrites. After every frame their
 // protocol state must agree. A host that retains Info aliasing the
-// decoder (the detach rule narrowed to fewer kinds than reach core's
-// learnInfo) sees a peer's MAP entry rewritten by the next frame from
-// anyone, and diverges.
+// decoder (a Snapshot where core should Assign) sees a peer's MAP entry
+// rewritten by the next frame from anyone, and diverges.
 func TestReusedDecoderMatchesFreshDecode(t *testing.T) {
 	const self, source = core.HostID(1), core.HostID(2)
 	peers := []core.HostID{1, 2, 3, 4, 5}

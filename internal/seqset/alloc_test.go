@@ -33,6 +33,52 @@ func TestDiffIntoZeroAllocs(t *testing.T) {
 	}
 }
 
+// TestAssignZeroAllocs: a keeper that has grown to working size takes a
+// larger and a smaller set, a copy-on-write one and one over a decoder's
+// buffer, without allocating.
+func TestAssignZeroAllocs(t *testing.T) {
+	big, small := gappySet(), FromRange(3, 5)
+	shared := gappySet()
+	shared.Snapshot()
+	decoded, err := FromSortedRuns([]Interval{{Lo: 2, Hi: 4}, {Lo: 9, Hi: 9}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	var keeper Set
+	keeper.Assign(big)
+	allocs := testing.AllocsPerRun(200, func() {
+		keeper.Assign(small)
+		keeper.Assign(shared)
+		keeper.Assign(decoded)
+		keeper.Assign(big)
+	})
+	if allocs != 0 {
+		t.Errorf("Assign over grown storage: %.1f allocs/op, want 0", allocs)
+	}
+	if !keeper.Equal(big) {
+		t.Errorf("Assign = %v, want %v", keeper, big)
+	}
+}
+
+// TestPrunedScratchZeroAllocs: a DiffInto target that is pruned after
+// every use keeps its capacity — Prune shifts the surviving runs down
+// rather than stepping the slice past the dropped ones.
+func TestPrunedScratchZeroAllocs(t *testing.T) {
+	a, b := gappySet(), FromRange(405, 660)
+	var scratch Set
+	a.DiffInto(&scratch, b)
+	allocs := testing.AllocsPerRun(200, func() {
+		a.DiffInto(&scratch, b)
+		scratch.Prune(400)
+	})
+	if allocs != 0 {
+		t.Errorf("DiffInto + Prune with reused scratch: %.1f allocs/op, want 0", allocs)
+	}
+	if want := FromRange(700, 900); !scratch.Equal(want) {
+		t.Errorf("pruned difference = %v, want %v", scratch, want)
+	}
+}
+
 func TestApplyDeltaZeroAllocs(t *testing.T) {
 	s := gappySet()
 	delta := FromRange(380, 420)

@@ -2,6 +2,7 @@ package seqset
 
 import (
 	"math/rand"
+	"slices"
 	"testing"
 )
 
@@ -24,18 +25,36 @@ func (m *model) prune(upTo Seq) {
 }
 
 // TestModelRandomized drives a Set and the map model through the same
-// random operation sequence — adds, range adds, unions, prefix prunes —
-// and demands identical observable behavior (membership, length,
-// extrema, iteration order, diffs) after every step. The run invariant
-// (sorted, disjoint, non-adjacent) is re-checked each step too.
+// random operation sequence — adds, range adds, unions, prefix prunes,
+// assignments in both directions — and demands identical observable
+// behavior (membership, length, extrema, iteration order, diffs) after
+// every step. The run invariant (sorted, disjoint, non-adjacent) is
+// re-checked each step too.
 func TestModelRandomized(t *testing.T) {
 	const (
 		universe = 72 // small, so operations collide often
 		steps    = 4000
 	)
 	rng := rand.New(rand.NewSource(7))
-	var s Set
+	var s, keeper Set // keeper lives across steps, so Assign finds it in every state
 	m := newModel()
+	members := func(x Set) map[Seq]bool {
+		out := make(map[Seq]bool)
+		x.Each(func(q Seq) bool { out[q] = true; return true })
+		return out
+	}
+	// randomRuns is a canonical run coding in a buffer of its own, as a
+	// wire decoder would hold it.
+	randomRuns := func() []Interval {
+		var runs []Interval
+		lo := Seq(1 + rng.Intn(8))
+		for i, n := 0, rng.Intn(5); i < n && lo < universe; i++ {
+			hi := min(lo+Seq(rng.Intn(6)), universe)
+			runs = append(runs, Interval{Lo: lo, Hi: hi})
+			lo = hi + 2 + Seq(rng.Intn(9))
+		}
+		return runs
+	}
 
 	verify := func(step int, op string) {
 		t.Helper()
@@ -83,7 +102,67 @@ func TestModelRandomized(t *testing.T) {
 	}
 
 	for step := 0; step < steps; step++ {
-		switch rng.Intn(10) {
+		switch rng.Intn(12) {
+		case 10: // s is assigned to a keeper: equal to a clone, then independent
+			var shared Set
+			var buf, bufWas []Interval
+			switch rng.Intn(4) {
+			case 0: // the keeper's storage is shared with a snapshot
+				shared = keeper.Snapshot()
+			case 1: // the keeper sits over a decoder's buffer
+				buf = randomRuns()
+				bufWas = slices.Clone(buf)
+				keeper, _ = FromSortedRuns(buf)
+			case 2: // the keeper is new, over carved storage
+				buf = make([]Interval, 4)
+				keeper = WithStorage(buf[1:3:3])
+			}
+			sharedWas := shared.Clone()
+			if rng.Intn(2) == 0 {
+				s.Snapshot() // the source is copy-on-write
+			}
+			keeper.Assign(s)
+			if want := s.Clone(); !keeper.Equal(want) || keeper.check() != nil {
+				t.Fatalf("step %d: Assign made %v of %v", step, keeper, want)
+			}
+			if !shared.Equal(sharedWas) {
+				t.Fatalf("step %d: Assign wrote storage shared with a snapshot: %v, was %v", step, shared, sharedWas)
+			}
+			if bufWas != nil && !slices.Equal(buf, bufWas) {
+				t.Fatalf("step %d: Assign wrote the buffer under a FromSortedRuns receiver: %v, was %v", step, buf, bufWas)
+			}
+			if bufWas == nil && buf != nil && (buf[0] != Interval{} || buf[3] != Interval{}) {
+				t.Fatalf("step %d: Assign wrote outside the receiver's carved storage: %v", step, buf)
+			}
+			keeper.Add(Seq(1 + rng.Intn(universe)))
+			keeper.Prune(Seq(rng.Intn(universe / 8)))
+			verify(step, "assign-from")
+		case 11: // s is assigned a set: the model follows, later changes of the source never show
+			var src Set
+			buf := randomRuns()
+			if rng.Intn(2) == 0 {
+				src, _ = FromSortedRuns(buf) // over a buffer the decoder will reuse
+			} else {
+				src = FromSlice([]Seq{Seq(1 + rng.Intn(universe)), Seq(1 + rng.Intn(universe))})
+				if rng.Intn(2) == 0 {
+					src.Snapshot()
+				}
+			}
+			var shared Set
+			if rng.Intn(2) == 0 {
+				shared = s.Snapshot()
+			}
+			sharedWas := shared.Clone()
+			s.Assign(src)
+			m.has = members(src)
+			if !shared.Equal(sharedWas) {
+				t.Fatalf("step %d: Assign wrote storage shared with a snapshot: %v, was %v", step, shared, sharedWas)
+			}
+			for i := range buf {
+				buf[i] = Interval{Lo: universe + 1, Hi: universe + 2}
+			}
+			src.AddRange(1, universe)
+			verify(step, "assign-to")
 		case 0, 1, 2, 3: // single add (the hot path)
 			q := Seq(1 + rng.Intn(universe))
 			changed := s.Add(q)

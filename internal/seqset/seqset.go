@@ -10,6 +10,14 @@
 // The package also implements the paper's ordering on INFO sets:
 // A < B iff max(A) < max(B), and A ≃ B iff max(A) = max(B), where the
 // maximum of the empty set is taken as 0 (sequence numbers start at 1).
+//
+// A set has one owner. Two ways of handing a set on exist, for the two
+// directions a protocol moves one in: a sender that stamps its own INFO
+// on many outgoing frames shares it (Snapshot: nothing is copied until
+// the sender next changes its set), and a keeper — whoever stores what a
+// frame carried, a MAP entry say — copies it into storage it already has
+// (Assign: the frame's set may sit in a buffer its decoder reuses, and
+// the keeper's old members are garbage anyway).
 package seqset
 
 import (
@@ -30,8 +38,9 @@ type Interval struct {
 // Set is a set of sequence numbers. The zero value is the empty set and
 // is ready to use. The mutating methods modify the receiver in place.
 // Plain assignment shares the underlying storage; take an independent
-// copy with Clone (eager) or Snapshot (copy-on-write — O(1) until either
-// side next mutates).
+// copy with Clone (eager, new storage), Snapshot (copy-on-write — O(1)
+// until either side next mutates) or Assign (eager, into the receiver's
+// own storage).
 type Set struct {
 	// runs is sorted by Lo; runs never overlap and are never adjacent
 	// (runs[k].Hi+1 < runs[k+1].Lo).
@@ -73,15 +82,42 @@ func (s Set) Clone() Set {
 }
 
 // Snapshot returns a copy of s that shares the run storage with s until
-// either side next mutates (copy-on-write). It replaces Clone on hot
-// paths where the copy is usually read-only — e.g. stamping the current
-// INFO set onto an outgoing message.
+// either side next mutates (copy-on-write). It is for the owner of s
+// handing out read-only copies faster than it mutates — a sender
+// stamping its current INFO set onto many outgoing messages. It is the
+// wrong tool for keeping a set someone else handed over: the keeper pays
+// a full copy on its next mutation and discards that copy at the next
+// hand-over, and the storage it shares may be a decoder's reused buffer.
+// A keeper calls Assign.
 func (s *Set) Snapshot() Set {
 	if len(s.runs) == 0 {
 		return Set{}
 	}
 	s.cow = true
 	return Set{runs: s.runs, cow: true}
+}
+
+// WithStorage returns the empty set whose runs will be written into buf
+// for as long as they fit its capacity; growing past it moves the set to
+// an array of its own, as append does. It lets an owner of many small
+// sets carve their first storage from one allocation. The caller cuts
+// buf's capacity to the set's share (buf[i:j:j]) and hands no part of it
+// to anything else.
+func WithStorage(buf []Interval) Set { return Set{runs: buf[:0]} }
+
+// Assign overwrites s with the members of src, in s's own run storage:
+// once that storage has grown to working size it allocates nothing, and
+// nothing is shared with src afterwards — src may be a decoder's buffer
+// that the next frame overwrites. Storage s shares with a Snapshot is
+// not written; s drops it and starts an array of its own.
+//
+//rblint:hotpath keeps the INFO set of every INFO and attach frame a host handles
+func (s *Set) Assign(src Set) {
+	if s.cow {
+		s.runs = nil
+		s.cow = false
+	}
+	s.runs = append(s.runs[:0], src.runs...)
 }
 
 // materialize gives s private run storage; every mutator calls it before
@@ -469,7 +505,9 @@ func (s *Set) Prune(upTo Seq) {
 	for i < len(s.runs) && s.runs[i].Hi <= upTo {
 		i++
 	}
-	s.runs = s.runs[i:]
+	// Shift down, not s.runs[i:]: a set that is pruned again and again (a
+	// reused DiffInto target, a long-lived INFO) keeps its capacity.
+	s.runs = s.runs[:copy(s.runs, s.runs[i:])]
 	if len(s.runs) > 0 && s.runs[0].Lo <= upTo {
 		s.runs[0].Lo = upTo + 1
 	}

@@ -15,11 +15,12 @@ import (
 // The returned Frame's Payload and Info alias the Decoder's buffers and
 // are valid only until the next Decode call — the same contract as
 // bufio.Scanner.Bytes. Callers that retain them must copy (Payload) or
-// Clone (Info); Info is returned in copy-on-write mode, so mutating it
-// through seqset's API is always safe. The parts of a part-carrying
-// frame (bundle, sync response) decode into storage of their own and
-// stay valid. The interval list must be the canonical sorted run coding
-// every conforming encoder emits (see seqset.FromSortedRuns).
+// Clone or Assign (Info); Info is returned in copy-on-write mode, so
+// mutating it through seqset's API is always safe. The parts of a
+// part-carrying frame (bundle, sync response) decode into storage of
+// their own and stay valid. The interval list must be the canonical
+// sorted run coding every conforming encoder emits (see
+// seqset.FromSortedRuns).
 //
 // The zero value is ready to use. A Decoder is not safe for concurrent
 // use; each host driver (internal/node) owns one.
