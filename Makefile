@@ -24,11 +24,17 @@ lint:
 test:
 	$(GO) test ./...
 
-# race is the whole suite under the race detector. That includes the
-# sharded engine's determinism tests (worker-count trace identity in sim
-# and netsim, shard-count invariance of soak traces and replay reports);
-# CI runs it at GOMAXPROCS 1 and 4, so they are checked under both
-# serialized and genuinely parallel worker schedules.
+# race is the whole suite under the race detector, and it is the
+# shared-state check: no analyzer models locks across calls (only
+# locklint's no-blocking-under-a-mutex rule is static). CI runs it at
+# GOMAXPROCS 1 and 4. The tests that drive each of the six mutexes
+# concurrently: live.Transport.mu and the live recorder's mu
+# (TestLiveBroadcast*, TestLivePartitionHeals), udp.Node.mu
+# (TestUDPGroupSurvivesBurst), trace.Buffer.mu (TestConcurrentAdds),
+# replica.Store.mu (TestStoreConcurrentApplyAndRead) and soak.Run's
+# progressMu (TestProgressCallsAreSerialized). Lane workers of the sharded
+# engine share no lock; TestShardedWorkerCountIdentity and
+# TestShardTraceIdentity run them in parallel.
 race:
 	$(GO) test -race ./...
 

@@ -47,7 +47,7 @@ type Analyzer struct {
 // Analyzers lists every analyzer in the suite, in the order the driver
 // runs them.
 func Analyzers() []*Analyzer {
-	return []*Analyzer{AllocLint, DetLint, LaneLint, LeakLint, LockLint, MonoLint, OrdLint, ParamLint, ShareLint, TaintLint, WireLint}
+	return []*Analyzer{DetLint, LaneLint, LeakLint, LockLint, MonoLint, ParamLint, TaintLint, WireLint}
 }
 
 // A Pass is one analyzer's view of one package.
@@ -67,10 +67,9 @@ type Pass struct {
 	// ModRoot is the module root directory (where go.mod lives).
 	ModRoot string
 	// Prog is the whole-program view (call graph plus memoized function
-	// summaries) shared by every package analyzed in one run. The
-	// whole-program analyzers (sharelint, ordlint, alloclint) and the
-	// interprocedural parts of taintlint/leaklint consume it; per-package
-	// analyzers may ignore it.
+	// summaries) shared by every package analyzed in one run. lanelint
+	// and the interprocedural parts of taintlint/leaklint consume it;
+	// per-package analyzers may ignore it.
 	Prog *Program
 
 	diagnostics []Diagnostic

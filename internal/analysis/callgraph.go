@@ -4,8 +4,7 @@ package analysis
 //
 // A Program bundles every loaded package with one CallGraph built over
 // all of them, plus the cross-pass caches (taint summaries, goroutine
-// exit facts, whole-program analyzer results) that used to be rebuilt
-// per package. The graph is CHA-style and deliberately conservative:
+// exit facts, lanelint's results) that used to be rebuilt per package. The graph is CHA-style and deliberately conservative:
 //
 //   - every function declaration with a body and every function literal
 //     is a node (literals are named encloser$1, encloser$2, … in source
@@ -113,42 +112,6 @@ func (g *CallGraph) NodeOf(obj *types.Func) *FuncNode { return g.byObj[obj] }
 // NodeOfLit returns the node for a function literal, or nil.
 func (g *CallGraph) NodeOfLit(lit *ast.FuncLit) *FuncNode { return g.byLit[lit] }
 
-// GoEdges returns every goroutine-spawn edge, in deterministic order.
-func (g *CallGraph) GoEdges() []*CallEdge {
-	var out []*CallEdge
-	for _, n := range g.Nodes {
-		for _, e := range n.Out {
-			if e.Kind == EdgeGo {
-				out = append(out, e)
-			}
-		}
-	}
-	return out
-}
-
-// Reachable returns every node reachable from roots (inclusive) via
-// Call and Defer edges. Go edges are not followed: a spawned body runs
-// in its own goroutine context, which is exactly the boundary the
-// concurrency analyzers need.
-func (g *CallGraph) Reachable(roots []*FuncNode) map[*FuncNode]bool {
-	seen := make(map[*FuncNode]bool)
-	stack := append([]*FuncNode(nil), roots...)
-	for len(stack) > 0 {
-		n := stack[len(stack)-1]
-		stack = stack[:len(stack)-1]
-		if n == nil || seen[n] {
-			continue
-		}
-		seen[n] = true
-		for _, e := range n.Out {
-			if e.Kind != EdgeGo {
-				stack = append(stack, e.Callee)
-			}
-		}
-	}
-	return seen
-}
-
 // String renders the graph for golden tests: one line per edge,
 // "caller -> callee [kind]" with dynamic edges marked.
 func (g *CallGraph) String() string {
@@ -173,25 +136,14 @@ type Program struct {
 	Packages []*Package
 	Graph    *CallGraph
 
-	byTypes map[*types.Package]*Package
-
 	// Bottom-up memoized analyzer state (see taintlint.go, leaklint.go,
-	// sharelint.go, ordlint.go, alloclint.go).
+	// lanelint.go).
 	taintSummaries  map[*FuncNode]*taintSummary
 	taintInProgress map[*FuncNode]bool
 	exitCache       map[*FuncNode]bool
-	lockSummaries   map[*FuncNode]*lockSummary
-	lockInProgress  map[*FuncNode]bool
-	entryHeld       map[*FuncNode]map[string]bool
 
-	shareDiags []progDiag
-	shareDone  bool
-	ordDiags   []progDiag
-	ordDone    bool
-	allocDiags []progDiag
-	allocDone  bool
-	laneDiags  []progDiag
-	laneDone   bool
+	laneDiags []progDiag
+	laneDone  bool
 
 	// loopEffects caches per-function Loop-effect summaries (see
 	// effects.go).
@@ -214,24 +166,14 @@ func NewProgram(fset *token.FileSet, pkgs []*Package) *Program {
 	p := &Program{
 		Fset:            fset,
 		Packages:        pkgs,
-		byTypes:         make(map[*types.Package]*Package, len(pkgs)),
 		taintSummaries:  make(map[*FuncNode]*taintSummary),
 		taintInProgress: make(map[*FuncNode]bool),
 		exitCache:       make(map[*FuncNode]bool),
-		lockSummaries:   make(map[*FuncNode]*lockSummary),
-		lockInProgress:  make(map[*FuncNode]bool),
 		loopEffects:     make(map[*FuncNode]*loopEffects),
-	}
-	for _, pkg := range pkgs {
-		p.byTypes[pkg.Types] = pkg
 	}
 	p.Graph = buildCallGraph(p)
 	return p
 }
-
-// packageOf maps a types.Package back to its loaded Package, or nil for
-// packages outside the program (stdlib, unanalyzed imports).
-func (p *Program) packageOf(tp *types.Package) *Package { return p.byTypes[tp] }
 
 // dynamicSite is a call through a function value, resolved after every
 // node's address-taken status is known.

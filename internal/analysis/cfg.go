@@ -472,8 +472,7 @@ func findNodeBlock(cfg *CFG, n ast.Node) (*Block, int) {
 // blk.Nodes[idx] passes through a node satisfying isGuard first: a
 // guard earlier in the same block dominates trivially; otherwise no
 // entry path avoiding every guard block may reach blk. This is the
-// dominance question monolint asks of prune-floor comparisons and
-// sharelint asks of lock acquisitions.
+// dominance question monolint asks of prune-floor comparisons.
 func pathDominates(cfg *CFG, blk *Block, idx int, isGuard func(ast.Node) bool) bool {
 	for _, n := range blk.Nodes[:idx] {
 		if isGuard(n) {

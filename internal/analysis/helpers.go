@@ -82,16 +82,6 @@ func packageFuncDecls(pass *Pass) map[types.Object]*ast.FuncDecl {
 	return decls
 }
 
-// calleeDecl resolves a call to a same-package function or method
-// declaration via the decls table, or nil.
-func calleeDecl(pass *Pass, decls map[types.Object]*ast.FuncDecl, call *ast.CallExpr) *ast.FuncDecl {
-	obj := calleeObject(pass, call)
-	if obj == nil {
-		return nil
-	}
-	return decls[obj]
-}
-
 // funcParamObjs lists a declaration's parameter objects in signature
 // order, with the receiver first for methods (so summary indices line up
 // with callArgExprs). Unnamed or blank parameters yield nil entries.

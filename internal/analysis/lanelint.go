@@ -5,6 +5,7 @@ import (
 	"go/ast"
 	"go/token"
 	"go/types"
+	"path/filepath"
 )
 
 // LanePackages are the packages whose code runs inside (or schedules)
@@ -239,8 +240,7 @@ func propagateBind(p *Program, e *CallEdge, bind laneRef) laneRef {
 // engines' own event dispatch shape. Following those edges would make
 // every scheduled event reachable from every other (any code calling
 // any func() value fans out to all of them), so the lane walk treats
-// the event queue boundary the way CallGraph.Reachable treats go
-// statements.
+// the event queue boundary the way it treats go statements.
 func isThunkDispatch(e *CallEdge) bool {
 	if !e.Dynamic || e.Site == nil {
 		return false
@@ -307,4 +307,10 @@ func report(p *Program, n *FuncNode, pos token.Pos, rule string, reported map[to
 			Message:  fmt.Sprintf(format, args...),
 		},
 	})
+}
+
+// shortPos renders pos as file:line for messages.
+func shortPos(fset *token.FileSet, pos token.Pos) string {
+	p := fset.Position(pos)
+	return fmt.Sprintf("%s:%d", filepath.Base(p.Filename), p.Line)
 }

@@ -219,10 +219,39 @@ func mutexEvent(pass *Pass, call *ast.CallExpr) (key string, locks, ok bool) {
 	if !ok {
 		return "", false, false
 	}
-	// locklint keys held sets by receiver spelling (intraprocedural, so
-	// `t.mu` is unambiguous); the whole-program analyzers canonicalize
-	// the same selector to a lock class via Program.lockClass.
+	// Held sets are keyed by receiver spelling: the walk is
+	// intraprocedural, so `t.mu` is unambiguous.
 	return types.ExprString(x), locks, true
+}
+
+// mutexSelector matches X.Lock / X.RLock / X.Unlock / X.RUnlock where
+// the method belongs to sync.Mutex or sync.RWMutex, returning the
+// receiver expression X and whether the call acquires.
+func mutexSelector(info *types.Info, call *ast.CallExpr) (x ast.Expr, locks, ok bool) {
+	sel, isSel := ast.Unparen(call.Fun).(*ast.SelectorExpr)
+	if !isSel {
+		return nil, false, false
+	}
+	fn, isFn := info.Uses[sel.Sel].(*types.Func)
+	if !isFn || fn.Pkg() == nil || fn.Pkg().Path() != "sync" {
+		return nil, false, false
+	}
+	recv := fn.Type().(*types.Signature).Recv()
+	if recv == nil {
+		return nil, false, false
+	}
+	switch recvTypeName(recv.Type()) {
+	case "Mutex", "RWMutex":
+	default:
+		return nil, false, false
+	}
+	switch fn.Name() {
+	case "Lock", "RLock":
+		return sel.X, true, true
+	case "Unlock", "RUnlock":
+		return sel.X, false, true
+	}
+	return nil, false, false
 }
 
 // checkBlockingCall flags calls that can block while a mutex is held.

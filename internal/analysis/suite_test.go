@@ -49,10 +49,6 @@ func TestAnalyzers(t *testing.T) {
 		{"taintlint/out-of-scope-package", analysis.TaintLint, "testdata/taintclean", ""},
 		{"monolint", analysis.MonoLint, "testdata/mono", "rbcast/internal/core"},
 		{"leaklint", analysis.LeakLint, "testdata/leak", "rbcast/internal/udp"},
-		{"sharelint", analysis.ShareLint, "testdata/share", "rbcast/internal/udp"},
-		{"sharelint/out-of-scope-package", analysis.ShareLint, "testdata/shareclean", ""},
-		{"ordlint", analysis.OrdLint, "testdata/ord", "rbcast/internal/live"},
-		{"alloclint", analysis.AllocLint, "testdata/alloc", ""},
 		{"lanelint", analysis.LaneLint, "testdata/lane", "rbcast/internal/sim"},
 		{"lanelint/out-of-scope-package", analysis.LaneLint, "testdata/laneclean", ""},
 		{"ignore-directive", analysis.DetLint, "testdata/ignoretd", "rbcast/internal/core"},

@@ -1,8 +1,8 @@
 // Package wire is wirelint's testdata: a three-kind codec where one
 // kind is missing from the Encode path, two from the Decode path, one
-// from the fuzz corpus, two from the benchmark corpus (BenchmarkCodec
-// names MsgA only), and one from the sibling live package's fuzz corpus
-// (../live seeds MsgA and MsgB).
+// from the fuzz corpus, one from the benchmark corpus (BenchmarkCodec's
+// corpus helper names MsgA and MsgB), and one from the sibling live
+// package's fuzz corpus (../live seeds MsgA and MsgB).
 package wire
 
 type MsgKind byte

@@ -15,10 +15,11 @@ import (
 // constant of the MsgKind type must be handled on both the encode and
 // the decode path (reachable same-package code must reference it from
 // each entry point), every kind must be seeded into a fuzz corpus
-// (appear by name inside a Fuzz* function in the package's test files),
-// and every kind must be in a benchmark corpus (appear by name inside a
-// Benchmark* function there). A kind that encodes but does not decode is
-// a protocol message that silently vanishes on the far side; a kind
+// (appear by name inside a Fuzz* function in the package's test files,
+// or in a test-file function it names), and every kind must be in a
+// benchmark corpus (likewise for Benchmark* functions). A kind that
+// encodes but does not decode is a protocol message that silently
+// vanishes on the far side; a kind
 // absent from the fuzz corpus never gets its frame layout exercised; a
 // kind absent from the benchmarks has no tripwire for its encode/decode
 // cost, which can then regress silently.
@@ -224,25 +225,41 @@ func reachableKindRefs(pass *Pass, root *ast.FuncDecl, kind *types.Named) map[*t
 // testFuncNames scans test files (parsed only: they may belong to an
 // external _test package) for top-level functions whose name starts with
 // prefix — "Fuzz" or "Benchmark" — and collects every identifier and
-// selector name inside them. A kind counts as covered when its name
-// appears — as `MsgData` or `core.MsgData` — in some such body.
+// selector name inside them and inside the test files' other top-level
+// functions they name (a shared corpus helper), transitively. A kind
+// counts as covered when its name appears — as `MsgData` or
+// `core.MsgData` — in some such body.
 func testFuncNames(files []*ast.File, prefix string) ([]*ast.FuncDecl, map[string]bool) {
 	var funcs []*ast.FuncDecl
-	names := make(map[string]bool)
+	helpers := make(map[string]*ast.FuncDecl)
 	for _, file := range files {
 		for _, decl := range file.Decls {
 			fd, ok := decl.(*ast.FuncDecl)
-			if !ok || fd.Recv != nil || !strings.HasPrefix(fd.Name.Name, prefix) || fd.Body == nil {
+			if !ok || fd.Recv != nil || fd.Body == nil {
 				continue
 			}
-			funcs = append(funcs, fd)
-			ast.Inspect(fd.Body, func(n ast.Node) bool {
-				if id, ok := n.(*ast.Ident); ok {
-					names[id.Name] = true
-				}
-				return true
-			})
+			if strings.HasPrefix(fd.Name.Name, prefix) {
+				funcs = append(funcs, fd)
+			} else {
+				helpers[fd.Name.Name] = fd
+			}
 		}
+	}
+	names := make(map[string]bool)
+	var collect func(body *ast.BlockStmt)
+	collect = func(body *ast.BlockStmt) {
+		ast.Inspect(body, func(n ast.Node) bool {
+			if id, ok := n.(*ast.Ident); ok && !names[id.Name] {
+				names[id.Name] = true
+				if h := helpers[id.Name]; h != nil {
+					collect(h.Body)
+				}
+			}
+			return true
+		})
+	}
+	for _, fd := range funcs {
+		collect(fd.Body)
 	}
 	return funcs, names
 }

@@ -33,6 +33,7 @@ const hostileSeq = seqset.Seq(1) << 62
 // or without echo/ready voting. The stores are then still dense for the
 // honest sequence numbers that follow.
 func TestHostileSeqCostsConstantMemory(t *testing.T) {
+	payload := make([]byte, 64)
 	for _, tc := range []struct {
 		name      string
 		echoReady bool
@@ -45,31 +46,46 @@ func TestHostileSeqCostsConstantMemory(t *testing.T) {
 		{"EchoReady", true, 1536},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
-			p := DefaultParams()
-			p.EchoReady = tc.echoReady
-			env := &hostileEnv{}
-			h, err := NewHost(Config{ID: 2, Source: 1, Peers: []HostID{1, 2, 3, 4}, Params: p}, env)
-			if err != nil {
-				t.Fatal(err)
+			// prepare builds a host mid-stream: host 3 is its parent (set
+			// directly: the handshake is not what is under test), host 4 a
+			// child, and three frames already accepted.
+			prepare := func() (*Host, *hostileEnv) {
+				p := DefaultParams()
+				p.EchoReady = tc.echoReady
+				env := &hostileEnv{}
+				h, err := NewHost(Config{ID: 2, Source: 1, Peers: []HostID{1, 2, 3, 4}, Params: p}, env)
+				if err != nil {
+					t.Fatal(err)
+				}
+				h.Start(0)
+				h.parent = h.lookup(3)
+				h.HandleMessage(0, 4, false, Message{Kind: MsgInfo, Parent: 2})
+				for q := seqset.Seq(1); q <= 3; q++ {
+					h.HandleMessage(0, 3, false, Message{Kind: MsgData, Seq: q, Payload: payload})
+				}
+				env.forwarded, env.delivered = nil, nil
+				return h, env
 			}
-			h.Start(0)
-			// Host 3 is the parent (set directly: the handshake is not what
-			// is under test), host 4 a child.
-			h.parent = h.lookup(3)
-			h.HandleMessage(0, 4, false, Message{Kind: MsgInfo, Parent: 2})
-			payload := make([]byte, 64)
-			for q := seqset.Seq(1); q <= 3; q++ {
-				h.HandleMessage(0, 3, false, Message{Kind: MsgData, Seq: q, Payload: payload})
+			// TotalAlloc is process-wide, so one background allocation can
+			// land inside a measurement. The frame is measured on three
+			// identically prepared hosts and the cheapest is budgeted: a real
+			// regression raises all three.
+			hosts, envs := [3]*Host{}, [3]*hostileEnv{}
+			for i := range hosts {
+				hosts[i], envs[i] = prepare()
 			}
-			env.forwarded, env.delivered = nil, nil
-			storeCap, echoCap := h.store.Cap(), h.echo.Cap()
-
+			storeCap, echoCap := hosts[0].store.Cap(), hosts[0].echo.Cap()
 			hostile := Message{Kind: MsgData, Seq: hostileSeq, Payload: payload}
-			got := allocatedBytes(func() { h.HandleMessage(time.Second, 3, false, hostile) })
-			t.Logf("the hostile frame allocated %d bytes", got)
-			if got > tc.limit {
-				t.Errorf("the hostile frame allocated %d bytes, budget %d", got, tc.limit)
+			var got [3]uint64
+			for i, h := range hosts {
+				got[i] = allocatedBytes(func() { h.HandleMessage(time.Second, 3, false, hostile) })
 			}
+			least := min(got[0], got[1], got[2])
+			t.Logf("the hostile frame allocated %v bytes on three hosts", got)
+			if least > tc.limit {
+				t.Errorf("the hostile frame allocated at least %d bytes, budget %d", least, tc.limit)
+			}
+			h, env := hosts[0], envs[0]
 			if h.store.Cap() != storeCap || h.echo.Cap() != echoCap {
 				t.Errorf("dense capacity moved: store %d -> %d, echo %d -> %d",
 					storeCap, h.store.Cap(), echoCap, h.echo.Cap())

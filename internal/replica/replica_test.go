@@ -1,7 +1,9 @@
 package replica_test
 
 import (
+	"fmt"
 	"math/rand"
+	"sync"
 	"testing"
 	"testing/quick"
 
@@ -132,6 +134,49 @@ func TestQuickConvergence(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestStoreConcurrentApplyAndRead: the Store is documented safe for
+// concurrent use, and the runtimes Apply from their delivery callbacks
+// while readers poll. Four writers race every key while two readers walk
+// the whole read API; under -race a missing lock is a failure here. The
+// highest origin wins every key, and every Apply is counted.
+func TestStoreConcurrentApplyAndRead(t *testing.T) {
+	const writers, keys = 4, 64
+	s := replica.NewStore()
+	var wg sync.WaitGroup
+	for w := 0; w < writers; w++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for k := 0; k < keys; k++ {
+				s.Apply(replica.Update{Key: fmt.Sprint("k", k), Value: fmt.Sprint("w", w), Stamp: 1, Origin: uint32(w)})
+			}
+		}()
+	}
+	for r := 0; r < 2; r++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for k := 0; k < keys; k++ {
+				s.Get(fmt.Sprint("k", k))
+				s.Len()
+				s.Rows()
+				s.Fingerprint()
+			}
+		}()
+	}
+	wg.Wait()
+
+	if s.Len() != keys || s.Applied() != writers*keys {
+		t.Errorf("Len = %d, Applied = %d, want %d and %d", s.Len(), s.Applied(), keys, writers*keys)
+	}
+	want := fmt.Sprint("w", writers-1)
+	for k := 0; k < keys; k++ {
+		if v, ok := s.Get(fmt.Sprint("k", k)); !ok || v != want {
+			t.Errorf("k%d = %q,%v, want %q from the highest origin", k, v, ok, want)
+		}
 	}
 }
 

@@ -2,12 +2,11 @@ package seqset
 
 import "testing"
 
-// The hot-path contract the //rblint:hotpath directives promise
-// statically is pinned dynamically here: DiffInto with a reused scratch
-// set and the in-place ApplyDelta merge must not allocate in steady
-// state. alloclint proves no allocation-shaped construct is reachable;
-// these tests prove the append-capacity reuse actually converges to
-// zero allocs per operation.
+// The hot-path contract: DiffInto with a reused scratch set, Assign over
+// grown storage and the in-place ApplyDelta merge must not allocate in
+// steady state. These tests prove the append-capacity reuse actually
+// converges to zero allocs per operation; each operation's doc comment
+// names the test that holds it.
 
 func gappySet() Set {
 	s := FromRange(1, 400)

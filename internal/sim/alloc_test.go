@@ -6,10 +6,11 @@ import (
 	"time"
 )
 
-// The event queue's //rblint:hotpath guarantee, pinned dynamically: once
-// the heap and the cancel-cell free list have grown to working size, a
-// schedule/run cycle performs no heap allocation — timer-churn-heavy
-// soaks stay garbage-free.
+// The event queue's allocation guarantee: once the heap and the
+// cancel-cell free list have grown to working size, a schedule/run cycle
+// performs no heap allocation — timer-churn-heavy soaks stay
+// garbage-free. The doc comment of each queue operation names the test
+// here that holds it.
 
 func TestScheduleRunZeroAllocs(t *testing.T) {
 	e := NewEngine(1)

@@ -145,6 +145,25 @@ func TestBudgetStopsDispatch(t *testing.T) {
 	}
 }
 
+// TestProgressCallsAreSerialized: Run promises Progress calls one at a
+// time, so a callback may keep unsynchronised state. Four workers share
+// this counter; under -race a missing lock is a failure here.
+func TestProgressCallsAreSerialized(t *testing.T) {
+	const seeds = 12
+	calls, lastDone := 0, 0
+	sum, err := Run(Config{Class: ClassUniform, SeedStart: 1, Seeds: seeds, Workers: 4,
+		Progress: func(done, failed int) {
+			calls++
+			lastDone = max(lastDone, done)
+		}})
+	if err != nil {
+		t.Fatalf("Run: %v", err)
+	}
+	if calls != seeds || lastDone != seeds || len(sum.Reports) != seeds {
+		t.Errorf("%d Progress calls reaching done=%d over %d reports, want %d of each", calls, lastDone, len(sum.Reports), seeds)
+	}
+}
+
 func TestConfigValidation(t *testing.T) {
 	if _, err := Run(Config{Class: ClassUniform}); err == nil {
 		t.Error("Run with zero Seeds succeeded")

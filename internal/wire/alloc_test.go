@@ -22,21 +22,42 @@ func typicalInfoFrame() wire.Frame {
 }
 
 // TestAppendEncodeZeroAllocs is the codec's allocation budget: encoding
-// a typical INFO frame into a reused buffer must not allocate at all.
+// a frame of any kind into a reused buffer must not allocate at all.
 // The udp and live transports rely on this for garbage-free sends.
 func TestAppendEncodeZeroAllocs(t *testing.T) {
-	f := typicalInfoFrame()
 	buf := make([]byte, 0, 1024)
-	var encErr error
-	allocs := testing.AllocsPerRun(200, func() {
-		buf = buf[:0]
-		buf, encErr = wire.AppendEncode(buf, f)
-	})
-	if encErr != nil {
-		t.Fatal(encErr)
+	for _, f := range kindCorpus() {
+		t.Run(f.Message.Kind.String(), func(t *testing.T) {
+			var encErr error
+			allocs := testing.AllocsPerRun(200, func() {
+				buf, encErr = wire.AppendEncode(buf[:0], f)
+			})
+			if encErr != nil {
+				t.Fatal(encErr)
+			}
+			if allocs != 0 {
+				t.Errorf("AppendEncode into reused buffer: %.1f allocs/op, want 0", allocs)
+			}
+		})
 	}
-	if allocs != 0 {
-		t.Errorf("AppendEncode into reused buffer: %.1f allocs/op, want 0", allocs)
+}
+
+// TestEncodedSizeZeroAllocs: pricing a frame of any kind allocates
+// nothing — the simulator prices every logical send this way.
+func TestEncodedSizeZeroAllocs(t *testing.T) {
+	for _, f := range kindCorpus() {
+		t.Run(f.Message.Kind.String(), func(t *testing.T) {
+			var sizeErr error
+			allocs := testing.AllocsPerRun(200, func() {
+				_, sizeErr = wire.EncodedSize(f)
+			})
+			if sizeErr != nil {
+				t.Fatal(sizeErr)
+			}
+			if allocs != 0 {
+				t.Errorf("EncodedSize: %.1f allocs/op, want 0", allocs)
+			}
+		})
 	}
 }
 

@@ -47,8 +47,9 @@ func (d *Decoder) Decode(data []byte) (Frame, error) {
 // decodeFields parses the header and the fields every kind carries —
 // payload, interval list, CheckLen where the kind has one — into d's
 // buffers and returns the bytes that follow them.
-//
-//rblint:hotpath per-datagram decode in the host driver's receive loop
+// It runs once per datagram in the host driver's receive loop, so a
+// warm Decoder allocates nothing here; TestDecoderZeroAllocs holds that
+// for every message kind.
 func (d *Decoder) decodeFields(data []byte) (f Frame, rest []byte, err error) {
 	if len(data) < headerLen {
 		return f, nil, ErrTruncated

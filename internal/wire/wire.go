@@ -141,8 +141,8 @@ func checkEncodable(f Frame) error {
 // EncodedSize returns the exact byte length AppendEncode would produce
 // for f, without encoding. The simulator's bytes-on-wire metrics price
 // every logical send through here.
-//
-//rblint:hotpath prices every logical send in the simulator's bytes-on-wire accounting
+// It must not allocate; TestEncodedSizeZeroAllocs holds that for every
+// message kind.
 func EncodedSize(f Frame) (int, error) {
 	if err := checkEncodable(f); err != nil {
 		return 0, err
@@ -171,8 +171,9 @@ func EncodedSize(f Frame) (int, error) {
 // buffer. It allocates only when dst lacks capacity, so a caller reusing
 // buffers (see internal/node) encodes with zero garbage.
 // On error dst is returned truncated to its original length.
-//
-//rblint:hotpath per-frame encode in the host driver's send path; must reuse dst
+// It runs once per frame in the host driver's send path; with dst
+// reused it allocates nothing, and TestAppendEncodeZeroAllocs holds that
+// for every message kind.
 func AppendEncode(dst []byte, f Frame) ([]byte, error) {
 	base := len(dst)
 	out, err := appendFrame(dst, f)
