@@ -235,13 +235,13 @@ func (s Silence) mute(to core.HostID) bool {
 	return false
 }
 
-// HostileWire injects taintlint-style pathological frames alongside
-// real traffic every Every-th activation: a delta INFO whose checksum
-// cannot verify (corrupt CheckLen over an empty delta) and a zero
-// sequence number data frame. Correct receivers must reject both on
-// every path — the deltas fall back to a no-op monotone merge, the
-// zero-seq data is discarded — so this behavior is maskable by
-// construction and exists to prove decoder/handler robustness.
+// HostileWire injects pathological frames alongside real traffic every
+// Every-th activation: a delta INFO whose checksum cannot verify
+// (corrupt CheckLen over an empty delta) and a zero sequence number
+// data frame. Correct receivers must reject both on every path — the
+// deltas fall back to a no-op monotone merge, the zero-seq data is
+// discarded — so this behavior is maskable by construction and exists
+// to prove decoder/handler robustness.
 type HostileWire struct {
 	// Every is the activation period; 0 means 8.
 	Every int

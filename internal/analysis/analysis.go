@@ -47,7 +47,7 @@ type Analyzer struct {
 // Analyzers lists every analyzer in the suite, in the order the driver
 // runs them.
 func Analyzers() []*Analyzer {
-	return []*Analyzer{DetLint, LaneLint, LeakLint, LockLint, MonoLint, ParamLint, TaintLint, WireLint}
+	return []*Analyzer{DetLint, LaneLint, LockLint, ParamLint, WireLint}
 }
 
 // A Pass is one analyzer's view of one package.
@@ -68,8 +68,7 @@ type Pass struct {
 	ModRoot string
 	// Prog is the whole-program view (call graph plus memoized function
 	// summaries) shared by every package analyzed in one run. lanelint
-	// and the interprocedural parts of taintlint/leaklint consume it;
-	// per-package analyzers may ignore it.
+	// consumes it; per-package analyzers may ignore it.
 	Prog *Program
 
 	diagnostics []Diagnostic

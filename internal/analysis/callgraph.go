@@ -3,8 +3,10 @@ package analysis
 // callgraph.go — the whole-program layer under the analyzers.
 //
 // A Program bundles every loaded package with one CallGraph built over
-// all of them, plus the cross-pass caches (taint summaries, goroutine
-// exit facts, lanelint's results) that used to be rebuilt per package. The graph is CHA-style and deliberately conservative:
+// all of them, plus lanelint's cross-pass caches (Loop-effect summaries,
+// field-stored functions, its whole-program results), so they are built
+// once per run rather than per package. The graph is CHA-style and
+// deliberately conservative:
 //
 //   - every function declaration with a body and every function literal
 //     is a node (literals are named encloser$1, encloser$2, … in source
@@ -136,12 +138,8 @@ type Program struct {
 	Packages []*Package
 	Graph    *CallGraph
 
-	// Bottom-up memoized analyzer state (see taintlint.go, leaklint.go,
+	// lanelint's whole-program diagnostics, computed on first use (see
 	// lanelint.go).
-	taintSummaries  map[*FuncNode]*taintSummary
-	taintInProgress map[*FuncNode]bool
-	exitCache       map[*FuncNode]bool
-
 	laneDiags []progDiag
 	laneDone  bool
 
@@ -164,12 +162,9 @@ type progDiag struct {
 // over the given packages.
 func NewProgram(fset *token.FileSet, pkgs []*Package) *Program {
 	p := &Program{
-		Fset:            fset,
-		Packages:        pkgs,
-		taintSummaries:  make(map[*FuncNode]*taintSummary),
-		taintInProgress: make(map[*FuncNode]bool),
-		exitCache:       make(map[*FuncNode]bool),
-		loopEffects:     make(map[*FuncNode]*loopEffects),
+		Fset:        fset,
+		Packages:    pkgs,
+		loopEffects: make(map[*FuncNode]*loopEffects),
 	}
 	p.Graph = buildCallGraph(p)
 	return p

@@ -8,9 +8,8 @@ import (
 )
 
 // loadCallgraphProgram type-checks the callgraph fixture and builds the
-// whole-program view over it (unlike the CFG golden tests, call-graph
-// resolution needs real type information for method values and class
-// hierarchy analysis).
+// whole-program view over it (call-graph resolution needs real type
+// information for method values and class hierarchy analysis).
 func loadCallgraphProgram(t *testing.T) *analysis.Program {
 	t.Helper()
 	loader := fixtureLoader(t)

@@ -9,7 +9,7 @@ import "fmt"
 //
 // The package is analyzed as a whole program by itself: the call graph
 // and function summaries cover exactly this package. Cross-package
-// facts (a goroutine spawned in live reaching code in udp) need the
+// facts (a lane handler in netsim reaching code in sim) need the
 // multi-package Run entry point, which shares one Program across every
 // loaded package.
 func RunPackage(loader *Loader, pkg *Package, analyzers []*Analyzer) ([]Diagnostic, error) {
@@ -51,8 +51,8 @@ func runPackage(loader *Loader, prog *Program, pkg *Package, analyzers []*Analyz
 }
 
 // Run applies the full analyzer suite to each of pkgs against one
-// whole-program call graph built over all of them — so spawn edges, lock
-// orders, and taint summaries cross package boundaries — and returns
+// whole-program call graph built over all of them — so spawn edges and
+// lanelint's provenance walk cross package boundaries — and returns
 // every diagnostic that survives the ignore directives, in file order.
 // The tree sweep (TestTreeIsClean) is Run over loader.LoadPatterns("./...").
 func Run(loader *Loader, pkgs []*Package) ([]Diagnostic, error) {

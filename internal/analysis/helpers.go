@@ -1,9 +1,9 @@
 package analysis
 
 // helpers.go — resolution helpers shared by the analyzers: callee and
-// receiver lookup, package scoping, and the package function table that
-// both the wirelint reachability walk and the dataflow call summaries
-// are built on.
+// receiver lookup, package scoping, the package function table behind
+// wirelint's reachability walk, and the parameter/argument alignment
+// behind lanelint's provenance walk.
 
 import (
 	"go/ast"
@@ -11,9 +11,8 @@ import (
 )
 
 // pkgInScope reports whether path is one of the listed package paths.
-// Path-scoped analyzers (detlint, taintlint, monolint, leaklint) gate on
-// this so testdata packages opt in by being checked under an assumed
-// import path.
+// Path-scoped analyzers (detlint, lanelint) gate on this so testdata
+// packages opt in by being checked under an assumed import path.
 func pkgInScope(path string, scope []string) bool {
 	for _, p := range scope {
 		if path == p {
@@ -25,18 +24,11 @@ func pkgInScope(path string, scope []string) bool {
 
 // calleeObject resolves the called function/method, or nil.
 func calleeObject(pass *Pass, call *ast.CallExpr) types.Object {
-	return calleeObjectInfo(pass.TypesInfo, call)
-}
-
-// calleeObjectInfo is calleeObject for code outside the pass package
-// (whole-program analyses resolve callees in whichever package a
-// function node lives).
-func calleeObjectInfo(info *types.Info, call *ast.CallExpr) types.Object {
 	switch fun := ast.Unparen(call.Fun).(type) {
 	case *ast.Ident:
-		return info.Uses[fun]
+		return pass.TypesInfo.Uses[fun]
 	case *ast.SelectorExpr:
-		return info.Uses[fun.Sel]
+		return pass.TypesInfo.Uses[fun.Sel]
 	}
 	return nil
 }
@@ -66,8 +58,7 @@ func recvTypeName(t types.Type) string {
 
 // packageFuncDecls maps every function and method object declared in the
 // package to its declaration — the call-graph table behind wirelint's
-// reachability walk, taintlint's call summaries, and leaklint's named
-// goroutine resolution.
+// reachability walk.
 func packageFuncDecls(pass *Pass) map[types.Object]*ast.FuncDecl {
 	decls := make(map[types.Object]*ast.FuncDecl)
 	for _, file := range pass.Files {
@@ -83,14 +74,10 @@ func packageFuncDecls(pass *Pass) map[types.Object]*ast.FuncDecl {
 }
 
 // funcParamObjs lists a declaration's parameter objects in signature
-// order, with the receiver first for methods (so summary indices line up
-// with callArgExprs). Unnamed or blank parameters yield nil entries.
-func funcParamObjs(pass *Pass, fd *ast.FuncDecl) []types.Object {
-	return funcParamObjsInfo(pass.TypesInfo, fd)
-}
-
-// funcParamObjsInfo is funcParamObjs against an explicit *types.Info.
-func funcParamObjsInfo(info *types.Info, fd *ast.FuncDecl) []types.Object {
+// order, with the receiver first for methods (so indices line up with
+// callArgExprs). Unnamed or blank parameters yield nil entries. info is
+// the declaring package's: the walks that use it cross packages.
+func funcParamObjs(info *types.Info, fd *ast.FuncDecl) []types.Object {
 	var out []types.Object
 	addField := func(f *ast.Field) {
 		if len(f.Names) == 0 {

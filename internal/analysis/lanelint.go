@@ -221,7 +221,7 @@ func propagateBind(p *Program, e *CallEdge, bind laneRef) laneRef {
 		return bind
 	}
 	if e.Callee.Decl != nil {
-		params := funcParamObjsInfo(e.Callee.Pkg.TypesInfo, e.Callee.Decl)
+		params := funcParamObjs(e.Callee.Pkg.TypesInfo, e.Callee.Decl)
 		args := callArgExprs(e.Site, e.Callee.Decl)
 		for i, param := range params {
 			if param == nil || i >= len(args) || args[i] == nil || !isIntType(param.Type()) {

@@ -45,10 +45,6 @@ func TestAnalyzers(t *testing.T) {
 		{"locklint", analysis.LockLint, "testdata/lock", ""},
 		{"paramlint", analysis.ParamLint, "testdata/param", ""},
 		{"wirelint", analysis.WireLint, "testdata/wire", ""},
-		{"taintlint/wire-scope", analysis.TaintLint, "testdata/taint", "rbcast/internal/wire"},
-		{"taintlint/out-of-scope-package", analysis.TaintLint, "testdata/taintclean", ""},
-		{"monolint", analysis.MonoLint, "testdata/mono", "rbcast/internal/core"},
-		{"leaklint", analysis.LeakLint, "testdata/leak", "rbcast/internal/udp"},
 		{"lanelint", analysis.LaneLint, "testdata/lane", "rbcast/internal/sim"},
 		{"lanelint/out-of-scope-package", analysis.LaneLint, "testdata/laneclean", ""},
 		{"ignore-directive", analysis.DetLint, "testdata/ignoretd", "rbcast/internal/core"},
@@ -68,7 +64,7 @@ func TestAnalyzers(t *testing.T) {
 // lane-provenance walk). Loading and type-checking happen once outside
 // the timer; every iteration builds each package's call graph afresh, so
 // a figure is that fixed cost — the "none" case, no analyzer at all —
-// plus the analyzer's own CFGs, summaries and dataflow.
+// plus the analyzer's own walks and summaries.
 func BenchmarkRBLintSuite(b *testing.B) {
 	loader, err := analysis.NewLoader(".")
 	if err != nil {

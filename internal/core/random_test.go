@@ -329,10 +329,10 @@ func TestSoupRandomInterleavings(t *testing.T) {
 // payload equivocation, lying INFO sets and parent pointers, empty
 // attach-request INFO, and stale-frame replay — while every host keeps
 // executing only correct protocol code. The safety invariants
-// checkSafety asserts are exactly what the approved-mutator discipline
-// (monolint) protects: INFO membership identical to the delivered set,
-// no duplicate deliveries, sane parent pointers. They must hold at
-// every sampled moment regardless of what arrives on the wire. Once the
+// checkSafety asserts are what no frame may talk a host out of: INFO
+// membership identical to the delivered set, no duplicate deliveries,
+// sane parent pointers. They must hold at every sampled moment
+// regardless of what arrives on the wire. Once the
 // adversary relents, liveness must hold too — lies are forgotten state,
 // not poison.
 func TestSoupWithByzantineHost(t *testing.T) {

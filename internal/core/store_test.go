@@ -121,6 +121,52 @@ func TestHostileSeqCostsConstantMemory(t *testing.T) {
 	}
 }
 
+// TestPruneFloorIgnoresStaleConfirmedView drives the reorder pruneStable
+// guards against: once the source has pruned 1..3, an older full INFO
+// from a peer, overtaken in flight by the one that allowed the prune,
+// shrinks that peer's confirmed view to 1..2. The floor must stay where
+// it was, or a late copy of 3 — no longer in INFO — would be delivered a
+// second time.
+func TestPruneFloorIgnoresStaleConfirmedView(t *testing.T) {
+	p := DefaultParams()
+	p.PruneStable = true
+	var events []Event
+	env := &hostileEnv{}
+	h, err := NewHost(Config{
+		ID: 1, Source: 1, Peers: []HostID{1, 2, 3}, Params: p,
+		Observer: func(e Event) { events = append(events, e) },
+	}, env)
+	if err != nil {
+		t.Fatal(err)
+	}
+	h.Start(0)
+	for i := 0; i < 5; i++ {
+		h.Broadcast(0, []byte("x"))
+	}
+	for _, j := range []HostID{2, 3} {
+		h.HandleMessage(0, j, false, Message{Kind: MsgInfo, Info: seqset.FromRange(1, 4)})
+	}
+	h.Tick(time.Second)
+	if h.prunedTo != 3 {
+		t.Fatalf("prunedTo = %d after both peers confirmed 1..4, want 3", h.prunedTo)
+	}
+
+	h.HandleMessage(time.Second, 2, false, Message{Kind: MsgInfo, Info: seqset.FromRange(1, 2)})
+	h.Tick(2 * time.Second)
+	if h.prunedTo != 3 {
+		t.Errorf("prunedTo = %d after a stale confirmed view, want 3: the floor moved back", h.prunedTo)
+	}
+
+	env.delivered, events = nil, nil
+	h.HandleMessage(2*time.Second, 2, false, Message{Kind: MsgData, Seq: 3, Payload: []byte("x"), GapFill: true})
+	if len(env.delivered) != 0 {
+		t.Errorf("pruned seq 3 delivered again: %v", env.delivered)
+	}
+	if len(events) != 1 || events[0].Kind != EvDuplicate || events[0].Seq != 3 {
+		t.Errorf("a late copy of pruned seq 3 drew %v, want one EvDuplicate", events)
+	}
+}
+
 // hostileEnv notes data sent to the child and deliveries.
 type hostileEnv struct {
 	forwarded []seqset.Seq

@@ -170,6 +170,13 @@ func (h *Host) snapshotMaybe() {
 // when empty — it is authoritative ("this is everything I can give you
 // for this request"), which is what lets the requester retire a request
 // instead of retrying sequence numbers the responder will never have.
+//
+// The walk stops at the highest sequence number this host can answer
+// for: every store Put sits beside an info.Add, and the pruned and
+// checkpointed prefixes end at prunedTo and snapMark. A request's cost
+// is therefore bounded by what this host holds, not by the range a peer
+// names — one frame asking for [7, 2⁶²] would otherwise walk 2⁶²
+// members that can never be served.
 func (h *Host) handleSyncReq(now time.Duration, from *peer, m Message) {
 	if !h.syncOn {
 		return
@@ -178,7 +185,11 @@ func (h *Host) handleSyncReq(now time.Duration, from *peer, m Message) {
 	parts := make([]Message, 0, limit)
 	var pruned seqset.Set
 	served := 0
+	top := max(h.info.Max(), h.prunedTo, h.snapMark)
 	m.Info.Each(func(q seqset.Seq) bool {
+		if q > top {
+			return false
+		}
 		if q == 0 {
 			return true
 		}

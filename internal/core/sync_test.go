@@ -2,6 +2,8 @@ package core_test
 
 import (
 	"bytes"
+	"fmt"
+	"slices"
 	"testing"
 	"time"
 
@@ -140,6 +142,81 @@ func TestSyncServerPrunedReportAndLiberation(t *testing.T) {
 	}
 	if resp.CheckLen != 10 {
 		t.Errorf("advertised watermark = %d, want 10", resp.CheckLen)
+	}
+}
+
+// TestHostileSyncRequestIsBounded: one participant's MsgSyncReq naming
+// [8, 2⁶²] — a 44-byte frame on the wire — costs the server what the
+// range clipped to its own holdings costs, and draws exactly the same
+// response: everything the server can answer for when that is less than
+// a batch, SyncBatch members when it is more. A server that walked every
+// requested member would pin its goroutine for centuries on it.
+func TestHostileSyncRequestIsBounded(t *testing.T) {
+	// serve builds a checkpointing server that has pruned 1..9 under
+	// liberation and holds 10..13, and answers req from host 2.
+	serve := func(batch int, req seqset.Set) <-chan []sentMsg {
+		env := &snapEnv{fakeEnv: &fakeEnv{}, snapData: []byte("checkpoint-bytes"), snapOK: true}
+		p := syncParams()
+		p.PruneStable = true
+		p.SyncBatch = batch
+		h := newTestHost(t, 1, p, env)
+		for i := 0; i < 10; i++ {
+			h.Broadcast(0, []byte{byte(i)})
+		}
+		h.Tick(5 * time.Second)
+		for i := 10; i < 13; i++ {
+			h.Broadcast(5*time.Second, []byte{byte(i)})
+		}
+		env.reset()
+		done := make(chan []sentMsg, 1)
+		go func() {
+			h.HandleMessage(6*time.Second, 2, false, core.Message{Kind: core.MsgSyncReq, Seq: 8, Info: req})
+			done <- env.ofKind(core.MsgSyncResp)
+		}()
+		return done
+	}
+	answer := func(t *testing.T, name string, done <-chan []sentMsg) core.Message {
+		t.Helper()
+		select {
+		case resps := <-done:
+			if len(resps) != 1 || resps[0].to != 2 {
+				t.Fatalf("%s request drew %+v, want one response to host 2", name, resps)
+			}
+			return resps[0].m
+		case <-time.After(5 * time.Second):
+			t.Fatalf("%s request still being served after 5s", name)
+		}
+		return core.Message{}
+	}
+	for _, tc := range []struct {
+		batch int
+		parts seqset.Seq // the response serves 10..parts
+	}{
+		{batch: 100, parts: 13}, // all six requested members the server holds
+		{batch: 3, parts: 10},   // pruned 8 and 9, then one part fills the batch
+	} {
+		t.Run(fmt.Sprintf("batch-%d", tc.batch), func(t *testing.T) {
+			hostile := answer(t, "the hostile", serve(tc.batch, seqset.FromRange(8, 1<<62)))
+			clipped := answer(t, "the clipped", serve(tc.batch, seqset.FromRange(8, 13)))
+			var served []seqset.Seq
+			for _, part := range clipped.Parts {
+				served = append(served, part.Seq)
+			}
+			want := seqset.FromRange(10, tc.parts).Slice()
+			if !slices.Equal(served, want) || !clipped.Info.Equal(seqset.FromRange(8, 9)) || clipped.CheckLen != 10 {
+				t.Fatalf("clipped request drew parts %v, pruned %v, mark %d; want %v, {8, 9}, 10",
+					served, clipped.Info, clipped.CheckLen, want)
+			}
+			same := hostile.Seq == clipped.Seq && hostile.CheckLen == clipped.CheckLen &&
+				hostile.Info.Equal(clipped.Info) && len(hostile.Parts) == len(clipped.Parts)
+			for i := 0; same && i < len(hostile.Parts); i++ {
+				a, b := hostile.Parts[i], clipped.Parts[i]
+				same = a.Seq == b.Seq && a.GapFill == b.GapFill && bytes.Equal(a.Payload, b.Payload)
+			}
+			if !same {
+				t.Errorf("hostile request drew %+v, the clipped one %+v", hostile, clipped)
+			}
+		})
 	}
 }
 

@@ -2,6 +2,7 @@ package sim
 
 import (
 	"fmt"
+	"runtime"
 	"strings"
 	"testing"
 	"time"
@@ -65,11 +66,13 @@ func runShardedSynthetic(t *testing.T, seed int64, workers int) string {
 
 // TestShardedWorkerCountIdentity pins the engine's core contract: the
 // trace of a seeded run depends on the lane partition, never on the
-// worker count. Workers are a pure throughput knob.
+// worker count. Workers are a pure throughput knob, and one a run gives
+// back: once Run returns, the pool's goroutines have exited.
 func TestShardedWorkerCountIdentity(t *testing.T) {
 	for _, seed := range []int64{1, 7, 42} {
 		seed := seed
 		t.Run(fmt.Sprintf("seed=%d", seed), func(t *testing.T) {
+			baseline := runtime.NumGoroutine()
 			ref := runShardedSynthetic(t, seed, 1)
 			if !strings.Contains(ref, "recv@") {
 				t.Fatal("no cross-lane deliveries; the identity check is vacuous")
@@ -80,8 +83,25 @@ func TestShardedWorkerCountIdentity(t *testing.T) {
 					t.Fatalf("workers=%d diverged from workers=1:\n--- 1 worker ---\n%s--- %d workers ---\n%s",
 						workers, ref, workers, got)
 				}
+				if n := waitForGoroutines(baseline, 5*time.Second); n > baseline {
+					t.Fatalf("goroutines at %d after a %d-worker run, baseline %d: the pool outlived its run", n, workers, baseline)
+				}
 			}
 		})
+	}
+}
+
+// waitForGoroutines polls until the goroutine count drops back to the
+// baseline or the budget elapses, returning the final count: a worker
+// sees its job channel close a scheduling moment after Run returns.
+func waitForGoroutines(baseline int, budget time.Duration) int {
+	deadline := time.Now().Add(budget)
+	for {
+		n := runtime.NumGoroutine()
+		if n <= baseline || time.Now().After(deadline) {
+			return n
+		}
+		time.Sleep(10 * time.Millisecond)
 	}
 }
 

@@ -2,8 +2,12 @@ package wire_test
 
 import (
 	"bytes"
+	"encoding/binary"
+	"math"
 	"reflect"
+	"runtime"
 	"testing"
+	"unsafe"
 
 	"rbcast/internal/core"
 	"rbcast/internal/seqset"
@@ -206,4 +210,78 @@ func TestDecoderTruncation(t *testing.T) {
 			t.Fatalf("truncated frame of %d/%d bytes accepted", cut, len(data))
 		}
 	}
+}
+
+// TestDecodeHostileFrames: every truncation prefix of a frame of every
+// kind, and every such frame with a 4-byte window at any offset
+// overwritten by 0xFFFFFFFF — a length, count, id or sequence half at its
+// largest — goes through Decode and one reused Decoder without a panic.
+// And none costs more than the decoder's limits allow: a part list
+// sized for MaxParts messages (it is made before the parts are read),
+// plus a small multiple of the frame's own length for the payload copies
+// and interval lists, plus the error. A length checked only after it
+// sized an allocation shows up as a budget overrun, one never checked
+// against the bytes present as a panic.
+func TestDecodeHostileFrames(t *testing.T) {
+	var hostile [][]byte
+	for _, f := range kindCorpus() {
+		data, err := wire.Encode(f)
+		if err != nil {
+			t.Fatalf("%v: encode: %v", f.Message.Kind, err)
+		}
+		for cut := 0; cut < len(data); cut++ {
+			hostile = append(hostile, data[:cut])
+		}
+		// Back to front: a window meets a count's low bytes first, so a
+		// count used unchecked fails the budget at 2¹⁶ with a message
+		// instead of asking the runtime for 2³² entries and dying.
+		for off := len(data) - 4; off >= 0; off-- {
+			b := bytes.Clone(data)
+			binary.BigEndian.PutUint32(b[off:], 0xFFFFFFFF)
+			hostile = append(hostile, b)
+		}
+	}
+	budget := func(data []byte) uint64 {
+		return wire.MaxParts*uint64(unsafe.Sizeof(core.Message{})) + 8*uint64(len(data)) + 1024
+	}
+	var reused wire.Decoder
+	for _, dec := range []struct {
+		name   string
+		decode func([]byte) (wire.Frame, error)
+	}{
+		{"Decode", wire.Decode},
+		{"Decoder.Decode", reused.Decode},
+	} {
+		for _, data := range hostile {
+			// TotalAlloc is process-wide, so a background allocation can
+			// land inside one measurement: the least of three is what the
+			// decode costs.
+			least := uint64(math.MaxUint64)
+			for range 3 {
+				cost, panicked := decodeCost(dec.decode, data)
+				if panicked != nil {
+					t.Fatalf("%s panicked on %x: %v", dec.name, data, panicked)
+				}
+				least = min(least, cost)
+			}
+			if least > budget(data) {
+				t.Fatalf("%s allocated at least %d bytes on the %d-byte frame %x, budget %d",
+					dec.name, least, len(data), data, budget(data))
+			}
+		}
+	}
+	t.Logf("%d hostile frames through each decoder", len(hostile))
+}
+
+// decodeCost runs decode on data and reports what it allocated, in bytes,
+// and the value it panicked with, if it did.
+func decodeCost(decode func([]byte) (wire.Frame, error), data []byte) (allocated uint64, panicked any) {
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	func() {
+		defer func() { panicked = recover() }()
+		_, _ = decode(data)
+	}()
+	runtime.ReadMemStats(&after)
+	return after.TotalAlloc - before.TotalAlloc, panicked
 }
