@@ -77,28 +77,54 @@ func TestPeerRecordStaysInItsSizeClass(t *testing.T) {
 	}
 }
 
-// TestNewHostWideBudget: building a host over 512 participants sorts and
-// checks the list in place — the table's three rows, the host and its own
-// record, and nothing proportional to n beyond them. (Two hash maps of n
-// entries each used to be built and dropped here: 11 allocations, 51 KB,
-// and most of harness.Prepare's time at 512 hosts.)
-func TestNewHostWideBudget(t *testing.T) {
-	const n = 512
+// newHostCost is what NewHost allocates for a host over n participants,
+// listed in descending order so that NewHost has to sort them.
+func newHostCost(t *testing.T, n int) (allocs float64, bytes uint64) {
+	t.Helper()
 	peers := make([]HostID, n)
 	for i := range peers {
-		peers[i] = HostID(n - i) // descending: NewHost has to sort
+		peers[i] = HostID(n - i)
 	}
-	cfg := Config{ID: 7, Source: 1, Peers: peers, Params: DefaultParams()}
+	cfg := Config{ID: 1, Source: 1, Peers: peers, Params: DefaultParams()}
 	build := func() {
 		if _, err := NewHost(cfg, nopEnv{}); err != nil {
 			t.Fatal(err)
 		}
 	}
-	if got := testing.AllocsPerRun(20, build); got > 6 {
-		t.Errorf("NewHost at %d peers: %v allocations, budget 6", n, got)
+	return testing.AllocsPerRun(20, build), allocatedBytes(build)
+}
+
+// TestNewHostWideBudget: building a host over 512 participants sorts and
+// checks the list in place — the table's three rows, the host, its own
+// record and the words of its membership sets, and nothing proportional
+// to n beyond them. (Two hash maps of n entries each used to be built and
+// dropped here: 11 allocations, 51 KB, and most of harness.Prepare's time
+// at 512 hosts.)
+func TestNewHostWideBudget(t *testing.T) {
+	for _, n := range []int{65, 512} {
+		allocs, bytes := newHostCost(t, n)
+		if allocs > 6 {
+			t.Errorf("NewHost at %d peers: %v allocations, budget 6", n, allocs)
+		}
+		if bytes > 20<<10 {
+			t.Errorf("NewHost at %d peers allocated %d bytes, budget %d", n, bytes, 20<<10)
+		}
 	}
-	if got := allocatedBytes(build); got > 20<<10 {
-		t.Errorf("NewHost at %d peers allocated %d bytes, budget %d", n, got, 20<<10)
+}
+
+// TestNewHostSmallBudget: up to 64 participants the membership sets are
+// words inside Host, so a small host costs what it did when they were
+// flags on the peer records — five allocations: the Host in its 1 024-byte
+// size class, the three rows and the own record, 2 800 bytes at 64 peers.
+// Every host of a soak seed is this small.
+func TestNewHostSmallBudget(t *testing.T) {
+	for _, n := range []int{1, 6, 64} {
+		if allocs, _ := newHostCost(t, n); allocs != 5 {
+			t.Errorf("NewHost at %d peers: %v allocations, want 5", n, allocs)
+		}
+	}
+	if _, bytes := newHostCost(t, 64); bytes != 2800 {
+		t.Errorf("NewHost at 64 peers allocated %d bytes, want 2 800", bytes)
 	}
 }
 
@@ -150,7 +176,7 @@ func TestPeerRecordsComeFromSlabs(t *testing.T) {
 			}
 			seen[p] = true
 		}
-		if h.me != h.table[h.index(2)] || !h.me.inCluster {
+		if h.me != h.table[h.index(2)] || !h.inCluster(h.me) {
 			t.Errorf("at %d peers the host's own record moved or lost its state", tc.n)
 		}
 	}

@@ -43,7 +43,7 @@ func (h *Host) runAttachment(now time.Duration, fresh bool) {
 	switch {
 	case h.parent == nil:
 		cand = h.pickCaseI(now)
-	case !h.parent.inCluster:
+	case !h.inCluster(h.parent):
 		cand = h.pickCaseII(now)
 	default:
 		cand = h.pickCaseIII(now)
@@ -86,7 +86,7 @@ func (h *Host) eligible(now time.Duration, j *peer) bool {
 // its parent is NIL/unknown or lies outside this host's cluster view.
 func (h *Host) viewsAsLeader(j *peer) bool {
 	pj := h.lookup(j.parentView)
-	return pj == nil || !pj.inCluster
+	return pj == nil || !h.inCluster(pj)
 }
 
 // better returns whichever candidate maximizes (INFO max, static order,
@@ -153,7 +153,7 @@ func (h *Host) optOtherClusterSimilarEscape(now time.Duration) *peer {
 	var best *peer
 	for i := range h.table {
 		j := h.at(i)
-		if j.inCluster || !h.eligible(now, j) {
+		if h.inCluster(j) || !h.eligible(now, j) {
 			continue
 		}
 		if seqset.Similar(h.info, j.view) && (j.id == h.source || h.me.order < j.order) {
@@ -181,11 +181,8 @@ func (h *Host) pickCaseII(now time.Duration) *peer {
 
 func (h *Host) optSameClusterLeaderGreater(now time.Duration) *peer {
 	var best *peer
-	for _, j := range h.table {
-		if j == nil || !j.inCluster || !h.eligible(now, j) {
-			continue
-		}
-		if h.viewsAsLeader(j) && seqset.Less(h.info, j.view) {
+	for j := range h.each(cluster) {
+		if h.eligible(now, j) && h.viewsAsLeader(j) && seqset.Less(h.info, j.view) {
 			best = better(best, j)
 		}
 	}
@@ -194,11 +191,8 @@ func (h *Host) optSameClusterLeaderGreater(now time.Duration) *peer {
 
 func (h *Host) optSameClusterLeaderSimilarHigherOrder(now time.Duration) *peer {
 	var best *peer
-	for _, j := range h.table {
-		if j == nil || !j.inCluster || !h.eligible(now, j) {
-			continue
-		}
-		if h.viewsAsLeader(j) && seqset.Similar(h.info, j.view) && h.me.order < j.order {
+	for j := range h.each(cluster) {
+		if h.eligible(now, j) && h.viewsAsLeader(j) && seqset.Similar(h.info, j.view) && h.me.order < j.order {
 			best = better(best, j)
 		}
 	}
@@ -209,7 +203,7 @@ func (h *Host) optOtherClusterGreaterThan(now time.Duration, bar seqset.Set) *pe
 	var best *peer
 	for i := range h.table {
 		j := h.at(i)
-		if j.inCluster || !h.eligible(now, j) {
+		if h.inCluster(j) || !h.eligible(now, j) {
 			continue
 		}
 		if seqset.Less(bar, j.view) {
@@ -242,7 +236,7 @@ func (h *Host) pickCaseIII(now time.Duration) *peer {
 		if j == h.parent || !h.eligible(now, j) {
 			continue
 		}
-		if j.inCluster && h.viewsAsLeader(j) && seqset.LessOrSimilar(h.info, j.view) {
+		if h.inCluster(j) && h.viewsAsLeader(j) && seqset.LessOrSimilar(h.info, j.view) {
 			return j
 		}
 	}
@@ -302,8 +296,8 @@ func (h *Host) handleAttachReq(now time.Duration, from *peer, m Message) {
 	}
 	h.learnInfo(from, m.Info)
 	from.parentView = h.id
-	if !from.child {
-		from.child = true
+	if !h.isChild(from) {
+		h.setChild(from, true)
 		h.event(now, EvChildAdded, from.id, 0)
 	}
 	h.noteFullInfoSent(from)

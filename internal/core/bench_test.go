@@ -146,6 +146,50 @@ func BenchmarkTickIdle(b *testing.B) {
 	})
 }
 
+// BenchmarkTickDue measures a tick with every periodic deadline due, on a
+// non-leader that has what a host of the 512-host workload has: seven
+// cluster peers, one of them its parent, and two children in another
+// cluster, at the far end of the table. A non-leader skips the global
+// INFO and gap-fill rounds, so nothing this tick does needs all n
+// records: ns/op should not grow with n.
+func BenchmarkTickDue(b *testing.B) {
+	for _, n := range []int{64, widePeers, 4096} {
+		b.Run(fmt.Sprintf("peers=%d", n), func(b *testing.B) {
+			peers := make([]core.HostID, n)
+			for i := range peers {
+				peers[i] = core.HostID(i + 1)
+			}
+			p := core.DefaultParams()
+			p.ParentTimeout = 1000 * time.Hour // the benchmark never hears from the parent again
+			h, err := core.NewHost(core.Config{ID: 2, Source: 1, Peers: peers, Params: p}, nullEnv{})
+			if err != nil {
+				b.Fatal(err)
+			}
+			h.Start(0)
+			// Peers 3..9 are the cluster; 3, the freshest, is its leader.
+			h.HandleMessage(0, 3, false, core.Message{Kind: core.MsgInfo, Info: seqset.FromRange(1, 2), Parent: core.Nil})
+			for j := core.HostID(4); j <= 9; j++ {
+				h.HandleMessage(0, j, false, core.Message{Kind: core.MsgInfo, Info: seqset.FromRange(1, 1), Parent: 3})
+			}
+			h.Tick(time.Second)
+			h.HandleMessage(time.Second, 3, false, core.Message{Kind: core.MsgAttachAccept, Info: seqset.FromRange(1, 2)})
+			for _, j := range []core.HostID{core.HostID(n - 1), core.HostID(n)} {
+				h.HandleMessage(time.Second, j, true, core.Message{Kind: core.MsgInfo, Parent: 2})
+			}
+			if h.Parent() != 3 || h.IsLeader() || len(h.Cluster()) != 8 || len(h.Children()) != 2 {
+				b.Fatalf("setup: parent %d, leader %v, cluster %v, children %v", h.Parent(), h.IsLeader(), h.Cluster(), h.Children())
+			}
+			now := 2 * time.Second
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				now += 2 * time.Second // past every period
+				h.Tick(now)
+			}
+		})
+	}
+}
+
 // BenchmarkAttachmentScan measures one full attachment-procedure
 // activation over a large peer set with mixed candidates.
 func BenchmarkAttachmentScan(b *testing.B) {

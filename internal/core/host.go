@@ -43,6 +43,11 @@ type Host struct {
 	parent *peer
 	// excluding names the exclusion sets (peer.go) that have members.
 	excluding exclusion
+	// sets holds CLUSTER_i and CHILDREN_i, one bit per participant index
+	// (members.go). Up to 64 participants it is setsInline, so a small
+	// host allocates nothing for it.
+	sets       []uint64
+	setsInline [2]uint64
 
 	// echo tracks per-sequence echo/ready voting under Params.EchoReady
 	// (empty otherwise); equivocations counts conflicting-vote
@@ -165,11 +170,15 @@ func NewHost(cfg Config, env Env) (*Host, error) {
 		syncOn:     cfg.Params.SyncEnabled(),
 		snapsOn:    cfg.Params.SnapshotsEnabled(),
 	}
+	h.sets = h.setsInline[:]
+	if w := (len(peers) + 63) / 64; w > 1 {
+		h.sets = make([]uint64, 2*w)
+	}
 	h.me = h.lookup(cfg.ID)
-	h.me.inCluster = true
+	h.setCluster(h.me, true)
 	if cfg.Params.ClusterMode != ClusterNone {
 		for _, j := range cfg.InitialCluster {
-			h.lookup(j).inCluster = true
+			h.setCluster(h.lookup(j), true)
 		}
 	}
 	if h.syncOn {
@@ -188,14 +197,10 @@ func (h *Host) IsSource() bool { return h.id == h.source }
 func (h *Host) Parent() HostID { return idOf(h.parent) }
 
 // Children returns the current children set, sorted.
-func (h *Host) Children() []HostID {
-	return h.collect(func(p *peer) bool { return p.child })
-}
+func (h *Host) Children() []HostID { return h.collect(h.isChild) }
 
 // Cluster returns CLUSTER_i, sorted (always includes the host itself).
-func (h *Host) Cluster() []HostID {
-	return h.collect(func(p *peer) bool { return p.inCluster })
-}
+func (h *Host) Cluster() []HostID { return h.collect(h.inCluster) }
 
 // Info returns a copy of INFO_i (copy-on-write; mutating either side is
 // safe).
@@ -223,7 +228,7 @@ func (h *Host) ParentView(j HostID) HostID {
 // IsLeader reports whether this host currently considers itself a cluster
 // leader: its parent is NIL or lies in a different cluster (§4.1).
 func (h *Host) IsLeader() bool {
-	return h.parent == nil || !h.parent.inCluster
+	return h.parent == nil || !h.inCluster(h.parent)
 }
 
 // Start initializes the periodic schedules. Activities are phase-staggered
@@ -416,7 +421,7 @@ func (h *Host) event(now time.Duration, kind EventKind, peer HostID, seq seqset.
 // admits it. Static and none modes (§6) freeze the set instead.
 func (h *Host) observeCostBit(from *peer, costBit bool) {
 	if h.params.ClusterMode == ClusterDynamic {
-		from.inCluster = !costBit
+		h.setCluster(from, !costBit)
 	}
 }
 
@@ -567,22 +572,21 @@ func (h *Host) keep(p []byte) []byte {
 // according to MAP, do not have it.
 func (h *Host) forwardData(from *peer, seq seqset.Seq, payload []byte, downward bool) {
 	fwd := Message{Kind: MsgData, Seq: seq, Payload: payload, GapFill: !downward}
-	for _, p := range h.table {
-		if p == nil || p == from {
-			continue
-		}
-		if downward {
-			if p.child {
+	if downward {
+		for p := range h.each(children) {
+			if p != from {
 				h.sendMarking(p, fwd)
 			}
-			continue
 		}
-		if !h.isNeighbor(p) || p.view.Contains(seq) {
+		return
+	}
+	for p := range h.each(neighbors) {
+		if p == from || p.view.Contains(seq) {
 			continue
 		}
 		// Sending a would-be-new-max to a host we do not parent is futile:
 		// the receiver's §4.1 rule discards it.
-		if !p.child && seq > p.view.Max() {
+		if !h.isChild(p) && seq > p.view.Max() {
 			continue
 		}
 		h.sendMarking(p, fwd)
@@ -644,11 +648,11 @@ func (h *Host) afterInfo(now time.Duration, from *peer, parent HostID) {
 	// wire). Without the re-adoption rule the pair deadlocks: the child
 	// keeps hearing our routine Info (so its parent-silence timer never
 	// fires) while we never forward it data.
-	if from.child && parent != h.id {
-		from.child = false
+	if child := h.isChild(from); child && parent != h.id {
+		h.setChild(from, false)
 		h.event(now, EvChildRemoved, from.id, 0)
-	} else if !from.child && parent == h.id {
-		from.child = true
+	} else if !child && parent == h.id {
+		h.setChild(from, true)
 		h.event(now, EvChildAdded, from.id, 0)
 	}
 	// Reactive gap fill towards parent-graph neighbours; leaders also
@@ -656,14 +660,14 @@ func (h *Host) afterInfo(now time.Duration, from *peer, parent HostID) {
 	// periodic scan covers the rest).
 	if h.isNeighbor(from) {
 		h.fillGapsOf(from)
-	} else if h.IsLeader() && !from.inCluster && !h.params.DisableNonNeighborGapFill {
+	} else if h.IsLeader() && !h.inCluster(from) && !h.params.DisableNonNeighborGapFill {
 		h.fillGapsOf(from)
 	}
 }
 
 func (h *Host) handleDetach(now time.Duration, from *peer) {
-	if from.child {
-		from.child = false
+	if h.isChild(from) {
+		h.setChild(from, false)
 		h.event(now, EvChildRemoved, from.id, 0)
 	}
 	if from == h.parent {
@@ -676,7 +680,7 @@ func (h *Host) handleDetach(now time.Duration, from *peer) {
 // isNeighbor reports whether p (nil for an untouched record) is a host
 // parent graph neighbour: the parent or a child.
 func (h *Host) isNeighbor(p *peer) bool {
-	return p != nil && (p == h.parent || p.child)
+	return p != nil && (p == h.parent || h.isChild(p))
 }
 
 // Tick advances all periodic activities. The runtime must call it roughly
@@ -727,19 +731,11 @@ func (h *Host) Tick(now time.Duration) {
 	}
 	if now >= h.nextGapLocal {
 		h.nextGapLocal = now + h.params.GapClusterPeriod
-		for _, p := range h.table {
-			if h.isNeighbor(p) && p.inCluster {
-				h.fillGapsOf(p)
-			}
-		}
+		h.fillGapsOfAll(localNeighbors)
 	}
 	if now >= h.nextGapRemote {
 		h.nextGapRemote = now + h.params.GapRemotePeriod
-		for _, p := range h.table {
-			if h.isNeighbor(p) && !p.inCluster {
-				h.fillGapsOf(p)
-			}
-		}
+		h.fillGapsOfAll(remoteNeighbors)
 	}
 	if now >= h.nextGapGlobal {
 		h.nextGapGlobal = now + h.params.GapGlobalPeriod
@@ -812,8 +808,8 @@ func (h *Host) noteFullInfoSent(j *peer) {
 // sendInfoLocal performs the routine intra-cluster INFO + parent-pointer
 // exchange.
 func (h *Host) sendInfoLocal() {
-	for _, p := range h.table {
-		if p != nil && p.inCluster && p != h.me {
+	for p := range h.each(cluster) {
+		if p != h.me {
 			h.emit(p.id, h.infoMessageFor(p))
 		}
 	}
@@ -821,10 +817,8 @@ func (h *Host) sendInfoLocal() {
 
 // sendInfoRemoteNeighbors keeps cross-cluster parent-graph edges fresh.
 func (h *Host) sendInfoRemoteNeighbors() {
-	for _, p := range h.table {
-		if h.isNeighbor(p) && !p.inCluster {
-			h.emit(p.id, h.infoMessageFor(p))
-		}
+	for p := range h.each(remoteNeighbors) {
+		h.emit(p.id, h.infoMessageFor(p))
 	}
 }
 
@@ -837,7 +831,7 @@ func (h *Host) sendInfoGlobal(now time.Duration) {
 	}
 	for i := range h.table {
 		p := h.at(i)
-		if p.inCluster || h.isNeighbor(p) { // the cluster includes this host
+		if h.inCluster(p) || h.isNeighbor(p) { // the cluster includes this host
 			continue
 		}
 		if h.suppressed(now, p) {
@@ -859,7 +853,7 @@ func (h *Host) fillGapsOf(j *peer) int {
 	if h.scratch.Empty() {
 		return 0
 	}
-	isChild := j.child
+	isChild := h.isChild(j)
 	limit := h.params.GapFillBatch
 	theirMax := j.view.Max()
 	sent := 0
@@ -878,6 +872,14 @@ func (h *Host) fillGapsOf(j *peer) int {
 	return sent
 }
 
+// fillGapsOfAll is the periodic neighbour gap fill: fillGapsOf for each
+// member of s in index order.
+func (h *Host) fillGapsOfAll(s members) {
+	for p := range h.each(s) {
+		h.fillGapsOf(p)
+	}
+}
+
 // gapFillGlobal is the §4.4 non-neighbour gap fill: leaders scan all
 // known hosts outside their cluster and outside the parent graph
 // neighbourhood, filling what they can.
@@ -890,7 +892,7 @@ func (h *Host) gapFillGlobal(now time.Duration) {
 	}
 	for i := range h.table {
 		p := h.at(i)
-		if p.inCluster || h.isNeighbor(p) { // the cluster includes this host
+		if h.inCluster(p) || h.isNeighbor(p) { // the cluster includes this host
 			continue
 		}
 		if h.suppressed(now, p) {

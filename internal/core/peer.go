@@ -8,11 +8,11 @@ import (
 )
 
 // peer is everything this host keeps about one participant j — the
-// paper's per-host arrays MAP_i[j], p_i[j], CLUSTER_i and CHILDREN_i as
-// one record. The participant set is fixed at construction ("hosts know
-// the identities of all participants"), so the records live in
-// Host.table, parallel to the sorted Host.peers. Three invariants hold
-// the design together:
+// paper's per-host arrays MAP_i[j] and p_i[j] as one record; CLUSTER_i and
+// CHILDREN_i are bitsets on the host (members.go). The participant set is
+// fixed at construction ("hosts know the identities of all
+// participants"), so the records live in Host.table, parallel to the
+// sorted Host.peers. Three invariants hold the design together:
 //
 //   - index order is ascending HostID, and every loop over participants
 //     walks the table in index order — iteration order is never a
@@ -41,13 +41,11 @@ type peer struct {
 	// parent-pointer exchange. It comes off the wire and may name a
 	// non-participant.
 	parentView HostID
-	// inCluster is j ∈ CLUSTER_i, inferred from cost bits; always set on
-	// the host's own record.
-	inCluster bool
-	// child is j ∈ CHILDREN_i.
-	child bool
+	// idx is j's index in Host.peers, and so its bit in the host's
+	// membership sets.
+	idx int32
 	// excluded says which of the host's exclusion sets j is in. The byte
-	// fits the padding behind the two bools: n² records pay nothing for it.
+	// fits the padding behind idx: n² records pay nothing for it.
 	excluded exclusion
 	// carved says view and confirmed got their first storage from the
 	// host's run slab (carveRuns); the last byte of the same padding.
@@ -141,7 +139,7 @@ func (h *Host) at(i int) *peer {
 			h.slab = make([]peer, h.nextSlab())
 		}
 		p, h.slab = &h.slab[0], h.slab[1:]
-		p.id, p.order = h.peers[i], h.order[i]
+		p.id, p.order, p.idx = h.peers[i], h.order[i], int32(i)
 		h.table[i] = p
 	}
 	return p
