@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all build vet fmt-check lint test race exp-check check soak soak-byzantine soak-catchup soak-smoke-race fuzz fuzz-smoke bench-smoke bench-repo bench-repo-smoke clean
+.PHONY: all build vet fmt-check lint test race exp-check check soak soak-byzantine soak-catchup soak-smoke-race fuzz fuzz-smoke bench-smoke bench-repo bench-repo-smoke bench-ab clean
 
 all: check
 
@@ -123,9 +123,10 @@ bench-repo:
 # sim-wide-seq 0.0374 (limit 0.045; 0.0443 while a MAP entry shared the
 # frame's INFO storage, 0.2304 before sends stopped boxing their payload),
 # sim-stream 0.0202 (limit 0.03; 0.0836 until the same change, 0.2599
-# before kept payloads were carved from chunks) and soak-sweep 1 977 per
-# seed (limit 2 300; 3 270 before MAP entries kept their own storage and
-# a settling seed stopped writing reports). udp-loopback's moves in the
+# before kept payloads were carved from chunks) and soak-sweep 1 971 per
+# seed (limit 2 300; 1 977 while netsim kept its hosts in a hash map,
+# 3 270 before MAP entries kept their own storage and a settling seed
+# stopped writing reports). udp-loopback's moves in the
 # second digit with the scheduler: 0.07 (limit 0.2; 0.45 while
 # DecodeEnvelope cloned every INFO a handler would keep, 3.92 before the
 # socket calls took addresses by value and Broadcast reused its
@@ -139,6 +140,20 @@ bench-repo-smoke:
 		awk -v a="$$allocs" -v limit="$$2" 'BEGIN { exit !(a != "" && a + 0 <= limit + 0) }' || { echo "bench-repo-smoke: $$1 allocs_per_work over the limit"; exit 1; }; \
 	}; \
 	check sim-wide-seq 0.045 && check sim-stream 0.03 && check udp-loopback 0.2 && check soak-sweep 2300
+
+# bench-ab is the paired measurement a performance claim rests on
+# (README "Performance"): ./benchmarks built once at BASE and once from the
+# working tree, run alternately PAIRS times on WORKLOAD, the change first
+# in every second pair; it prints each end-to-end metric's median and
+# quartiles per side and the pairs the change won. The runs' JSON lines
+# stay in a temporary directory the output names. Example:
+#   make bench-ab BASE=HEAD~1 WORKLOAD=sim-wide-seq PAIRS=10 SECONDS=25
+PAIRS ?= 10
+SECONDS ?= 8
+SEED ?= 1
+bench-ab:
+	@[ -n "$(BASE)" ] && [ -n "$(WORKLOAD)" ] || { echo "usage: make bench-ab BASE=<rev> WORKLOAD=<name> [PAIRS=10 SECONDS=8 SEED=1]"; exit 2; }
+	sh scripts/bench-ab.sh '$(BASE)' '$(WORKLOAD)' '$(PAIRS)' '$(SECONDS)' '$(SEED)'
 
 # fuzz gives each fuzz target a short budget; raise -fuzztime for real
 # campaigns.

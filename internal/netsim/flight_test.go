@@ -288,7 +288,7 @@ func duplicatesKeepTheirValue(t *testing.T, eng sim.Loop, n *Network, copies int
 	var read []wide
 	reused := false
 	if err := n.Handle(2, func(_ time.Duration, env Envelope) {
-		idle := n.perLane[n.hosts[2].lane].free
+		idle := n.perLane[n.host(2).lane].free
 		if err := SendValue(n, 2, 1, answer); err != nil {
 			t.Errorf("nested send: %v", err)
 		}
@@ -348,7 +348,7 @@ func droppedStorageIsReused(t *testing.T, eng sim.Loop, n *Network, arm func(), 
 		if _, made := flightCounts(n); made != 1 {
 			t.Fatalf("send %d: %d flights allocated, want 1", i+1, made)
 		}
-		f := n.perLane[n.hosts[1].lane].free
+		f := n.perLane[n.host(1).lane].free
 		b, ok := f.box.(*box[wide])
 		if !ok || b.v != v {
 			t.Fatalf("send %d: the idle record's storage holds %+v, want the value sent", i+1, f.box)

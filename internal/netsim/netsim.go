@@ -18,8 +18,9 @@
 package netsim
 
 import (
+	"cmp"
 	"fmt"
-	"sort"
+	"slices"
 	"time"
 
 	"rbcast/internal/sim"
@@ -146,7 +147,7 @@ type server struct {
 
 type hostPort struct {
 	id       HostID
-	idx      int // attach order; indexes the per-lane cluster memo
+	idx      int // index in Network.hosts; indexes the per-lane cluster memo
 	srv      *server
 	lane     int // srv's lane; 0 without a shard plan
 	cfg      LinkConfig
@@ -292,7 +293,9 @@ type Network struct {
 	// 1, so slot 0 is nil.
 	servers []*server
 	links   []*link
-	hosts   map[HostID]*hostPort
+	// hosts holds every attached host in ascending ID order, which is
+	// attach order for every topology package topo makes; host finds one.
+	hosts []*hostPort
 
 	// version increments on every topology change; routing tables and the
 	// true-cluster map are cached per version, per lane.
@@ -333,7 +336,6 @@ func New(eng sim.Loop) *Network {
 		eng:     eng,
 		servers: make([]*server, 1),
 		links:   make([]*link, 1),
-		hosts:   make(map[HostID]*hostPort),
 		version: 1,
 		perLane: []*laneState{{}},
 		lanes:   1,
@@ -372,9 +374,9 @@ func (n *Network) Stats() *Stats {
 			st.PerLink[l.id] = v
 		}
 	}
-	for id, hp := range n.hosts {
+	for _, hp := range n.hosts {
 		if hp.linkTx > 0 {
-			st.HostLinkTransmissions[id] = hp.linkTx
+			st.HostLinkTransmissions[hp.id] = hp.linkTx
 		}
 	}
 	return st
@@ -404,6 +406,25 @@ func (n *Network) serverByID(id ServerID) *server {
 	}
 	return n.servers[id]
 }
+
+// host returns the port of host h, or nil. Like core.Host.index it tries
+// the offset from the smallest ID first, which finds every host of a
+// topology built with dense IDs, and falls back to binary search.
+// Every send resolves its two endpoints here.
+func (n *Network) host(h HostID) *hostPort {
+	if len(n.hosts) == 0 {
+		return nil
+	}
+	if i := int(h - n.hosts[0].id); i >= 0 && i < len(n.hosts) && n.hosts[i].id == h {
+		return n.hosts[i]
+	}
+	if i, ok := slices.BinarySearchFunc(n.hosts, h, byHostID); ok {
+		return n.hosts[i]
+	}
+	return nil
+}
+
+func byHostID(hp *hostPort, h HostID) int { return cmp.Compare(hp.id, h) }
 
 // linkByID returns the link with the given ID, or nil.
 func (n *Network) linkByID(id LinkID) *link {
@@ -474,7 +495,8 @@ func (n *Network) AttachHost(h HostID, s ServerID, cfg LinkConfig) error {
 	if h <= 0 {
 		return fmt.Errorf("netsim: invalid host id %d", h)
 	}
-	if _, dup := n.hosts[h]; dup {
+	i, dup := slices.BinarySearchFunc(n.hosts, h, byHostID)
+	if dup {
 		return fmt.Errorf("netsim: host %d already attached", h)
 	}
 	srv := n.serverByID(s)
@@ -485,25 +507,27 @@ func (n *Network) AttachHost(h HostID, s ServerID, cfg LinkConfig) error {
 	if err != nil {
 		return err
 	}
-	n.hosts[h] = &hostPort{id: h, idx: len(n.hosts), srv: srv, cfg: cfg, up: true}
+	n.hosts = slices.Insert(n.hosts, i, &hostPort{id: h, srv: srv, cfg: cfg, up: true})
+	for ; i < len(n.hosts); i++ {
+		n.hosts[i].idx = i
+	}
 	n.bump()
 	return nil
 }
 
 // Hosts returns all attached host IDs in ascending order.
 func (n *Network) Hosts() []HostID {
-	out := make([]HostID, 0, len(n.hosts))
-	for id := range n.hosts {
-		out = append(out, id)
+	out := make([]HostID, len(n.hosts))
+	for i, hp := range n.hosts {
+		out[i] = hp.id
 	}
-	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
 	return out
 }
 
 // HostServer returns the server a host is attached to.
 func (n *Network) HostServer(h HostID) (ServerID, error) {
-	hp, ok := n.hosts[h]
-	if !ok {
+	hp := n.host(h)
+	if hp == nil {
 		return 0, fmt.Errorf("netsim: unknown host %d", h)
 	}
 	return hp.srv.id, nil
@@ -512,8 +536,8 @@ func (n *Network) HostServer(h HostID) (ServerID, error) {
 // Handle registers the delivery handler for host h, replacing any
 // previous handler.
 func (n *Network) Handle(h HostID, fn Handler) error {
-	hp, ok := n.hosts[h]
-	if !ok {
+	hp := n.host(h)
+	if hp == nil {
 		return fmt.Errorf("netsim: unknown host %d", h)
 	}
 	hp.handler = fn
@@ -524,8 +548,8 @@ func (n *Network) Handle(h HostID, fn Handler) error {
 // interceptor for host h. Every subsequent Send from h is routed through
 // the hook; see TransmitHook for the contract.
 func (n *Network) SetTransmitHook(h HostID, hook TransmitHook) error {
-	hp, ok := n.hosts[h]
-	if !ok {
+	hp := n.host(h)
+	if hp == nil {
 		return fmt.Errorf("netsim: unknown host %d", h)
 	}
 	hp.transmit = hook
@@ -558,8 +582,8 @@ func (n *Network) LinkUp(id LinkID) (bool, error) {
 // SetHostLinkUp changes a host's access-link state. Cutting it simulates
 // a host crash, per the paper's §2 argument.
 func (n *Network) SetHostLinkUp(h HostID, up bool) error {
-	hp, ok := n.hosts[h]
-	if !ok {
+	hp := n.host(h)
+	if hp == nil {
 		return fmt.Errorf("netsim: unknown host %d", h)
 	}
 	if hp.up != up {

@@ -1,6 +1,7 @@
 package netsim
 
 import (
+	"fmt"
 	"testing"
 	"time"
 
@@ -434,6 +435,29 @@ func TestTopologyValidation(t *testing.T) {
 	}
 	if err := n.AttachHost(1, s, LinkConfig{}); err == nil {
 		t.Error("duplicate host accepted")
+	}
+	// Sparse IDs attached out of order are found, by offset or by search,
+	// and listed in ascending order; the gaps between them are not hosts.
+	for _, h := range []HostID{7, 3, 12, 5} {
+		if err := n.AttachHost(h, s, LinkConfig{}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := n.AttachHost(7, s, LinkConfig{}); err == nil {
+		t.Error("duplicate out-of-order host accepted")
+	}
+	if got := fmt.Sprint(n.Hosts()); got != "[1 3 5 7 12]" {
+		t.Errorf("Hosts() = %s, want [1 3 5 7 12]", got)
+	}
+	for _, h := range []HostID{-1, 0, 2, 4, 6, 8, 11, 13} {
+		if _, err := n.HostServer(h); err == nil {
+			t.Errorf("HostServer(%d) found a host that was never attached", h)
+		}
+	}
+	for _, h := range n.Hosts() {
+		if srv, err := n.HostServer(h); err != nil || srv != s {
+			t.Errorf("HostServer(%d) = %d, %v; want %d", h, srv, err, s)
+		}
 	}
 }
 

@@ -87,9 +87,9 @@ func (n *Network) ComputeShardPlan() *ShardPlan {
 		p.ServerLane[id] = lane
 	}
 	p.Weights = make([]int, p.Lanes)
-	for _, h := range n.Hosts() {
-		lane := p.ServerLane[n.hosts[h].srv.id]
-		p.HostLane[h] = lane
+	for _, hp := range n.hosts {
+		lane := p.ServerLane[hp.srv.id]
+		p.HostLane[hp.id] = lane
 		p.Weights[lane]++
 	}
 
@@ -133,8 +133,8 @@ func (n *Network) ApplyShardPlan(p *ShardPlan) error {
 	for _, srv := range n.servers[1:] {
 		srv.lane = p.ServerLane[srv.id]
 	}
-	for id, hp := range n.hosts {
-		hp.lane = p.HostLane[id]
+	for _, hp := range n.hosts {
+		hp.lane = p.HostLane[hp.id]
 	}
 	n.perLane = make([]*laneState, p.Lanes+1)
 	for i := range n.perLane {
@@ -150,7 +150,7 @@ func (n *Network) Lanes() int { return n.lanes }
 // LaneOfHost reports the lane executing host h's traffic (0 without a
 // shard plan).
 func (n *Network) LaneOfHost(h HostID) int {
-	if hp, ok := n.hosts[h]; ok {
+	if hp := n.host(h); hp != nil {
 		return hp.lane
 	}
 	return 0

@@ -147,12 +147,8 @@ func (n *Network) PathExists(a, b HostID) bool {
 // PathExistsOf is PathExists evaluated against the given lane's private
 // route cache, making it legal from that lane's events.
 func (n *Network) PathExistsOf(lane int, a, b HostID) bool {
-	ha, ok := n.hosts[a]
-	if !ok || !ha.up {
-		return false
-	}
-	hb, ok := n.hosts[b]
-	if !ok || !hb.up {
+	ha, hb := n.host(a), n.host(b)
+	if ha == nil || hb == nil || !ha.up || !hb.up {
 		return false
 	}
 	if ha.srv == hb.srv {
@@ -177,8 +173,8 @@ func (n *Network) TrueClusters() map[HostID]int {
 	clusters := n.trueClustersOf(lane)
 	if c.clusterMap == nil {
 		c.clusterMap = make(map[HostID]int, len(n.hosts))
-		for id, hp := range n.hosts {
-			c.clusterMap[id] = clusters[hp.idx]
+		for _, hp := range n.hosts {
+			c.clusterMap[hp.id] = clusters[hp.idx]
 		}
 	}
 	return c.clusterMap
@@ -216,8 +212,7 @@ func (n *Network) trueClustersOf(lane int) []int {
 	next := 1
 	clusters := make([]int, len(n.hosts))
 	singles := next + len(n.servers) - 1 // singleton IDs start above component IDs
-	for _, h := range n.Hosts() {
-		hp := n.hosts[h]
+	for _, hp := range n.hosts {
 		if !hp.up || hp.cfg.Class != Cheap {
 			clusters[hp.idx] = singles
 			singles++

@@ -190,12 +190,10 @@ func SendValue[P any](n *Network, from, to HostID, payload P) error {
 
 // endpoints resolves a send's two hosts.
 func (n *Network) endpoints(from, to HostID) (src, dst *hostPort, err error) {
-	src, ok := n.hosts[from]
-	if !ok {
+	if src = n.host(from); src == nil {
 		return nil, nil, fmt.Errorf("netsim: unknown sender host %d", from)
 	}
-	dst, ok = n.hosts[to]
-	if !ok {
+	if dst = n.host(to); dst == nil {
 		return nil, nil, fmt.Errorf("netsim: unknown destination host %d", to)
 	}
 	if from == to {
@@ -211,8 +209,8 @@ func (n *Network) endpoints(from, to HostID) (src, dst *hostPort, err error) {
 // hostile network interface would give it.
 func (n *Network) viaHook(src *hostPort, to HostID, payload any, emit func(dst *hostPort, out Outbound)) {
 	for _, out := range src.transmit(to, payload) {
-		dst, ok := n.hosts[out.To]
-		if !ok || out.To == src.id {
+		dst := n.host(out.To)
+		if dst == nil || out.To == src.id {
 			// A hook emitting an unreachable or self destination is a
 			// behavior bug, not a network condition; drop silently like
 			// any other undeliverable traffic.

@@ -78,7 +78,18 @@ func TestScheduleCrossTakesNoCell(t *testing.T) {
 	if got := len(e.freeCells); got != 3 {
 		t.Errorf("%d cells on the free list after the run, want the 3 that Schedule took", got)
 	}
+	// Warm: enough crossings at 1 ms in a row to give that delay a FIFO,
+	// which the measured ones then join.
 	ev := note(5)
+	for i := 0; i < promoteAfter; i++ {
+		e.ScheduleCross(0, 0, time.Millisecond, ev)
+	}
+	if err := e.RunUntilIdle(); err != nil {
+		t.Fatal(err)
+	}
+	if e.q.nfifo != 1 {
+		t.Fatalf("%d FIFOs after %d crossings at one delay, want 1", e.q.nfifo, promoteAfter)
+	}
 	allocs := testing.AllocsPerRun(100, func() {
 		e.ScheduleCross(0, 0, time.Millisecond, ev)
 		if err := e.RunUntilIdle(); err != nil {
@@ -120,7 +131,9 @@ func TestCancelCompactZeroAllocs(t *testing.T) {
 // The cross-lane mailbox contract: once rows and destination heaps have
 // reached working capacity, an enqueue (ScheduleCross) / drain / run
 // cycle performs no heap allocation — the barrier path of the sharded
-// engine stays garbage-free no matter how much traffic crosses lanes.
+// engine stays garbage-free no matter how much traffic crosses lanes. Each
+// cycle also crosses each lane to itself at one delay often enough that
+// the lanes give it a FIFO.
 func TestMailboxEnqueueDrainZeroAllocs(t *testing.T) {
 	s := NewSharded(1, 1)
 	s.SetLanes([]int{1, 1}, time.Millisecond)
@@ -132,6 +145,9 @@ func TestMailboxEnqueueDrainZeroAllocs(t *testing.T) {
 			s.ScheduleCross(1, 0, time.Duration(i+1)*time.Millisecond, fn)
 			s.ScheduleCross(0, 0, time.Duration(i)*time.Microsecond, fn)
 		}
+		for i := 0; i < 2*promoteAfter; i++ {
+			s.ScheduleCross(i%2, i%2, time.Millisecond, fn)
+		}
 		if err := s.RunUntilIdle(); err != nil {
 			t.Fatal(err)
 		}
@@ -139,6 +155,11 @@ func TestMailboxEnqueueDrainZeroAllocs(t *testing.T) {
 	// Warm rows, heaps, and the lane engines past the working set.
 	for i := 0; i < 4; i++ {
 		cycle()
+	}
+	for _, l := range s.lanes {
+		if l.eng.q.nfifo == 0 {
+			t.Fatalf("lane %d gave no delay a FIFO", l.id)
+		}
 	}
 	allocs := testing.AllocsPerRun(200, cycle)
 	if ran == 0 {
@@ -154,6 +175,9 @@ func TestMailboxEnqueueDrainZeroAllocs(t *testing.T) {
 // redistributes and re-admits them without allocating. Each event
 // re-schedules itself one period ahead, so the depth and the shape of the
 // instants hold while the clock moves through every level of the queue.
+// The last case holds link hops instead: half the events cross at 1 ms
+// and half at 30 ms, each re-crossing at its own delay, so both delays
+// get a FIFO and the rings hold nearly every event.
 func TestDeepQueueZeroAllocs(t *testing.T) {
 	const depth = 1 << 16
 	for _, tc := range []struct {
@@ -198,4 +222,45 @@ func TestDeepQueueZeroAllocs(t *testing.T) {
 			}
 		})
 	}
+	t.Run("two-fifo-delays", func(t *testing.T) {
+		e := NewEngine(1)
+		var fast, slow Event
+		fast = func() { e.ScheduleCross(0, 0, time.Millisecond, fast) }
+		slow = func() { e.ScheduleCross(0, 0, 30*time.Millisecond, slow) }
+		for i := 0; i < depth; i++ {
+			fn := fast
+			if i >= depth/2 {
+				fn = slow
+			}
+			// A different delay each time: nothing is promoted until the
+			// events start re-crossing.
+			e.ScheduleCross(0, 0, time.Duration(i%30)*time.Millisecond, fn)
+		}
+		if err := e.Run(e.Now() + 60*time.Millisecond); err != nil {
+			t.Fatal(err)
+		}
+		if e.q.nfifo != 2 || e.q.fifos[0].n+e.q.fifos[1].n != depth {
+			t.Fatalf("%d FIFOs holding %d and %d events after warming, want 2 holding all %d",
+				e.q.nfifo, e.q.fifos[0].n, e.q.fifos[1].n, depth)
+		}
+		before := e.EventsRun()
+		var runErr error
+		allocs := testing.AllocsPerRun(5, func() {
+			if err := e.Run(e.Now() + 10*time.Millisecond); err != nil {
+				runErr = err
+			}
+		})
+		if runErr != nil {
+			t.Fatal(runErr)
+		}
+		if e.Pending() != depth {
+			t.Fatalf("Pending() = %d, want %d held", e.Pending(), depth)
+		}
+		if ran := e.EventsRun() - before; ran < depth {
+			t.Fatalf("only %d events ran while measuring", ran)
+		}
+		if allocs != 0 {
+			t.Errorf("two-delay hop hold cycle: %.1f allocs/op, want 0", allocs)
+		}
+	})
 }

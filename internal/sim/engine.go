@@ -8,15 +8,17 @@
 //
 // The queue is built for hot-loop throughput. Simulated time is lumpy —
 // the protocol runs on periodic timers over fixed-delay links, so
-// thousands of events share each instant — and the queue (queue.go) is a
-// monotone radix queue that exploits it: events of one instant sit in one
-// FIFO bucket, push and pop are O(1), and nothing is compared or
-// re-sorted. Cancellation cells are recycled through a free list instead
-// of allocated per event, and compaction sweeps canceled entries out of
-// the queue once they outnumber live ones — so timer-churn-heavy runs
-// (backoff scheduling, long recovery soaks) stay allocation-light and
-// bounded in memory. None of this affects event order: events always fire
-// in strict (time, insertion order) sequence.
+// thousands of events share each instant — and the queue (queue.go)
+// exploits both halves: a monotone radix queue keeps the events of one
+// instant in one FIFO bucket, and the link hops of a recurring delay,
+// which arrive already in instant order, skip it for a FIFO of their own;
+// push and pop are O(1), and nothing is re-sorted. Cancellation cells are
+// recycled through a free list instead of allocated per event, and
+// compaction sweeps canceled entries out of the queue once they outnumber
+// live ones — so timer-churn-heavy runs (backoff scheduling, long
+// recovery soaks) stay allocation-light and bounded in memory. None of
+// this affects event order: events always fire in strict (time,
+// insertion order) sequence.
 package sim
 
 import (
@@ -146,7 +148,8 @@ func (e *Engine) Schedule(delay time.Duration, fn Event) Timer {
 // Timer for — and for the sharded engine's mailbox drain: cross-lane
 // events arrive with a precomputed absolute time and must not touch the
 // cell free list (getCell may allocate, and drains run on the hot barrier
-// path). An instant in the engine's past is clamped to now.
+// path). An instant in the engine's past is clamped to now. Only these
+// events can join a fixed-delay FIFO (eventQueue.admit).
 // Every link traversal and every epoch barrier's mailbox drain comes
 // through here; TestScheduleCrossTakesNoCell and
 // TestMailboxEnqueueDrainZeroAllocs hold it allocation-free.
@@ -190,13 +193,14 @@ func (e *Engine) peekMin() (time.Duration, bool) {
 	return e.q.min(), true
 }
 
-// step pops and executes the next event. It reports whether an event ran.
-func (e *Engine) step(limit time.Duration, bounded bool) (bool, error) {
+// step pops and executes the next event dated at most limit (maxInstant
+// for an unbounded run). It reports whether an event ran.
+func (e *Engine) step(limit time.Duration) (bool, error) {
 	for e.q.n > 0 {
-		if bounded && e.q.min() > limit {
+		at, fn, cell, ok := e.q.pop(limit)
+		if !ok {
 			return false, nil
 		}
-		at, fn, cell := e.q.pop()
 		if cell != nil {
 			if cell.canceled {
 				e.canceledPending--
@@ -234,7 +238,7 @@ func (e *Engine) Run(until time.Duration) error {
 		return fmt.Errorf("sim: Run until %v is before now %v", until, e.now)
 	}
 	for {
-		ran, err := e.step(until, true)
+		ran, err := e.step(until)
 		if err != nil {
 			e.stopped = false
 			return err
@@ -286,7 +290,7 @@ func (e *Engine) RunUntilIdle() error {
 		return ErrStopped
 	}
 	for {
-		ran, err := e.step(0, false)
+		ran, err := e.step(maxInstant)
 		if err != nil {
 			e.stopped = false
 			return err

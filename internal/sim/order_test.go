@@ -294,6 +294,24 @@ func (r *orderRun) event(depth int, behave byte) Event {
 	}
 }
 
+// relay makes an uncancelable event that, when it fires, logs itself and
+// crosses again at delay d until it reaches orderMaxDepth: the traffic of
+// a link with a fixed delay, which keeps that delay's FIFO fed.
+func (r *orderRun) relay(depth int, d time.Duration) Event {
+	id := r.nextID
+	r.nextID++
+	return func() {
+		r.log = append(r.log, orderEntry{id: id, at: r.eng.now(), pending: r.eng.pending()})
+		if depth < orderMaxDepth {
+			r.eng.crossAt(addSat(r.eng.now(), d), r.relay(depth+1, d))
+		}
+	}
+}
+
+// orderBurst is the fewest uncancelable pushes a burst makes at one
+// delay: more than promoteAfter, so the delay gets a FIFO.
+const orderBurst = 20
+
 // exec runs the program: three bytes per call — what to do and two
 // arguments.
 func (r *orderRun) exec(prog []byte) {
@@ -302,7 +320,7 @@ func (r *orderRun) exec(prog []byte) {
 		delay := orderDelays[int(a)%len(orderDelays)]
 		short := orderDelays[int(a)%orderShortDelays]
 		var err error
-		switch op % 8 {
+		switch op % 9 {
 		case 0, 1:
 			r.cancels = append(r.cancels, r.eng.schedule(delay, r.event(0, b)))
 		case 2:
@@ -336,6 +354,32 @@ func (r *orderRun) exec(prog []byte) {
 			default:
 				err = r.eng.run(addSat(r.eng.now(), delay))
 			}
+		case 8:
+			// A burst at one delay: relays enough to promote it, with a
+			// cancelable timer on the same instant after every sixth —
+			// canceled at once when b's top bit is set — and then a bounded
+			// run that ends at the burst's instant, just before it, just
+			// before the relays' next instant, or not at all.
+			now := r.eng.now()
+			at := addSat(now, delay)
+			for k := 0; k < orderBurst+int(b%16); k++ {
+				r.eng.crossAt(at, r.relay(1, delay))
+				if k%6 == int(b%6) {
+					cancel := r.eng.schedule(delay, r.event(1, b+byte(k)))
+					r.cancels = append(r.cancels, cancel)
+					if b&0x80 != 0 {
+						cancel()
+					}
+				}
+			}
+			switch (b >> 4) % 4 {
+			case 0:
+				err = r.eng.run(at)
+			case 1:
+				err = r.eng.run(max(at-1, now))
+			case 2:
+				err = r.eng.run(max(addSat(at, delay)-1, now))
+			}
 		}
 		r.log = append(r.log, orderEntry{id: -1 - pc/3, at: r.eng.now(), pending: r.eng.pending(),
 			ran: r.eng.eventsRun(), stopped: err != nil})
@@ -343,8 +387,9 @@ func (r *orderRun) exec(prog []byte) {
 }
 
 // checkOrder runs prog on the engine newEng makes and on the reference,
-// and fails on the first log entry that differs.
-func checkOrder(t *testing.T, prog []byte, newEng func() orderEngine, lane bool) {
+// and fails on the first log entry that differs. It returns how many
+// delays the engine gave a FIFO.
+func checkOrder(t *testing.T, prog []byte, newEng func() orderEngine, lane bool) int {
 	t.Helper()
 	got := &orderRun{eng: newEng(), lane: lane}
 	want := &orderRun{eng: &refEngine{lane: lane}, lane: lane}
@@ -363,12 +408,21 @@ func checkOrder(t *testing.T, prog []byte, newEng func() orderEngine, lane bool)
 				got.eng, i, len(got.log), len(want.log), g, w, prog)
 		}
 	}
+	switch o := got.eng.(type) {
+	case seqOrder:
+		return o.e.q.nfifo
+	case laneOrder:
+		return o.s.lanes[0].eng.q.nfifo
+	}
+	return 0
 }
 
-func checkOrderBoth(t *testing.T, prog []byte) {
+// checkOrderBoth runs prog on the engine and on a sharded lane, and
+// reports whether both gave some delay a FIFO.
+func checkOrderBoth(t *testing.T, prog []byte) bool {
 	t.Helper()
-	checkOrder(t, prog, newSeqOrder, false)
-	checkOrder(t, prog, newLaneOrder, true)
+	seq := checkOrder(t, prog, newSeqOrder, false)
+	return checkOrder(t, prog, newLaneOrder, true) > 0 && seq > 0
 }
 
 // orderSeedPrograms are hand-made programs for the places where the
@@ -384,6 +438,14 @@ var orderSeedPrograms = [][]byte{
 	{2, 15, 0, 2, 15, 7, 0, 15, 0, 0, 16, 0, 0, 40, 0, 2, 15, 3, 2, 15, 9, 4, 200, 1, 5, 2, 0, 4, 200, 2, 7, 0, 0},
 	// Digit boundaries and saturation.
 	{0, 44, 3, 0, 45, 3, 0, 46, 3, 7, 45, 2, 0, 46, 3, 7, 46, 2, 7, 46, 2, 7, 46, 2, 7, 46, 2, 7, 46, 2, 7, 46, 2, 7, 46, 2, 0, 2, 3, 7, 0, 0},
+	// A 1 ms burst run to just before its instant, a second burst at the
+	// same delay run to its instant, a timer onto the relays' next
+	// instant, and a drain: FIFO heads tie with filed timers throughout.
+	{0, 2, 0, 8, 2, 0x12, 8, 2, 0x03, 0, 2, 0, 5, 2, 0, 7, 0, 0},
+	// Bursts at 5 ms and 1 ms with canceled timers among them, a mass
+	// cancel while the FIFOs hold most of the queue, an uncancelable push
+	// at the clock, and a third burst left to the final drain.
+	{8, 4, 0x85, 8, 2, 0xa4, 2, 15, 0, 4, 200, 1, 6, 3, 0, 5, 4, 0, 8, 4, 0x31, 7, 0, 0},
 }
 
 // TestEngineOrderModel checks seeded random programs, short and long,
@@ -391,12 +453,17 @@ var orderSeedPrograms = [][]byte{
 func TestEngineOrderModel(t *testing.T) {
 	for i, prog := range orderSeedPrograms {
 		prog := prog
-		t.Run(fmt.Sprintf("seed-program-%d", i), func(t *testing.T) { checkOrderBoth(t, prog) })
+		t.Run(fmt.Sprintf("seed-program-%d", i), func(t *testing.T) {
+			if !checkOrderBoth(t, prog) && hasBurst(prog) {
+				t.Error("a program with a burst promoted no FIFO")
+			}
+		})
 	}
 	n := 300
 	if testing.Short() {
 		n = 60
 	}
+	promoted := 0
 	for seed := 0; seed < n; seed++ {
 		rng := rand.New(rand.NewSource(int64(seed)))
 		size := 30 + rng.Intn(600)
@@ -405,8 +472,22 @@ func TestEngineOrderModel(t *testing.T) {
 		}
 		prog := make([]byte, size)
 		rng.Read(prog)
-		checkOrderBoth(t, prog)
+		if checkOrderBoth(t, prog) {
+			promoted++
+		}
 	}
+	if promoted < n/2 {
+		t.Errorf("only %d of %d random programs promoted a FIFO on both engines", promoted, n)
+	}
+}
+
+func hasBurst(prog []byte) bool {
+	for pc := 0; pc+2 < len(prog); pc += 3 {
+		if prog[pc]%9 == 8 {
+			return true
+		}
+	}
+	return false
 }
 
 // FuzzEngineOrder lets the fuzzer write the program.
@@ -535,6 +616,36 @@ func TestScheduleBetweenInstantsAfterBoundedRun(t *testing.T) {
 		}
 		wantOrder(t, got, "a", "now", "b", "d", "e", "x", "f")
 	})
+}
+
+// A FIFO takes an event only at or behind its tail. The engine's clock
+// never steps back, so for one delay at − now the instants arrive in
+// order and no engine program can reach the check; the queue alone can.
+// An event of a promoted delay dated before the tail is filed instead,
+// and still pops first.
+func TestFIFOAppendsOnlyBehindItsTail(t *testing.T) {
+	var q eventQueue
+	var got []string
+	note := func(s string) Event { return func() { got = append(got, s) } }
+	popRun := func() {
+		_, fn, _, _ := q.pop(maxInstant)
+		fn()
+	}
+	for i := 0; i < promoteAfter; i++ {
+		q.push(100, 105, note("promoting"), nil)
+	}
+	for i := 1; i < promoteAfter; i++ {
+		popRun() // the filed ones; one waits in the FIFO
+	}
+	q.push(100, 105, note("tail"), nil)
+	q.push(50, 55, note("early"), nil)
+	if q.nfifo != 1 || q.fifos[0].n != 2 || q.n != 3 {
+		t.Fatalf("%d FIFOs, %d entries in the first, %d queued; want 1, 2, 3", q.nfifo, q.fifos[0].n, q.n)
+	}
+	for q.n > 0 {
+		popRun()
+	}
+	wantOrder(t, got[promoteAfter-1:], "early", "promoting", "tail")
 }
 
 // Compaction sweeps every level in place: with events spread from

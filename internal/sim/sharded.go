@@ -324,7 +324,7 @@ func (s *Sharded) drain() {
 func (l *shardLane) run(limit, barrier time.Duration) {
 	e := l.eng
 	for {
-		ran, err := e.step(limit, true)
+		ran, err := e.step(limit)
 		if err != nil {
 			// Lane engines are never stopped directly; clear defensively.
 			e.stopped = false
@@ -399,7 +399,7 @@ func (s *Sharded) runSpan(limit, barrier time.Duration) {
 // behavior.
 func (s *Sharded) runGlobalDue(t time.Duration) error {
 	for !s.stopped.Load() {
-		ran, err := s.global.step(t, true)
+		ran, err := s.global.step(t)
 		if err != nil {
 			s.global.stopped = false
 			return err
