@@ -16,8 +16,8 @@ fmt-check:
 
 # lint is the analyzer sweep `go test ./...` already runs, by name: the
 # protocol-aware suite (analysis.Analyzers()) over every package of the
-# module against one whole-program call graph, one subtest per package
-# directory; see internal/analysis/README.md. Any finding fails it.
+# module, one subtest per package directory; see
+# internal/analysis/README.md. Any finding fails it.
 lint:
 	$(GO) test -count=1 -run '^TestTreeIsClean$$' ./internal/analysis
 
@@ -34,7 +34,11 @@ test:
 # replica.Store.mu (TestStoreConcurrentApplyAndRead) and soak.Run's
 # progressMu (TestProgressCallsAreSerialized). Lane workers of the sharded
 # engine share no lock; TestShardedWorkerCountIdentity and
-# TestShardTraceIdentity run them in parallel.
+# TestShardTraceIdentity run them in parallel. What a lane event may call
+# is checked by the engine as it runs, with one worker, where it knows the
+# executing lane: TestShardedScheduleFromLaneEventPanics holds every row of
+# DESIGN.md's "Lane discipline" table, and the shard-count suites run
+# every lane path at one worker too.
 race:
 	$(GO) test -race ./...
 

@@ -47,7 +47,7 @@ type Analyzer struct {
 // Analyzers lists every analyzer in the suite, in the order the driver
 // runs them.
 func Analyzers() []*Analyzer {
-	return []*Analyzer{DetLint, LaneLint, LockLint, ParamLint, WireLint}
+	return []*Analyzer{DetLint, LockLint, ParamLint, WireLint}
 }
 
 // A Pass is one analyzer's view of one package.
@@ -66,10 +66,6 @@ type Pass struct {
 	Dir string
 	// ModRoot is the module root directory (where go.mod lives).
 	ModRoot string
-	// Prog is the whole-program view (call graph plus memoized function
-	// summaries) shared by every package analyzed in one run. lanelint
-	// consumes it; per-package analyzers may ignore it.
-	Prog *Program
 
 	diagnostics []Diagnostic
 }

@@ -31,8 +31,8 @@ var DetPackages = []string{
 //     refactor away from doing so);
 //   - no `for range` over a map whose body appends to a slice that is
 //     not sorted by a later statement, and no map-range body that emits
-//     protocol messages or writes output — map iteration order differs
-//     between runs of the same seed.
+//     protocol messages, writes output or schedules simulation events —
+//     map iteration order differs between runs of the same seed.
 var DetLint = &Analyzer{
 	Name: "detlint",
 	Doc: "forbid wall-clock reads, math/rand, and order-sensitive map iteration " +
@@ -42,12 +42,15 @@ var DetLint = &Analyzer{
 
 // detEmitNames are method/function names whose call inside a map-range
 // body means iteration order escapes into observable output: protocol
-// emission funnels and ordered writers.
+// emission funnels, ordered writers, and the sim.Loop scheduling calls
+// (the order events enter a queue is observable in the trace).
 var detEmitNames = map[string]bool{
 	"emit": true, "sendMarking": true, "Send": true, "Deliver": true,
 	"Broadcast": true, "Fprint": true, "Fprintf": true, "Fprintln": true,
 	"Print": true, "Printf": true, "Println": true, "Write": true,
 	"WriteString": true, "WriteByte": true, "WriteRune": true,
+	"Schedule": true, "Every": true, "ScheduleOn": true, "EveryOn": true,
+	"ScheduleCross": true,
 }
 
 // detSortNames are sort entry points that stabilize a slice.

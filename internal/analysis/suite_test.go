@@ -45,8 +45,6 @@ func TestAnalyzers(t *testing.T) {
 		{"locklint", analysis.LockLint, "testdata/lock", ""},
 		{"paramlint", analysis.ParamLint, "testdata/param", ""},
 		{"wirelint", analysis.WireLint, "testdata/wire", ""},
-		{"lanelint", analysis.LaneLint, "testdata/lane", "rbcast/internal/sim"},
-		{"lanelint/out-of-scope-package", analysis.LaneLint, "testdata/laneclean", ""},
 		{"ignore-directive", analysis.DetLint, "testdata/ignoretd", "rbcast/internal/core"},
 	}
 	loader := fixtureLoader(t)
@@ -60,11 +58,10 @@ func TestAnalyzers(t *testing.T) {
 // BenchmarkRBLintSuite measures each analyzer of the suite on its own,
 // one sub-benchmark per entry of Analyzers(), over the protocol state
 // machine package and the simulated network package (core is the most
-// analyzer-dense package; netsim exercises lanelint's whole-program
-// lane-provenance walk). Loading and type-checking happen once outside
-// the timer; every iteration builds each package's call graph afresh, so
-// a figure is that fixed cost — the "none" case, no analyzer at all —
-// plus the analyzer's own walks and summaries.
+// analyzer-dense package). Loading and type-checking happen once outside
+// the timer; every iteration parses each package's ignore directives
+// afresh, so a figure is that fixed cost — the "none" case, no analyzer
+// at all — plus the analyzer's own walks.
 func BenchmarkRBLintSuite(b *testing.B) {
 	loader, err := analysis.NewLoader(".")
 	if err != nil {

@@ -31,6 +31,18 @@ func emitInRange(m map[int]string) {
 	}
 }
 
+type loop struct{}
+
+func (loop) ScheduleOn(lane int, delay time.Duration, fn func()) {}
+
+// The order events enter a queue is observable: a map-ordered fan-out
+// of scheduling calls breaks seeded replay as surely as emission does.
+func scheduleInRange(l loop, lanes map[int]func()) {
+	for lane, tick := range lanes {
+		l.ScheduleOn(lane, 0, tick) // want `ScheduleOn called inside a map-range loop`
+	}
+}
+
 func appendNoSort(m map[int]int) []int {
 	var keys []int
 	for k := range m { // want `map-range loop appends to "keys" without a sort`

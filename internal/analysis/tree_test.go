@@ -10,9 +10,9 @@ import (
 	"rbcast/internal/analysis"
 )
 
-// sweep runs the whole suite over pkgs against one call graph and
-// returns the surviving findings, one "file:line:col: analyzer: message"
-// line each, keyed by the directory of the file they are in.
+// sweep runs the whole suite over pkgs and returns the surviving
+// findings, one "file:line:col: analyzer: message" line each, keyed by
+// the directory of the file they are in.
 func sweep(t *testing.T, loader *analysis.Loader, pkgs []*analysis.Package) map[string][]string {
 	t.Helper()
 	diags, err := analysis.Run(loader, pkgs)
@@ -28,10 +28,10 @@ func sweep(t *testing.T, loader *analysis.Loader, pkgs []*analysis.Package) map[
 	return lines
 }
 
-// TestTreeIsClean is the lint gate: every analyzer of Analyzers() over every
-// package of the module (cmd/, benchmarks/ and examples/ included), one
-// loader, one whole-program call graph, ignore directives applied. Each
-// package directory is a subtest, so a finding names its package and
+// TestTreeIsClean is the lint gate: every analyzer of Analyzers() over
+// every package of the module (cmd/, benchmarks/ and examples/ included),
+// one loader, ignore directives applied. Each package directory is a
+// subtest, so a finding names its package and
 // `-run 'TestTreeIsClean/internal/core'` reports on one.
 func TestTreeIsClean(t *testing.T) {
 	loader, err := analysis.NewLoader(".")

@@ -66,6 +66,11 @@ type Sharded struct {
 	// inside lane events. Written by the coordinator only; the channel
 	// send/receive pair around each epoch orders any worker-side read.
 	running bool
+	// exec is the lane whose events are executing when the coordinator
+	// runs lanes inline (one worker), and nil otherwise: it is how a lane
+	// event's NowOf, RandOf and ScheduleCross are held to their own lane.
+	// With a worker pool it stays nil, and -race is the check.
+	exec *shardLane
 
 	stopped atomic.Bool
 }
@@ -129,8 +134,9 @@ func NewSharded(seed int64, workers int) *Sharded {
 // SetLanes partitions the engine into len(weights) lanes and fixes the
 // conservative lookahead. weights biases the greedy lane→worker
 // assignment (typically hosts per lane); lookahead is the minimum delay
-// any cross-lane ScheduleCross will carry (≤ 0 means no bound: barriers
-// fall only on global events and run horizons).
+// any cross-lane ScheduleCross will carry (≤ 0 means no lane-crossing
+// links: barriers fall only on global events and run horizons, and a
+// cross-lane ScheduleCross with a delay below noLookahead panics).
 //
 // The lane partition is part of the determinism contract — it must be
 // derived from the scenario (seed, topology), never from the worker
@@ -193,21 +199,36 @@ func (s *Sharded) SetLanes(weights []int, lookahead time.Duration) {
 	}
 }
 
-// Now returns the global virtual time: the last barrier reached.
-func (s *Sharded) Now() time.Duration { return s.global.now }
+// Now returns the global virtual time: the last barrier reached. Must
+// not be called from a lane event.
+func (s *Sharded) Now() time.Duration {
+	s.checkParked("Now")
+	return s.global.now
+}
 
-// Rand returns the global-context random source. Lane events must use
-// RandOf with their own lane instead.
-func (s *Sharded) Rand() *detrand.Rand { return s.global.rng }
+// Rand returns the global-context random source. Must not be called
+// from a lane event, which uses RandOf with its own lane instead.
+func (s *Sharded) Rand() *detrand.Rand {
+	s.checkParked("Rand")
+	return s.global.rng
+}
 
 // Lanes reports the lane count.
 func (s *Sharded) Lanes() int { return len(s.lanes) }
 
-// NowOf returns lane's clock; between Run calls it equals Now.
-func (s *Sharded) NowOf(lane int) time.Duration { return s.lanes[lane].eng.now }
+// NowOf returns lane's clock; between Run calls it equals Now. A lane
+// event may read only its own lane's clock.
+func (s *Sharded) NowOf(lane int) time.Duration {
+	s.checkLane("NowOf", lane)
+	return s.lanes[lane].eng.now
+}
 
-// RandOf returns lane's private random source.
-func (s *Sharded) RandOf(lane int) *detrand.Rand { return s.lanes[lane].eng.rng }
+// RandOf returns lane's private random source. A lane event may draw
+// only from its own lane's stream.
+func (s *Sharded) RandOf(lane int) *detrand.Rand {
+	s.checkLane("RandOf", lane)
+	return s.lanes[lane].eng.rng
+}
 
 // EventsRun reports events executed across every lane plus the global
 // queue.
@@ -238,11 +259,19 @@ func (s *Sharded) Pending() int {
 // lane events on worker goroutines.
 func (s *Sharded) Stop() { s.stopped.Store(true) }
 
-// checkParked panics when a scheduling entry point reserved for parked
-// contexts is invoked from inside a lane event.
+// checkParked panics when an entry point reserved for parked contexts
+// is invoked from inside a lane event (DESIGN.md "Lane discipline").
 func (s *Sharded) checkParked(what string) {
 	if s.running {
-		panic("sim: " + what + " called from a lane event; lane events may only ScheduleCross")
+		panic("sim: " + what + " called from a lane event, which may use only NowOf, RandOf and ScheduleCross with its own lane")
+	}
+}
+
+// checkLane panics when a lane event run inline addresses a lane other
+// than its own.
+func (s *Sharded) checkLane(what string, lane int) {
+	if x := s.exec; x != nil && x.id != lane {
+		panic(fmt.Sprintf("sim: %s addresses lane %d from a lane-%d event; a lane event may address only its own lane", what, lane, x.id))
 	}
 }
 
@@ -281,13 +310,22 @@ func (s *Sharded) EveryOn(lane int, period time.Duration, fn Event) Timer {
 // lane's queue with any delay; cross-lane calls append to the from→to
 // mailbox and must carry delay ≥ the lookahead given to SetLanes — the
 // event's instant then provably falls at or beyond the next barrier,
-// where the coordinator drains it into to's queue. fn must be non-nil.
+// where the coordinator drains it into to's queue. It panics on a nil fn
+// and on a cross-lane delay below the lookahead: such an event would
+// land behind its destination's clock and run late.
 // Like Schedule, an instant past the largest time.Duration saturates.
 // Every simulated cross-lane transmission enqueues here, so a warm
 // mailbox allocates nothing; TestMailboxEnqueueDrainZeroAllocs holds that.
 func (s *Sharded) ScheduleCross(from, to int, delay time.Duration, fn Event) {
+	if fn == nil {
+		panic("sim: ScheduleCross called with nil event")
+	}
+	s.checkLane("ScheduleCross", from)
 	if delay < 0 {
 		delay = 0
+	}
+	if from != to && delay < s.epoch {
+		panic(fmt.Sprintf("sim: ScheduleCross from lane %d to lane %d with delay %v, below the lookahead %v", from, to, delay, s.epoch))
 	}
 	l := s.lanes[from]
 	at := instantAfter(l.eng.now, delay)
@@ -379,8 +417,10 @@ func (s *Sharded) runSpan(limit, barrier time.Duration) {
 	s.running = true
 	if s.jobs == nil {
 		for _, l := range s.lanes {
+			s.exec = l
 			l.run(limit, barrier)
 		}
+		s.exec = nil
 	} else {
 		for w, ch := range s.jobs {
 			ch <- epochJob{lanes: s.assign[w], limit: limit, barrier: barrier, done: s.done}

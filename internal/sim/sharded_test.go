@@ -219,29 +219,64 @@ func TestShardedRunHorizonInclusive(t *testing.T) {
 	}
 }
 
-// Scheduling through the parked-only entry points from inside a lane
-// event is a bug in the caller; the engine must fail loudly, not corrupt
-// another lane's heap.
+// DESIGN.md's "Lane discipline" table, held at run time: each row makes
+// one call from a lane-0 event of a two-lane engine run by one worker,
+// where the engine knows the executing lane. A call the table forbids
+// must panic, naming itself; a legal one must not. A break of the
+// discipline is a bug in the caller, and the engine fails loudly instead
+// of reading another lane's clock mid-epoch or delivering a cross-lane
+// event late.
 func TestShardedScheduleFromLaneEventPanics(t *testing.T) {
-	s := NewSharded(1, 2)
-	s.SetLanes([]int{1, 1}, time.Millisecond)
-	panicked := make(chan any, 1)
-	s.ScheduleOn(0, time.Millisecond, func() {
-		defer func() { panicked <- recover() }()
-		s.Schedule(time.Millisecond, func() {})
-	})
-	// The worker panic propagates through the pool; contain the run.
-	func() {
-		defer func() { recover() }()
-		_ = s.Run(5 * time.Millisecond)
-	}()
-	select {
-	case v := <-panicked:
-		if v == nil {
-			t.Fatal("Schedule from a lane event did not panic")
-		}
-	default:
-		t.Fatal("lane event never ran")
+	const delta = time.Millisecond
+	noop := func() {}
+	for _, tc := range []struct {
+		name string
+		call func(s *Sharded)
+		want string // a substring of the panic; empty: must not panic
+	}{
+		{"Schedule", func(s *Sharded) { s.Schedule(delta, noop) }, "Schedule called from a lane event"},
+		{"Every", func(s *Sharded) { s.Every(delta, noop) }, "Every called from a lane event"},
+		{"Now", func(s *Sharded) { s.Now() }, "Now called from a lane event"},
+		{"Rand", func(s *Sharded) { s.Rand() }, "Rand called from a lane event"},
+		{"ScheduleOn(0)", func(s *Sharded) { s.ScheduleOn(0, delta, noop) }, "ScheduleOn called from a lane event"},
+		{"EveryOn(0)", func(s *Sharded) { s.EveryOn(0, delta, noop) }, "EveryOn called from a lane event"},
+		{"NowOf(1)", func(s *Sharded) { s.NowOf(1) }, "NowOf addresses lane 1 from a lane-0 event"},
+		{"RandOf(1)", func(s *Sharded) { s.RandOf(1) }, "RandOf addresses lane 1 from a lane-0 event"},
+		{"ScheduleCross(1,0,δ)", func(s *Sharded) { s.ScheduleCross(1, 0, delta, noop) }, "ScheduleCross addresses lane 1 from a lane-0 event"},
+		{"ScheduleCross(0,1,δ/2)", func(s *Sharded) { s.ScheduleCross(0, 1, delta/2, noop) }, "ScheduleCross from lane 0 to lane 1 with delay 500µs, below the lookahead 1ms"},
+		{"ScheduleCross(0,1,δ,nil)", func(s *Sharded) { s.ScheduleCross(0, 1, delta, nil) }, "ScheduleCross called with nil event"},
+		{"NowOf(0)", func(s *Sharded) { s.NowOf(0) }, ""},
+		{"RandOf(0)", func(s *Sharded) { s.RandOf(0) }, ""},
+		{"ScheduleCross(0,1,δ)", func(s *Sharded) { s.ScheduleCross(0, 1, delta, noop) }, ""},
+		{"ScheduleCross(0,0,0)", func(s *Sharded) { s.ScheduleCross(0, 0, 0, noop) }, ""},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			s := NewSharded(1, 1)
+			s.SetLanes([]int{1, 1}, delta)
+			ran := false
+			var got any
+			s.ScheduleOn(0, time.Millisecond, func() {
+				ran = true
+				defer func() { got = recover() }()
+				tc.call(s)
+			})
+			// Contain the run: a call the engine let through may leave a
+			// nil or misplaced event behind.
+			func() {
+				defer func() { recover() }()
+				_ = s.Run(5 * delta)
+			}()
+			switch {
+			case !ran:
+				t.Fatal("lane event never ran")
+			case tc.want == "" && got != nil:
+				t.Fatalf("panicked: %v", got)
+			case tc.want != "" && got == nil:
+				t.Fatalf("did not panic; want %q", tc.want)
+			case tc.want != "" && !strings.Contains(fmt.Sprint(got), tc.want):
+				t.Fatalf("panic %q does not name the call; want %q", got, tc.want)
+			}
+		})
 	}
 }
 
