@@ -123,27 +123,38 @@ bench-repo:
 # self-checked on every pull request. It fails unless each run's closing
 # JSON line reports "correct":true — and unless allocs_per_work, the one
 # benchmark number that is a count and not a timing, stays under a ceiling
-# on each. The simulated counts repeat to four digits on any machine:
-# sim-wide-seq 0.0374 (limit 0.045; 0.0443 while a MAP entry shared the
-# frame's INFO storage, 0.2304 before sends stopped boxing their payload),
-# sim-stream 0.0202 (limit 0.03; 0.0836 until the same change, 0.2599
-# before kept payloads were carved from chunks) and soak-sweep 1 971 per
-# seed (limit 2 300; 1 977 while netsim kept its hosts in a hash map,
+# on each; check takes the workload and then metric/limit pairs. The
+# simulated counts repeat to four digits on any machine: sim-wide-seq
+# 0.0371 (limit 0.045; 0.0374 while every receiver copied each payload
+# and the workload took a closure per broadcast, 0.0443 while a MAP entry
+# shared the frame's INFO storage, 0.2304 before sends stopped boxing
+# their payload), sim-stream 0.0187 (limit 0.03; 0.0202 until the same
+# change, 0.0836 until the MAP change, 0.2599 before kept payloads were
+# carved from chunks) and soak-sweep 1 900.5 per seed (limit 2 300; 1 971
+# until the same change, 1 977 while netsim kept its hosts in a hash map,
 # 3 270 before MAP entries kept their own storage and a settling seed
-# stopped writing reports). udp-loopback's moves in the
+# stopped writing reports).
+# sim-stream's bytes_per_work is gated too, because a simulated payload
+# is stored once, as the source's copy (core.SharedPayloads): 47.6 (limit
+# 60; 91.7 while every receiver kept a copy). udp-loopback's moves in the
 # second digit with the scheduler: 0.07 (limit 0.2; 0.45 while
 # DecodeEnvelope cloned every INFO a handler would keep, 3.92 before the
 # socket calls took addresses by value and Broadcast reused its
 # rendezvous).
 bench-repo-smoke:
 	@check() { \
-		line=$$($(GO) run ./benchmarks -workload $$1 -seed 1 -seconds 3 -trace 0 | tail -n 1); \
-		echo "$$line" | grep -q '"correct":true' || { echo "bench-repo-smoke: $$1 did not report correct: $$line"; exit 1; }; \
-		allocs=$$(echo "$$line" | sed -n 's/.*"allocs_per_work":{"value":\([0-9.e+-]*\).*/\1/p'); \
-		echo "bench-repo-smoke: $$1 correct, allocs_per_work $$allocs (limit $$2)"; \
-		awk -v a="$$allocs" -v limit="$$2" 'BEGIN { exit !(a != "" && a + 0 <= limit + 0) }' || { echo "bench-repo-smoke: $$1 allocs_per_work over the limit"; exit 1; }; \
+		w=$$1; shift; \
+		line=$$($(GO) run ./benchmarks -workload $$w -seed 1 -seconds 3 -trace 0 | tail -n 1); \
+		echo "$$line" | grep -q '"correct":true' || { echo "bench-repo-smoke: $$w did not report correct: $$line"; exit 1; }; \
+		while [ $$# -gt 0 ]; do \
+			v=$$(echo "$$line" | sed -n "s/.*\"$$1\":{\"value\":\([0-9.e+-]*\).*/\1/p"); \
+			echo "bench-repo-smoke: $$w correct, $$1 $$v (limit $$2)"; \
+			awk -v a="$$v" -v limit="$$2" 'BEGIN { exit !(a != "" && a + 0 <= limit + 0) }' || { echo "bench-repo-smoke: $$w $$1 over the limit"; exit 1; }; \
+			shift 2; \
+		done; \
 	}; \
-	check sim-wide-seq 0.045 && check sim-stream 0.03 && check udp-loopback 0.2 && check soak-sweep 2300
+	check sim-wide-seq allocs_per_work 0.045 && check sim-stream allocs_per_work 0.03 bytes_per_work 60 && \
+		check udp-loopback allocs_per_work 0.2 && check soak-sweep allocs_per_work 2300
 
 # bench-ab is the paired measurement a performance claim rests on
 # (README "Performance"): ./benchmarks built once at BASE and once from the

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"runtime"
 	"testing"
 
 	"rbcast/internal/seqset"
@@ -83,5 +84,58 @@ func TestDataAcceptAllocs(t *testing.T) {
 	}
 	if got > 8 {
 		t.Errorf("1000 accepted 64-byte data messages allocate %v times, want at most 8", got)
+	}
+}
+
+// sharingNopEnv is nopEnv declaring SharedPayloads.
+type sharingNopEnv struct{ nopEnv }
+
+func (sharingNopEnv) SharedPayloads() {}
+
+// TestSharedPayloadsAllocateNoPayloadBytes: on a warm host whose Env
+// declares SharedPayloads, a thousand accepted 256-byte data messages are
+// stored as they arrive, so they cost no payload bytes; a host on a plain
+// Env copies each, at least 256 000 bytes more. The store's ring is sized
+// beforehand, so neither host grows it in the measured stretch.
+func TestSharedPayloadsAllocateNoPayloadBytes(t *testing.T) {
+	const size, n = 256, 1000
+	arena := make([]byte, 2*n*size)
+	bytesFor := func(env Env) uint64 {
+		h, err := NewHost(Config{ID: 2, Source: 1, Peers: []HostID{1, 2, 3}, Params: DefaultParams()}, env)
+		if err != nil {
+			t.Fatal(err)
+		}
+		h.Start(0)
+		h.parent = h.lookup(1)
+		accept := func(seq seqset.Seq) {
+			off := int(seq-1) % (2 * n) * size
+			h.HandleMessage(0, 1, false, Message{Kind: MsgData, Seq: seq, Payload: arena[off : off+size]})
+		}
+		// The warm-up ends a copying host's chunk exactly — 127 payloads
+		// fill the doubling chunks, 128 each 32 KiB one after — and grows
+		// the store's ring to 4 096 slots, which hold warm+n.
+		const warm = 127 + 17*128
+		for seq := seqset.Seq(1); seq <= warm; seq++ {
+			accept(seq)
+		}
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		for seq := seqset.Seq(warm + 1); seq <= warm+n; seq++ {
+			accept(seq)
+		}
+		runtime.ReadMemStats(&after)
+		if h.store.Len() != warm+n {
+			t.Fatalf("store holds %d payloads after %d data messages from the parent", h.store.Len(), warm+n)
+		}
+		return after.TotalAlloc - before.TotalAlloc
+	}
+	shared := bytesFor(sharingNopEnv{})
+	copied := bytesFor(nopEnv{})
+	if shared >= size {
+		t.Errorf("%d accepted %d-byte messages on a sharing host allocate %d bytes, want less than one payload", n, size, shared)
+	}
+	if copied < shared+n*size {
+		t.Errorf("%d accepted %d-byte messages allocate %d bytes on a copying host, %d on a sharing one: want at least %d more",
+			n, size, copied, shared, n*size)
 	}
 }

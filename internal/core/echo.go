@@ -303,7 +303,7 @@ func (h *Host) handleDataEcho(now time.Duration, from *peer, m Message) {
 	if first || (certified && st.digest != d) {
 		// A replaced payload is dropped, not overwritten: kept bytes are
 		// never rewritten in place.
-		st.payload = h.keep(m.Payload)
+		st.payload = h.keepIn(m.Payload)
 		st.digest = d
 		st.havePayload = true
 	}

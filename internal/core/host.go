@@ -118,8 +118,9 @@ type Host struct {
 
 	// syncOn and snapsOn are Params.SyncEnabled() and SnapshotsEnabled(),
 	// asked once: the methods take the 200-byte Params by value, and Tick
-	// asks on every call.
-	syncOn, snapsOn bool
+	// asks on every call. shared says the Env implements SharedPayloads
+	// (keepIn).
+	syncOn, snapsOn, shared bool
 }
 
 type attachState struct {
@@ -170,6 +171,7 @@ func NewHost(cfg Config, env Env) (*Host, error) {
 		syncOn:     cfg.Params.SyncEnabled(),
 		snapsOn:    cfg.Params.SnapshotsEnabled(),
 	}
+	_, h.shared = env.(SharedPayloads)
 	h.sets = h.setsInline[:]
 	if w := (len(peers) + 63) / 64; w > 1 {
 		h.sets = make([]uint64, 2*w)
@@ -521,7 +523,7 @@ func (h *Host) handleData(now time.Duration, from *peer, m Message) {
 		return
 	}
 	h.info.Add(m.Seq)
-	stored := h.keep(m.Payload)
+	stored := h.keepIn(m.Payload)
 	h.store.Put(m.Seq, stored)
 	h.env.Deliver(m.Seq, stored)
 	h.event(now, EvAccepted, from.id, m.Seq)
@@ -564,6 +566,18 @@ func (h *Host) keep(p []byte) []byte {
 	h.chunk = h.chunk[n:]
 	copy(stored, p)
 	return stored
+}
+
+// keepIn is keep for a payload that arrived in a message. When the Env
+// implements SharedPayloads the arriving bytes are never written again,
+// so they are kept as they are, capacity cut to length; the chunk they
+// lie in is the sender's, and lives until every store holding a slice of
+// it has released that slice.
+func (h *Host) keepIn(p []byte) []byte {
+	if h.shared {
+		return p[:len(p):len(p)]
+	}
+	return h.keep(p)
 }
 
 // forwardData relays a data payload to everyone but from (nil at the

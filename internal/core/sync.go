@@ -581,7 +581,7 @@ func (h *Host) acceptSyncData(now time.Duration, from *peer, seq seqset.Seq, pay
 		return
 	}
 	h.info.Add(seq)
-	stored := h.keep(payload)
+	stored := h.keepIn(payload)
 	h.store.Put(seq, stored)
 	h.env.Deliver(seq, stored)
 	h.event(now, EvAccepted, from.id, seq)

@@ -295,8 +295,22 @@ type Env interface {
 	// delivery. payload is the host's stored copy: it is never written
 	// again and must not be written by the application. It is carved from
 	// a chunk of up to 32 KiB that other stored payloads share (Host.keep),
-	// so an application that retains it keeps that whole chunk alive.
+	// so an application that retains it keeps that whole chunk alive. On a
+	// host whose Env implements SharedPayloads it is the received slice
+	// itself, and the chunk it lies in is the sender's.
 	Deliver(seq seqset.Seq, payload []byte)
+}
+
+// SharedPayloads is the optional Env extension for runtimes whose
+// received payloads are already immutable: an Env implementing it
+// promises that the payload bytes of every message it hands to
+// HandleMessage are never written again, by anyone. The host discovers it
+// by type assertion in NewHost and then stores each accepted inbound
+// payload as the slice it arrived in, instead of copying it (Host.keep).
+// Broadcast still copies, since its caller may reuse the buffer. An Env
+// whose payloads sit in a buffer its decoder reuses must not implement it.
+type SharedPayloads interface {
+	SharedPayloads()
 }
 
 // Snapshotter is the optional Env extension behind checkpointed state

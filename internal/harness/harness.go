@@ -198,11 +198,14 @@ type Runtime struct {
 	// register the new sequence number in sent, and record must not
 	// mistake that self-delivery for an adversary-fabricated frame.
 	// selfDelivered is the payload of that self-delivery — the source's
-	// stored copy, which nothing mutates afterwards. Broadcast is only
-	// ever invoked from parked contexts (the global queue or test code
-	// between runs), so no lane event can observe either mid-flight.
+	// stored copy, which nothing mutates afterwards — and selfDigest its
+	// digest, which broadcast registers instead of hashing the caller's
+	// identical bytes again. Broadcast is only ever invoked from parked
+	// contexts (the global queue or test code between runs), so no lane
+	// event can observe any of them mid-flight.
 	broadcasting  bool
 	selfDelivered []byte
+	selfDigest    uint64
 	// tap, when set, sees every Deliver (coverage false) and every
 	// snapshot install (coverage true, seq the watermark) before the
 	// recorder does. Tests feed a reference recorder from it.
@@ -593,6 +596,13 @@ func (e treeEnv) Send(to core.HostID, m core.Message) {
 	}
 }
 
+// SharedPayloads implements core.SharedPayloads: a payload a host
+// receives is another host's kept slice, carried by value through
+// netsim.SendValue, or an adversary's rewrite, a fresh allocation; nothing
+// writes either again. So a simulated message is stored once, as the
+// source's copy, and every other host's store aliases it.
+func (treeEnv) SharedPayloads() {}
+
 func (e treeEnv) Deliver(seq seqset.Seq, payload []byte) {
 	e.rt.record(e.lane, e.slot, seq, payload)
 	if st := e.rt.Replicas[e.id]; st != nil {
@@ -800,22 +810,27 @@ func (rt *Runtime) tickLoop(lane int, interval time.Duration, tick func(time.Dur
 	rt.Engine.EveryOn(lane, interval, func() { tick(rt.Engine.NowOf(lane)) })
 }
 
+// scheduleWorkload schedules the scenario's broadcasts: one event per
+// message, all running the same function, which takes the message index
+// from a counter. The instants never decrease with the index and ties go
+// to the earlier Schedule call, so the events fire in index order.
 func (rt *Runtime) scheduleWorkload() {
 	s := rt.scenario
 	fixed := make([]byte, s.PayloadSize)
 	for i := range fixed {
 		fixed[i] = byte(i)
 	}
+	next := 0
+	fire := func() {
+		payload := fixed
+		if s.PayloadFor != nil {
+			payload = s.PayloadFor(next)
+		}
+		next++
+		rt.broadcast(payload)
+	}
 	for i := 0; i < s.Messages; i++ {
-		i := i
-		at := s.WarmUp + time.Duration(i)*s.MsgInterval
-		rt.Engine.Schedule(at, func() {
-			payload := fixed
-			if s.PayloadFor != nil {
-				payload = s.PayloadFor(i)
-			}
-			rt.broadcast(payload)
-		})
+		rt.Engine.Schedule(s.WarmUp+time.Duration(i)*s.MsgInterval, fire)
 	}
 }
 
@@ -835,16 +850,21 @@ func (rt *Runtime) broadcast(payload []byte) {
 		seq = rt.BasicSource.Broadcast(now, payload)
 	}
 	rt.broadcasting = false
-	rt.sent.Put(seq, broadcastRec{at: now, digest: core.PayloadDigest(payload), payload: rt.selfDelivered})
+	digest := rt.selfDigest
+	if rt.selfDelivered == nil {
+		digest = core.PayloadDigest(payload)
+	}
+	rt.sent.Put(seq, broadcastRec{at: now, digest: digest, payload: rt.selfDelivered})
 }
 
 // record notes host (lane, slot)'s delivery of seq: an index into the
 // host's window and into sent, and — for the expected case of a payload
 // that is byte-for-byte the broadcast one — no hashing: equal bytes have
-// the broadcast's digest. Anything else (an altered payload, a sequence
-// number nobody broadcast, the source's self-delivery ahead of its
-// registration) is hashed, so every stored digest is the FNV of the
-// bytes delivered.
+// the broadcast's digest. On a tree host the two are one slice
+// (SharedPayloads), which the runtime's comparison recognises by address.
+// Anything else (an altered payload, a sequence number nobody broadcast,
+// the source's self-delivery ahead of its registration) is hashed, so
+// every stored digest is the FNV of the bytes delivered.
 func (rt *Runtime) record(lane, slot int, seq seqset.Seq, payload []byte) {
 	a := &rt.acc[lane]
 	if rt.tap != nil {
@@ -873,7 +893,7 @@ func (rt *Runtime) record(lane, slot int, seq seqset.Seq, payload []byte) {
 		// Source self-delivery inside its own Broadcast call: the caller
 		// registers the sequence number right after it returns. Count the
 		// delivery; there is no meaningful delay sample (sent == now).
-		rt.selfDelivered = payload
+		rt.selfDelivered, rt.selfDigest = payload, rec.digest
 		a.deliveredCount++
 		a.lastDelivery = max(a.lastDelivery, now)
 		return
