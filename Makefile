@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all build vet fmt-check lint test race exp-check check soak soak-byzantine soak-catchup soak-smoke-race fuzz fuzz-smoke bench-smoke bench-repo bench-repo-smoke bench-ab clean
+.PHONY: all build vet fmt-check test race exp-check check mutate soak soak-byzantine soak-catchup soak-smoke-race fuzz fuzz-smoke bench-smoke bench-repo bench-repo-smoke bench-ab clean
 
 all: check
 
@@ -14,20 +14,11 @@ vet:
 fmt-check:
 	@out=$$(gofmt -l .); [ -z "$$out" ] || { echo "gofmt -l:"; echo "$$out"; exit 1; }
 
-# lint is the analyzer sweep `go test ./...` already runs, by name: the
-# protocol-aware suite (analysis.Analyzers()) over every package of the
-# module, one subtest per package directory; see
-# internal/analysis/README.md. Any finding fails it.
-lint:
-	$(GO) test -count=1 -run '^TestTreeIsClean$$' ./internal/analysis
-
 test:
 	$(GO) test ./...
 
 # race is the whole suite under the race detector, and it is the
-# shared-state check: no analyzer models locks across calls (only
-# locklint's no-blocking-under-a-mutex rule is static). CI runs it at
-# GOMAXPROCS 1 and 4. The tests that drive each of the six mutexes
+# shared-state check. CI runs it at GOMAXPROCS 1 and 4. The tests that drive each of the six mutexes
 # concurrently: live.Transport.mu and the live recorder's mu
 # (TestLiveBroadcast*, TestLivePartitionHeals), udp.Node.mu
 # (TestUDPGroupSurvivesBurst), trace.Buffer.mu (TestConcurrentAdds),
@@ -38,7 +29,9 @@ test:
 # is checked by the engine as it runs, with one worker, where it knows the
 # executing lane: TestShardedScheduleFromLaneEventPanics holds every row of
 # DESIGN.md's "Lane discipline" table, and the shard-count suites run
-# every lane path at one worker too.
+# every lane path at one worker too. What -race cannot see, a callback
+# that waits on a lock its caller holds, is held by the OnDeliver
+# re-entrancy tests of udp, live and node (TestOnDeliverMayRead*).
 race:
 	$(GO) test -race ./...
 
@@ -53,11 +46,20 @@ exp-check:
 
 # check is the gate for every change: compile everything, lint with
 # gofmt and vet, and run the full suite under the race detector — which
-# holds the analyzer sweep (TestTreeIsClean), the experiment capture
-# (TestAllExperimentsHold) and the soak traces (TestGoldenTraces). It does
+# holds the experiment capture (TestAllExperimentsHold), the soak traces
+# (TestGoldenTraces) and the tests that took over from the static
+# analyzers (README "Contracts held by tests"). It does
 # not run benchmarks: a perf claim is measured with `go run ./benchmarks`
 # on the parent and on the change (`-compare a.json b.json`).
 check: build vet fmt-check race
+
+# mutate runs the mutant catalogue (scripts/mutants.tsv) against HEAD's
+# tree: each mutant's edits in an exported copy, the tests the catalogue
+# names for it, killed or survived per mutant. It fails on a survivor, and
+# on an edit whose anchor no longer matches. The script takes a revision
+# and an id regex, e.g. sh scripts/mutate.sh HEAD '^(K1|K2)$'.
+mutate:
+	sh scripts/mutate.sh
 
 # soak runs a quick randomized sweep of every scenario class (the
 # partition-trap class is excluded: it fails by design).

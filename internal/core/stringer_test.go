@@ -1,46 +1,37 @@
 package core_test
 
 import (
+	"strconv"
 	"strings"
 	"testing"
 
 	"rbcast/internal/core"
 )
 
+// TestMsgKindStrings: every kind from MsgData up to NumMsgKinds has its
+// own name, and anything outside that range renders its number.
 func TestMsgKindStrings(t *testing.T) {
-	cases := map[core.MsgKind]string{
-		core.MsgData:         "data",
-		core.MsgInfo:         "info",
-		core.MsgAttachReq:    "attach-req",
-		core.MsgAttachAccept: "attach-accept",
-		core.MsgAttachReject: "attach-reject",
-		core.MsgDetach:       "detach",
-		core.MsgBundle:       "bundle",
-		core.MsgInfoDelta:    "info-delta",
-		core.MsgEcho:         "echo",
-		core.MsgReady:        "ready",
+	want := []string{"data", "info", "attach-req", "attach-accept", "attach-reject", "detach",
+		"bundle", "info-delta", "echo", "ready", "sync-req", "sync-resp", "snap-req", "snap-chunk"}
+	if n := int(core.NumMsgKinds - core.MsgData); n != len(want) {
+		t.Fatalf("%d message kinds, %d names here", n, len(want))
 	}
-	for k, want := range cases {
-		if got := k.String(); got != want {
-			t.Errorf("%d.String() = %q, want %q", k, got, want)
+	for k := core.MsgData; k < core.NumMsgKinds; k++ {
+		if got := k.String(); got != want[k-core.MsgData] {
+			t.Errorf("%d.String() = %q, want %q", k, got, want[k-core.MsgData])
 		}
 	}
-	if got := core.MsgKind(99).String(); !strings.Contains(got, "99") {
-		t.Errorf("unknown kind renders %q", got)
+	for _, k := range []core.MsgKind{0, core.NumMsgKinds, 99} {
+		if got := k.String(); !strings.Contains(got, strconv.Itoa(int(k))) {
+			t.Errorf("unknown kind %d renders %q", k, got)
+		}
 	}
 }
 
 func TestIsControl(t *testing.T) {
-	if core.MsgData.IsControl() {
-		t.Error("data classified as control")
-	}
-	for _, k := range []core.MsgKind{
-		core.MsgInfo, core.MsgAttachReq, core.MsgAttachAccept,
-		core.MsgAttachReject, core.MsgDetach, core.MsgBundle,
-		core.MsgInfoDelta, core.MsgEcho, core.MsgReady,
-	} {
-		if !k.IsControl() {
-			t.Errorf("%v not classified as control", k)
+	for k := core.MsgData; k < core.NumMsgKinds; k++ {
+		if got, want := k.IsControl(), k != core.MsgData; got != want {
+			t.Errorf("%v.IsControl() = %v", k, got)
 		}
 	}
 }

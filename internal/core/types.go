@@ -102,6 +102,10 @@ const (
 	// snapshot length, and Info the single interval [1, mark] the
 	// snapshot covers.
 	MsgSnapChunk
+
+	// NumMsgKinds is one past the last kind: the kinds are exactly
+	// MsgData ≤ k < NumMsgKinds. It is not a kind of its own.
+	NumMsgKinds
 )
 
 // String implements fmt.Stringer.

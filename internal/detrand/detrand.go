@@ -1,11 +1,12 @@
 // Package detrand is the repository's single gateway to seeded
 // pseudo-randomness for deterministic code.
 //
-// The deterministic packages (core, sim, soak, seqset, wire — see
-// internal/analysis.DetPackages) must not import math/rand directly:
-// the top-level functions there draw from a process-global source, and
-// even a benign import leaves that one refactor away. detlint enforces
-// the ban; this package is the sanctioned alternative.
+// The deterministic packages (adversary, core, sim, soak, seqset, wire)
+// must not import math/rand directly: the top-level functions there draw
+// from a process-global source, and even a benign import leaves that one
+// refactor away. This package is the sanctioned alternative, and
+// TestDeterministicPackagesReadNoClockOrGlobalRand holds the ban, along
+// with the one on wall-clock reads, by scanning their sources.
 //
 // The generator is stream-identical to math/rand with a rand.NewSource
 // seed: Rand is a type alias for rand.Rand, and New(seed) produces

@@ -529,7 +529,7 @@ type SendKind int
 const (
 	KindOther   SendKind = 0
 	KindData             = SendKind(core.MsgData)
-	KindGapFill          = SendKind(core.MsgSnapChunk) + 1
+	KindGapFill          = SendKind(core.NumMsgKinds)
 	KindAck              = KindGapFill + 1
 
 	numSendKinds = int(KindAck) + 1
@@ -561,7 +561,7 @@ func classify(payload any) SendKind {
 		switch {
 		case m.Kind == core.MsgData && m.GapFill:
 			return KindGapFill
-		case m.Kind >= core.MsgData && m.Kind <= core.MsgSnapChunk:
+		case m.Kind >= core.MsgData && m.Kind < core.NumMsgKinds:
 			return SendKind(m.Kind)
 		}
 	case *basic.Message:

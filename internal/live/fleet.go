@@ -31,7 +31,11 @@ type FleetConfig struct {
 	Seed int64
 	// OnDeliver, if set, observes every application delivery. payload is
 	// the host's stored copy (node.Config.OnDeliver): read-only, and
-	// retaining it keeps up to 32 KiB of its neighbours alive.
+	// retaining it keeps up to 32 KiB of its neighbours alive. It runs on
+	// the delivering host's node goroutine: calling that host's Broadcast
+	// or Inspect from it, or waiting on either, blocks the host until
+	// Stop. Reading Delivered, DuplicateDeliveries and NodeStats is safe
+	// (TestOnDeliverMayReadItsFleet).
 	OnDeliver func(host core.HostID, stream core.HostID, seq seqset.Seq, payload []byte)
 }
 
@@ -327,7 +331,6 @@ func (r *recorder) wait(pred func() bool, timeout time.Duration) bool {
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	for {
-		//rblint:ignore locklint condition-variable predicate: contract requires pred to be lock-safe, and cond.Wait releases mu between checks
 		if pred() {
 			return true
 		}

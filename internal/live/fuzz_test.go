@@ -13,9 +13,10 @@ import (
 // FuzzDecodeEnvelope drives the host driver's stream-prefixed envelope
 // decoder (internal/node) with arbitrary bytes — what Transport.Send
 // accepts from any caller and hands to a node. The corpus seeds with
-// well-formed envelopes of every message kind plus the short-prefix
-// edge cases. The decoder must never panic; whatever it accepts must
-// round-trip through node.EncodeEnvelope. Every input also goes through
+// well-formed envelopes of every message kind — setup fails if a kind
+// up to core.NumMsgKinds has none — plus the short-prefix edge cases.
+// The decoder must never panic; whatever it accepts must round-trip
+// through node.EncodeEnvelope. Every input also goes through
 // one wire.Decoder reused across all invocations, as a driver's receive
 // loop does: node.DecodeEnvelope on it must agree with the one-shot
 // wire.Decode of the frame bytes on accept/reject and on every field,
@@ -39,6 +40,7 @@ func FuzzDecodeEnvelope(f *testing.F) {
 		}}}},
 		{2, wire.Frame{From: 5, Message: core.Message{Kind: core.MsgAttachAccept, Info: seqset.FromRange(1, 12)}}},
 		{2, wire.Frame{From: 6, Message: core.Message{Kind: core.MsgAttachReject}}},
+		{2, wire.Frame{From: 6, Message: core.Message{Kind: core.MsgDetach}}},
 		{3, wire.Frame{From: 7, Message: core.Message{Kind: core.MsgInfoDelta,
 			Info: seqset.FromSlice([]seqset.Seq{6, 7, 10}), Parent: 1, Seq: 10, CheckLen: 8}}},
 		{3, wire.Frame{From: 8, Message: core.Message{Kind: core.MsgEcho, Seq: 4, CheckLen: 0xdecafbad}}},
@@ -71,12 +73,19 @@ func FuzzDecodeEnvelope(f *testing.F) {
 		{6, wire.Frame{From: 16, Message: core.Message{Kind: core.MsgSnapChunk, Seq: 1024,
 			Payload: []byte("chunk"), CheckLen: 4096, Info: seqset.FromRange(1, 6)}}},
 	}
+	var seeded [core.NumMsgKinds]bool
 	for _, s := range seeds {
 		env, err := node.EncodeEnvelope(s.stream, s.frame)
 		if err != nil {
 			f.Fatalf("seed encode: %v", err)
 		}
 		f.Add([]byte(*env))
+		seeded[s.frame.Message.Kind] = true
+	}
+	for k := core.MsgData; k < core.NumMsgKinds; k++ {
+		if !seeded[k] {
+			f.Fatalf("no seed envelope of kind %v", k)
+		}
 	}
 	// The framing edge: empty, shorter than the 4-byte stream prefix,
 	// exactly the prefix, and a prefix followed by garbage.

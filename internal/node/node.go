@@ -108,7 +108,9 @@ type Config struct {
 	// goroutine; may be nil. payload is the host's stored copy and shares
 	// an allocation of up to 32 KiB with its neighbours (core.Env.Deliver):
 	// read it freely, never write it, and copy it if it is to be kept for
-	// long.
+	// long. The node waits for it: calling Broadcast or Inspect from it,
+	// or waiting on either, blocks the node until Stop. Reading Stats is
+	// safe (TestOnDeliverMayReadItsDriver).
 	OnDeliver func(stream core.HostID, seq seqset.Seq, payload []byte)
 }
 

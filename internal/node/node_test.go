@@ -37,12 +37,8 @@ type discardEnv struct{}
 func (discardEnv) Send(core.HostID, core.Message) {}
 func (discardEnv) Deliver(seqset.Seq, []byte)     {}
 
-var allKinds = []core.MsgKind{
-	core.MsgData, core.MsgInfo, core.MsgAttachReq, core.MsgAttachAccept,
-	core.MsgAttachReject, core.MsgDetach, core.MsgBundle, core.MsgInfoDelta,
-	core.MsgEcho, core.MsgReady, core.MsgSyncReq, core.MsgSyncResp,
-	core.MsgSnapReq, core.MsgSnapChunk,
-}
+// numKinds counts the message kinds, MsgData up to NumMsgKinds.
+const numKinds = int(core.NumMsgKinds - core.MsgData)
 
 // randomMessage fills every field the wire carries for the kind, with a
 // non-empty multi-run Info and a non-empty Payload.
@@ -110,7 +106,7 @@ func TestReusedDecoderMatchesFreshDecode(t *testing.T) {
 		}
 		frame := wire.Frame{
 			From:    peers[1+rng.Intn(len(peers)-1)],
-			Message: randomMessage(rng, allKinds[rng.Intn(len(allKinds))], peers),
+			Message: randomMessage(rng, core.MsgData+core.MsgKind(rng.Intn(numKinds)), peers),
 		}
 		env, err := EncodeEnvelope(source, frame)
 		if err != nil {

@@ -8,9 +8,9 @@ import (
 )
 
 // Two harness runs of the same seed must produce bit-identical event
-// traces — the property detlint exists to protect (no wall clock, no
-// global randomness, no order-sensitive map iteration in the
-// deterministic packages). A diverging trace here means seeded replay
+// traces — the property the deterministic packages keep by reading no
+// wall clock and no global randomness (detrand's source scan holds both)
+// and by iterating no map where order shows. A diverging trace here means seeded replay
 // and shrinking are silently broken even if per-seed pass/fail agrees.
 func TestSameSeedIdenticalEventTrace(t *testing.T) {
 	checkSameSeedTrace(t, false)

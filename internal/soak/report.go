@@ -55,7 +55,7 @@ func (s *Summary) Table() string {
 	return t.String()
 }
 
-// WriteCSV emits one row per seed, ready for external analysis. The
+// WriteCSV emits one row per seed, ready for external tools. The
 // byte stream is deterministic for a given class and seed range.
 func (s *Summary) WriteCSV(w io.Writer) error {
 	cw := csv.NewWriter(w)

@@ -141,7 +141,6 @@ func Run(cfg Config) (*Summary, error) {
 	}
 	// Per-seed results stay pure functions of the seed; the wall clock only
 	// decides how many seeds this run dispatches (Config.Budget).
-	//rblint:ignore detlint wall-clock Budget cutoff; never feeds per-seed results
 	start := time.Now()
 	seedCh := make(chan int64)
 	// results is indexed by seed offset: distinct workers write distinct
@@ -163,7 +162,6 @@ func Run(cfg Config) (*Summary, error) {
 				}
 				if cfg.Progress != nil {
 					progressMu.Lock()
-					//rblint:ignore locklint progressMu exists solely to serialize this callback; nothing else contends for it
 					cfg.Progress(int(done.Value()), int(failed.Value()))
 					progressMu.Unlock()
 				}
@@ -171,7 +169,6 @@ func Run(cfg Config) (*Summary, error) {
 		}()
 	}
 	for i := 0; i < cfg.Seeds; i++ {
-		//rblint:ignore detlint wall-clock Budget cutoff; affects how many seeds run, not any seed's result
 		if cfg.Budget > 0 && time.Since(start) > cfg.Budget {
 			break
 		}
@@ -185,8 +182,7 @@ func Run(cfg Config) (*Summary, error) {
 		SeedStart: cfg.SeedStart,
 		Requested: cfg.Seeds,
 		Workers:   cfg.Workers,
-		//rblint:ignore detlint Elapsed is wall-clock reporting for the operator, not part of any seed's result
-		Elapsed: time.Since(start),
+		Elapsed:   time.Since(start),
 	}
 	for _, r := range results {
 		if r != nil {

@@ -199,6 +199,30 @@ func TestSpecStable(t *testing.T) {
 	}
 }
 
+// TestScenarioEventsFollowSteps: Scenario turns a spec's steps into
+// harness events in step order. Events of one instant run in the order
+// they were scheduled, so steps taken in any other order — a map's, say —
+// would let one seed replay two ways whenever two steps coincide.
+func TestScenarioEventsFollowSteps(t *testing.T) {
+	sp := NewSpec(ClassMixed, 1)
+	sp.Steps = nil
+	for i := 0; i < 32; i++ {
+		sp.Steps = append(sp.Steps, Step{AtMS: int64(1000 + i), Kind: StepCutWAN, Index: i})
+	}
+	sc, err := sp.Scenario()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(sc.Events) != len(sp.Steps) {
+		t.Fatalf("%d events for %d steps", len(sc.Events), len(sp.Steps))
+	}
+	for i, ev := range sc.Events {
+		if want := time.Duration(sp.Steps[i].AtMS) * time.Millisecond; ev.At != want {
+			t.Fatalf("event %d is at %v; step %d is at %v", i, ev.At, i, want)
+		}
+	}
+}
+
 // TestTrapSpecShape: every trap spec plants a permanent partition and
 // declares itself disconnected.
 func TestTrapSpecShape(t *testing.T) {

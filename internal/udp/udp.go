@@ -60,7 +60,11 @@ type NodeConfig struct {
 	Conn *net.UDPConn
 	// OnDeliver observes application deliveries; may be nil. payload is
 	// the host's stored copy (node.Config.OnDeliver): read-only, and
-	// retaining it keeps up to 32 KiB of its neighbours alive.
+	// retaining it keeps up to 32 KiB of its neighbours alive. It runs on
+	// the node goroutine: calling the node's Broadcast or Inspect from it,
+	// or waiting on either, blocks the node until Stop. Reading HasAll,
+	// Delivered, Stats and InboxDrops is safe
+	// (TestOnDeliverMayReadItsNode).
 	OnDeliver func(seq seqset.Seq, payload []byte)
 }
 

@@ -86,9 +86,9 @@ type Frame struct {
 }
 
 // knownKind enumerates the message kinds the codec handles, one arm per
-// kind. Both Encode and Decode gate on it, so adding a core.MsgKind
-// without extending the codec fails wirelint here rather than silently
-// dropping frames of the new kind.
+// kind. Both Encode and Decode gate on it, so a core.MsgKind added
+// without extending the codec fails TestKindCorpusCoversEveryKind rather
+// than silently dropping frames of the new kind.
 func knownKind(k core.MsgKind) bool {
 	switch k {
 	case core.MsgData, core.MsgInfo, core.MsgAttachReq, core.MsgAttachAccept,

@@ -229,12 +229,12 @@ func BenchmarkDecodeInfo(b *testing.B) {
 	}
 }
 
-// kindCorpus is one frame of every message kind. wirelint reads the
-// kinds it names through BenchmarkCodecKinds' call: a kind missing here
-// has no regression tripwire for its codec cost, and `make lint` says
-// so. The allocation pins (TestAppendEncodeZeroAllocs,
-// TestEncodedSizeZeroAllocs, TestDecoderZeroAllocs) take it as input,
-// so every kind has one.
+// kindCorpus is one frame of every message kind, in kind order;
+// TestKindCorpusCoversEveryKind holds it to exactly that. The allocation
+// pins (TestAppendEncodeZeroAllocs, TestEncodedSizeZeroAllocs,
+// TestDecoderZeroAllocs), TestDecodeHostileFrames, FuzzDecode's seeds and
+// BenchmarkCodecKinds take it as input, so a new kind gets all of them
+// by being added here.
 func kindCorpus() []wire.Frame {
 	info := seqset.FromRange(1, 64)
 	info.AddRange(70, 90)
@@ -261,6 +261,25 @@ func kindCorpus() []wire.Frame {
 		{From: 3, Message: core.Message{Kind: core.MsgSnapReq, Seq: 4096, CheckLen: 64}},
 		{From: 2, Message: core.Message{Kind: core.MsgSnapChunk, Seq: 4096,
 			Payload: make([]byte, 256), CheckLen: 8192, Info: seqset.FromRange(1, 64)}},
+	}
+}
+
+// TestKindCorpusCoversEveryKind: kindCorpus holds one frame of each kind
+// from MsgData up to core.NumMsgKinds, in order, and each round-trips
+// through Encode and Decode. A kind added to core without a frame here
+// fails this test, and with it every test the corpus feeds.
+func TestKindCorpusCoversEveryKind(t *testing.T) {
+	frames := kindCorpus()
+	if n := int(core.NumMsgKinds - core.MsgData); len(frames) != n {
+		t.Errorf("kindCorpus has %d frames for %d message kinds", len(frames), n)
+	}
+	for i, f := range frames {
+		if want := core.MsgData + core.MsgKind(i); f.Message.Kind != want {
+			t.Fatalf("kindCorpus()[%d] is a %v frame, want %v", i, f.Message.Kind, want)
+		}
+		if got := roundTrip(t, f); !framesEqual(got, f) {
+			t.Errorf("%v frame round trip diverged:\n%+v\nvs\n%+v", f.Message.Kind, got, f)
+		}
 	}
 }
 
