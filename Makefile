@@ -130,19 +130,27 @@ bench-repo:
 # 0.0371 (limit 0.045; 0.0374 while every receiver copied each payload
 # and the workload took a closure per broadcast, 0.0443 while a MAP entry
 # shared the frame's INFO storage, 0.2304 before sends stopped boxing
-# their payload), sim-stream 0.0187 (limit 0.03; 0.0202 until the same
-# change, 0.0836 until the MAP change, 0.2599 before kept payloads were
-# carved from chunks) and soak-sweep 1 900.5 per seed (limit 2 300; 1 971
-# until the same change, 1 977 while netsim kept its hosts in a hash map,
-# 3 270 before MAP entries kept their own storage and a settling seed
-# stopped writing reports).
-# sim-stream's bytes_per_work is gated too, because a simulated payload
-# is stored once, as the source's copy (core.SharedPayloads): 47.6 (limit
-# 60; 91.7 while every receiver kept a copy). udp-loopback's moves in the
-# second digit with the scheduler: 0.07 (limit 0.2; 0.45 while
-# DecodeEnvelope cloned every INFO a handler would keep, 3.92 before the
-# socket calls took addresses by value and Broadcast reused its
-# rendezvous).
+# their payload), sim-stream 0.0036 (limit 0.03; 0.0187 while every INFO
+# frame carried a Snapshot that the sender's next Add copied, 0.0202
+# until the 0.0374 change, 0.0836 until the MAP change, 0.2599 before
+# kept payloads were carved from chunks) and soak-sweep 1 215.7 per seed
+# (limit 1 350; 1 900.5 while frames carried a Snapshot of INFO and
+# per-message Parts, the replica decoded every update into new strings
+# and a send through the adversary hook boxed its payload twice, 1 971
+# until the 0.0374 change, 1 977 while netsim kept its hosts in a hash
+# map, 3 270 before MAP entries kept their own storage and a settling
+# seed stopped writing reports).
+# bytes_per_work is gated on two workloads. sim-stream's, because a
+# simulated payload is stored once, as the source's copy
+# (core.SharedPayloads): 47.0 (limit 60; 91.7 while every receiver kept a
+# copy). soak-sweep's, because a sync response carries its parts at
+# their count: 301 386 per seed (limit 330 000; 345 319 while every
+# response took SyncBatch parts, with the per-message garbage above).
+# udp-loopback's allocs_per_work moves in the second digit with the
+# scheduler: 0.01 (limit 0.2; 0.07 while INFO frames carried a Snapshot,
+# 0.45 while DecodeEnvelope cloned every INFO a handler would keep, 3.92
+# before the socket calls took addresses by value and Broadcast reused
+# its rendezvous).
 bench-repo-smoke:
 	@check() { \
 		w=$$1; shift; \
@@ -156,7 +164,7 @@ bench-repo-smoke:
 		done; \
 	}; \
 	check sim-wide-seq allocs_per_work 0.045 && check sim-stream allocs_per_work 0.03 bytes_per_work 60 && \
-		check udp-loopback allocs_per_work 0.2 && check soak-sweep allocs_per_work 2300
+		check udp-loopback allocs_per_work 0.2 && check soak-sweep allocs_per_work 1350 bytes_per_work 330000
 
 # bench-ab is the paired measurement a performance claim rests on
 # (README "Performance"): ./benchmarks built once at BASE and once from the
@@ -180,6 +188,8 @@ fuzz:
 	$(GO) test -run=^$$ -fuzz=FuzzDecode -fuzztime=$(FUZZTIME) ./internal/wire/
 	$(GO) test -run=^$$ -fuzz=FuzzEngineOrder -fuzztime=$(FUZZTIME) ./internal/sim/
 	$(GO) test -run=^$$ -fuzz=FuzzWindow -fuzztime=$(FUZZTIME) ./internal/seqset/
+	$(GO) test -run=^$$ -fuzz=FuzzDecodeCheckpoint -fuzztime=$(FUZZTIME) ./internal/replica/
+	$(GO) test -run=^$$ -fuzz=FuzzApplyEncoded -fuzztime=$(FUZZTIME) ./internal/replica/
 
 # fuzz-smoke is the CI-sized fuzz budget: long enough to shake out
 # shallow decoder and event-order regressions, short enough for every

@@ -106,8 +106,9 @@ type hostState struct {
 	ctx       *Ctx
 	behaviors []Behavior
 	// outs and wire are the hook's candidate list and its result, kept
-	// from one transmission to the next: the network reads the result
-	// before the hook can run again (netsim.TransmitHook).
+	// from one transmission to the next: the network reads the result —
+	// and copies the messages it points at in outs — before the hook can
+	// run again (netsim.TransmitHook).
 	outs []Send
 	wire []netsim.Outbound
 }
@@ -150,31 +151,45 @@ func hostSeed(seed int64, id core.HostID) int64 {
 	return int64(d.Sum64())
 }
 
-// hook is the netsim.TransmitHook for one adversary host.
+// hook is the netsim.TransmitHook for one adversary host. A message sent
+// by value arrives as a *core.Message and leaves as pointers into outs,
+// where the behaviors wrote their rewrites, so a transmission costs no
+// box; one sent boxed (netsim.Send) leaves boxed.
 func (st *hostState) hook(to netsim.HostID, payload any) []netsim.Outbound {
-	m, ok := payload.(core.Message)
-	if !ok {
+	var m core.Message
+	byRef := false
+	switch p := payload.(type) {
+	case *core.Message:
+		m, byRef = *p, true
+	case core.Message:
+		m = p
+	default:
 		// Not a protocol message (foreign traffic in some future runtime):
 		// pass through untouched.
-		return []netsim.Outbound{{To: to, Payload: payload}}
+		return append(st.wire[:0], netsim.Outbound{To: to, Payload: payload})
 	}
 	st.ctx.applications++
+	// The last transmission's candidates go now, the network having copied
+	// them, and the payloads and INFO sets they point at with them.
+	clear(st.outs)
 	outs := append(st.outs[:0], Send{To: core.HostID(to), M: m})
 	for _, b := range st.behaviors {
 		outs = b.Apply(st.ctx, outs)
 	}
 	wire := st.wire[:0]
-	for _, o := range outs {
+	for i := range outs {
+		var p any = &outs[i].M
+		if !byRef {
+			p = outs[i].M
+		}
 		wire = append(wire, netsim.Outbound{
-			To:           netsim.HostID(o.To),
-			Payload:      o.M,
-			ForceCostBit: o.ForceCostBit,
+			To:           netsim.HostID(outs[i].To),
+			Payload:      p,
+			ForceCostBit: outs[i].ForceCostBit,
 		})
 	}
-	// The list is kept, the payloads and INFO sets it points at are not —
-	// up to its capacity, because a behavior may have shortened it.
-	outs = outs[:cap(outs)]
-	clear(outs)
+	// What a behavior dropped from the list goes at once.
+	clear(outs[len(outs):cap(outs)])
 	st.outs, st.wire = outs, wire
 	return wire
 }

@@ -41,11 +41,13 @@ func freshHook(st *hostState, to netsim.HostID, m core.Message) []netsim.Outboun
 
 // TestHookReusesItsListsSafely drives every behaviour through the hook
 // that keeps its two lists, and through the reference that makes new
-// ones, over the same transmissions: each call's result must be the
-// reference's — nothing of an earlier call shows in a later one, whether
-// the behaviour shortened the list (Silence), lengthened it on some calls
-// only (Replay, HostileWire) or rewrote it in place — and between calls
-// the kept candidate list must hold no message.
+// ones, over the same transmissions, each handed to the kept hook by
+// pointer as netsim.SendValue hands it: each call's result must point, in
+// order, at the kept candidate list, and read as the reference's result —
+// nothing of an earlier call shows in a later one, whether the behaviour
+// shortened the list (Silence), lengthened it on some calls only (Replay,
+// HostileWire) or rewrote it in place — and past the result the kept list
+// must hold no message.
 func TestHookReusesItsListsSafely(t *testing.T) {
 	traffic := []struct {
 		to netsim.HostID
@@ -73,13 +75,23 @@ func TestHookReusesItsListsSafely(t *testing.T) {
 	for _, b := range behaviors {
 		kept, fresh := newHostState(b), newHostState(b)
 		for i, tx := range traffic {
-			got, want := kept.hook(tx.to, tx.m), freshHook(fresh, tx.to, tx.m)
-			if !slices.EqualFunc(got, want, func(a, b netsim.Outbound) bool { return reflect.DeepEqual(a, b) }) {
-				t.Errorf("%s, transmission %d: the reusing hook returned\n%+v\nthe reference\n%+v", b.Name(), i, got, want)
+			sent := tx.m
+			got, want := kept.hook(tx.to, &sent), freshHook(fresh, tx.to, tx.m)
+			read := make([]netsim.Outbound, len(got))
+			for k, o := range got {
+				m, ok := o.Payload.(*core.Message)
+				if !ok || m != &kept.outs[k].M {
+					t.Fatalf("%s, transmission %d: result %d carries %T %p, want a pointer to kept candidate %d", b.Name(), i, k, o.Payload, o.Payload, k)
+				}
+				read[k] = o
+				read[k].Payload = *m
 			}
-			for k, o := range kept.outs {
+			if !slices.EqualFunc(read, want, func(a, b netsim.Outbound) bool { return reflect.DeepEqual(a, b) }) {
+				t.Errorf("%s, transmission %d: the reusing hook returned\n%+v\nthe reference\n%+v", b.Name(), i, read, want)
+			}
+			for k, o := range kept.outs[len(got):cap(kept.outs)] {
 				if !reflect.DeepEqual(o, Send{}) {
-					t.Errorf("%s, transmission %d: kept candidate %d still holds %+v", b.Name(), i, k, o)
+					t.Errorf("%s, transmission %d: kept candidate %d still holds %+v", b.Name(), i, len(got)+k, o)
 				}
 			}
 		}
@@ -88,20 +100,30 @@ func TestHookReusesItsListsSafely(t *testing.T) {
 		}
 	}
 
-	// A payload that is not a protocol message passes through untouched.
-	st := newHostState(Silence{})
+	// A message sent boxed leaves boxed, and a payload that is not a
+	// protocol message passes through untouched.
+	st := newHostState(ForgeCostBit{})
+	m := traffic[0].m
+	if got := st.hook(3, m); len(got) != 1 || !reflect.DeepEqual(got[0], netsim.Outbound{To: 3, Payload: m, ForceCostBit: true}) {
+		t.Errorf("a boxed message came out as %+v", got)
+	}
 	if got := st.hook(3, "foreign"); len(got) != 1 || got[0].To != 3 || got[0].Payload != "foreign" {
 		t.Errorf("foreign payload came out as %+v", got)
 	}
 }
 
-// TestHookSteadyStateAllocs: with its lists warm the hook allocates the
-// boxed message of each transmission it lets through and nothing else.
+// TestHookSteadyStateAllocs: with its lists warm the hook allocates
+// nothing for a message handed to it by pointer, as netsim.SendValue
+// hands it, and the one box of its result for a message sent boxed.
 func TestHookSteadyStateAllocs(t *testing.T) {
 	st := newHostState(ForgeCostBit{})
-	var m any = core.Message{Kind: core.MsgData, Seq: 1, Payload: []byte("one")}
-	st.hook(3, m)
-	if got := testing.AllocsPerRun(100, func() { st.hook(3, m) }); got != 1 {
-		t.Errorf("a warm hook allocates %v times per transmission, want 1 (the boxed message)", got)
+	m := core.Message{Kind: core.MsgData, Seq: 1, Payload: []byte("one")}
+	var boxed any = m
+	st.hook(3, &m)
+	if got := testing.AllocsPerRun(100, func() { st.hook(3, &m) }); got != 0 {
+		t.Errorf("a warm hook allocates %v times per transmission by pointer, want 0", got)
+	}
+	if got := testing.AllocsPerRun(100, func() { st.hook(3, boxed) }); got != 1 {
+		t.Errorf("a warm hook allocates %v times per boxed transmission, want 1 (the boxed result)", got)
 	}
 }

@@ -185,9 +185,11 @@ func (r Replay) Apply(ctx *Ctx, outs []Send) []Send {
 	if every <= 0 {
 		every = 4
 	}
-	var stale []Send
-	if len(ctx.history) > 0 && ctx.applications%uint64(every) == 0 {
-		stale = append(stale, ctx.history[ctx.RNG.Intn(len(ctx.history))])
+	// The stale frame is drawn before this transmission enters the ring.
+	var stale Send
+	replay := len(ctx.history) > 0 && ctx.applications%uint64(every) == 0
+	if replay {
+		stale = ctx.history[ctx.RNG.Intn(len(ctx.history))]
 		ctx.Stats.Replayed++
 	}
 	for _, out := range outs {
@@ -197,7 +199,10 @@ func (r Replay) Apply(ctx *Ctx, outs []Send) []Send {
 			ctx.history[int(ctx.applications)%replayRing] = out
 		}
 	}
-	return append(outs, stale...)
+	if replay {
+		outs = append(outs, stale)
+	}
+	return outs
 }
 
 // Silence drops every transmission toward the listed peers (nil = all:

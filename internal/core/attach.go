@@ -65,7 +65,7 @@ func (h *Host) runAttachment(now time.Duration, fresh bool) {
 	h.attach.candidate = cand
 	h.attach.deadline = now + h.params.AttachTimeout
 	h.noteFullInfoSent(cand)
-	h.emit(cand.id, Message{Kind: MsgAttachReq, Info: h.info.Snapshot()})
+	h.emit(cand.id, Message{Kind: MsgAttachReq, Info: h.advert()})
 }
 
 // eligible applies the filters common to every option: never self, never
@@ -301,7 +301,7 @@ func (h *Host) handleAttachReq(now time.Duration, from *peer, m Message) {
 		h.event(now, EvChildAdded, from.id, 0)
 	}
 	h.noteFullInfoSent(from)
-	h.emit(from.id, Message{Kind: MsgAttachAccept, Info: h.info.Snapshot()})
+	h.emit(from.id, Message{Kind: MsgAttachAccept, Info: h.advert()})
 	// Forward what the child is missing and we have, up to the limit; the
 	// periodic neighbour gap fill covers any remainder.
 	h.info.DiffInto(&h.scratch, m.Info)

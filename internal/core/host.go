@@ -41,8 +41,6 @@ type Host struct {
 	store seqset.Window[[]byte]
 	// parent is p_i[i]; nil when the host has no parent.
 	parent *peer
-	// excluding names the exclusion sets (peer.go) that have members.
-	excluding exclusion
 	// sets holds CLUSTER_i and CHILDREN_i, one bit per participant index
 	// (members.go). Up to 64 participants it is setsInline, so a small
 	// host allocates nothing for it.
@@ -55,20 +53,14 @@ type Host struct {
 	echo          seqset.Window[*echoState]
 	equivocations uint64
 
-	// catchup is the client side of the catch-up sync layer (sync.go);
-	// nil unless Params.SyncBatch > 0. snapData/snapMark are the server
-	// side: the latest checkpoint bytes and their watermark (zero until
-	// the first snapshot). The uint64s are the layer's counters.
-	catchup       *syncState
-	snapData      []byte
-	snapMark      seqset.Seq
-	syncRounds    uint64
-	syncFailovers uint64
-	snapResumes   uint64
-	snapInstalls  uint64
+	// catchup is the catch-up sync layer's state (sync.go); nil unless
+	// Params.SyncBatch > 0. snapMark is the watermark of the host's latest
+	// checkpoint (zero until the first): pruneStable reads it on every
+	// Tick, so it lives here and not behind the pointer.
+	catchup  *syncState
+	snapMark seqset.Seq
 
 	lastFromParent time.Duration
-	started        bool
 	nextSeq        seqset.Seq // source only: next sequence number to assign
 
 	attach attachState
@@ -102,10 +94,15 @@ type Host struct {
 	nextGapGlobal  time.Duration
 	nextSync       time.Duration
 
-	// chunk is the unused rest of the latest allocation of payload
-	// storage, chunkSize that allocation's size; see keep.
-	chunk     []byte
-	chunkSize int
+	// payloads, runs and parts are where what the host hands on is carved
+	// (carve.go): its own copies of payloads (keep), the INFO
+	// advertisement (advert), and the parts of bundles and sync responses.
+	// adv is the advertisement, a copy of info carved from runs that every
+	// frame stamping INFO_i shares until info next changes.
+	payloads chunk[byte]
+	runs     chunk[seqset.Interval]
+	parts    chunk[Message]
+	adv      seqset.Set
 
 	// runSlab is the unused rest of the latest allocation of first storage
 	// for peers' view and confirmed sets, carvedPeers how many peers have
@@ -119,8 +116,12 @@ type Host struct {
 	// syncOn and snapsOn are Params.SyncEnabled() and SnapshotsEnabled(),
 	// asked once: the methods take the 200-byte Params by value, and Tick
 	// asks on every call. shared says the Env implements SharedPayloads
-	// (keepIn).
-	syncOn, snapsOn, shared bool
+	// (keepIn). advStale says info changed since adv was cut: every
+	// change of info sets it (addInfo, installSnapshot, pruneStable).
+	// The flags share one word, as does excluding, which names the
+	// exclusion sets (peer.go) that have members.
+	started, syncOn, snapsOn, shared, advStale bool
+	excluding                                  exclusion
 }
 
 type attachState struct {
@@ -205,8 +206,8 @@ func (h *Host) Children() []HostID { return h.collect(h.isChild) }
 func (h *Host) Cluster() []HostID { return h.collect(h.inCluster) }
 
 // Info returns a copy of INFO_i (copy-on-write; mutating either side is
-// safe).
-func (h *Host) Info() seqset.Set { return h.info.Snapshot() }
+// safe): the advertisement the host's frames carry.
+func (h *Host) Info() seqset.Set { return h.advert() }
 
 // MapOf returns a copy of MAP_i[j] — this host's view of j's INFO set.
 func (h *Host) MapOf(j HostID) seqset.Set {
@@ -270,7 +271,7 @@ func (h *Host) Broadcast(now time.Duration, payload []byte) seqset.Seq {
 	defer h.end()
 	seq := h.nextSeq
 	h.nextSeq++
-	h.info.Add(seq)
+	h.addInfo(seq)
 	stored := h.keep(payload)
 	h.store.Put(seq, stored)
 	h.env.Deliver(seq, stored)
@@ -336,8 +337,8 @@ func (h *Host) end() {
 	}
 	// Group per destination in index space, preserving first-appearance
 	// order for determinism and in-bundle message order. A bundle's Parts
-	// travels with the message and outlives the call, so it is the one
-	// allocation here, made at its exact size; everything else is reused
+	// travels with the message and outlives the call, so it is carved from
+	// the host's parts chunk at its exact size; everything else is reused
 	// scratch.
 	if h.flushSlot == nil {
 		h.flushSlot = make([]int32, len(h.peers))
@@ -356,7 +357,7 @@ func (h *Host) end() {
 			out := &h.outbox[k]
 			if g := &groups[h.flushSlot[out.dest]-1]; g.n > 1 {
 				if g.parts == nil {
-					g.parts = make([]Message, 0, g.n)
+					g.parts = h.parts.carve(g.n)[:0]
 				}
 				g.parts = append(g.parts, out.m)
 			}
@@ -522,7 +523,7 @@ func (h *Host) handleData(now time.Duration, from *peer, m Message) {
 		}
 		return
 	}
-	h.info.Add(m.Seq)
+	h.addInfo(m.Seq)
 	stored := h.keepIn(m.Payload)
 	h.store.Put(m.Seq, stored)
 	h.env.Deliver(m.Seq, stored)
@@ -530,40 +531,14 @@ func (h *Host) handleData(now time.Duration, from *peer, m Message) {
 	h.forwardData(from, m.Seq, stored, newMax && !m.GapFill)
 }
 
-// maxChunk is the largest allocation of payload storage: the allocator's
-// largest small-object class, as for peer slabs — past it every chunk
-// would take the large-object path, which measured slower than the
-// per-payload allocations the chunks replace. ownAlloc is the payload
-// size above which carving stops paying: the allocation a chunk saves is
-// amortised over at least that many bytes anyway, and a payload that
-// large would strand up to its own size at a chunk's end.
-const (
-	maxChunk = 32 << 10
-	ownAlloc = maxChunk / 4
-)
-
 // keep returns the host's own copy of p, the one the store, Env.Deliver
-// and every forward of the message share. The copy is carved front to
-// back out of a host-owned chunk — the first chunk holds exactly the
-// first payload, each later one doubles up to maxChunk — so a stream of
-// small payloads costs one allocation per chunk, not per message. The
-// bytes are written here, once, and never again: nothing is recycled,
-// and a chunk is the garbage collector's once the store has released
-// every payload in it (DESIGN decision 12). Capacity is cut to length,
-// so an append by whoever holds the slice cannot reach its neighbour.
+// and every forward of the message share. The copy is carved from the
+// host's payload chunk, so a stream of small payloads costs one
+// allocation per chunk, not per message. The bytes are written here,
+// once, and never again, and the copy's capacity is cut to its length
+// (carve.go).
 func (h *Host) keep(p []byte) []byte {
-	n := len(p)
-	if n > len(h.chunk) {
-		if n > ownAlloc {
-			own := make([]byte, n)
-			copy(own, p)
-			return own
-		}
-		h.chunkSize = min(max(2*h.chunkSize, n), maxChunk)
-		h.chunk = make([]byte, h.chunkSize)
-	}
-	stored := h.chunk[:n:n]
-	h.chunk = h.chunk[n:]
+	stored := h.payloads.carve(len(p))
 	copy(stored, p)
 	return stored
 }
@@ -766,7 +741,27 @@ func (h *Host) Tick(now time.Duration) {
 }
 
 func (h *Host) infoMessage() Message {
-	return Message{Kind: MsgInfo, Info: h.info.Snapshot(), Parent: h.Parent()}
+	return Message{Kind: MsgInfo, Info: h.advert(), Parent: h.Parent()}
+}
+
+// addInfo puts seq in INFO_i.
+func (h *Host) addInfo(seq seqset.Seq) {
+	h.info.Add(seq)
+	h.advStale = true
+}
+
+// advert is INFO_i as a frame carries it. Every frame that stamps INFO
+// until info next changes shares one copy, carved from the host's run
+// chunk and copy-on-write, so neither side writes the other's storage: a
+// frame may sit in a flight, a bundle or an adversary's replay ring long
+// after the host has moved on. (A Snapshot of info would share info's own
+// array instead, and the next addInfo would copy all of it.)
+func (h *Host) advert() seqset.Set {
+	if h.advStale {
+		h.adv = h.info.CopyTo(h.runs.carve(h.info.RunCount()))
+		h.advStale = false
+	}
+	return h.adv
 }
 
 // deltaResyncEvery bounds a delta chain: after this many consecutive
@@ -957,6 +952,7 @@ func (h *Host) pruneStable() {
 		return
 	}
 	h.info.Prune(p - 1) // keep p itself so Max stays meaningful even if alone
+	h.advStale = true
 	h.prunedTo = p - 1
 	h.store.Release(h.prunedTo)
 	// Voting state goes with the payloads: pruned sequence numbers are

@@ -46,9 +46,18 @@ type syncReq struct {
 	retries  int
 }
 
-// syncState is the client side of the catch-up layer; nil unless
+// syncState is the catch-up layer's state, both sides of it; nil unless
 // Params.SyncBatch > 0.
 type syncState struct {
+	// Server side: ckpt is the bytes of the host's latest checkpoint
+	// (Host.snapMark is its watermark), and parts is handleSyncReq's
+	// scratch, where a response's parts gather before they are carved at
+	// their count.
+	ckpt  []byte
+	parts []Message
+	// The layer's counters, exported by SyncStats.
+	rounds, failovers, resumes, installs uint64
+
 	// source is the peer currently being pulled from; nil when idle.
 	source *peer
 	// inflight holds the outstanding range requests, at most SyncWindow,
@@ -115,11 +124,15 @@ type SyncStats struct {
 
 // SyncStats returns the catch-up layer's counters.
 func (h *Host) SyncStats() SyncStats {
+	st := h.catchup
+	if st == nil {
+		return SyncStats{}
+	}
 	return SyncStats{
-		Rounds:       h.syncRounds,
-		Failovers:    h.syncFailovers,
-		SnapResumes:  h.snapResumes,
-		SnapInstalls: h.snapInstalls,
+		Rounds:       st.rounds,
+		Failovers:    st.failovers,
+		SnapResumes:  st.resumes,
+		SnapInstalls: st.installs,
 		SnapMark:     h.snapMark,
 	}
 }
@@ -157,7 +170,7 @@ func (h *Host) snapshotMaybe() {
 	if !ok {
 		return
 	}
-	h.snapData = data
+	h.catchup.ckpt = data
 	h.snapMark = p
 }
 
@@ -182,7 +195,7 @@ func (h *Host) handleSyncReq(now time.Duration, from *peer, m Message) {
 		return
 	}
 	limit := h.params.SyncBatch
-	parts := make([]Message, 0, limit)
+	parts := h.catchup.parts[:0]
 	var pruned seqset.Set
 	served := 0
 	top := max(h.info.Max(), h.prunedTo, h.snapMark)
@@ -206,10 +219,16 @@ func (h *Host) handleSyncReq(now time.Duration, from *peer, m Message) {
 		}
 		return served < limit
 	})
+	// The response carries its parts at their count: most requests are
+	// served a few sequence numbers, or none, of SyncBatch.
+	resp := h.parts.carve(len(parts))
+	copy(resp, parts)
+	clear(parts)
+	h.catchup.parts = parts[:0]
 	h.emitDirect(from.id, Message{
 		Kind:     MsgSyncResp,
 		Seq:      m.Seq, // echo the request id
-		Parts:    parts,
+		Parts:    resp,
 		Info:     pruned,
 		CheckLen: uint64(h.snapMark),
 	})
@@ -243,7 +262,7 @@ func (h *Host) refreshSnapshotFor(q seqset.Seq) bool {
 	if !ok {
 		return false
 	}
-	h.snapData = data
+	h.catchup.ckpt = data
 	h.snapMark = p
 	return true
 }
@@ -253,14 +272,15 @@ func (h *Host) refreshSnapshotFor(q seqset.Seq) bool {
 // offset past the end) restarts the client from offset zero on the
 // current checkpoint.
 func (h *Host) handleSnapReq(now time.Duration, from *peer, m Message) {
-	if !h.snapsOn || h.snapMark == 0 || len(h.snapData) == 0 {
+	if !h.snapsOn || h.snapMark == 0 || len(h.catchup.ckpt) == 0 {
 		return
 	}
 	offset := uint64(m.Seq)
 	if m.CheckLen != 0 && m.CheckLen != uint64(h.snapMark) {
 		offset = 0 // resuming a checkpoint that no longer exists
 	}
-	total := uint64(len(h.snapData))
+	ckpt := h.catchup.ckpt
+	total := uint64(len(ckpt))
 	if offset >= total {
 		offset = 0
 	}
@@ -274,7 +294,7 @@ func (h *Host) handleSnapReq(now time.Duration, from *peer, m Message) {
 		h.emitDirect(from.id, Message{
 			Kind:     MsgSnapChunk,
 			Seq:      seqset.Seq(offset),
-			Payload:  h.snapData[offset:end],
+			Payload:  ckpt[offset:end],
 			CheckLen: total,
 			Info:     cover,
 		})
@@ -318,7 +338,7 @@ func (h *Host) pumpSnapshot(now time.Duration, st *syncState) {
 // current snapshot source, resuming at the verified offset.
 func (h *Host) requestSnapWindow(now time.Duration, st *syncState) {
 	if len(st.snapGot) > 0 {
-		h.snapResumes++
+		st.resumes++
 	}
 	st.snapChunks = 0
 	st.snapDeadline = now + h.params.SyncTimeout
@@ -338,7 +358,7 @@ func (h *Host) requestSnapWindow(now time.Duration, st *syncState) {
 func (h *Host) failoverSync(now time.Duration, st *syncState) {
 	if st.source != nil {
 		h.event(now, EvSyncFailover, st.source.id, 0)
-		h.syncFailovers++
+		st.failovers++
 		h.exclude(st.source, noSync)
 	}
 	st.source = nil
@@ -382,7 +402,7 @@ func (h *Host) pumpRanges(now time.Duration, st *syncState) {
 		req.deadline = now + h.params.SyncTimeout
 		h.emitDirect(idOf(st.source), Message{Kind: MsgSyncReq, Seq: req.id, Info: outstanding})
 		h.event(now, EvSyncRound, idOf(st.source), req.id)
-		h.syncRounds++
+		st.rounds++
 	}
 	if st.snapActive || len(st.inflight) >= h.params.SyncWindow {
 		return
@@ -431,7 +451,7 @@ func (h *Host) pumpRanges(now time.Duration, st *syncState) {
 		st.issue(&syncReq{id: id, want: want, deadline: now + h.params.SyncTimeout})
 		h.emitDirect(src.id, Message{Kind: MsgSyncReq, Seq: id, Info: want})
 		h.event(now, EvSyncRound, src.id, id)
-		h.syncRounds++
+		st.rounds++
 	}
 }
 
@@ -580,7 +600,7 @@ func (h *Host) acceptSyncData(now time.Duration, from *peer, seq seqset.Seq, pay
 		h.handleDataEcho(now, from, Message{Kind: MsgData, Seq: seq, Payload: payload, GapFill: true})
 		return
 	}
-	h.info.Add(seq)
+	h.addInfo(seq)
 	stored := h.keepIn(payload)
 	h.store.Put(seq, stored)
 	h.env.Deliver(seq, stored)
@@ -670,6 +690,7 @@ func (h *Host) installSnapshot(now time.Duration, from HostID, mark seqset.Seq, 
 		return
 	}
 	h.info.AddRange(1, mark)
-	h.snapInstalls++
+	h.advStale = true
+	h.catchup.installs++
 	h.event(now, EvSnapshotInstalled, from, mark)
 }

@@ -210,6 +210,10 @@ type Runtime struct {
 	// snapshot install (coverage true, seq the watermark) before the
 	// recorder does. Tests feed a reference recorder from it.
 	tap func(lane int, id core.HostID, seq seqset.Seq, payload []byte, coverage bool)
+	// byzRows and byzSeqs are checkByzantine's scratch, kept from one
+	// call to the next: a settling soak seed checks once per step.
+	byzRows []byzRow
+	byzSeqs []seqset.Seq
 }
 
 // broadcastRec is what the harness keeps of one broadcast: when, the
@@ -606,9 +610,7 @@ func (treeEnv) SharedPayloads() {}
 func (e treeEnv) Deliver(seq seqset.Seq, payload []byte) {
 	e.rt.record(e.lane, e.slot, seq, payload)
 	if st := e.rt.Replicas[e.id]; st != nil {
-		if u, err := replica.DecodeUpdate(payload); err == nil {
-			st.Apply(u)
-		}
+		st.ApplyEncoded(payload) // a payload that is no update is not applied
 	}
 }
 

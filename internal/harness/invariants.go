@@ -2,7 +2,7 @@ package harness
 
 import (
 	"fmt"
-	"sort"
+	"slices"
 
 	"rbcast/internal/core"
 	"rbcast/internal/netsim"
@@ -119,10 +119,10 @@ func (rt *Runtime) oneLeaderPerCluster() (bool, string) {
 	for c := range clusterHosts {
 		clusters = append(clusters, c)
 	}
-	sort.Ints(clusters)
+	slices.Sort(clusters)
 	for _, c := range clusters {
 		hosts := clusterHosts[c]
-		sort.Slice(hosts, func(i, j int) bool { return hosts[i] < hosts[j] })
+		slices.Sort(hosts)
 		var leaders []core.HostID
 		for _, h := range hosts {
 			p := rt.TreeHosts[h].Parent()
@@ -253,6 +253,13 @@ func (rt *Runtime) adversarial(h core.HostID) bool {
 	return rt.Adversary != nil && rt.Adversary.Controls(h)
 }
 
+// byzRow is what checkByzantine remembers of one sequence number: the
+// first correct host seen delivering it, and the digest it delivered.
+type byzRow struct {
+	host   core.HostID // core.Nil until one is seen
+	digest uint64
+}
+
 // checkByzantine applies the two agreement invariants that matter once
 // adversaries are in play. "byz-forged-frame": every payload a correct
 // host delivers must carry the digest the source actually broadcast for
@@ -265,23 +272,29 @@ func (rt *Runtime) adversarial(h core.HostID) bool {
 // ascending order, so the report is byte-for-byte deterministic. With
 // first, the walk returns at its first finding and takes each host's
 // sequence numbers as the map yields them: whether a finding exists does
-// not depend on the order.
+// not depend on the order. The rows are dense over the broadcast
+// sequence numbers and reused from call to call; a sequence number past
+// them, a fabrication, gets a map entry.
 func (rt *Runtime) checkByzantine(first bool) []Violation {
 	var out []Violation
 	res := rt.result
-	firstHost := map[seqset.Seq]core.HostID{}
-	firstDigest := map[seqset.Seq]uint64{}
+	broadcasts := seqset.Seq(res.TotalMessages())
+	rows := slices.Grow(rt.byzRows[:0], int(broadcasts)+1)[:broadcasts+1]
+	clear(rows)
+	var past map[seqset.Seq]byzRow
+	seqs := rt.byzSeqs[:0]
+	defer func() { rt.byzRows, rt.byzSeqs = rows, seqs }()
 	for _, h := range res.HostList {
 		if rt.adversarial(h) {
 			continue
 		}
 		per := res.DeliveredDigest[h]
-		seqs := make([]seqset.Seq, 0, len(per))
+		seqs = seqs[:0]
 		for q := range per {
 			seqs = append(seqs, q)
 		}
 		if !first {
-			sort.Slice(seqs, func(i, j int) bool { return seqs[i] < seqs[j] })
+			slices.Sort(seqs)
 		}
 		for _, q := range seqs {
 			d := per[q]
@@ -292,15 +305,25 @@ func (rt *Runtime) checkByzantine(first bool) []Violation {
 				out = append(out, Violation{"byz-forged-frame",
 					fmt.Sprintf("host %d delivered seq %d with digest %#x; source sent %#x", h, q, d, want)})
 			}
-			if prev, seen := firstHost[q]; seen {
-				if firstDigest[q] != d {
+			var prev byzRow
+			if q <= broadcasts {
+				prev = rows[q]
+			} else {
+				prev = past[q]
+			}
+			if prev.host != core.Nil {
+				if prev.digest != d {
 					out = append(out, Violation{"byz-agreement",
 						fmt.Sprintf("hosts %d and %d delivered different payloads for seq %d (%#x vs %#x)",
-							prev, h, q, firstDigest[q], d)})
+							prev.host, h, q, prev.digest, d)})
 				}
+			} else if q <= broadcasts {
+				rows[q] = byzRow{h, d}
 			} else {
-				firstHost[q] = h
-				firstDigest[q] = d
+				if past == nil {
+					past = map[seqset.Seq]byzRow{}
+				}
+				past[q] = byzRow{h, d}
 			}
 			if first && len(out) > 0 {
 				return out

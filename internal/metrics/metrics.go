@@ -5,7 +5,7 @@ package metrics
 
 import (
 	"fmt"
-	"sort"
+	"slices"
 	"strings"
 	"time"
 )
@@ -91,7 +91,9 @@ func (d *Durations) sort() {
 	if d.sorted {
 		return
 	}
-	sort.Slice(d.samples, func(i, j int) bool { return d.samples[i] < d.samples[j] })
+	// Durations are totally ordered, so any sort yields the same sequence
+	// and every quantile is what a stable sort would give.
+	slices.Sort(d.samples)
 	d.sorted = true
 }
 

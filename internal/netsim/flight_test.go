@@ -90,7 +90,8 @@ func applyShardPlan(t *testing.T, eng sim.Loop, n *Network, wantLanes int) {
 // tables and the event queue are warm, a send and every hop it causes —
 // access link, two server links, access link, handler — allocate
 // nothing. That holds for a message-sized struct sent by value, which is
-// what every simulated host sends, and for a payload boxed once outside
+// what every simulated host sends, for one sent by value through a
+// transmit hook that passes it on, and for a payload boxed once outside
 // the loop.
 func TestSendZeroAllocsSequential(t *testing.T) {
 	assertSendZeroAllocs(t, func() sim.Loop { return sim.NewEngine(1) })
@@ -111,12 +112,15 @@ func assertSendZeroAllocs(t *testing.T, newEngine func() sim.Loop) {
 	t.Helper()
 	var boxed any = "boxed once"
 	msg := wide{tag: 7}
+	byValue := func(n *Network, from, to HostID) error { return SendValue(n, from, to, msg) }
 	for _, tc := range []struct {
-		name string
-		send func(n *Network, from, to HostID) error
+		name        string
+		send        func(n *Network, from, to HostID) error
+		passThrough bool
 	}{
-		{"by value", func(n *Network, from, to HostID) error { return SendValue(n, from, to, msg) }},
-		{"boxed once", func(n *Network, from, to HostID) error { return n.Send(from, to, boxed) }},
+		{"by value", byValue, false},
+		{"by value through a hook", byValue, true},
+		{"boxed once", func(n *Network, from, to HostID) error { return n.Send(from, to, boxed) }, false},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			eng := newEngine()
@@ -125,6 +129,15 @@ func assertSendZeroAllocs(t *testing.T, newEngine func() sim.Loop) {
 			for _, h := range []HostID{1, 2} {
 				if err := n.Handle(h, func(time.Duration, Envelope) { delivered++ }); err != nil {
 					t.Fatal(err)
+				}
+				if tc.passThrough {
+					var out []Outbound
+					if err := n.SetTransmitHook(h, func(to HostID, payload any) []Outbound {
+						out = append(out[:0], Outbound{To: to, Payload: payload})
+						return out
+					}); err != nil {
+						t.Fatal(err)
+					}
 				}
 			}
 			var err error
@@ -411,20 +424,22 @@ func flappingTriangle(t *testing.T, eng sim.Loop) (n *Network, flap func()) {
 	}
 }
 
-// hookOutputTravelsByValue installs a transmit hook on the sender that
-// rewrites the value, fans it out, and adds a payload of another type:
-// what the hook returns as the sent type reaches its handler by value
-// like a direct send, each copy in storage of its own, and anything else
-// arrives as Send would carry it.
+// hookOutputTravelsByValue installs a transmit hook on the sender that is
+// handed a pointer to the value sent, passes it through, adds a rewrite
+// from storage of its own — overwritten by the next send, long before the
+// first one's copies arrive — and a payload of another type: each value
+// the hook points at reaches its handler like a direct send, in storage
+// of its own, and anything else arrives as Send would carry it.
 func hookOutputTravelsByValue(t *testing.T, eng sim.Loop, n *Network) {
+	var forged wide
 	if err := n.SetTransmitHook(1, func(to HostID, payload any) []Outbound {
-		w, ok := payload.(wide)
+		w, ok := payload.(*wide)
 		if !ok {
-			t.Errorf("the hook was handed a %T, want the value sent", payload)
+			t.Fatalf("the hook was handed a %T, want a pointer to the value sent", payload)
 		}
-		forged := w
+		forged = *w
 		forged.tag = -w.tag
-		return []Outbound{{To: to, Payload: w}, {To: to, Payload: forged, ForceCostBit: true}, {To: to, Payload: "raw"}}
+		return []Outbound{{To: to, Payload: w}, {To: to, Payload: &forged, ForceCostBit: true}, {To: to, Payload: "raw"}}
 	}); err != nil {
 		t.Fatal(err)
 	}

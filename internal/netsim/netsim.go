@@ -206,6 +206,12 @@ type Outbound struct {
 // the correct algorithm and never learns its traffic was rewritten. The
 // network has read the returned list by the time it calls the hook again,
 // so a hook may return the same backing array every time.
+//
+// A payload sent by value (SendValue) reaches the hook as a pointer, as
+// it reaches a handler, valid until the hook returns; the hook returns a
+// pointer of the same type for each value it sends — the one it was
+// handed, or one into storage of its own, which the network has copied
+// by the time it calls the hook again.
 type TransmitHook func(to HostID, payload any) []Outbound
 
 // Stats aggregates network-level counters for a run.

@@ -162,24 +162,33 @@ func (n *Network) Send(from, to HostID, payload any) error {
 // nothing, and the destination's handler finds a *P in Envelope.Payload.
 // That pointer is valid until the handler returns — the storage is reused
 // by a later send — so a handler keeps the value, never the pointer. A
-// copy duplicated by a link carries its own copy of the value. What a
-// transmit hook lets through travels the same way when it is a P, and as
-// Send would carry it otherwise.
+// copy duplicated by a link carries its own copy of the value.
+//
+// A transmit hook is handed a *P too, into a record's storage, and hands
+// back a *P for each value it sends: the one it was handed, or one into
+// storage of its own (TransmitHook). Each is copied into a record of its
+// own before the hook runs again, so a send through a hook costs no box;
+// anything else a hook returns travels as Send would carry it.
 func SendValue[P any](n *Network, from, to HostID, payload P) error {
 	src, dst, err := n.endpoints(from, to)
 	if err != nil {
 		return err
 	}
 	if src.transmit != nil {
-		n.viaHook(src, to, payload, func(dst *hostPort, out Outbound) {
-			f := n.perLane[src.lane].newFlight(n)
-			if v, ok := out.Payload.(P); ok {
-				place(f, &v)
+		ls := n.perLane[src.lane]
+		staged := ls.newFlight(n)
+		place(staged, &payload)
+		n.viaHook(src, to, staged.env.Payload, func(dst *hostPort, out Outbound) {
+			f := ls.newFlight(n)
+			if v, ok := out.Payload.(*P); ok {
+				place(f, v)
 			} else {
 				f.env.Payload = out.Payload
 			}
 			n.transmitOne(f, src, dst, out.ForceCostBit)
 		})
+		// Only now: what the hook let through may point into staged.
+		ls.release(staged)
 		return nil
 	}
 	f := n.perLane[src.lane].newFlight(n)

@@ -4,7 +4,8 @@ import (
 	"encoding/binary"
 	"errors"
 	"fmt"
-	"sort"
+	"slices"
+	"strings"
 )
 
 // Checkpoint support: a compact, deterministic snapshot of the whole
@@ -48,7 +49,7 @@ func (s *Store) Rows() []Update {
 	for _, row := range s.rows {
 		out = append(out, row)
 	}
-	sort.Slice(out, func(i, j int) bool { return out[i].Key < out[j].Key })
+	slices.SortFunc(out, func(a, b Update) int { return strings.Compare(a.Key, b.Key) })
 	return out
 }
 
@@ -67,20 +68,24 @@ func (s *Store) InstallRows(rows []Update) int {
 
 // EncodeCheckpoint renders the store's full state and the given
 // confirmed-prefix watermark to bytes. Equal states with equal
-// watermarks encode byte-identically.
+// watermarks encode byte-identically. The rows are written into one
+// buffer of the checkpoint's exact size.
 func EncodeCheckpoint(s *Store, watermark uint64) ([]byte, error) {
 	rows := s.Rows()
-	buf := make([]byte, 0, 2+8+4+len(rows)*32)
+	size := 2 + 8 + 4
+	for _, u := range rows {
+		size += 4 + updateHeader + len(u.Key) + len(u.Value)
+	}
+	buf := make([]byte, 0, size)
 	buf = append(buf, ckptMagic, ckptVersion)
 	buf = binary.BigEndian.AppendUint64(buf, watermark)
 	buf = binary.BigEndian.AppendUint32(buf, uint32(len(rows)))
 	for _, u := range rows {
-		enc, err := EncodeUpdate(u)
-		if err != nil {
+		buf = binary.BigEndian.AppendUint32(buf, uint32(updateHeader+len(u.Key)+len(u.Value)))
+		var err error
+		if buf, err = appendUpdate(buf, u); err != nil {
 			return nil, err
 		}
-		buf = binary.BigEndian.AppendUint32(buf, uint32(len(enc)))
-		buf = append(buf, enc...)
 	}
 	return buf, nil
 }
@@ -103,14 +108,16 @@ func DecodeCheckpoint(data []byte) (watermark uint64, rows []Update, err error) 
 		return 0, nil, fmt.Errorf("%w: %d rows", ErrBadCheckpoint, n)
 	}
 	rest := data[14:]
-	rows = make([]Update, 0, n)
+	// A row takes at least its length prefix and an update's header, so
+	// the count claims no more rows than the bytes can hold.
+	rows = make([]Update, 0, min(int(n), len(rest)/(4+updateHeader)))
 	for i := uint32(0); i < n; i++ {
 		if len(rest) < 4 {
 			return 0, nil, ErrBadCheckpoint
 		}
 		rowLen := binary.BigEndian.Uint32(rest[:4])
 		rest = rest[4:]
-		if rowLen > 1+8+4+4+MaxKeyLen+4+MaxValueLen || uint64(len(rest)) < uint64(rowLen) {
+		if rowLen > updateHeader+MaxKeyLen+MaxValueLen || uint64(len(rest)) < uint64(rowLen) {
 			return 0, nil, ErrBadCheckpoint
 		}
 		u, err := DecodeUpdate(rest[:rowLen])

@@ -8,8 +8,8 @@
 // guarantee the broadcast protocol provides. This package supplies such
 // a database: a last-writer-wins register map whose Apply is commutative,
 // associative, and idempotent, plus a binary update codec, so it can sit
-// directly on any of the repository's runtimes (Deliver → Decode →
-// Apply).
+// directly on any of the repository's runtimes (Deliver → ApplyEncoded,
+// which is Decode → Apply without the garbage).
 package replica
 
 import (
@@ -19,6 +19,7 @@ import (
 	"sort"
 	"strings"
 	"sync"
+	"unsafe"
 )
 
 // Update is one replicated write (or deletion). Stamp orders writes to
@@ -65,7 +66,25 @@ func NewStore() *Store {
 // Apply merges one update. It is commutative, associative, and
 // idempotent: any arrival order and any duplication yields the same
 // state. It reports whether the update changed the winning row.
-func (s *Store) Apply(u Update) bool {
+func (s *Store) Apply(u Update) bool { return s.apply(u, false) }
+
+// ApplyEncoded is DecodeUpdate followed by Apply, done in place: the
+// update is judged with its key and value where they lie in data, so one
+// that loses or repeats the winning row allocates nothing, and one that
+// wins on an existing key allocates its value at most (the row's key
+// string is reused). The store keeps nothing of data. A malformed update
+// is reported as DecodeUpdate reports it, and not applied.
+func (s *Store) ApplyEncoded(data []byte) (changed bool, err error) {
+	u, err := parseUpdate(data)
+	if err != nil {
+		return false, err
+	}
+	return s.apply(u, true), nil
+}
+
+// apply is Apply for u; with views, u's key and value are views into an
+// encoded update (parseUpdate), so what the store keeps of them it copies.
+func (s *Store) apply(u Update, views bool) bool {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	s.applied++
@@ -75,6 +94,18 @@ func (s *Store) Apply(u Update) bool {
 	}
 	if exists && old == u {
 		return false
+	}
+	if views {
+		if exists {
+			u.Key = old.Key
+		} else {
+			u.Key = strings.Clone(u.Key)
+		}
+		if exists && u.Value == old.Value {
+			u.Value = old.Value
+		} else {
+			u.Value = strings.Clone(u.Value)
+		}
 	}
 	s.rows[u.Key] = u
 	return true
@@ -159,31 +190,53 @@ const (
 // ErrBadUpdate reports a malformed encoded update.
 var ErrBadUpdate = errors.New("replica: malformed update")
 
-// EncodeUpdate renders an update to bytes (the broadcast payload).
+// updateHeader is an encoded update's size without its key and value:
+// flags, stamp, origin and the two length prefixes.
+const updateHeader = 1 + 8 + 4 + 4 + 4
+
+// EncodeUpdate renders an update to bytes (the broadcast payload), in one
+// allocation of its exact size.
 func EncodeUpdate(u Update) ([]byte, error) {
+	return appendUpdate(make([]byte, 0, updateHeader+len(u.Key)+len(u.Value)), u)
+}
+
+// appendUpdate appends the encoding of u to dst and returns the extended
+// slice; it keeps nothing of u.
+func appendUpdate(dst []byte, u Update) ([]byte, error) {
 	if len(u.Key) > MaxKeyLen {
-		return nil, fmt.Errorf("replica: key length %d exceeds %d", len(u.Key), MaxKeyLen)
+		return dst, fmt.Errorf("replica: key length %d exceeds %d", len(u.Key), MaxKeyLen)
 	}
 	if len(u.Value) > MaxValueLen {
-		return nil, fmt.Errorf("replica: value length %d exceeds %d", len(u.Value), MaxValueLen)
+		return dst, fmt.Errorf("replica: value length %d exceeds %d", len(u.Value), MaxValueLen)
 	}
-	buf := make([]byte, 0, 1+8+4+4+len(u.Key)+4+len(u.Value))
 	var flags byte
 	if u.Delete {
 		flags = 1
 	}
-	buf = append(buf, flags)
-	buf = binary.BigEndian.AppendUint64(buf, u.Stamp)
-	buf = binary.BigEndian.AppendUint32(buf, u.Origin)
-	buf = binary.BigEndian.AppendUint32(buf, uint32(len(u.Key)))
-	buf = append(buf, u.Key...)
-	buf = binary.BigEndian.AppendUint32(buf, uint32(len(u.Value)))
-	buf = append(buf, u.Value...)
-	return buf, nil
+	dst = append(dst, flags)
+	dst = binary.BigEndian.AppendUint64(dst, u.Stamp)
+	dst = binary.BigEndian.AppendUint32(dst, u.Origin)
+	dst = binary.BigEndian.AppendUint32(dst, uint32(len(u.Key)))
+	dst = append(dst, u.Key...)
+	dst = binary.BigEndian.AppendUint32(dst, uint32(len(u.Value)))
+	dst = append(dst, u.Value...)
+	return dst, nil
 }
 
 // DecodeUpdate parses an encoded update.
 func DecodeUpdate(data []byte) (Update, error) {
+	u, err := parseUpdate(data)
+	if err != nil {
+		return Update{}, err
+	}
+	u.Key, u.Value = strings.Clone(u.Key), strings.Clone(u.Value)
+	return u, nil
+}
+
+// parseUpdate parses an encoded update whose Key and Value are views of
+// data's bytes, valid while data is: a caller keeps copies of them, never
+// the views.
+func parseUpdate(data []byte) (Update, error) {
 	var u Update
 	if len(data) < 1+8+4+4 {
 		return u, ErrBadUpdate
@@ -197,13 +250,16 @@ func DecodeUpdate(data []byte) (Update, error) {
 	if keyLen > MaxKeyLen || uint64(len(rest)) < uint64(keyLen)+4 {
 		return u, ErrBadUpdate
 	}
-	u.Key = string(rest[:keyLen])
+	u.Key = view(rest[:keyLen])
 	rest = rest[keyLen:]
 	valLen := binary.BigEndian.Uint32(rest[:4])
 	rest = rest[4:]
 	if valLen > MaxValueLen || uint64(len(rest)) != uint64(valLen) {
 		return u, ErrBadUpdate
 	}
-	u.Value = string(rest)
+	u.Value = view(rest)
 	return u, nil
 }
+
+// view is b read as a string, sharing b's bytes.
+func view(b []byte) string { return unsafe.String(unsafe.SliceData(b), len(b)) }

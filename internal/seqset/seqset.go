@@ -13,9 +13,10 @@
 //
 // A set has one owner. Two ways of handing a set on exist, for the two
 // directions a protocol moves one in: a sender that stamps its own INFO
-// on many outgoing frames shares it (Snapshot: nothing is copied until
-// the sender next changes its set), and a keeper — whoever stores what a
-// frame carried, a MAP entry say — copies it into storage it already has
+// on many outgoing frames shares one copy of it per version (CopyTo,
+// into storage the sender carves in bulk; the copy is copy-on-write, so
+// no holder writes it), and a keeper — whoever stores what a frame
+// carried, a MAP entry say — copies it into storage it already has
 // (Assign: the frame's set may sit in a buffer its decoder reuses, and
 // the keeper's old members are garbage anyway).
 package seqset
@@ -82,9 +83,10 @@ func (s Set) Clone() Set {
 }
 
 // Snapshot returns a copy of s that shares the run storage with s until
-// either side next mutates (copy-on-write). It is for the owner of s
-// handing out read-only copies faster than it mutates — a sender
-// stamping its current INFO set onto many outgoing messages. It is the
+// either side next mutates (copy-on-write). It is for handing out
+// read-only copies of a set that rarely changes afterwards; an owner that
+// keeps mutating pays a full copy on its next mutation after every
+// Snapshot, and so hands copies out with CopyTo instead. It is also the
 // wrong tool for keeping a set someone else handed over: the keeper pays
 // a full copy on its next mutation and discards that copy at the next
 // hand-over, and the storage it shares may be a decoder's reused buffer.
@@ -95,6 +97,22 @@ func (s *Set) Snapshot() Set {
 	}
 	s.cow = true
 	return Set{runs: s.runs, cow: true}
+}
+
+// CopyTo copies s into the front of buf and returns the copy, which is
+// copy-on-write like a Snapshot: whoever mutates it copies first, so buf
+// is written here and never again. buf must hold s.RunCount() intervals
+// and be handed to nothing else. It is for an owner handing its set out
+// on many frames: one copy per version of the set, carved from storage
+// the owner allocates in bulk, where a Snapshot would make the owner's
+// own next mutation copy the set.
+func (s Set) CopyTo(buf []Interval) Set {
+	if len(s.runs) == 0 {
+		return Set{}
+	}
+	runs := buf[:len(s.runs):len(s.runs)]
+	copy(runs, s.runs)
+	return Set{runs: runs, cow: true}
 }
 
 // WithStorage returns the empty set whose runs will be written into buf

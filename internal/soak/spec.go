@@ -14,6 +14,7 @@ package soak
 import (
 	"fmt"
 	"hash/fnv"
+	"strconv"
 	"time"
 
 	"rbcast/internal/adversary"
@@ -619,12 +620,15 @@ func (sp Spec) Scenario() (harness.Scenario, error) {
 // replicaWorkload is the deterministic replicated-register workload for
 // Replicate specs: updates over a bounded key space with monotone
 // stamps, so every store converges to the same winners and a checkpoint
-// is state-sized (O(keys)), not history-sized.
+// is state-sized (O(keys)), not history-sized. Update i writes key
+// "k%02d" of i%keys and value "v%05d" of i; both are spelled on the
+// stack, so a payload is one allocation, the encoding's.
 func replicaWorkload(keys int) func(i int) []byte {
 	return func(i int) []byte {
+		var key, value [24]byte
 		enc, err := replica.EncodeUpdate(replica.Update{
-			Key:   fmt.Sprintf("k%02d", i%keys),
-			Value: fmt.Sprintf("v%05d", i),
+			Key:   string(appendPadded(append(key[:0], 'k'), i%keys, 2)),
+			Value: string(appendPadded(append(value[:0], 'v'), i, 5)),
 			Stamp: uint64(i + 1),
 		})
 		if err != nil {
@@ -632,6 +636,17 @@ func replicaWorkload(keys int) func(i int) []byte {
 		}
 		return enc
 	}
+}
+
+// appendPadded appends n ≥ 0 in decimal, zero-padded to width digits, as
+// fmt's %0*d spells it.
+func appendPadded(dst []byte, n, width int) []byte {
+	var digits [20]byte
+	d := strconv.AppendInt(digits[:0], int64(n), 10)
+	for k := len(d); k < width; k++ {
+		dst = append(dst, '0')
+	}
+	return append(dst, d...)
 }
 
 func applyStep(rt *harness.Runtime, st Step) error {
