@@ -133,7 +133,7 @@ bench-repo:
 # their payload), sim-stream 0.0036 (limit 0.03; 0.0187 while every INFO
 # frame carried a Snapshot that the sender's next Add copied, 0.0202
 # until the 0.0374 change, 0.0836 until the MAP change, 0.2599 before
-# kept payloads were carved from chunks) and soak-sweep 1 215.7 per seed
+# kept payloads were carved from chunks) and soak-sweep 1 216.7 per seed
 # (limit 1 350; 1 900.5 while frames carried a Snapshot of INFO and
 # per-message Parts, the replica decoded every update into new strings
 # and a send through the adversary hook boxed its payload twice, 1 971
@@ -144,7 +144,7 @@ bench-repo:
 # simulated payload is stored once, as the source's copy
 # (core.SharedPayloads): 47.0 (limit 60; 91.7 while every receiver kept a
 # copy). soak-sweep's, because a sync response carries its parts at
-# their count: 301 386 per seed (limit 330 000; 345 319 while every
+# their count: 301 517 per seed (limit 330 000; 345 319 while every
 # response took SyncBatch parts, with the per-message garbage above).
 # udp-loopback's allocs_per_work moves in the second digit with the
 # scheduler: 0.01 (limit 0.2; 0.07 while INFO frames carried a Snapshot,

@@ -151,19 +151,13 @@ func hostSeed(seed int64, id core.HostID) int64 {
 	return int64(d.Sum64())
 }
 
-// hook is the netsim.TransmitHook for one adversary host. A message sent
-// by value arrives as a *core.Message and leaves as pointers into outs,
-// where the behaviors wrote their rewrites, so a transmission costs no
-// box; one sent boxed (netsim.Send) leaves boxed.
+// hook is the netsim.TransmitHook for one adversary host. A protocol
+// message arrives as a *core.Message, as netsim.SendValue hands it, and
+// leaves as pointers into outs, where the behaviors wrote their rewrites,
+// so a transmission costs no box.
 func (st *hostState) hook(to netsim.HostID, payload any) []netsim.Outbound {
-	var m core.Message
-	byRef := false
-	switch p := payload.(type) {
-	case *core.Message:
-		m, byRef = *p, true
-	case core.Message:
-		m = p
-	default:
+	m, ok := payload.(*core.Message)
+	if !ok {
 		// Not a protocol message (foreign traffic in some future runtime):
 		// pass through untouched.
 		return append(st.wire[:0], netsim.Outbound{To: to, Payload: payload})
@@ -172,19 +166,15 @@ func (st *hostState) hook(to netsim.HostID, payload any) []netsim.Outbound {
 	// The last transmission's candidates go now, the network having copied
 	// them, and the payloads and INFO sets they point at with them.
 	clear(st.outs)
-	outs := append(st.outs[:0], Send{To: core.HostID(to), M: m})
+	outs := append(st.outs[:0], Send{To: core.HostID(to), M: *m})
 	for _, b := range st.behaviors {
 		outs = b.Apply(st.ctx, outs)
 	}
 	wire := st.wire[:0]
 	for i := range outs {
-		var p any = &outs[i].M
-		if !byRef {
-			p = outs[i].M
-		}
 		wire = append(wire, netsim.Outbound{
 			To:           netsim.HostID(outs[i].To),
-			Payload:      p,
+			Payload:      &outs[i].M,
 			ForceCostBit: outs[i].ForceCostBit,
 		})
 	}

@@ -100,13 +100,8 @@ func TestHookReusesItsListsSafely(t *testing.T) {
 		}
 	}
 
-	// A message sent boxed leaves boxed, and a payload that is not a
-	// protocol message passes through untouched.
+	// A payload that is not a protocol message passes through untouched.
 	st := newHostState(ForgeCostBit{})
-	m := traffic[0].m
-	if got := st.hook(3, m); len(got) != 1 || !reflect.DeepEqual(got[0], netsim.Outbound{To: 3, Payload: m, ForceCostBit: true}) {
-		t.Errorf("a boxed message came out as %+v", got)
-	}
 	if got := st.hook(3, "foreign"); len(got) != 1 || got[0].To != 3 || got[0].Payload != "foreign" {
 		t.Errorf("foreign payload came out as %+v", got)
 	}
@@ -114,16 +109,12 @@ func TestHookReusesItsListsSafely(t *testing.T) {
 
 // TestHookSteadyStateAllocs: with its lists warm the hook allocates
 // nothing for a message handed to it by pointer, as netsim.SendValue
-// hands it, and the one box of its result for a message sent boxed.
+// hands it.
 func TestHookSteadyStateAllocs(t *testing.T) {
 	st := newHostState(ForgeCostBit{})
 	m := core.Message{Kind: core.MsgData, Seq: 1, Payload: []byte("one")}
-	var boxed any = m
 	st.hook(3, &m)
 	if got := testing.AllocsPerRun(100, func() { st.hook(3, &m) }); got != 0 {
-		t.Errorf("a warm hook allocates %v times per transmission by pointer, want 0", got)
-	}
-	if got := testing.AllocsPerRun(100, func() { st.hook(3, boxed) }); got != 1 {
-		t.Errorf("a warm hook allocates %v times per boxed transmission, want 1 (the boxed result)", got)
+		t.Errorf("a warm hook allocates %v times per transmission, want 0", got)
 	}
 }

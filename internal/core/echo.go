@@ -262,7 +262,7 @@ func (h *Host) maybeDeliver(now time.Duration, from HostID, seq seqset.Seq, d ui
 // became pending; post-delivery redistribution rides the normal gap
 // fills.
 func (h *Host) acceptCertified(now time.Duration, from HostID, seq seqset.Seq, st *echoState) {
-	h.addInfo(seq)
+	h.changeInfo().Add(seq)
 	stored := st.payload
 	st.payload = nil
 	h.store.Put(seq, stored)

@@ -117,7 +117,7 @@ type Host struct {
 	// asked once: the methods take the 200-byte Params by value, and Tick
 	// asks on every call. shared says the Env implements SharedPayloads
 	// (keepIn). advStale says info changed since adv was cut: every
-	// change of info sets it (addInfo, installSnapshot, pruneStable).
+	// change of info goes through changeInfo, which sets it.
 	// The flags share one word, as does excluding, which names the
 	// exclusion sets (peer.go) that have members.
 	started, syncOn, snapsOn, shared, advStale bool
@@ -271,7 +271,7 @@ func (h *Host) Broadcast(now time.Duration, payload []byte) seqset.Seq {
 	defer h.end()
 	seq := h.nextSeq
 	h.nextSeq++
-	h.addInfo(seq)
+	h.changeInfo().Add(seq)
 	stored := h.keep(payload)
 	h.store.Put(seq, stored)
 	h.env.Deliver(seq, stored)
@@ -523,7 +523,7 @@ func (h *Host) handleData(now time.Duration, from *peer, m Message) {
 		}
 		return
 	}
-	h.addInfo(m.Seq)
+	h.changeInfo().Add(m.Seq)
 	stored := h.keepIn(m.Payload)
 	h.store.Put(m.Seq, stored)
 	h.env.Deliver(m.Seq, stored)
@@ -744,10 +744,11 @@ func (h *Host) infoMessage() Message {
 	return Message{Kind: MsgInfo, Info: h.advert(), Parent: h.Parent()}
 }
 
-// addInfo puts seq in INFO_i.
-func (h *Host) addInfo(seq seqset.Seq) {
-	h.info.Add(seq)
+// changeInfo is INFO_i for a caller about to change it. Every change of
+// info goes through here, which marks the advertisement stale.
+func (h *Host) changeInfo() *seqset.Set {
 	h.advStale = true
+	return &h.info
 }
 
 // advert is INFO_i as a frame carries it. Every frame that stamps INFO
@@ -755,7 +756,7 @@ func (h *Host) addInfo(seq seqset.Seq) {
 // chunk and copy-on-write, so neither side writes the other's storage: a
 // frame may sit in a flight, a bundle or an adversary's replay ring long
 // after the host has moved on. (A Snapshot of info would share info's own
-// array instead, and the next addInfo would copy all of it.)
+// array instead, and the next change of info would copy all of it.)
 func (h *Host) advert() seqset.Set {
 	if h.advStale {
 		h.adv = h.info.CopyTo(h.runs.carve(h.info.RunCount()))
@@ -951,8 +952,7 @@ func (h *Host) pruneStable() {
 	if p == 0 || p-1 <= h.prunedTo {
 		return
 	}
-	h.info.Prune(p - 1) // keep p itself so Max stays meaningful even if alone
-	h.advStale = true
+	h.changeInfo().Prune(p - 1) // keep p itself so Max stays meaningful even if alone
 	h.prunedTo = p - 1
 	h.store.Release(h.prunedTo)
 	// Voting state goes with the payloads: pruned sequence numbers are

@@ -61,7 +61,7 @@ func checkMembershipWalks(t *testing.T, n, me int) {
 	h.Start(0)
 	payload := []byte("held")
 	for q := seqset.Seq(1); q <= 2; q++ {
-		h.addInfo(q)
+		h.changeInfo().Add(q)
 		h.store.Put(q, payload)
 	}
 	m := &flagRows{parent: -1, cluster: make([]bool, n), child: make([]bool, n)}

@@ -600,7 +600,7 @@ func (h *Host) acceptSyncData(now time.Duration, from *peer, seq seqset.Seq, pay
 		h.handleDataEcho(now, from, Message{Kind: MsgData, Seq: seq, Payload: payload, GapFill: true})
 		return
 	}
-	h.addInfo(seq)
+	h.changeInfo().Add(seq)
 	stored := h.keepIn(payload)
 	h.store.Put(seq, stored)
 	h.env.Deliver(seq, stored)
@@ -689,8 +689,7 @@ func (h *Host) installSnapshot(now time.Duration, from HostID, mark seqset.Seq, 
 	if !snap.InstallSnapshot(mark, data) {
 		return
 	}
-	h.info.AddRange(1, mark)
-	h.advStale = true
+	h.changeInfo().AddRange(1, mark)
 	h.catchup.installs++
 	h.event(now, EvSnapshotInstalled, from, mark)
 }

@@ -210,10 +210,10 @@ type Runtime struct {
 	// snapshot install (coverage true, seq the watermark) before the
 	// recorder does. Tests feed a reference recorder from it.
 	tap func(lane int, id core.HostID, seq seqset.Seq, payload []byte, coverage bool)
-	// byzRows and byzSeqs are checkByzantine's scratch, kept from one
+	// byzFirst and byzSeqs are checkByzantine's scratch, kept from one
 	// call to the next: a settling soak seed checks once per step.
-	byzRows []byzRow
-	byzSeqs []seqset.Seq
+	byzFirst map[seqset.Seq]byzRow
+	byzSeqs  []seqset.Seq
 }
 
 // broadcastRec is what the harness keeps of one broadcast: when, the

@@ -256,7 +256,7 @@ func (rt *Runtime) adversarial(h core.HostID) bool {
 // byzRow is what checkByzantine remembers of one sequence number: the
 // first correct host seen delivering it, and the digest it delivered.
 type byzRow struct {
-	host   core.HostID // core.Nil until one is seen
+	host   core.HostID
 	digest uint64
 }
 
@@ -272,18 +272,18 @@ type byzRow struct {
 // ascending order, so the report is byte-for-byte deterministic. With
 // first, the walk returns at its first finding and takes each host's
 // sequence numbers as the map yields them: whether a finding exists does
-// not depend on the order. The rows are dense over the broadcast
-// sequence numbers and reused from call to call; a sequence number past
-// them, a fabrication, gets a map entry.
+// not depend on the order. The map of first deliveries is kept from call
+// to call and emptied at the start of each, so it keeps its buckets.
 func (rt *Runtime) checkByzantine(first bool) []Violation {
 	var out []Violation
 	res := rt.result
-	broadcasts := seqset.Seq(res.TotalMessages())
-	rows := slices.Grow(rt.byzRows[:0], int(broadcasts)+1)[:broadcasts+1]
-	clear(rows)
-	var past map[seqset.Seq]byzRow
+	if rt.byzFirst == nil {
+		rt.byzFirst = make(map[seqset.Seq]byzRow)
+	}
+	seen := rt.byzFirst
+	clear(seen)
 	seqs := rt.byzSeqs[:0]
-	defer func() { rt.byzRows, rt.byzSeqs = rows, seqs }()
+	defer func() { rt.byzSeqs = seqs }()
 	for _, h := range res.HostList {
 		if rt.adversarial(h) {
 			continue
@@ -305,25 +305,12 @@ func (rt *Runtime) checkByzantine(first bool) []Violation {
 				out = append(out, Violation{"byz-forged-frame",
 					fmt.Sprintf("host %d delivered seq %d with digest %#x; source sent %#x", h, q, d, want)})
 			}
-			var prev byzRow
-			if q <= broadcasts {
-				prev = rows[q]
-			} else {
-				prev = past[q]
-			}
-			if prev.host != core.Nil {
-				if prev.digest != d {
-					out = append(out, Violation{"byz-agreement",
-						fmt.Sprintf("hosts %d and %d delivered different payloads for seq %d (%#x vs %#x)",
-							prev.host, h, q, prev.digest, d)})
-				}
-			} else if q <= broadcasts {
-				rows[q] = byzRow{h, d}
-			} else {
-				if past == nil {
-					past = map[seqset.Seq]byzRow{}
-				}
-				past[q] = byzRow{h, d}
+			if prev, ok := seen[q]; !ok {
+				seen[q] = byzRow{h, d}
+			} else if prev.digest != d {
+				out = append(out, Violation{"byz-agreement",
+					fmt.Sprintf("hosts %d and %d delivered different payloads for seq %d (%#x vs %#x)",
+						prev.host, h, q, prev.digest, d)})
 			}
 			if first && len(out) > 0 {
 				return out

@@ -1,9 +1,11 @@
 package replica_test
 
 import (
+	"encoding/binary"
 	"errors"
 	"fmt"
 	"math/rand"
+	"runtime"
 	"testing"
 
 	"rbcast/internal/replica"
@@ -175,6 +177,25 @@ func FuzzApplyEncoded(f *testing.F) {
 	})
 }
 
+// TestCheckpointHeaderReservesNothing: a 14-byte checkpoint whose header
+// claims the most rows the decoder accepts holds none of them, so it is
+// rejected before anything is reserved for the rows it claims.
+func TestCheckpointHeaderReservesNothing(t *testing.T) {
+	data := binary.BigEndian.AppendUint32([]byte{0xC4, 1, 0, 0, 0, 0, 0, 0, 0, 9}, replica.MaxCheckpointRows)
+	const runs = 10
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for i := 0; i < runs; i++ {
+		if _, _, err := replica.DecodeCheckpoint(data); !errors.Is(err, replica.ErrBadCheckpoint) {
+			t.Fatalf("a header claiming %d rows and no row decodes with %v, want ErrBadCheckpoint", replica.MaxCheckpointRows, err)
+		}
+	}
+	runtime.ReadMemStats(&after)
+	if per := (after.TotalAlloc - before.TotalAlloc) / runs; per > 512 {
+		t.Errorf("a header claiming %d rows costs %d bytes to reject, want at most 512", replica.MaxCheckpointRows, per)
+	}
+}
+
 // FuzzDecodeCheckpoint: whatever the bytes, DecodeCheckpoint does not
 // panic, rejects with ErrBadCheckpoint, and honours its limits; a
 // checkpoint it accepts installs into a store whose own checkpoint
@@ -195,6 +216,7 @@ func FuzzDecodeCheckpoint(f *testing.F) {
 		f.Add(enc)
 	}
 	f.Add([]byte{0xC4, 1, 0, 0, 0, 0, 0, 0, 0, 9, 0xff, 0xff, 0xff, 0xff})
+	f.Add(binary.BigEndian.AppendUint32([]byte{0xC4, 1, 0, 0, 0, 0, 0, 0, 0, 9}, replica.MaxCheckpointRows))
 	f.Fuzz(func(t *testing.T, data []byte) {
 		mark, rows, err := replica.DecodeCheckpoint(data)
 		if err != nil {
