@@ -127,14 +127,16 @@ bench-repo:
 # benchmark number that is a count and not a timing, stays under a ceiling
 # on each; check takes the workload and then metric/limit pairs. The
 # simulated counts repeat to four digits on any machine: sim-wide-seq
-# 0.0371 (limit 0.045; 0.0374 while every receiver copied each payload
+# 0.0360 (limit 0.045; 0.0371 while each route recomputation allocated its
+# own scratch, 0.0374 while every receiver copied each payload
 # and the workload took a closure per broadcast, 0.0443 while a MAP entry
 # shared the frame's INFO storage, 0.2304 before sends stopped boxing
 # their payload), sim-stream 0.0036 (limit 0.03; 0.0187 while every INFO
 # frame carried a Snapshot that the sender's next Add copied, 0.0202
 # until the 0.0374 change, 0.0836 until the MAP change, 0.2599 before
-# kept payloads were carved from chunks) and soak-sweep 1 216.7 per seed
-# (limit 1 350; 1 900.5 while frames carried a Snapshot of INFO and
+# kept payloads were carved from chunks) and soak-sweep 1 129.9 per seed
+# (limit 1 240; 1 216.7 while each route recomputation allocated its own
+# scratch, 1 900.5 while frames carried a Snapshot of INFO and
 # per-message Parts, the replica decoded every update into new strings
 # and a send through the adversary hook boxed its payload twice, 1 971
 # until the 0.0374 change, 1 977 while netsim kept its hosts in a hash
@@ -142,15 +144,19 @@ bench-repo:
 # seed stopped writing reports).
 # bytes_per_work is gated on two workloads. sim-stream's, because a
 # simulated payload is stored once, as the source's copy
-# (core.SharedPayloads): 47.0 (limit 60; 91.7 while every receiver kept a
+# (core.SharedPayloads), and a store past 2 048 slots grows by pages, not
+# by copies: 28.9 (limit 33; 47.0 while every store doubled by copying
+# and the delay samples grew by append, 91.7 while every receiver kept a
 # copy). soak-sweep's, because a sync response carries its parts at
-# their count: 301 517 per seed (limit 330 000; 345 319 while every
-# response took SyncBatch parts, with the per-message garbage above).
-# udp-loopback's allocs_per_work moves in the second digit with the
-# scheduler: 0.01 (limit 0.2; 0.07 while INFO frames carried a Snapshot,
-# 0.45 while DecodeEnvelope cloned every INFO a handler would keep, 3.92
-# before the socket calls took addresses by value and Broadcast reused
-# its rendezvous).
+# their count: 294 557 per seed (limit 330 000; 301 517 before the route
+# scratch, 345 319 while every response took SyncBatch parts, with the
+# per-message garbage above).
+# udp-loopback's allocs_per_work moves in the third digit with the
+# scheduler: 0.0075 to 0.0095 (limit 0.014; 0.010 to 0.014 while the
+# envelope and command free lists were sync.Pools, which every GC emptied,
+# 0.07 while INFO frames carried a Snapshot, 0.45 while DecodeEnvelope
+# cloned every INFO a handler would keep, 3.92 before the socket calls
+# took addresses by value and Broadcast reused its rendezvous).
 bench-repo-smoke:
 	@check() { \
 		w=$$1; shift; \
@@ -163,8 +169,8 @@ bench-repo-smoke:
 			shift 2; \
 		done; \
 	}; \
-	check sim-wide-seq allocs_per_work 0.045 && check sim-stream allocs_per_work 0.03 bytes_per_work 60 && \
-		check udp-loopback allocs_per_work 0.2 && check soak-sweep allocs_per_work 1350 bytes_per_work 330000
+	check sim-wide-seq allocs_per_work 0.045 && check sim-stream allocs_per_work 0.03 bytes_per_work 33 && \
+		check udp-loopback allocs_per_work 0.014 && check soak-sweep allocs_per_work 1240 bytes_per_work 330000
 
 # bench-ab is the paired measurement a performance claim rests on
 # (README "Performance"): ./benchmarks built once at BASE and once from the

@@ -247,6 +247,7 @@ type laneAcc struct {
 	dataLinkTraversals      uint64
 	dataExpensiveTraversals uint64
 
+	// delays holds the lane's delivery delays, reserved at the first.
 	delays metrics.Durations
 	// hosts lists the lane's hosts in enrolment order; delivered holds one
 	// window per entry, carved from one slab at the lane's first delivery
@@ -902,5 +903,9 @@ func (rt *Runtime) record(lane, slot int, seq seqset.Seq, payload []byte) {
 	}
 	a.deliveredCount++
 	a.lastDelivery = max(a.lastDelivery, now)
+	if a.delays.Count() == 0 {
+		// Room for a delay per host and scheduled message, reserved once.
+		a.delays.Grow(len(a.hosts) * rt.scenario.Messages)
+	}
 	a.delays.Add(now - sent.at)
 }

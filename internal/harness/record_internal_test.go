@@ -11,6 +11,7 @@ import (
 	"rbcast/internal/adversary"
 	"rbcast/internal/basic"
 	"rbcast/internal/core"
+	"rbcast/internal/metrics"
 	"rbcast/internal/netsim"
 	"rbcast/internal/replica"
 	"rbcast/internal/seqset"
@@ -311,10 +312,8 @@ func TestSimulatedPayloadIsStoredOnce(t *testing.T) {
 
 // TestRecordAllocatesOnlyTheDelaySample pins the recording path: with
 // the lane's windows in place, recording a delivery is two indexed reads,
-// a byte comparison and an indexed write. The one allocation left is the
-// delay sample's append into metrics.Durations, amortized: over the
-// measured stretch it averages out below one per delivery, which anything
-// the recorder itself allocated per delivery would not.
+// a byte comparison and an indexed write, and the delay sample's append
+// into room the lane reserved at its first sample.
 func TestRecordAllocatesOnlyTheDelaySample(t *testing.T) {
 	const messages = 4096
 	payload := make([]byte, 256)
@@ -363,6 +362,69 @@ func TestRecordAllocatesOnlyTheDelaySample(t *testing.T) {
 	}
 	if res.DeliveredDigest[2][seq] != core.PayloadDigest(payload) {
 		t.Error("the byte-compare shortcut stored a digest that is not the payload's")
+	}
+}
+
+// TestDelaySamplesAreReservedOnce: a lane reserves room for a delay per
+// host and scheduled message at its first sample, and merge sizes
+// Result.Delays to the lanes' total, so 240 000 samples on the sequential
+// engine cost two allocations, not append's 1.25× growth.
+func TestDelaySamplesAreReservedOnce(t *testing.T) {
+	const messages = 10_000
+	rt, err := Prepare(Scenario{
+		Seed: 1, Build: recordTopo(5, 5, netsim.LinkConfig{}),
+		Messages: messages, MsgInterval: time.Millisecond, WarmUp: time.Millisecond,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	// The source broadcasts to nobody; the test plays the 24 other
+	// hosts' deliveries itself.
+	src := core.HostID(rt.Topo.Source)
+	for _, id := range rt.Topo.Hosts {
+		if core.HostID(id) != src {
+			if err := rt.Net.SetHostLinkUp(id, false); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	if err := rt.RunUntil(messages*time.Millisecond + time.Second); err != nil {
+		t.Fatal(err)
+	}
+	if len(rt.acc) != 1 || rt.acc[0].delivered == nil {
+		t.Fatalf("%d lanes; the source's self-deliveries must have made the lane's windows", len(rt.acc))
+	}
+	payload := make([]byte, 16)
+	mallocs := func(f func()) uint64 {
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		f()
+		runtime.ReadMemStats(&after)
+		return after.Mallocs - before.Mallocs
+	}
+	recorded := mallocs(func() {
+		for slot, id := range rt.acc[0].hosts {
+			if id == src {
+				continue
+			}
+			for q := seqset.Seq(1); q <= messages; q++ {
+				rt.record(0, slot, q, payload)
+			}
+		}
+	})
+	rt.merge() // exports the delivery maps
+	merged := mallocs(rt.merge)
+	if n := rt.result.Delays.Count(); n != 24*messages {
+		t.Fatalf("%d delay samples, want %d", n, 24*messages)
+	}
+	// One reservation each: one allocation, or two under the race
+	// detector, which does not fuse slices.Grow's append of a made slice.
+	grow := mallocs(func() {
+		var d metrics.Durations
+		d.Grow(24 * messages)
+	})
+	if recorded+merged > 2*grow {
+		t.Errorf("%d samples cost %d allocations to record and %d to merge, want %d in all", 24*messages, recorded, merged, 2*grow)
 	}
 }
 

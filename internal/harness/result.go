@@ -185,6 +185,11 @@ func (rt *Runtime) merge() {
 	res.ForeignDeliveries, res.SnapshotDeliveries = 0, 0
 	res.SendErrors = 0
 	res.Delays = metrics.Durations{}
+	n := 0
+	for i := range rt.acc {
+		n += rt.acc[i].delays.Count()
+	}
+	res.Delays.Grow(n)
 	var last time.Duration
 	var events []core.Event
 	for i := range rt.acc {

@@ -23,6 +23,10 @@ func (d *Durations) Add(v time.Duration) {
 	d.sorted = false
 }
 
+// Grow makes room for n more samples, so that the next n of them, added
+// or merged, allocate nothing.
+func (d *Durations) Grow(n int) { d.samples = slices.Grow(d.samples, n) }
+
 // Count returns the number of samples.
 func (d *Durations) Count() int { return len(d.samples) }
 

@@ -275,6 +275,10 @@ type laneState struct {
 	// all are dropped when the topology version moves past routeVer.
 	routes   [][]hop
 	routeVer uint64
+	// spDist, spDone and spHeap are dijkstra's scratch.
+	spDist []int
+	spDone []bool
+	spHeap spHeap
 
 	// clusterOf maps hostPort.idx to the host's true cluster at topology
 	// version clusterVer; clusterMap is TrueClusters' exported view of it,

@@ -2,6 +2,7 @@ package netsim
 
 import (
 	"fmt"
+	"slices"
 	"testing"
 	"time"
 
@@ -140,6 +141,40 @@ func TestRoutingPrefersCheapPath(t *testing.T) {
 	}
 	if !(*got)[1].CostBit {
 		t.Error("rerouted message should carry cost bit")
+	}
+}
+
+// TestRouteRecomputationAllocatesOnlyItsTable: a warm lane recomputes a
+// source's routes after a topology change into the lane's own scratch,
+// so the table it caches is its one allocation, and the routes are the
+// ones a cold lane computes.
+func TestRouteRecomputationAllocatesOnlyItsTable(t *testing.T) {
+	n := New(sim.NewEngine(1))
+	servers := make([]ServerID, 32)
+	for i := range servers {
+		servers[i] = n.AddServer()
+	}
+	for i, s := range servers { // a ring with chords, cheap and expensive
+		for _, step := range []int{1, 5} {
+			cfg := LinkConfig{Class: Cheap}
+			if step == 5 {
+				cfg.Class = Expensive
+			}
+			if _, err := n.AddLink(s, servers[(i+step)%len(servers)], cfg); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	src := n.servers[servers[3]]
+	cold := slices.Clone(n.routesFrom(0, src))
+	if got := testing.AllocsPerRun(100, func() {
+		n.version++ // what every topology change does
+		n.routesFrom(0, src)
+	}); got != 1 {
+		t.Errorf("a warm recomputation allocates %v times, want 1 (its table)", got)
+	}
+	if warm := n.routesFrom(0, src); !slices.Equal(warm, cold) {
+		t.Errorf("a warm lane's routes differ from a cold lane's")
 	}
 }
 

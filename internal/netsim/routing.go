@@ -88,7 +88,7 @@ func (n *Network) routesFrom(lane int, src *server) []hop {
 	}
 	t := c.routes[src.id]
 	if t == nil {
-		t = n.dijkstra(src)
+		t = n.dijkstra(c, src)
 		c.routes[src.id] = t
 	}
 	return t
@@ -99,16 +99,21 @@ func (n *Network) routesFrom(lane int, src *server) []hop {
 // the order AddLink appended them — so among equal-cost paths the choice
 // is deterministic; relaxing src's own links in that order also leaves
 // each neighbour's hop holding the best link to it, since only a
-// strictly cheaper parallel link replaces an earlier one.
-func (n *Network) dijkstra(src *server) []hop {
+// strictly cheaper parallel link replaces an earlier one. Its distances,
+// marks and frontier are the lane's scratch, so the table it returns is
+// all it allocates once the lane is warm.
+func (n *Network) dijkstra(c *laneState, src *server) []hop {
 	table := make([]hop, len(n.servers))
-	dist := make([]int, len(n.servers)) // -1 = not reached
-	for i := range dist {
-		dist[i] = -1
+	if len(c.spDist) != len(n.servers) {
+		c.spDist, c.spDone = make([]int, len(n.servers)), make([]bool, len(n.servers))
 	}
-	done := make([]bool, len(n.servers))
+	dist, done := c.spDist, c.spDone
+	for i := range dist {
+		dist[i] = -1 // not reached
+	}
+	clear(done)
 	dist[src.id] = 0
-	q := spHeap{{server: src.id}}
+	q := append(c.spHeap[:0], spItem{server: src.id})
 	for len(q) > 0 {
 		it := q.pop()
 		if done[it.server] {
@@ -133,6 +138,7 @@ func (n *Network) dijkstra(src *server) []hop {
 			}
 		}
 	}
+	c.spHeap = q // empty, keeping what it grew to
 	return table
 }
 

@@ -44,28 +44,52 @@ const streamLen = 4
 var ErrStopped = errors.New("node: stopped")
 
 // Envelope is one encoded, stream-prefixed frame — the stream ID, then
-// the wire frame — in a pooled buffer. It has one owner at a time, and
+// the wire frame — in a reused buffer. It has one owner at a time, and
 // the last owner calls Release. A Transport may append its own trailer
 // before transmitting.
 type Envelope []byte
 
-var envelopes = sync.Pool{New: func() any {
-	e := make(Envelope, 0, 512)
-	return &e
-}}
+// The free lists of envelopes and commands are buffered channels, not
+// sync.Pools: a pool is emptied at every garbage collection, and a node
+// would allocate its working set again after each one. They hold at most
+// freeEnvelopes envelopes — an in-flight peak beyond that allocates — and
+// freeCommands commands, one per concurrent Broadcast or Inspect caller.
+// An envelope whose buffer grew past maxEnvelope (a UDP datagram's bound)
+// is dropped on Release rather than kept.
+const (
+	freeEnvelopes = 1024
+	freeCommands  = 64
+	maxEnvelope   = 64 * 1024
+)
+
+var envelopes = make(chan *Envelope, freeEnvelopes)
 
 // NewEnvelope returns an empty envelope for a transport to fill with
 // received bytes.
-func NewEnvelope() *Envelope { return envelopes.Get().(*Envelope) }
+func NewEnvelope() *Envelope {
+	select {
+	case e := <-envelopes:
+		return e
+	default:
+		e := make(Envelope, 0, 512)
+		return &e
+	}
+}
 
 // Release returns the envelope's buffer for reuse.
 func (e *Envelope) Release() {
+	if cap(*e) > maxEnvelope {
+		return
+	}
 	*e = (*e)[:0]
-	envelopes.Put(e)
+	select {
+	case envelopes <- e:
+	default:
+	}
 }
 
 // EncodeEnvelope renders a frame on the given stream (streams are keyed
-// by source host) into a pooled envelope.
+// by source host) into an envelope from the free list.
 func EncodeEnvelope(stream core.HostID, f wire.Frame) (*Envelope, error) {
 	e := NewEnvelope()
 	out, err := wire.AppendEncode(binary.BigEndian.AppendUint32(*e, uint32(stream)), f)
@@ -254,8 +278,8 @@ func (e *busEnv) Deliver(stream core.HostID, seq seqset.Seq, payload []byte) {
 
 // command is one Broadcast or Inspect rendezvous: what the caller asks,
 // what the node goroutine answers, and the channel the answer is
-// signalled on. A command is reused through the commands pool, its done
-// channel with it.
+// signalled on. A command is reused through the commands free list, its
+// done channel with it.
 type command struct {
 	// payload is a Broadcast's message; host, when set, makes the command
 	// an Inspect of it with inspect instead.
@@ -271,15 +295,26 @@ type command struct {
 	done chan struct{}
 }
 
-var commands = sync.Pool{New: func() any {
-	return &command{done: make(chan struct{}, 1)}
-}}
+var commands = make(chan *command, freeCommands)
 
-// release returns an answered command to the pool, holding nothing of
-// its caller's.
+// newCommand returns an empty command from the free list, or a new one.
+func newCommand() *command {
+	select {
+	case c := <-commands:
+		return c
+	default:
+		return &command{done: make(chan struct{}, 1)}
+	}
+}
+
+// release returns an answered command to the free list, holding nothing
+// of its caller's.
 func (c *command) release() {
 	*c = command{done: c.done}
-	commands.Put(c)
+	select {
+	case commands <- c:
+	default:
+	}
 }
 
 // exec runs c on the node goroutine and signals its caller.
@@ -293,7 +328,7 @@ func (d *Driver) exec(c *command) {
 }
 
 // call hands c to the node goroutine and waits for it. On ErrStopped the
-// caller must abandon c rather than pool it: the node goroutine may
+// caller must abandon c rather than release it: the node goroutine may
 // still hold it.
 func (d *Driver) call(c *command) error {
 	select {
@@ -313,7 +348,7 @@ func (d *Driver) call(c *command) error {
 // returns once the node goroutine has processed it. It errors if the
 // host is not a source.
 func (d *Driver) Broadcast(payload []byte) (seqset.Seq, error) {
-	c := commands.Get().(*command)
+	c := newCommand()
 	c.payload = payload
 	if err := d.call(c); err != nil {
 		return 0, err
@@ -331,7 +366,7 @@ func (d *Driver) Inspect(stream core.HostID, fn func(h *core.Host)) error {
 	if h == nil {
 		return fmt.Errorf("node: unknown stream %d", stream)
 	}
-	c := commands.Get().(*command)
+	c := newCommand()
 	c.host, c.inspect = h, fn
 	if err := d.call(c); err != nil {
 		return err

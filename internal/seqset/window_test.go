@@ -2,8 +2,10 @@ package seqset
 
 import (
 	"math/rand"
+	"runtime"
 	"slices"
 	"testing"
+	"unsafe"
 )
 
 // windowModel is the reference a Window must agree with: a plain map and
@@ -37,7 +39,9 @@ func (m *windowModel) release(upTo Seq) {
 // step. Two bytes make an operation: the first picks it, the second is
 // its argument. Keys cluster just above the floor so that out-of-order
 // puts, overwrites and releases collide; the outlier operations reach
-// past maxWindowGap and out to the far end of the key space.
+// past maxWindowGap and out to the far end of the key space, and the run
+// operation takes the dense range past the page cap and releases it
+// across page boundaries.
 func checkWindowProgram(t *testing.T, prog []byte) {
 	t.Helper()
 	const nearSpan = 96
@@ -45,8 +49,16 @@ func checkWindowProgram(t *testing.T, prog []byte) {
 	m := &windowModel{has: make(map[Seq]int)}
 	var top Seq      // highest near key ever put: what the dense range may cover
 	var outliers int // far keys put so far, each of which may cost a spill entry only
+	runs := 0        // run operations so far
 	for step := 0; step+1 < len(prog); step += 2 {
-		op, arg := prog[step]%8, Seq(prog[step+1])
+		op, arg := prog[step]%9, Seq(prog[step+1])
+		probe := func(q Seq) {
+			got, ok := w.Get(q)
+			want, has := m.has[q]
+			if ok != has || got != want {
+				t.Fatalf("step %d (op %d): Get(%d) = %d,%v; model %d,%v (floor %d)", step, op, q, got, ok, want, has, m.floor)
+			}
+		}
 		var q Seq
 		switch op {
 		case 0, 1, 2: // near the floor: in order, out of order, overwriting
@@ -69,6 +81,19 @@ func checkWindowProgram(t *testing.T, prog []byte) {
 			m.release(upTo)
 		case 7: // release nothing
 			w.Release(m.floor - min(m.floor, arg))
+		case 8: // a run past the page cap, then a release that keeps arg keys
+			from := max(top, m.floor)
+			top = from + pageSlots/4 + 8*arg
+			for q := from + 1; q <= top; q++ {
+				w.Put(q, step)
+				m.put(q, step)
+			}
+			for q := m.floor + 1; q <= from; q++ {
+				probe(q) // what the run found, before the release drops it
+			}
+			w.Release(top - arg)
+			m.release(top - arg)
+			runs++
 		}
 		if op < 6 {
 			capBefore := w.Cap()
@@ -85,16 +110,16 @@ func checkWindowProgram(t *testing.T, prog []byte) {
 		}
 		// Near keys stay within nearSpan of the floor, so the dense range
 		// never needs more than that, whatever the outliers were (doubling
-		// may overshoot once).
-		if w.Cap() > 2*nearSpan {
-			t.Fatalf("step %d: Cap = %d after %d outliers; near keys span at most %d", step, w.Cap(), outliers, nearSpan)
+		// may overshoot once). A run and the keys it follows span fewer
+		// than 2 900 keys, so at most three pages at once, and the ring
+		// the window outgrew, kept as the page after the range's, may be
+		// a fourth; freed pages are taken before any is allocated.
+		limit := 2 * nearSpan
+		if runs > 0 {
+			limit = 4 * pageSlots
 		}
-		probe := func(q Seq) {
-			got, ok := w.Get(q)
-			want, has := m.has[q]
-			if ok != has || got != want {
-				t.Fatalf("step %d (op %d): Get(%d) = %d,%v; model %d,%v (floor %d)", step, op, q, got, ok, want, has, m.floor)
-			}
+		if w.Cap() > limit {
+			t.Fatalf("step %d: Cap = %d after %d outliers and %d runs", step, w.Cap(), outliers, runs)
 		}
 		for q := m.floor - min(m.floor, 3); q <= max(top, m.floor)+3; q++ {
 			probe(q) // below the floor, through the near range, above the top
@@ -134,12 +159,15 @@ func checkWindowProgram(t *testing.T, prog []byte) {
 
 // windowSeedPrograms spell out the situations worth naming: a stream in
 // order, a release past the top, an outlier the dense range later grows
-// past, and a release that takes the spill with it.
+// past, a release that takes the spill with it, and a ring that moves
+// into pages with a key at its head, whose pages are released, reused and
+// released across their boundaries.
 var windowSeedPrograms = [][]byte{
 	{0, 0, 0, 1, 0, 2, 0, 3, 6, 2, 0, 0, 0, 1},
 	{0, 5, 0, 2, 6, 47, 0, 0, 6, 255, 0, 0},
 	{0, 0, 4, 0, 0, 95, 6, 40, 0, 95, 6, 40, 0, 95, 6, 40, 0, 95, 6, 40, 0, 95, 6, 40, 0, 95, 0, 0},
 	{5, 0, 5, 1, 0, 0, 6, 255, 5, 0, 6, 1, 3, 0, 7, 9},
+	{0, 0, 0, 3, 8, 200, 0, 1, 6, 30, 8, 255, 6, 255, 8, 0, 8, 129, 0, 7, 6, 100, 8, 37},
 }
 
 func TestWindowSeedPrograms(t *testing.T) {
@@ -275,5 +303,37 @@ func TestNewWindowsShareOneSlab(t *testing.T) {
 	}
 	if _, ok := ws[2].Get(5); ok {
 		t.Fatal("window 2 sees window 1's key 5")
+	}
+}
+
+// TestWindowGrowsByPages: past the cap a window grows a page at a time
+// and copies nothing, so 10⁵ keys put in order allocate little more than
+// the slots they end in, plus the doubling copies below the cap. (A ring
+// that doubled all the way allocated twice its final size.)
+func TestWindowGrowsByPages(t *testing.T) {
+	const keys = 100_000
+	var w Window[int]
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for q := Seq(1); q <= keys; q++ {
+		w.Put(q, int(q))
+	}
+	runtime.ReadMemStats(&after)
+	slotBytes := uint64(unsafe.Sizeof(slot[int]{}))
+	var below uint64 // the rings of 8 through pageSlots/2 slots; the last ring is kept as a page
+	for n := 8; n < pageSlots; n *= 2 {
+		below += uint64(n) * slotBytes
+	}
+	limit := uint64(w.Cap())*slotBytes*11/10 + below
+	if got := after.TotalAlloc - before.TotalAlloc; got > limit {
+		t.Errorf("%d keys in order allocated %d bytes; Cap %d slots of %d bytes allows %d", keys, got, w.Cap(), slotBytes, limit)
+	}
+	if w.Len() != keys || w.Cap() < keys {
+		t.Fatalf("Len = %d, Cap = %d after %d keys", w.Len(), w.Cap(), keys)
+	}
+	for _, q := range []Seq{1, pageSlots, pageSlots + 1, keys} {
+		if v, ok := w.Get(q); !ok || v != int(q) {
+			t.Errorf("Get(%d) = %d,%v", q, v, ok)
+		}
 	}
 }

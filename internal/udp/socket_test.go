@@ -73,12 +73,10 @@ func loopbackPair(t *testing.T) (from, to socket) {
 }
 
 // TestDatagramPathAllocatesNothing: one socket.Send and the readLoop turn
-// that receives it — stamp, write, read, classify, copy into a pooled
-// envelope — allocate nothing once the envelope pool is warm.
+// that receives it — stamp, write, read, classify, copy into a reused
+// envelope — allocate nothing once the envelope free list is warm, under
+// the race detector too.
 func TestDatagramPathAllocatesNothing(t *testing.T) {
-	if raceEnabled {
-		t.Skip("the race detector makes sync.Pool drop a share of what is put back")
-	}
 	from, to := loopbackPair(t)
 	frame := make([]byte, 100)
 	buf := make([]byte, maxDatagram)

@@ -184,7 +184,7 @@ type socket struct {
 
 // Send stamps the envelope with the send time and writes the datagram.
 // The write finishes with the buffer before returning, so the envelope
-// goes straight back to the pool.
+// goes straight back to the free list.
 func (s *socket) Send(to core.HostID, env *node.Envelope) error {
 	defer env.Release()
 	addr, ok := s.addrs[to]
