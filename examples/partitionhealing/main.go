@@ -62,7 +62,7 @@ func main() {
 			}
 		}
 		for _, h := range []rbcast.HostID{5, 6} {
-			if at, ok := res.DeliveredAt[h][probe]; ok {
+			if at, ok := res.Deliveries(h).At(probe); ok {
 				fmt.Printf("  host %d received mid-outage message #%d at t=%v\n", h, probe, at)
 			}
 		}

@@ -59,7 +59,7 @@ func main() {
 		// 4..6) obtained the last backlog message, relative to the heal.
 		var last time.Duration
 		for _, h := range []rbcast.HostID{4, 5, 6} {
-			for _, at := range res.DeliveredAt[h] {
+			for _, at := range res.Deliveries(h).Times {
 				if at > last {
 					last = at
 				}

@@ -2,6 +2,7 @@ package experiments
 
 import (
 	"fmt"
+	"slices"
 	"time"
 
 	"rbcast/internal/adversary"
@@ -105,16 +106,12 @@ func EchoReadyHardening(seed int64) (Report, error) {
 // digest does not match what the source's Broadcast call recorded —
 // including fabricated sequence numbers the source never sent.
 func forgedDeliveries(res *harness.Result, adversaries ...core.HostID) int {
-	hostile := make(map[core.HostID]bool, len(adversaries))
-	for _, h := range adversaries {
-		hostile[h] = true
-	}
 	forged := 0
-	for h, per := range res.DeliveredDigest {
-		if hostile[h] {
+	for _, h := range res.HostList {
+		if slices.Contains(adversaries, h) {
 			continue
 		}
-		for seq, d := range per {
+		for seq, d := range res.Deliveries(h).Digests {
 			if want, ok := res.BroadcastDigest[seq]; !ok || d != want {
 				forged++
 			}

@@ -108,7 +108,7 @@ func DelaySweep(seed int64) (Report, error) {
 		for c := 0; c < 4; c++ {
 			var d metrics.Durations
 			for _, h := range rt.Topo.HostsByCluster[c] {
-				for seq, at := range res.DeliveredAt[core.HostID(h)] {
+				for seq, at := range res.Deliveries(core.HostID(h)).Times {
 					if sent, ok := res.BroadcastAt[seq]; ok {
 						d.Add(at - sent)
 					}
@@ -431,7 +431,7 @@ func Tradeoff(seed int64) (Report, error) {
 		for _, h := range cutHosts {
 			want += res.Messages
 			gotten += res.Messages - len(res.MissingAt(h))
-			for _, at := range res.DeliveredAt[h] {
+			for _, at := range res.Deliveries(h).Times {
 				if at > recoveredAt {
 					recoveredAt = at
 				}

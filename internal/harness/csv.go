@@ -4,10 +4,8 @@ import (
 	"encoding/csv"
 	"fmt"
 	"io"
-	"sort"
 	"strconv"
 
-	"rbcast/internal/core"
 	"rbcast/internal/seqset"
 )
 
@@ -23,13 +21,10 @@ func (r *Result) WriteDeliveryCSV(w io.Writer) error {
 	}); err != nil {
 		return err
 	}
-	hosts := make([]core.HostID, len(r.HostList))
-	copy(hosts, r.HostList)
-	sort.Slice(hosts, func(i, j int) bool { return hosts[i] < hosts[j] })
 	total := seqset.Seq(r.TotalMessages())
 	for q := seqset.Seq(1); q <= total; q++ {
 		sent, haveSent := r.BroadcastAt[q]
-		for _, h := range hosts {
+		for _, h := range r.HostList { // ascending
 			row := []string{
 				strconv.FormatUint(uint64(q), 10),
 				strconv.Itoa(int(h)),
@@ -38,7 +33,7 @@ func (r *Result) WriteDeliveryCSV(w io.Writer) error {
 			if haveSent {
 				row[2] = strconv.FormatInt(sent.Microseconds(), 10)
 			}
-			if at, ok := r.DeliveredAt[h][q]; ok {
+			if at, ok := r.Deliveries(h).At(q); ok {
 				row[3] = strconv.FormatInt(at.Microseconds(), 10)
 				if haveSent {
 					row[4] = strconv.FormatInt((at - sent).Microseconds(), 10)

@@ -8,6 +8,7 @@ package harness
 import (
 	"bytes"
 	"fmt"
+	"slices"
 	"time"
 
 	"rbcast/internal/adversary"
@@ -210,10 +211,9 @@ type Runtime struct {
 	// snapshot install (coverage true, seq the watermark) before the
 	// recorder does. Tests feed a reference recorder from it.
 	tap func(lane int, id core.HostID, seq seqset.Seq, payload []byte, coverage bool)
-	// byzFirst and byzSeqs are checkByzantine's scratch, kept from one
-	// call to the next: a settling soak seed checks once per step.
+	// byzFirst is checkByzantine's scratch, kept from one call to the
+	// next: a settling soak seed checks once per step.
 	byzFirst map[seqset.Seq]byzRow
-	byzSeqs  []seqset.Seq
 }
 
 // broadcastRec is what the harness keeps of one broadcast: when, the
@@ -251,11 +251,10 @@ type laneAcc struct {
 	delays metrics.Durations
 	// hosts lists the lane's hosts in enrolment order; delivered holds one
 	// window per entry, carved from one slab at the lane's first delivery
-	// and sized from Scenario.Messages; exported is each window's Len at
-	// the last export into the Result maps.
+	// and sized from Scenario.Messages. The Result reads the windows in
+	// place, through one Deliveries view per host.
 	hosts     []core.HostID
 	delivered []seqset.Window[deliveredRec]
-	exported  []int
 	// lastDelivery is the instant of the lane's latest counted delivery
 	// (including self-deliveries and snapshot coverage, which take no
 	// delay sample); completion time is the maximum over lanes.
@@ -273,13 +272,19 @@ func (rt *Runtime) laneOf(id core.HostID) int {
 	return rt.Net.LaneOfHost(netsim.HostID(id))
 }
 
-// enroll gives host id a delivery window in its lane's accumulator and
-// returns the lane and the window's index there.
+// enroll gives host id a delivery window in its lane's accumulator,
+// points the Result's view of the host at it, and returns the lane and
+// the window's index there.
 func (rt *Runtime) enroll(id core.HostID) (lane, slot int) {
 	lane = rt.laneOf(id)
 	a := &rt.acc[lane]
 	a.hosts = append(a.hosts, id)
-	return lane, len(a.hosts) - 1
+	slot = len(a.hosts) - 1
+	res := rt.result
+	if i, ok := slices.BinarySearch(res.HostList, id); ok {
+		res.deliveries[i] = Deliveries{acc: a, slot: slot}
+	}
+	return lane, slot
 }
 
 // window returns the delivery window at slot, creating the lane's
@@ -287,7 +292,6 @@ func (rt *Runtime) enroll(id core.HostID) (lane, slot int) {
 func (a *laneAcc) window(slot, messages int) *seqset.Window[deliveredRec] {
 	if a.delivered == nil {
 		a.delivered = seqset.NewWindows[deliveredRec](len(a.hosts), messages)
-		a.exported = make([]int, len(a.hosts))
 	}
 	return &a.delivered[slot]
 }

@@ -269,11 +269,10 @@ type byzRow struct {
 // pairwise consequence of the former, kept as its own named invariant
 // because equivocation breaks it even when the broadcast record is
 // unavailable to an observer). Hosts and sequence numbers are visited in
-// ascending order, so the report is byte-for-byte deterministic. With
-// first, the walk returns at its first finding and takes each host's
-// sequence numbers as the map yields them: whether a finding exists does
-// not depend on the order. The map of first deliveries is kept from call
-// to call and emptied at the start of each, so it keeps its buckets.
+// ascending order — HostList's, and each delivery window's — so the
+// report is byte-for-byte deterministic. With first, the walk returns at
+// its first finding. The map of first deliveries is kept from call to
+// call and emptied at the start of each, so it keeps its buckets.
 func (rt *Runtime) checkByzantine(first bool) []Violation {
 	var out []Violation
 	res := rt.result
@@ -282,22 +281,11 @@ func (rt *Runtime) checkByzantine(first bool) []Violation {
 	}
 	seen := rt.byzFirst
 	clear(seen)
-	seqs := rt.byzSeqs[:0]
-	defer func() { rt.byzSeqs = seqs }()
-	for _, h := range res.HostList {
+	for i, h := range res.HostList {
 		if rt.adversarial(h) {
 			continue
 		}
-		per := res.DeliveredDigest[h]
-		seqs = seqs[:0]
-		for q := range per {
-			seqs = append(seqs, q)
-		}
-		if !first {
-			slices.Sort(seqs)
-		}
-		for _, q := range seqs {
-			d := per[q]
+		for q, d := range res.deliveries[i].Digests {
 			if want, broadcast := res.BroadcastDigest[q]; !broadcast {
 				out = append(out, Violation{"byz-forged-frame",
 					fmt.Sprintf("host %d delivered fabricated seq %d that no source broadcast", h, q)})

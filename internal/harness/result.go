@@ -1,7 +1,9 @@
 package harness
 
 import (
+	"cmp"
 	"fmt"
+	"iter"
 	"slices"
 	"sort"
 	"time"
@@ -31,8 +33,6 @@ type Result struct {
 
 	// BroadcastAt records when each sequence number was generated.
 	BroadcastAt map[seqset.Seq]time.Duration
-	// DeliveredAt records first delivery time per host per message.
-	DeliveredAt map[core.HostID]map[seqset.Seq]time.Duration
 	// Delays aggregates per-delivery latency (delivery − broadcast).
 	Delays metrics.Durations
 	// DeliveredCount counts distinct (host, seq) deliveries.
@@ -50,9 +50,6 @@ type Result struct {
 	// sequence number — the ground truth the Byzantine invariants compare
 	// deliveries against.
 	BroadcastDigest map[seqset.Seq]uint64
-	// DeliveredDigest records the digest of the payload each host actually
-	// delivered, per sequence number.
-	DeliveredDigest map[core.HostID]map[seqset.Seq]uint64
 	// ForeignDeliveries counts deliveries of sequence numbers no source
 	// ever broadcast — frames an adversary fabricated. They never count
 	// toward DeliveredCount or completion.
@@ -143,6 +140,103 @@ type Result struct {
 	EventErrors []string
 	// SendErrors counts rejected Network.Send calls (should be zero).
 	SendErrors int
+
+	// deliveries holds one view per host of HostList, in its order: the
+	// delivery window the host's lane records into, read in place.
+	// Deliveries, DeliveredAt and DeliveredDigest read through it.
+	deliveries []Deliveries
+}
+
+// Deliveries is one host's delivery record: when it first delivered each
+// sequence number, and the digest of the payload it delivered. It is a
+// view of the window the harness records into as the host delivers, not
+// a copy, so it reads what was recorded up to the moment it is read; read
+// it from parked contexts only, like Runtime.Result. The zero Deliveries
+// is an empty record.
+type Deliveries struct {
+	acc  *laneAcc
+	slot int
+}
+
+// window returns the viewed window, nil before the lane's first delivery.
+func (d Deliveries) window() *seqset.Window[deliveredRec] {
+	if d.acc == nil || d.acc.delivered == nil {
+		return nil
+	}
+	return &d.acc.delivered[d.slot]
+}
+
+func (d Deliveries) get(seq seqset.Seq) (deliveredRec, bool) {
+	if w := d.window(); w != nil {
+		return w.Get(seq)
+	}
+	return deliveredRec{}, false
+}
+
+// Len counts the sequence numbers the host delivered.
+func (d Deliveries) Len() int {
+	if w := d.window(); w != nil {
+		return w.Len()
+	}
+	return 0
+}
+
+// At reports when the host first delivered seq.
+func (d Deliveries) At(seq seqset.Seq) (time.Duration, bool) {
+	rec, ok := d.get(seq)
+	return rec.at, ok
+}
+
+// Digest reports the digest of the payload the host delivered as seq.
+func (d Deliveries) Digest(seq seqset.Seq) (uint64, bool) {
+	rec, ok := d.get(seq)
+	return rec.digest, ok
+}
+
+// Times yields each sequence number the host delivered, ascending, with
+// the time it first delivered it.
+func (d Deliveries) Times(yield func(seqset.Seq, time.Duration) bool) {
+	if w := d.window(); w != nil {
+		w.Each(func(q seqset.Seq, rec deliveredRec) bool { return yield(q, rec.at) })
+	}
+}
+
+// Digests yields each sequence number the host delivered, ascending, with
+// the digest of the payload it delivered.
+func (d Deliveries) Digests(yield func(seqset.Seq, uint64) bool) {
+	if w := d.window(); w != nil {
+		w.Each(func(q seqset.Seq, rec deliveredRec) bool { return yield(q, rec.digest) })
+	}
+}
+
+// Deliveries returns host h's delivery record; a host outside HostList
+// has an empty one.
+func (r *Result) Deliveries(h core.HostID) Deliveries {
+	if i, ok := slices.BinarySearch(r.HostList, h); ok && i < len(r.deliveries) {
+		return r.deliveries[i]
+	}
+	return Deliveries{}
+}
+
+// DeliveredAt yields every host that delivered anything, ascending, with
+// its first delivery time per sequence number (Deliveries.Times).
+func (r *Result) DeliveredAt(yield func(core.HostID, iter.Seq2[seqset.Seq, time.Duration]) bool) {
+	for i, d := range r.deliveries {
+		if d.Len() > 0 && !yield(r.HostList[i], d.Times) {
+			return
+		}
+	}
+}
+
+// DeliveredDigest yields every host that delivered anything, ascending,
+// with the digest of the payload it delivered per sequence number
+// (Deliveries.Digests).
+func (r *Result) DeliveredDigest(yield func(core.HostID, iter.Seq2[seqset.Seq, uint64]) bool) {
+	for i, d := range r.deliveries {
+		if d.Len() > 0 && !yield(r.HostList[i], d.Digests) {
+			return
+		}
+	}
 }
 
 func newResult(s Scenario, tp *topo.Topology) *Result {
@@ -163,9 +257,8 @@ func newResult(s Scenario, tp *topo.Topology) *Result {
 		Messages:        s.Messages,
 		BroadcastAt:     make(map[seqset.Seq]time.Duration),
 		BroadcastDigest: make(map[seqset.Seq]uint64),
-		DeliveredAt:     make(map[core.HostID]map[seqset.Seq]time.Duration, len(tp.Hosts)),
-		DeliveredDigest: make(map[core.HostID]map[seqset.Seq]uint64, len(tp.Hosts)),
 		ExpectedCount:   len(tp.Hosts) * s.Messages,
+		deliveries:      make([]Deliveries, len(hostList)),
 	}
 }
 
@@ -173,7 +266,8 @@ func newResult(s Scenario, tp *topo.Topology) *Result {
 // every derived counter from scratch so the operation is idempotent.
 // Lanes are folded in lane order, so the merged Result is a pure
 // function of the per-lane data — independent of worker count and wall
-// timing. Parked contexts only.
+// timing. Delivery records are not merged: the Result's Deliveries read
+// the lanes' windows in place. Parked contexts only.
 func (rt *Runtime) merge() {
 	res := rt.result
 	res.SendsByKind, res.InterClusterByKind = KindCounts{}, KindCounts{}
@@ -215,12 +309,11 @@ func (rt *Runtime) merge() {
 		res.Delays.Merge(&a.delays)
 		last = max(last, a.lastDelivery)
 		events = append(events, a.events...)
-		rt.exportDelivered(a)
 	}
 	rt.exportSent()
 	// Events merge by instant; the stable sort keeps lane order as the
 	// tie-break for same-instant events, and within-lane order intact.
-	sort.SliceStable(events, func(i, j int) bool { return events[i].At < events[j].At })
+	slices.SortStableFunc(events, func(a, b core.Event) int { return cmp.Compare(a.At, b.At) })
 	res.Events = events
 	res.Complete = res.DeliveredCount == res.ExpectedCount
 	res.CompletionAt = 0
@@ -229,38 +322,10 @@ func (rt *Runtime) merge() {
 	}
 }
 
-// exportDelivered brings Result.DeliveredAt and DeliveredDigest up to
-// date with one lane's delivery windows. The recording path keeps no
-// map: the exported ones are filled here, where every reader of a Result
-// passes, and only for hosts that delivered since the last export. A
-// delivery record is written once and never removed, so a window changed
-// exactly when its Len did, and re-assigning its entries into the host's
-// existing maps — presized at the first export — adds the new ones and
-// leaves the rest as they were.
-func (rt *Runtime) exportDelivered(a *laneAcc) {
-	res := rt.result
-	for slot := range a.delivered {
-		w := &a.delivered[slot]
-		if w.Len() == a.exported[slot] {
-			continue
-		}
-		a.exported[slot] = w.Len()
-		id := a.hosts[slot]
-		at, dig := res.DeliveredAt[id], res.DeliveredDigest[id]
-		if at == nil {
-			at = make(map[seqset.Seq]time.Duration, w.Len())
-			dig = make(map[seqset.Seq]uint64, w.Len())
-			res.DeliveredAt[id], res.DeliveredDigest[id] = at, dig
-		}
-		w.Each(func(seq seqset.Seq, rec deliveredRec) bool {
-			at[seq], dig[seq] = rec.at, rec.digest
-			return true
-		})
-	}
-}
-
-// exportSent is exportDelivered for Result.BroadcastAt and
-// BroadcastDigest.
+// exportSent brings Result.BroadcastAt and BroadcastDigest up to date
+// with the broadcast window. A broadcast record is written once and never
+// removed, so the window changed exactly when its Len did, and
+// re-assigning its entries into the existing maps adds the new ones.
 func (rt *Runtime) exportSent() {
 	if rt.sent.Len() == rt.sentExported {
 		return
@@ -367,14 +432,23 @@ func (r *Result) DeliveryRatio() float64 {
 	return float64(r.DeliveredCount) / float64(r.ExpectedCount)
 }
 
-// MissingAt lists the sequence numbers host h never received.
+// MissingAt lists the sequence numbers host h never received, ascending:
+// the gaps of its delivery window below the message count.
 func (r *Result) MissingAt(h core.HostID) []seqset.Seq {
 	var out []seqset.Seq
-	per := r.DeliveredAt[h]
-	for q := seqset.Seq(1); q <= seqset.Seq(r.TotalMessages()); q++ {
-		if _, ok := per[q]; !ok {
-			out = append(out, q)
+	total := seqset.Seq(r.TotalMessages())
+	next := seqset.Seq(1)
+	for q := range r.Deliveries(h).Times {
+		if q > total {
+			break
 		}
+		for ; next < q; next++ {
+			out = append(out, next)
+		}
+		next = q + 1
+	}
+	for ; next <= total; next++ {
+		out = append(out, next)
 	}
 	return out
 }

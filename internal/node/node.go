@@ -52,13 +52,19 @@ type Envelope []byte
 // The free lists of envelopes and commands are buffered channels, not
 // sync.Pools: a pool is emptied at every garbage collection, and a node
 // would allocate its working set again after each one. They hold at most
-// freeEnvelopes envelopes — an in-flight peak beyond that allocates — and
-// freeCommands commands, one per concurrent Broadcast or Inspect caller.
-// An envelope whose buffer grew past maxEnvelope (a UDP datagram's bound)
-// is dropped on Release rather than kept.
+// freeEnvelopes envelopes and freeCommands commands, one per concurrent
+// Broadcast or Inspect caller. An in-flight peak of envelopes beyond what
+// the list holds is met by carving: a miss makes envelopeChunk envelopes
+// at once, envelopeSize bytes each, out of one buffer and one array of
+// headers, takes the first and puts the rest on the list, so a burst costs
+// two allocations per envelopeChunk envelopes. An envelope whose buffer
+// grew past maxEnvelope (a UDP datagram's bound) is dropped on Release
+// rather than kept.
 const (
 	freeEnvelopes = 1024
 	freeCommands  = 64
+	envelopeChunk = 32
+	envelopeSize  = 512
 	maxEnvelope   = 64 * 1024
 )
 
@@ -71,9 +77,22 @@ func NewEnvelope() *Envelope {
 	case e := <-envelopes:
 		return e
 	default:
-		e := make(Envelope, 0, 512)
-		return &e
 	}
+	buf := make([]byte, envelopeChunk*envelopeSize)
+	carved := make([]Envelope, envelopeChunk)
+	for i := range carved {
+		// Capacity cut to the share: an envelope that outgrows it moves
+		// to a buffer of its own instead of writing into the next one.
+		carved[i] = buf[i*envelopeSize : i*envelopeSize : (i+1)*envelopeSize]
+	}
+	for i := 1; i < envelopeChunk; i++ {
+		select {
+		case envelopes <- &carved[i]:
+		default: // the list filled meanwhile; the rest go unused
+			return &carved[0]
+		}
+	}
+	return &carved[0]
 }
 
 // Release returns the envelope's buffer for reuse.

@@ -1,6 +1,7 @@
 package sim
 
 import (
+	"runtime"
 	"slices"
 	"testing"
 	"time"
@@ -125,6 +126,43 @@ func TestCancelCompactZeroAllocs(t *testing.T) {
 	allocs := testing.AllocsPerRun(100, cycle)
 	if allocs != 0 {
 		t.Errorf("schedule/cancel/compact cycle: %.1f allocs/op, want 0", allocs)
+	}
+}
+
+// TestColdSchedulesCarveCells pins the cold side of the cell free list:
+// a fresh engine's first Schedule calls, a scenario's whole set-up,
+// carve their cells from chunks, so 10 000 of them cost at most one
+// allocation per 32 — cells, queue growth and all — where each took one
+// of its own. Every carved cell is a cell of its own: canceling every
+// odd timer leaves every even event to fire.
+func TestColdSchedulesCarveCells(t *testing.T) {
+	const n = 10_000
+	e := NewEngine(1)
+	fired := make([]bool, n)
+	events := make([]Event, n)
+	for i := range events {
+		events[i] = func() { fired[i] = true }
+	}
+	timers := make([]Timer, n)
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for i := range timers {
+		timers[i] = e.Schedule(time.Duration(i%100)*time.Microsecond, events[i])
+	}
+	runtime.ReadMemStats(&after)
+	if mallocs := after.Mallocs - before.Mallocs; mallocs > n/32 {
+		t.Errorf("%d cold Schedule calls made %d allocations, want at most %d", n, mallocs, n/32)
+	}
+	for i := 1; i < n; i += 2 {
+		timers[i].Cancel()
+	}
+	if err := e.RunUntilIdle(); err != nil {
+		t.Fatal(err)
+	}
+	for i, ok := range fired {
+		if ok != (i%2 == 0) {
+			t.Fatalf("event %d fired %v; only the even ones were left uncanceled", i, ok)
+		}
 	}
 }
 

@@ -13,12 +13,12 @@
 // instant in one FIFO bucket, and the link hops of a recurring delay,
 // which arrive already in instant order, skip it for a FIFO of their own;
 // push and pop are O(1), and nothing is re-sorted. Cancellation cells are
-// recycled through a free list instead of allocated per event, and
-// compaction sweeps canceled entries out of the queue once they outnumber
-// live ones — so timer-churn-heavy runs (backoff scheduling, long
-// recovery soaks) stay allocation-light and bounded in memory. None of
-// this affects event order: events always fire in strict (time,
-// insertion order) sequence.
+// carved from per-engine chunks and recycled through a free list instead
+// of allocated per event, and compaction sweeps canceled entries out of
+// the queue once they outnumber live ones — so timer-churn-heavy runs
+// (backoff scheduling, long recovery soaks) stay allocation-light and
+// bounded in memory. None of this affects event order: events always
+// fire in strict (time, insertion order) sequence.
 package sim
 
 import (
@@ -82,6 +82,8 @@ type Engine struct {
 	// maybeCompact sweeps them once they outnumber live entries.
 	canceledPending int
 	freeCells       []*cancelCell
+	// cells is the rest of the chunk new cells are carved from.
+	cells []cancelCell
 
 	q eventQueue // last: its slot table is large
 }
@@ -105,6 +107,12 @@ func (e *Engine) EventsRun() uint64 { return e.ran }
 // canceled events not yet popped or compacted away).
 func (e *Engine) Pending() int { return e.q.n }
 
+// cellChunk is how many cancel cells one allocation makes: a 1 KiB
+// chunk, so the thousands of cold Schedule calls of a scenario's set-up
+// cost one allocation per 64 of them.
+const cellChunk = 64
+
+// getCell returns a recycled cell, or a new one.
 func (e *Engine) getCell() *cancelCell {
 	if n := len(e.freeCells); n > 0 {
 		c := e.freeCells[n-1]
@@ -113,7 +121,18 @@ func (e *Engine) getCell() *cancelCell {
 		c.canceled = false
 		return c
 	}
-	return new(cancelCell)
+	return e.newCell()
+}
+
+// newCell carves a fresh cell from the engine's chunk, taking a new chunk
+// when the last is used up.
+func (e *Engine) newCell() *cancelCell {
+	if len(e.cells) == 0 {
+		e.cells = make([]cancelCell, cellChunk)
+	}
+	c := &e.cells[0]
+	e.cells = e.cells[1:]
+	return c
 }
 
 // releaseCell retires a cell once its event left the queue. Bumping gen
@@ -263,7 +282,7 @@ func (e *Engine) Every(period time.Duration, fn Event) Timer {
 	// The cell is private to this periodic chain (never enters the queue,
 	// never recycled), so the returned Timer stays valid for the chain's
 	// whole lifetime.
-	cell := new(cancelCell)
+	cell := e.newCell()
 	var tick Event
 	tick = func() {
 		if cell.canceled {

@@ -1,10 +1,11 @@
 package sim
 
 import (
+	"cmp"
 	"encoding/binary"
 	"fmt"
 	"hash/fnv"
-	"sort"
+	"slices"
 	"sync/atomic"
 	"time"
 
@@ -180,8 +181,8 @@ func (s *Sharded) SetLanes(weights []int, lookahead time.Duration) {
 	// Heaviest lanes first, ties by lane id: with at least as many lanes
 	// as workers, greedy least-loaded placement gives every worker at
 	// least one lane and balances the rest.
-	sort.SliceStable(order, func(a, b int) bool {
-		return weights[order[a]] > weights[order[b]]
+	slices.SortStableFunc(order, func(a, b int) int {
+		return cmp.Compare(weights[b], weights[a])
 	})
 	for _, li := range order {
 		best := 0

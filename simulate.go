@@ -75,7 +75,11 @@ type PartitionSpec struct {
 
 // Result is everything a simulation measured. See the methods on
 // harness.Result — notably Summary, DeliveryRatio, Delays, and
-// InterClusterDataPerMessage — all available through this alias.
+// InterClusterDataPerMessage — all available through this alias. Per-host
+// deliveries are read through Deliveries(h) (At, Digest, Len and the
+// ascending Times and Digests iterators), or for every host that
+// delivered through the DeliveredAt and DeliveredDigest iterators; they
+// are views of what the simulator recorded, not copies.
 type Result = harness.Result
 
 // SendKind indexes Result's per-kind send counters (SendsByKind,
