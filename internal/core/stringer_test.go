@@ -36,15 +36,12 @@ func TestIsControl(t *testing.T) {
 	}
 }
 
+// TestEventKindStrings: every kind from EvAccepted up to NumEventKinds
+// has a name of its own, and anything outside that range renders its
+// number.
 func TestEventKindStrings(t *testing.T) {
-	kinds := []core.EventKind{
-		core.EvAccepted, core.EvDuplicate, core.EvRejected, core.EvAttached,
-		core.EvAttachFailed, core.EvParentTimeout, core.EvCycleBroken,
-		core.EvChildAdded, core.EvChildRemoved,
-		core.EvPeerSuspected, core.EvPeerRecovered, core.EvEquivocation,
-	}
 	seen := map[string]bool{}
-	for _, k := range kinds {
+	for k := core.EvAccepted; k < core.NumEventKinds; k++ {
 		s := k.String()
 		if s == "" || strings.Contains(s, "EventKind") {
 			t.Errorf("%d.String() = %q", k, s)
@@ -54,8 +51,10 @@ func TestEventKindStrings(t *testing.T) {
 		}
 		seen[s] = true
 	}
-	if got := core.EventKind(99).String(); !strings.Contains(got, "99") {
-		t.Errorf("unknown event kind renders %q", got)
+	for _, k := range []core.EventKind{0, core.NumEventKinds, 99} {
+		if got := k.String(); !strings.Contains(got, strconv.Itoa(int(k))) {
+			t.Errorf("unknown event kind %d renders %q", k, got)
+		}
 	}
 }
 

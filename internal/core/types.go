@@ -235,6 +235,10 @@ const (
 	// prune floor without per-message replay. Peer names the snapshot
 	// server.
 	EvSnapshotInstalled
+
+	// NumEventKinds is one past the last kind: the kinds are exactly
+	// EvAccepted ≤ k < NumEventKinds. It is not a kind of its own.
+	NumEventKinds
 )
 
 // String implements fmt.Stringer.

@@ -97,7 +97,7 @@ func Fig32(seed int64) (Report, error) {
 		// Identify cluster C's leader and its parent's cluster.
 		leader := leaderOfGeneratedCluster(rt, 3)
 		if leader != core.Nil {
-			p := rt.TreeHosts[leader].Parent()
+			p := rt.TreeHost(leader).Parent()
 			cOfLeaderParent = rt.Topo.ClusterOf(netsim.HostID(p))
 		}
 	}
@@ -156,8 +156,8 @@ func leaderOfGeneratedCluster(rt *harness.Runtime, c int) core.HostID {
 	truth := rt.Net.TrueClusters()
 	for _, h := range rt.Topo.HostsByCluster[c] {
 		id := core.HostID(h)
-		p := rt.TreeHosts[id].Parent()
-		if p == core.Nil || truth[netsim.HostID(p)] != truth[h] {
+		p := rt.TreeHost(id).Parent()
+		if p == core.Nil || truth.Of(netsim.HostID(p)) != truth.Of(h) {
 			return id
 		}
 	}

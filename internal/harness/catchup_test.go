@@ -2,6 +2,7 @@ package harness_test
 
 import (
 	"fmt"
+	"slices"
 	"testing"
 	"time"
 
@@ -124,10 +125,11 @@ func TestCatchupReplicaConvergence(t *testing.T) {
 	if !res.Complete {
 		t.Fatalf("run incomplete: %d/%d\n%s", res.DeliveredCount, res.ExpectedCount, res.Summary())
 	}
-	want := rt.Replicas[core.HostID(rt.Topo.Source)].Fingerprint()
-	for id, st := range rt.Replicas {
+	src, _ := slices.BinarySearch(res.HostList, core.HostID(rt.Topo.Source))
+	want := rt.Replicas[src].Fingerprint()
+	for i, st := range rt.Replicas {
 		if got := st.Fingerprint(); got != want {
-			t.Errorf("host %d replica fingerprint %s, want %s", id, got, want)
+			t.Errorf("host %d replica fingerprint %s, want %s", res.HostList[i], got, want)
 		}
 	}
 }

@@ -2,7 +2,6 @@ package harness
 
 import (
 	"fmt"
-	"sort"
 	"strings"
 
 	"rbcast/internal/core"
@@ -20,25 +19,13 @@ func (rt *Runtime) ParentGraphDOT() string {
 	b.WriteString("  node [shape=circle fontname=\"sans-serif\"];\n")
 
 	truth := rt.Net.TrueClusters()
-	clusterHosts := map[int][]core.HostID{}
-	for h, c := range truth {
-		clusterHosts[c] = append(clusterHosts[c], core.HostID(h))
-	}
-	var clusterIDs []int
-	for c := range clusterHosts {
-		clusterIDs = append(clusterIDs, c)
-	}
-	sort.Ints(clusterIDs)
-
-	source := core.HostID(rt.Topo.Source)
-	for _, c := range clusterIDs {
-		hosts := clusterHosts[c]
-		sort.Slice(hosts, func(i, j int) bool { return hosts[i] < hosts[j] })
-		fmt.Fprintf(&b, "  subgraph cluster_%d {\n", c)
-		fmt.Fprintf(&b, "    label=\"cluster %d\";\n", c)
-		for _, h := range hosts {
+	source := rt.Topo.Source
+	for _, c := range truth.Clusters {
+		fmt.Fprintf(&b, "  subgraph cluster_%d {\n", c.ID)
+		fmt.Fprintf(&b, "    label=\"cluster %d\";\n", c.ID)
+		for _, h := range c.Hosts {
 			attrs := []string{fmt.Sprintf("label=\"%d\"", h)}
-			if th, ok := rt.TreeHosts[h]; ok && th.IsLeader() {
+			if th := rt.TreeHost(core.HostID(h)); th != nil && th.IsLeader() {
 				attrs = append(attrs, "shape=doublecircle")
 			}
 			if h == source {
@@ -49,18 +36,13 @@ func (rt *Runtime) ParentGraphDOT() string {
 		b.WriteString("  }\n")
 	}
 
-	var ids []core.HostID
-	for id := range rt.TreeHosts {
-		ids = append(ids, id)
-	}
-	sort.Slice(ids, func(i, j int) bool { return ids[i] < ids[j] })
-	for _, id := range ids {
-		p := rt.TreeHosts[id].Parent()
+	for i, h := range rt.TreeHosts {
+		id, p := rt.result.HostList[i], h.Parent()
 		if p == core.Nil {
 			continue
 		}
 		style := ""
-		if truth[netsim.HostID(id)] != truth[netsim.HostID(p)] {
+		if truth.Of(netsim.HostID(id)) != truth.Of(netsim.HostID(p)) {
 			style = " [style=bold color=red]" // expensive (inter-cluster) edge
 		}
 		fmt.Fprintf(&b, "  h%d -> h%d%s;\n", id, p, style)

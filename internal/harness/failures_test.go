@@ -63,7 +63,7 @@ func TestSourceCrashSharedResponsibility(t *testing.T) {
 	// Every host except the crashed source must hold all 15 messages.
 	total := res.TotalMessages()
 	source := core.HostID(rt.Topo.Source)
-	for id := range rt.TreeHosts {
+	for _, id := range res.HostList {
 		if id == source {
 			continue
 		}
@@ -73,8 +73,8 @@ func TestSourceCrashSharedResponsibility(t *testing.T) {
 	}
 	if t.Failed() {
 		t.Logf("total messages: %d", total)
-		for id, h := range rt.TreeHosts {
-			t.Logf("host %d: parent=%d info=%v", id, h.Parent(), h.Info())
+		for i, h := range rt.TreeHosts {
+			t.Logf("host %d: parent=%d info=%v", res.HostList[i], h.Parent(), h.Info())
 		}
 	}
 }

@@ -169,16 +169,16 @@ type Runtime struct {
 	Engine sim.Loop
 	Topo   *topo.Topology
 	Net    *netsim.Network
-	// TreeHosts maps host ID to protocol state (tree protocol runs only).
-	TreeHosts map[core.HostID]*core.Host
-	// BasicSource and BasicReceivers are set for baseline runs.
-	BasicSource    *basic.Source
-	BasicReceivers map[core.HostID]*basic.Receiver
+	// TreeHosts holds each host's protocol state, parallel to
+	// Result.HostList (tree protocol runs only); TreeHost finds one by ID.
+	TreeHosts []*core.Host
+	// BasicSource is set for baseline runs.
+	BasicSource *basic.Source
 	// Adversary controls the Byzantine hosts, when the scenario has any.
 	Adversary *adversary.Controller
-	// Replicas holds each tree host's replicated store under
-	// Scenario.Replicate (nil otherwise).
-	Replicas map[core.HostID]*replica.Store
+	// Replicas holds each tree host's replicated store, parallel to
+	// Result.HostList, under Scenario.Replicate (nil otherwise).
+	Replicas []*replica.Store
 
 	scenario Scenario
 	result   *Result
@@ -272,19 +272,26 @@ func (rt *Runtime) laneOf(id core.HostID) int {
 	return rt.Net.LaneOfHost(netsim.HostID(id))
 }
 
-// enroll gives host id a delivery window in its lane's accumulator,
-// points the Result's view of the host at it, and returns the lane and
-// the window's index there.
-func (rt *Runtime) enroll(id core.HostID) (lane, slot int) {
+// TreeHost returns host id's protocol state; nil outside a tree-protocol
+// run or for a host that is not part of it.
+func (rt *Runtime) TreeHost(id core.HostID) *core.Host {
+	if i, ok := slices.BinarySearch(rt.result.HostList, id); ok && rt.TreeHosts != nil {
+		return rt.TreeHosts[i]
+	}
+	return nil
+}
+
+// enroll gives host id — Result.HostList[i] — a delivery window in its
+// lane's accumulator, points the Result's view of the host at it, and
+// returns the lane and the window's index there.
+func (rt *Runtime) enroll(id core.HostID) (i, lane, slot int) {
 	lane = rt.laneOf(id)
 	a := &rt.acc[lane]
 	a.hosts = append(a.hosts, id)
 	slot = len(a.hosts) - 1
-	res := rt.result
-	if i, ok := slices.BinarySearch(res.HostList, id); ok {
-		res.deliveries[i] = Deliveries{acc: a, slot: slot}
-	}
-	return lane, slot
+	i, _ = slices.BinarySearch(rt.result.HostList, id)
+	rt.result.deliveries[i] = Deliveries{acc: a, slot: slot}
+	return i, lane, slot
 }
 
 // window returns the delivery window at slot, creating the lane's
@@ -418,7 +425,7 @@ func (rt *Runtime) Settle(extra time.Duration) error {
 	return rt.Engine.Run(rt.Engine.Now() + extra)
 }
 
-// Finalize snapshots network statistics and final parent pointers into
+// Finalize snapshots network statistics and the hosts' counters into
 // the result without running the engine further. It is idempotent;
 // Finish calls it implicitly.
 func (rt *Runtime) Finalize() *Result {
@@ -593,10 +600,11 @@ func encodedSize(from core.HostID, m core.Message) uint64 {
 }
 
 type treeEnv struct {
-	rt   *Runtime
-	id   core.HostID
-	lane int
-	slot int // of the host's delivery window in the lane's accumulator
+	rt    *Runtime
+	id    core.HostID
+	lane  int
+	slot  int            // of the host's delivery window in the lane's accumulator
+	store *replica.Store // under Scenario.Replicate, nil otherwise
 }
 
 func (e treeEnv) Send(to core.HostID, m core.Message) {
@@ -614,8 +622,8 @@ func (treeEnv) SharedPayloads() {}
 
 func (e treeEnv) Deliver(seq seqset.Seq, payload []byte) {
 	e.rt.record(e.lane, e.slot, seq, payload)
-	if st := e.rt.Replicas[e.id]; st != nil {
-		st.ApplyEncoded(payload) // a payload that is no update is not applied
+	if e.store != nil {
+		e.store.ApplyEncoded(payload) // a payload that is no update is not applied
 	}
 }
 
@@ -624,11 +632,10 @@ func (e treeEnv) Deliver(seq seqset.Seq, payload []byte) {
 // prefix it covers. Without Scenario.Replicate there is no state to
 // checkpoint and the host runs without snapshots.
 func (e treeEnv) Snapshot(upTo seqset.Seq) ([]byte, bool) {
-	st := e.rt.Replicas[e.id]
-	if st == nil {
+	if e.store == nil {
 		return nil, false
 	}
-	data, err := replica.EncodeCheckpoint(st, uint64(upTo))
+	data, err := replica.EncodeCheckpoint(e.store, uint64(upTo))
 	if err != nil {
 		return nil, false
 	}
@@ -639,15 +646,14 @@ func (e treeEnv) Snapshot(upTo seqset.Seq) ([]byte, bool) {
 // replica store and records delivery coverage for the broadcast prefix
 // it replaces.
 func (e treeEnv) InstallSnapshot(upTo seqset.Seq, data []byte) bool {
-	st := e.rt.Replicas[e.id]
-	if st == nil {
+	if e.store == nil {
 		return false
 	}
 	mark, rows, err := replica.DecodeCheckpoint(data)
 	if err != nil || mark != uint64(upTo) {
 		return false
 	}
-	st.InstallRows(rows)
+	e.store.InstallRows(rows)
 	e.rt.recordSnapshotCoverage(e.lane, e.slot, upTo)
 	return true
 }
@@ -687,16 +693,13 @@ func (rt *Runtime) buildTree() error {
 		peers = append(peers, core.HostID(h))
 	}
 	source := core.HostID(rt.Topo.Source)
-	rt.TreeHosts = make(map[core.HostID]*core.Host, len(peers))
+	rt.TreeHosts = make([]*core.Host, len(peers))
 	if s.Replicate {
-		rt.Replicas = make(map[core.HostID]*replica.Store, len(peers))
-		for _, id := range peers {
-			rt.Replicas[id] = replica.NewStore()
-		}
+		rt.Replicas = make([]*replica.Store, len(peers))
 	}
 	// In static cluster mode (§6), hosts are seeded with the generated
-	// clustering as their fixed CLUSTER knowledge.
-	staticClusters := make(map[core.HostID][]core.HostID)
+	// clustering as their fixed CLUSTER knowledge, indexed like HostList.
+	staticClusters := make([][]core.HostID, len(peers))
 	if s.Params.ClusterMode == core.ClusterStatic {
 		for _, group := range rt.Topo.HostsByCluster {
 			members := make([]core.HostID, 0, len(group))
@@ -704,13 +707,19 @@ func (rt *Runtime) buildTree() error {
 				members = append(members, core.HostID(h))
 			}
 			for _, h := range members {
-				staticClusters[h] = members
+				i, _ := slices.BinarySearch(rt.result.HostList, h)
+				staticClusters[i] = members
 			}
 		}
 	}
 	for _, id := range peers {
 		id := id
-		lane, slot := rt.enroll(id)
+		i, lane, slot := rt.enroll(id)
+		env := treeEnv{rt: rt, id: id, lane: lane, slot: slot}
+		if s.Replicate {
+			env.store = replica.NewStore()
+			rt.Replicas[i] = env.store
+		}
 		var obs core.Observer
 		if s.CollectEvents {
 			obs = func(ev core.Event) {
@@ -723,14 +732,14 @@ func (rt *Runtime) buildTree() error {
 			Peers:          peers,
 			Order:          s.Order,
 			Params:         s.Params,
-			InitialCluster: staticClusters[id],
+			InitialCluster: staticClusters[i],
 			JitterSeed:     s.Seed,
 			Observer:       obs,
-		}, treeEnv{rt: rt, id: id, lane: lane, slot: slot})
+		}, env)
 		if err != nil {
 			return fmt.Errorf("harness: host %d: %w", id, err)
 		}
-		rt.TreeHosts[id] = h
+		rt.TreeHosts[i] = h
 		if err := rt.Net.Handle(netsim.HostID(id), func(now time.Duration, env netsim.Envelope) {
 			m, ok := env.Payload.(*core.Message)
 			if !ok {
@@ -769,13 +778,12 @@ func (rt *Runtime) buildBasic() error {
 	for _, h := range rt.Topo.Hosts {
 		peers = append(peers, core.HostID(h))
 	}
-	lane, slot := rt.enroll(source)
+	_, lane, slot := rt.enroll(source)
 	src, err := basic.NewSource(source, peers, s.BasicParams, basicEnv{rt: rt, id: source, lane: lane, slot: slot})
 	if err != nil {
 		return err
 	}
 	rt.BasicSource = src
-	rt.BasicReceivers = make(map[core.HostID]*basic.Receiver)
 	if err := rt.Net.Handle(netsim.HostID(source), func(now time.Duration, env netsim.Envelope) {
 		m, ok := env.Payload.(*basic.Message)
 		if !ok {
@@ -790,12 +798,11 @@ func (rt *Runtime) buildBasic() error {
 		if id == source {
 			continue
 		}
-		lane, slot := rt.enroll(id)
+		_, lane, slot := rt.enroll(id)
 		rcv, err := basic.NewReceiver(id, source, basicEnv{rt: rt, id: id, lane: lane, slot: slot})
 		if err != nil {
 			return err
 		}
-		rt.BasicReceivers[id] = rcv
 		if err := rt.Net.Handle(netsim.HostID(id), func(now time.Duration, env netsim.Envelope) {
 			m, ok := env.Payload.(*basic.Message)
 			if !ok {
@@ -852,7 +859,7 @@ func (rt *Runtime) broadcast(payload []byte) {
 	rt.broadcasting, rt.selfDelivered = true, nil
 	switch rt.scenario.Protocol {
 	case ProtocolTree:
-		seq = rt.TreeHosts[core.HostID(rt.Topo.Source)].Broadcast(now, payload)
+		seq = rt.TreeHost(core.HostID(rt.Topo.Source)).Broadcast(now, payload)
 	case ProtocolBasic:
 		seq = rt.BasicSource.Broadcast(now, payload)
 	}

@@ -80,9 +80,9 @@ func TestTreeConvergesToClusterTree(t *testing.T) {
 	}
 	if ok, why := rt.InducesClusterTree(); !ok {
 		t.Errorf("parent graph does not induce a cluster tree: %s", why)
-		for id, h := range rt.TreeHosts {
+		for _, h := range rt.TreeHosts {
 			t.Logf("host %d: parent=%d cluster=%v info=%v leader=%v",
-				id, h.Parent(), h.Cluster(), h.Info(), h.IsLeader())
+				h.ID(), h.Parent(), h.Cluster(), h.Info(), h.IsLeader())
 		}
 	}
 	if ok, cycle := rt.ParentGraphAcyclic(); !ok {

@@ -106,8 +106,8 @@ func (rt *Runtime) checkBackoffLiveness() (Violation, bool) {
 	p := rt.scenario.Params
 	now := rt.Engine.Now()
 	hosts := rt.result.HostList
-	for _, i := range hosts {
-		h := rt.TreeHosts[i]
+	for k, h := range rt.TreeHosts {
+		i := hosts[k]
 		for _, j := range hosts {
 			if j == i {
 				continue

@@ -130,7 +130,7 @@ func TestHealthArcOnCrossPartitionPair(t *testing.T) {
 		members[core.HostID(h)] = true
 	}
 	for m := range members {
-		if p := rt.TreeHosts[m].Parent(); p == core.Nil || !members[p] {
+		if p := rt.TreeHost(m).Parent(); p == core.Nil || !members[p] {
 			leader = m
 		}
 	}
@@ -141,11 +141,12 @@ func TestHealthArcOnCrossPartitionPair(t *testing.T) {
 	// leader — i.e. not its parent-graph neighbor (neighbors talk over
 	// the remote-neighbor schedule instead).
 	var observer core.HostID
-	for id, h := range rt.TreeHosts {
+	for _, h := range rt.TreeHosts {
+		id := h.ID()
 		if members[id] || !h.IsLeader() {
 			continue
 		}
-		if rt.TreeHosts[leader].Parent() == id {
+		if rt.TreeHost(leader).Parent() == id {
 			continue
 		}
 		if observer == core.Nil || id < observer {
@@ -155,13 +156,13 @@ func TestHealthArcOnCrossPartitionPair(t *testing.T) {
 	if observer == core.Nil {
 		t.Fatal("no non-neighbor main-net leader to observe with")
 	}
-	if ph := rt.TreeHosts[observer].PeerHealthOf(leader); ph.Suspected {
+	if ph := rt.TreeHost(observer).PeerHealthOf(leader); ph.Suspected {
 		t.Errorf("host %d suspects talking leader %d before the cut: %+v", observer, leader, ph)
 	}
 	if err := rt.RunUntil(cut + 15*time.Second); err != nil {
 		t.Fatal(err)
 	}
-	if ph := rt.TreeHosts[observer].PeerHealthOf(leader); !ph.Suspected {
+	if ph := rt.TreeHost(observer).PeerHealthOf(leader); !ph.Suspected {
 		t.Errorf("host %d does not suspect cut leader %d 15s into the partition: %+v", observer, leader, ph)
 	}
 	if _, err := rt.Finish(); err != nil {
@@ -172,7 +173,7 @@ func TestHealthArcOnCrossPartitionPair(t *testing.T) {
 	if err := rt.Settle(2 * core.DefaultParams().WithBackoff().BackoffMax); err != nil {
 		t.Fatal(err)
 	}
-	if ph := rt.TreeHosts[observer].PeerHealthOf(leader); ph.Suspected {
+	if ph := rt.TreeHost(observer).PeerHealthOf(leader); ph.Suspected {
 		t.Errorf("suspicion of leader %d survived the heal: %+v", leader, ph)
 	}
 	if mon.PeakSuspectedPairs() == 0 {

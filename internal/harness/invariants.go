@@ -22,7 +22,7 @@ import (
 // parentOf is id's current parent pointer; core.Nil for a host that has
 // none or is not part of the run.
 func (rt *Runtime) parentOf(id core.HostID) core.HostID {
-	if h, ok := rt.TreeHosts[id]; ok {
+	if h := rt.TreeHost(id); h != nil {
 		return h.Parent()
 	}
 	return core.Nil
@@ -31,13 +31,19 @@ func (rt *Runtime) parentOf(id core.HostID) core.HostID {
 // parentCycle follows parent pointers from each host in turn, in the
 // order given, and returns the first host whose walk revisits a host,
 // with the cycle it ran into listed from the revisited host on. cycle is
-// nil when the graph is acyclic.
+// nil when the graph is acyclic. hosts must be ascending; a parent
+// outside them ends a walk as NIL does.
 func parentCycle(hosts []core.HostID, parent func(core.HostID) core.HostID) (from core.HostID, cycle []core.HostID) {
-	for _, id := range hosts {
-		seen := map[core.HostID]bool{}
+	// seen[i] is one past the index of the last walk that visited hosts[i].
+	seen := make([]int, len(hosts))
+	for w, id := range hosts {
 		for cur := id; cur != core.Nil; cur = parent(cur) {
-			if !seen[cur] {
-				seen[cur] = true
+			i, ok := slices.BinarySearch(hosts, cur)
+			if !ok {
+				break
+			}
+			if seen[i] != w+1 {
+				seen[i] = w + 1
 				continue
 			}
 			cycle = append(cycle, cur)
@@ -111,40 +117,39 @@ func (rt *Runtime) InducesClusterTree() (bool, string) {
 // oneLeaderPerCluster is condition (2) of InducesClusterTree.
 func (rt *Runtime) oneLeaderPerCluster() (bool, string) {
 	truth := rt.Net.TrueClusters()
-	clusterHosts := map[int][]core.HostID{}
-	for h, c := range truth {
-		clusterHosts[c] = append(clusterHosts[c], core.HostID(h))
-	}
-	var clusters []int
-	for c := range clusterHosts {
-		clusters = append(clusters, c)
-	}
-	slices.Sort(clusters)
-	for _, c := range clusters {
-		hosts := clusterHosts[c]
-		slices.Sort(hosts)
-		var leaders []core.HostID
-		for _, h := range hosts {
-			p := rt.TreeHosts[h].Parent()
-			if p == core.Nil || truth[netsim.HostID(p)] != c {
-				leaders = append(leaders, h)
-			}
-		}
+	for _, c := range truth.Clusters {
+		leaders := rt.leaders(truth, c)
 		if len(leaders) != 1 {
-			return false, fmt.Sprintf("cluster %d has %d leaders (%v)", c, len(leaders), leaders)
+			return false, fmt.Sprintf("cluster %d has %d leaders (%v)", c.ID, len(leaders), leaders)
 		}
 		leader := leaders[0]
-		for _, h := range hosts {
-			if h == leader {
+		for _, h := range c.Hosts {
+			if core.HostID(h) == leader {
 				continue
 			}
-			if p := rt.TreeHosts[h].Parent(); p != leader {
+			if p := rt.parentOf(core.HostID(h)); p != leader {
 				return false, fmt.Sprintf(
-					"cluster %d: host %d's parent is %d, not leader %d", c, h, p, leader)
+					"cluster %d: host %d's parent is %d, not leader %d", c.ID, h, p, leader)
 			}
 		}
 	}
 	return true, ""
+}
+
+// leaders lists the tree hosts of true cluster c whose parent is NIL or
+// outside c, ascending.
+func (rt *Runtime) leaders(truth *netsim.Clustering, c netsim.TrueCluster) []core.HostID {
+	var out []core.HostID
+	for _, h := range c.Hosts {
+		th := rt.TreeHost(core.HostID(h))
+		if th == nil {
+			continue
+		}
+		if p := th.Parent(); p == core.Nil || truth.Of(netsim.HostID(p)) != c.ID {
+			out = append(out, core.HostID(h))
+		}
+	}
+	return out
 }
 
 // Violation is one failed invariant, named so sweep reports can group
@@ -308,18 +313,14 @@ func (rt *Runtime) checkByzantine(first bool) []Violation {
 	return out
 }
 
-// LeadersPerTrueCluster counts current leaders in every true cluster.
+// LeadersPerTrueCluster counts current leaders in every true cluster
+// that has one, by cluster number.
 func (rt *Runtime) LeadersPerTrueCluster() map[int]int {
 	truth := rt.Net.TrueClusters()
 	out := map[int]int{}
-	for h, c := range truth {
-		th, ok := rt.TreeHosts[core.HostID(h)]
-		if !ok {
-			continue
-		}
-		p := th.Parent()
-		if p == core.Nil || truth[netsim.HostID(p)] != c {
-			out[c]++
+	for _, c := range truth.Clusters {
+		if n := len(rt.leaders(truth, c)); n > 0 {
+			out[c.ID] = n
 		}
 	}
 	return out

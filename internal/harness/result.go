@@ -91,7 +91,7 @@ type Result struct {
 	// NetStats is a snapshot of network-level counters.
 	NetStats netsim.Stats
 	// SourceHostLinkTransmissions is the traffic on the source's access
-	// link (the §5 congestion argument).
+	// link (the §5 congestion argument): SourceLinkByKind's total.
 	SourceHostLinkTransmissions uint64
 	// SourceLinkByKind breaks the source access-link traffic down by
 	// message kind (both directions).
@@ -131,9 +131,6 @@ type Result struct {
 	// counters (tree protocol; nonzero only in echo/ready mode).
 	EquivocationsDetected uint64
 
-	// FinalParents is the tree protocol's parent pointer per host at the
-	// end of the run.
-	FinalParents map[core.HostID]core.HostID
 	// Events holds collected protocol events when requested.
 	Events []core.Event
 	// EventErrors records failures of scheduled scenario events.
@@ -346,12 +343,8 @@ func (rt *Runtime) finalize() {
 	rt.merge()
 	res := rt.result
 	res.NetStats = *rt.Net.Stats()
-	res.SourceHostLinkTransmissions = res.NetStats.HostLinkTransmissions[rt.Topo.Source]
+	res.SourceHostLinkTransmissions = res.SourceLinkByKind.total()
 	if rt.TreeHosts != nil {
-		res.FinalParents = make(map[core.HostID]core.HostID, len(rt.TreeHosts))
-		for id, h := range rt.TreeHosts {
-			res.FinalParents[id] = h.Parent()
-		}
 		res.ResyncBursts = rt.TotalResyncBursts()
 		res.SuppressedSends = rt.TotalSuppressedSends()
 		res.SuspectedPairs = rt.SuspectedPairs()

@@ -58,13 +58,13 @@ func TestResultAccessors(t *testing.T) {
 	if len(leaders) != 2 {
 		t.Errorf("leaders map covers %d clusters, want 2", len(leaders))
 	}
-	// Final parent snapshot: the source has none, everyone else does.
-	if p := res.FinalParents[core.HostID(rt.Topo.Source)]; p != core.Nil {
+	// Final parents: the source has none, everyone else does.
+	if p := rt.TreeHost(core.HostID(rt.Topo.Source)).Parent(); p != core.Nil {
 		t.Errorf("source final parent = %d", p)
 	}
 	parented := 0
-	for _, p := range res.FinalParents {
-		if p != core.Nil {
+	for _, h := range rt.TreeHosts {
+		if h.Parent() != core.Nil {
 			parented++
 		}
 	}

@@ -120,9 +120,6 @@ type link struct {
 	a, b ServerID
 	cfg  LinkConfig
 	up   bool
-	// tx counts traversals per direction: tx[0] out of a, tx[1] out of b.
-	// Each slot is written only by the lane owning the sending server.
-	tx [2]uint64
 }
 
 func (l *link) weight() int {
@@ -154,9 +151,6 @@ type hostPort struct {
 	up       bool
 	handler  Handler
 	transmit TransmitHook
-	// linkTx counts traversals of the access link in either direction;
-	// both run on the host's lane.
-	linkTx uint64
 }
 
 // Envelope is a host-to-host message in flight or as delivered.
@@ -220,15 +214,10 @@ type Stats struct {
 	HostSends uint64
 	// Delivered counts messages handed to destination hosts.
 	Delivered uint64
-	// LinkTransmissions counts traversals per link class (including host
-	// links, which are classed by their config).
-	LinkTransmissions map[LinkClass]uint64
-	// PerLink counts traversals of each server-to-server link.
-	PerLink map[LinkID]uint64
-	// HostLinkTransmissions counts traversals of each host's access link,
-	// in either direction. The paper's source-congestion argument is
-	// about exactly this counter at the source.
-	HostLinkTransmissions map[HostID]uint64
+	// LinkTransmissions counts traversals per link class, indexed by
+	// LinkClass (slot 0 is unused), including host links, which are
+	// classed by their config.
+	LinkTransmissions [3]uint64
 	// InterClusterSends counts host-level sends whose endpoints were in
 	// different true clusters at send time — the paper's §5 cost metric.
 	InterClusterSends uint64
@@ -244,8 +233,7 @@ type Stats struct {
 }
 
 // laneStats is one lane's share of the run's counters, bumped on every
-// send and traversal. Per-link and per-host counts live on the link and
-// hostPort themselves; Stats assembles the exported view.
+// send and traversal; Stats sums them over the lanes.
 type laneStats struct {
 	hostSends, delivered, interClusterSends uint64
 	lost, duplicated                        uint64
@@ -281,10 +269,9 @@ type laneState struct {
 	spHeap spHeap
 
 	// clusterOf maps hostPort.idx to the host's true cluster at topology
-	// version clusterVer; clusterMap is TrueClusters' exported view of it,
-	// built on demand.
+	// version clusterVer. A recomputation replaces the slice, so one
+	// handed out is never written again.
 	clusterOf  []int
-	clusterMap map[HostID]int
 	clusterVer uint64
 }
 
@@ -359,11 +346,7 @@ func (n *Network) Engine() sim.Loop { return n.eng }
 // lane. Valid to call from parked contexts only; call it again for
 // fresh numbers.
 func (n *Network) Stats() *Stats {
-	st := &Stats{
-		LinkTransmissions:     make(map[LinkClass]uint64),
-		PerLink:               make(map[LinkID]uint64),
-		HostLinkTransmissions: make(map[HostID]uint64),
-	}
+	st := &Stats{}
 	for _, ls := range n.perLane {
 		c := &ls.stats
 		st.HostSends += c.hostSends
@@ -374,19 +357,7 @@ func (n *Network) Stats() *Stats {
 		st.DroppedLinkDown += c.droppedLinkDown
 		st.DroppedNoRoute += c.droppedNoRoute
 		for class, v := range c.byClass {
-			if v > 0 {
-				st.LinkTransmissions[LinkClass(class)] += v
-			}
-		}
-	}
-	for _, l := range n.links[1:] {
-		if v := l.tx[0] + l.tx[1]; v > 0 {
-			st.PerLink[l.id] = v
-		}
-	}
-	for _, hp := range n.hosts {
-		if hp.linkTx > 0 {
-			st.HostLinkTransmissions[hp.id] = hp.linkTx
+			st.LinkTransmissions[class] += v
 		}
 	}
 	return st
@@ -396,12 +367,6 @@ func (n *Network) Stats() *Stats {
 func (n *Network) ResetStats() {
 	for _, ls := range n.perLane {
 		ls.stats = laneStats{}
-	}
-	for _, l := range n.links[1:] {
-		l.tx = [2]uint64{}
-	}
-	for _, hp := range n.hosts {
-		hp.linkTx = 0
 	}
 }
 
@@ -460,15 +425,6 @@ func (n *Network) checkNotFrozen() {
 	if n.planFrozen {
 		panic("netsim: topology change after shard plan was applied")
 	}
-}
-
-// Servers returns all server IDs in ascending order.
-func (n *Network) Servers() []ServerID {
-	out := make([]ServerID, 0, len(n.servers)-1)
-	for _, s := range n.servers[1:] {
-		out = append(out, s.id)
-	}
-	return out
 }
 
 // AddLink joins servers a and b with a bidirectional link. The link
@@ -580,15 +536,6 @@ func (n *Network) SetLinkUp(id LinkID, up bool) error {
 	return nil
 }
 
-// LinkUp reports a link's current state.
-func (n *Network) LinkUp(id LinkID) (bool, error) {
-	l := n.linkByID(id)
-	if l == nil {
-		return false, fmt.Errorf("netsim: unknown link %d", id)
-	}
-	return l.up, nil
-}
-
 // SetHostLinkUp changes a host's access-link state. Cutting it simulates
 // a host crash, per the paper's §2 argument.
 func (n *Network) SetHostLinkUp(h HostID, up bool) error {
@@ -603,26 +550,6 @@ func (n *Network) SetHostLinkUp(h HostID, up bool) error {
 	return nil
 }
 
-// LinksBetween returns the IDs of links with one endpoint in each server
-// set; useful for partitioning a topology.
-func (n *Network) LinksBetween(a, b []ServerID) []LinkID {
-	inA := make(map[ServerID]bool, len(a))
-	for _, s := range a {
-		inA[s] = true
-	}
-	inB := make(map[ServerID]bool, len(b))
-	for _, s := range b {
-		inB[s] = true
-	}
-	var out []LinkID
-	for _, l := range n.links[1:] {
-		if (inA[l.a] && inB[l.b]) || (inA[l.b] && inB[l.a]) {
-			out = append(out, l.id)
-		}
-	}
-	return out
-}
-
 // Links returns all link IDs in ascending order.
 func (n *Network) Links() []LinkID {
 	out := make([]LinkID, 0, len(n.links)-1)
@@ -630,24 +557,6 @@ func (n *Network) Links() []LinkID {
 		out = append(out, l.id)
 	}
 	return out
-}
-
-// LinkClassOf returns a link's class.
-func (n *Network) LinkClassOf(id LinkID) (LinkClass, error) {
-	l := n.linkByID(id)
-	if l == nil {
-		return 0, fmt.Errorf("netsim: unknown link %d", id)
-	}
-	return l.cfg.Class, nil
-}
-
-// LinkEnds returns a link's endpoint servers.
-func (n *Network) LinkEnds(id LinkID) (ServerID, ServerID, error) {
-	l := n.linkByID(id)
-	if l == nil {
-		return 0, 0, fmt.Errorf("netsim: unknown link %d", id)
-	}
-	return l.a, l.b, nil
 }
 
 func (n *Network) bump() {

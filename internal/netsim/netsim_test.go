@@ -43,6 +43,14 @@ func collect(t *testing.T, n *Network, h HostID) *[]Envelope {
 	return &got
 }
 
+// countLinkHops counts server-link traversals per link from the
+// OnLinkTransmit hook, on a sequential engine.
+func countLinkHops(n *Network) map[LinkID]uint64 {
+	hops := map[LinkID]uint64{}
+	n.OnLinkTransmit = func(_ int, l LinkID, _ LinkClass, _ Envelope) { hops[l]++ }
+	return hops
+}
+
 func TestDeliveryBasic(t *testing.T) {
 	eng, n, _, _ := lineNet(t, LinkConfig{Jitter: 0})
 	got := collect(t, n, 2)
@@ -110,6 +118,7 @@ func TestRoutingPrefersCheapPath(t *testing.T) {
 		t.Fatal(err)
 	}
 	got := collect(t, n, 2)
+	hops := countLinkHops(n)
 	if err := n.Send(1, 2, 1); err != nil {
 		t.Fatal(err)
 	}
@@ -122,8 +131,8 @@ func TestRoutingPrefersCheapPath(t *testing.T) {
 	if (*got)[0].CostBit {
 		t.Error("message took expensive link despite cheap path")
 	}
-	if n.Stats().PerLink[exp] != 0 {
-		t.Errorf("expensive link used %d times, want 0", n.Stats().PerLink[exp])
+	if hops[exp] != 0 {
+		t.Errorf("expensive link used %d times, want 0", hops[exp])
 	}
 
 	// Cut the cheap path: routing must adapt to the expensive link.
@@ -361,12 +370,13 @@ func TestTrueClusters(t *testing.T) {
 		}
 	}
 	c := n.TrueClusters()
-	if c[1] != c[2] || c[3] != c[4] {
-		t.Errorf("intra-island hosts in different clusters: %v", c)
+	if c.Of(1) != c.Of(2) || c.Of(3) != c.Of(4) {
+		t.Errorf("intra-island hosts in different clusters: %v", c.Clusters)
 	}
-	if c[1] == c[3] {
-		t.Errorf("islands share a cluster despite expensive-only path: %v", c)
+	if c.Of(1) == c.Of(3) {
+		t.Errorf("islands share a cluster despite expensive-only path: %v", c.Clusters)
 	}
+	wantClusters(t, c, []TrueCluster{{1, []HostID{1, 2}}, {2, []HostID{3, 4}}})
 	if got := n.ClusterCount(); got != 2 {
 		t.Errorf("ClusterCount = %d, want 2", got)
 	}
@@ -379,17 +389,35 @@ func TestTrueClusters(t *testing.T) {
 		t.Fatal(err)
 	}
 	c = n.TrueClusters()
-	if c[1] != c[4] {
-		t.Errorf("cheap repair did not merge clusters: %v", c)
+	if c.Of(1) != c.Of(4) {
+		t.Errorf("cheap repair did not merge clusters: %v", c.Clusters)
 	}
+	wantClusters(t, c, []TrueCluster{{1, []HostID{1, 2, 3, 4}}})
 
 	// A host with a down access link is a singleton.
 	if err := n.SetHostLinkUp(4, false); err != nil {
 		t.Fatal(err)
 	}
 	c = n.TrueClusters()
-	if c[4] == c[1] || c[4] == c[2] || c[4] == c[3] {
-		t.Errorf("crashed host still clustered: %v", c)
+	if c.Of(4) == c.Of(1) || c.Of(4) == c.Of(2) || c.Of(4) == c.Of(3) {
+		t.Errorf("crashed host still clustered: %v", c.Clusters)
+	}
+	// Singletons are numbered above every possible component: past the
+	// four servers.
+	wantClusters(t, c, []TrueCluster{{1, []HostID{1, 2, 3}}, {5, []HostID{4}}})
+	if got := c.Of(9); got != 0 {
+		t.Errorf("unattached host 9 is in cluster %d, want 0", got)
+	}
+}
+
+// wantClusters checks a clustering's groups: their numbers in order, and
+// each one's hosts ascending.
+func wantClusters(t *testing.T, c *Clustering, want []TrueCluster) {
+	t.Helper()
+	if !slices.EqualFunc(c.Clusters, want, func(a, b TrueCluster) bool {
+		return a.ID == b.ID && slices.Equal(a.Hosts, b.Hosts)
+	}) {
+		t.Errorf("clusters %v, want %v", c.Clusters, want)
 	}
 }
 

@@ -31,6 +31,7 @@ func TestParallelLinksPreferCheap(t *testing.T) {
 	if err := n.Handle(2, func(_ time.Duration, env Envelope) { got = append(got, env) }); err != nil {
 		t.Fatal(err)
 	}
+	hops := countLinkHops(n)
 
 	// Only the expensive link exists: the cost bit must be set.
 	if err := n.Send(1, 2, "a"); err != nil {
@@ -61,7 +62,7 @@ func TestParallelLinksPreferCheap(t *testing.T) {
 	if got[1].CostBit {
 		t.Error("message crossed the expensive parallel link despite a cheap one existing")
 	}
-	if n.Stats().PerLink[cheapLink] == 0 {
+	if hops[cheapLink] == 0 {
 		t.Error("cheap parallel link unused")
 	}
 
@@ -78,8 +79,8 @@ func TestParallelLinksPreferCheap(t *testing.T) {
 	if len(got) != 3 || !got[2].CostBit {
 		t.Fatalf("fallback to expensive link failed: %+v", got)
 	}
-	if n.Stats().PerLink[expLink] != 2 {
-		t.Errorf("expensive link used %d times, want 2", n.Stats().PerLink[expLink])
+	if hops[expLink] != 2 {
+		t.Errorf("expensive link used %d times, want 2", hops[expLink])
 	}
 }
 

@@ -29,10 +29,9 @@ import (
 type ShardPlan struct {
 	// Lanes is the number of lanes (cheap-link components).
 	Lanes int
-	// ServerLane and HostLane map every server and host to its lane.
-	ServerLane map[ServerID]int
-	// HostLane maps every host to its server's lane.
-	HostLane map[HostID]int
+	// ServerLane is every server's lane, indexed by ServerID (slot 0,
+	// the nil server, is unused). A host's lane is its server's.
+	ServerLane []int
 	// Weights counts hosts per lane; used to balance lanes across
 	// workers.
 	Weights []int
@@ -69,28 +68,21 @@ func (n *Network) ComputeShardPlan() *ShardPlan {
 		}
 	}
 
-	// Number lanes densely by ascending lowest member server ID.
-	p := &ShardPlan{
-		ServerLane: make(map[ServerID]int, len(n.servers)-1),
-		HostLane:   make(map[HostID]int, len(n.hosts)),
-	}
-	rootLane := make(map[ServerID]int)
+	// Number lanes densely by ascending lowest member server ID;
+	// rootLane holds a component root's lane plus one, 0 until numbered.
+	p := &ShardPlan{ServerLane: make([]int, len(n.servers))}
+	rootLane := make([]int, len(n.servers))
 	for _, srv := range n.servers[1:] {
-		id := srv.id
-		r := find(id)
-		lane, ok := rootLane[r]
-		if !ok {
-			lane = p.Lanes
+		r := find(srv.id)
+		if rootLane[r] == 0 {
 			p.Lanes++
-			rootLane[r] = lane
+			rootLane[r] = p.Lanes
 		}
-		p.ServerLane[id] = lane
+		p.ServerLane[srv.id] = rootLane[r] - 1
 	}
 	p.Weights = make([]int, p.Lanes)
 	for _, hp := range n.hosts {
-		lane := p.ServerLane[hp.srv.id]
-		p.HostLane[hp.id] = lane
-		p.Weights[lane]++
+		p.Weights[p.ServerLane[hp.srv.id]]++
 	}
 
 	// Lookahead: the smallest configured delay on any lane-crossing
@@ -125,16 +117,16 @@ func (n *Network) ApplyShardPlan(p *ShardPlan) error {
 	if got := n.eng.Lanes(); got != p.Lanes {
 		return fmt.Errorf("netsim: engine has %d lanes, plan has %d (call SetLanes with the plan's weights first)", got, p.Lanes)
 	}
-	if len(p.ServerLane) != len(n.servers)-1 || len(p.HostLane) != len(n.hosts) {
-		return fmt.Errorf("netsim: shard plan covers %d servers/%d hosts, topology has %d/%d (recompute after building)",
-			len(p.ServerLane), len(p.HostLane), len(n.servers)-1, len(n.hosts))
+	if len(p.ServerLane) != len(n.servers) {
+		return fmt.Errorf("netsim: shard plan covers %d servers, topology has %d (recompute after building)",
+			len(p.ServerLane)-1, len(n.servers)-1)
 	}
 	n.lanes = p.Lanes
 	for _, srv := range n.servers[1:] {
 		srv.lane = p.ServerLane[srv.id]
 	}
 	for _, hp := range n.hosts {
-		hp.lane = p.HostLane[hp.id]
+		hp.lane = hp.srv.lane
 	}
 	n.perLane = make([]*laneState, p.Lanes+1)
 	for i := range n.perLane {

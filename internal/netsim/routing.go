@@ -1,5 +1,10 @@
 package netsim
 
+import (
+	"cmp"
+	"slices"
+)
+
 // Adaptive shortest-path routing. Each server forwards hop by hop using
 // the current topology: routes are recomputed lazily whenever the
 // topology version changes, which models the ARPANET-style adaptive
@@ -166,24 +171,56 @@ func (n *Network) PathExistsOf(lane int, a, b HostID) bool {
 // TrueClusters returns the ground-truth clustering of hosts: connected
 // components of the up-cheap-link server graph, restricted to hosts whose
 // (cheap) access link is up. Hosts with a down or expensive access link,
-// or unreachable cheaply, form singleton clusters. Cluster IDs are
-// arbitrary but stable for a given topology version. This is simulator
+// or unreachable cheaply, form singleton clusters. This is simulator
 // ground truth used for generation and metrics only — protocol hosts
 // never see it.
 //
 // Callable from parked contexts only; lane events use trueClustersOf
 // via the transmit path.
-func (n *Network) TrueClusters() map[HostID]int {
-	lane := n.globalLane()
-	c := n.perLane[lane]
-	clusters := n.trueClustersOf(lane)
-	if c.clusterMap == nil {
-		c.clusterMap = make(map[HostID]int, len(n.hosts))
-		for _, hp := range n.hosts {
-			c.clusterMap[hp.id] = clusters[hp.idx]
+func (n *Network) TrueClusters() *Clustering {
+	c := &Clustering{net: n, of: n.trueClustersOf(n.globalLane())}
+	ports := slices.Clone(n.hosts)
+	slices.SortStableFunc(ports, func(a, b *hostPort) int { return cmp.Compare(c.of[a.idx], c.of[b.idx]) })
+	hosts := make([]HostID, len(ports))
+	start := 0
+	for i, hp := range ports {
+		hosts[i] = hp.id
+		if i+1 == len(ports) || c.of[ports[i+1].idx] != c.of[hp.idx] {
+			c.Clusters = append(c.Clusters, TrueCluster{ID: c.of[hp.idx], Hosts: hosts[start : i+1 : i+1]})
+			start = i + 1
 		}
 	}
-	return c.clusterMap
+	return c
+}
+
+// Clustering is the true clustering at one topology version, as
+// TrueClusters found it; it goes on describing that version after the
+// topology changes, until a host is attached.
+type Clustering struct {
+	// Clusters lists every true cluster that contains a host, in
+	// cluster-number order.
+	Clusters []TrueCluster
+
+	net *Network
+	of  []int // cluster number by hostPort.idx
+}
+
+// TrueCluster is one true cluster: its number and its hosts.
+type TrueCluster struct {
+	// ID is the cluster number: components are numbered from 1 in order
+	// of their lowest host ID, and singletons above every component,
+	// again in host order. Numbers are stable for a topology version.
+	ID int
+	// Hosts lists the members, ascending.
+	Hosts []HostID
+}
+
+// Of returns host h's cluster number, 0 for a host not attached.
+func (c *Clustering) Of(h HostID) int {
+	if hp := c.net.host(h); hp != nil {
+		return c.of[hp.idx]
+	}
+	return 0
 }
 
 // trueClustersOf returns the clustering memoized in lane's private
@@ -232,17 +269,10 @@ func (n *Network) trueClustersOf(lane int) []int {
 		clusters[hp.idx] = rootNum[root]
 	}
 	c.clusterOf = clusters
-	c.clusterMap = nil
 	c.clusterVer = n.version
 	return clusters
 }
 
 // ClusterCount returns the number of distinct true clusters that contain
 // at least one host.
-func (n *Network) ClusterCount() int {
-	seen := make(map[int]bool)
-	for _, c := range n.TrueClusters() {
-		seen[c] = true
-	}
-	return len(seen)
-}
+func (n *Network) ClusterCount() int { return len(n.TrueClusters().Clusters) }

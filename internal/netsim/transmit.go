@@ -270,7 +270,6 @@ func (n *Network) traverseHostLink(f *flight, hp *hostPort) {
 		return
 	}
 	ls.stats.byClass[hp.cfg.Class]++
-	hp.linkTx++
 	if n.OnHostLinkTransmit != nil {
 		n.OnHostLinkTransmit(f.lane, hp.id, f.env)
 	}
@@ -309,11 +308,6 @@ func (n *Network) arriveAtServer(f *flight) {
 		return
 	}
 	ls.stats.byClass[l.cfg.Class]++
-	if at.id == l.a {
-		l.tx[0]++
-	} else {
-		l.tx[1]++
-	}
 	if n.OnLinkTransmit != nil {
 		n.OnLinkTransmit(f.lane, l.id, l.cfg.Class, f.env)
 	}

@@ -16,32 +16,33 @@ import (
 // once — is unattainable with nonprogrammable servers: h1 must send two
 // separately addressed copies, so link s1–s4 is traversed twice. All
 // links are expensive here, putting each host in its own cluster, so the
-// paper's inter-cluster cost metric applies directly.
+// paper's inter-cluster cost metric applies directly. The switch s4 is
+// cluster 3, a cluster without hosts.
 func Figure31(eng sim.Loop) (*Topology, error) {
 	n := netsim.New(eng)
-	s1, s2, s3, s4 := n.AddServer(), n.AddServer(), n.AddServer(), n.AddServer()
+	servers := []netsim.ServerID{n.AddServer(), n.AddServer(), n.AddServer(), n.AddServer()}
 	exp := netsim.LinkConfig{Class: netsim.Expensive}
 	t := &Topology{
-		Net:        n,
-		Source:     1,
-		Hosts:      []netsim.HostID{1, 2, 3},
-		WANBetween: make(map[netsim.LinkID][2]int),
+		Net:              n,
+		Source:           1,
+		Hosts:            []netsim.HostID{1, 2, 3},
+		HostsByCluster:   [][]netsim.HostID{{1}, {2}, {3}},
+		ServersByCluster: [][]netsim.ServerID{{servers[0]}, {servers[1]}, {servers[2]}, {servers[3]}},
 	}
-	for _, pair := range [][2]netsim.ServerID{{s1, s4}, {s4, s2}, {s4, s3}} {
-		id, err := n.AddLink(pair[0], pair[1], exp)
+	for _, pair := range [][2]int{{0, 3}, {3, 1}, {3, 2}} {
+		id, err := n.AddLink(servers[pair[0]], servers[pair[1]], exp)
 		if err != nil {
 			return nil, err
 		}
 		t.WANLinks = append(t.WANLinks, id)
+		t.WANBetween = append(t.WANBetween, pair)
 	}
 	hostLink := netsim.LinkConfig{Class: netsim.Cheap}
-	for h, s := range map[netsim.HostID]netsim.ServerID{1: s1, 2: s2, 3: s3} {
-		if err := n.AttachHost(h, s, hostLink); err != nil {
+	for i, h := range t.Hosts {
+		if err := n.AttachHost(h, servers[i], hostLink); err != nil {
 			return nil, err
 		}
 	}
-	t.HostsByCluster = [][]netsim.HostID{{1}, {2}, {3}}
-	t.ServersByCluster = [][]netsim.ServerID{{s1}, {s2}, {s3}, {s4}}
 	return t, nil
 }
 
@@ -59,11 +60,7 @@ func Figure31(eng sim.Loop) (*Topology, error) {
 // induces a cluster tree until the procedure re-converges.
 func Figure32(eng sim.Loop) (*Topology, error) {
 	n := netsim.New(eng)
-	t := &Topology{
-		Net:        n,
-		Source:     1,
-		WANBetween: make(map[netsim.LinkID][2]int),
-	}
+	t := &Topology{Net: n, Source: 1}
 	cheap := netsim.LinkConfig{Class: netsim.Cheap}
 	exp := netsim.LinkConfig{Class: netsim.Expensive}
 	sizes := []int{2, 2, 2, 3} // S, C′, C″, C
@@ -96,7 +93,7 @@ func Figure32(eng sim.Loop) (*Topology, error) {
 			return nil, err
 		}
 		t.WANLinks = append(t.WANLinks, id)
-		t.WANBetween[id] = pair
+		t.WANBetween = append(t.WANBetween, pair)
 	}
 	return t, nil
 }
@@ -120,31 +117,29 @@ func MergeFigure32Clusters(t *Topology) (netsim.LinkID, error) {
 // complementary gaps.
 func Figure41(eng sim.Loop) (*Topology, error) {
 	n := netsim.New(eng)
-	s1, s2, s3 := n.AddServer(), n.AddServer(), n.AddServer()
+	servers := []netsim.ServerID{n.AddServer(), n.AddServer(), n.AddServer()}
 	exp := netsim.LinkConfig{Class: netsim.Expensive}
 	cheap := netsim.LinkConfig{Class: netsim.Cheap}
 	t := &Topology{
-		Net:        n,
-		Source:     1,
-		Hosts:      []netsim.HostID{1, 2, 3},
-		WANBetween: make(map[netsim.LinkID][2]int),
+		Net:              n,
+		Source:           1,
+		Hosts:            []netsim.HostID{1, 2, 3},
+		HostsByCluster:   [][]netsim.HostID{{1}, {2}, {3}},
+		ServersByCluster: [][]netsim.ServerID{{servers[0]}, {servers[1]}, {servers[2]}},
 	}
-	for _, pair := range [][3]int{{0, 1, 0}, {0, 2, 1}, {1, 2, 2}} {
-		servers := []netsim.ServerID{s1, s2, s3}
+	for _, pair := range [][2]int{{0, 1}, {0, 2}, {1, 2}} {
 		id, err := n.AddLink(servers[pair[0]], servers[pair[1]], exp)
 		if err != nil {
 			return nil, err
 		}
 		t.WANLinks = append(t.WANLinks, id)
-		t.WANBetween[id] = [2]int{pair[0], pair[1]}
+		t.WANBetween = append(t.WANBetween, pair)
 	}
-	for h, s := range map[netsim.HostID]netsim.ServerID{1: s1, 2: s2, 3: s3} {
-		if err := n.AttachHost(h, s, cheap); err != nil {
+	for i, h := range t.Hosts {
+		if err := n.AttachHost(h, servers[i], cheap); err != nil {
 			return nil, err
 		}
 	}
-	t.HostsByCluster = [][]netsim.HostID{{1}, {2}, {3}}
-	t.ServersByCluster = [][]netsim.ServerID{{s1}, {s2}, {s3}}
 	return t, nil
 }
 

@@ -24,8 +24,9 @@ type Topology struct {
 	ServersByCluster [][]netsim.ServerID
 	// WANLinks are the expensive inter-cluster links, in creation order.
 	WANLinks []netsim.LinkID
-	// WANBetween maps a WAN link to the (clusterA, clusterB) pair it joins.
-	WANBetween map[netsim.LinkID][2]int
+	// WANBetween is parallel to WANLinks: the (clusterA, clusterB) pair
+	// of ServersByCluster indices each WAN link joins.
+	WANBetween [][2]int
 }
 
 // WANShape selects how clusters are interconnected by expensive links.
@@ -108,11 +109,7 @@ func Clustered(eng sim.Loop, cfg ClusteredConfig) (*Topology, error) {
 		return nil, err
 	}
 	n := netsim.New(eng)
-	t := &Topology{
-		Net:        n,
-		Source:     1,
-		WANBetween: make(map[netsim.LinkID][2]int),
-	}
+	t := &Topology{Net: n, Source: 1}
 	hubs := make([]netsim.ServerID, cfg.Clusters)
 	nextHost := netsim.HostID(1)
 	for c := 0; c < cfg.Clusters; c++ {
@@ -144,7 +141,7 @@ func Clustered(eng sim.Loop, cfg ClusteredConfig) (*Topology, error) {
 			return err
 		}
 		t.WANLinks = append(t.WANLinks, id)
-		t.WANBetween[id] = [2]int{a, b}
+		t.WANBetween = append(t.WANBetween, [2]int{a, b})
 		return nil
 	}
 	switch cfg.Shape {
@@ -201,10 +198,9 @@ func (t *Topology) ClusterOf(h netsim.HostID) int {
 // WANLinksOfCluster returns the expensive links touching cluster c.
 func (t *Topology) WANLinksOfCluster(c int) []netsim.LinkID {
 	var out []netsim.LinkID
-	for _, id := range t.WANLinks {
-		p := t.WANBetween[id]
+	for i, p := range t.WANBetween {
 		if p[0] == c || p[1] == c {
-			out = append(out, id)
+			out = append(out, t.WANLinks[i])
 		}
 	}
 	return out

@@ -1,6 +1,7 @@
 package topo_test
 
 import (
+	"slices"
 	"testing"
 
 	"rbcast/internal/netsim"
@@ -38,7 +39,7 @@ func TestClusteredShapesAndCounts(t *testing.T) {
 			truth := tp.Net.TrueClusters()
 			for c, hosts := range tp.HostsByCluster {
 				for _, h := range hosts {
-					if truth[h] != truth[hosts[0]] {
+					if truth.Of(h) != truth.Of(hosts[0]) {
 						t.Errorf("cluster %d host %d not in same true cluster", c, h)
 					}
 					if got := tp.ClusterOf(h); got != c {
@@ -48,7 +49,7 @@ func TestClusteredShapesAndCounts(t *testing.T) {
 			}
 			// Hosts in different generated clusters are in different true
 			// clusters.
-			if truth[tp.HostsByCluster[0][0]] == truth[tp.HostsByCluster[1][0]] {
+			if truth.Of(tp.HostsByCluster[0][0]) == truth.Of(tp.HostsByCluster[1][0]) {
 				t.Error("distinct generated clusters map to one true cluster")
 			}
 		})
@@ -117,6 +118,43 @@ func TestIsolateAndRestoreCluster(t *testing.T) {
 	}
 }
 
+// TestWANLinksOfCluster: on every topology that records WAN links, the
+// links of cluster c are exactly those with an end in c's servers, given
+// here as indices into WANLinks. Figure 3.1's middle switch is cluster 3.
+func TestWANLinksOfCluster(t *testing.T) {
+	star := func(eng sim.Loop) (*topo.Topology, error) {
+		return topo.Clustered(eng, topo.ClusteredConfig{Clusters: 4, HostsPerCluster: 2, Shape: topo.WANStar})
+	}
+	cases := []struct {
+		name  string
+		build func(sim.Loop) (*topo.Topology, error)
+		want  [][]int
+	}{
+		{"Figure31", topo.Figure31, [][]int{{0}, {1}, {2}, {0, 1, 2}}},
+		{"Figure32", topo.Figure32, [][]int{{0, 1}, {0, 2}, {1, 3}, {2, 3}}},
+		{"Figure41", topo.Figure41, [][]int{{0, 1}, {0, 2}, {1, 2}}},
+		{"Clustered star", star, [][]int{{0, 1, 2}, {0}, {1}, {2}}},
+	}
+	for _, tc := range cases {
+		tp, err := tc.build(sim.NewEngine(1))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(tc.want) != len(tp.ServersByCluster) {
+			t.Fatalf("%s: %d clusters of servers, the table has %d", tc.name, len(tp.ServersByCluster), len(tc.want))
+		}
+		for c, idx := range tc.want {
+			var want []netsim.LinkID
+			for _, i := range idx {
+				want = append(want, tp.WANLinks[i])
+			}
+			if got := tp.WANLinksOfCluster(c); !slices.Equal(got, want) {
+				t.Errorf("%s: WANLinksOfCluster(%d) = %v, want %v", tc.name, c, got, want)
+			}
+		}
+	}
+}
+
 func TestFigure31(t *testing.T) {
 	eng := sim.NewEngine(1)
 	tp, err := topo.Figure31(eng)
@@ -161,7 +199,7 @@ func TestFigure32(t *testing.T) {
 		t.Fatal(err)
 	}
 	truth := tp.Net.TrueClusters()
-	if truth[tp.HostsByCluster[2][0]] != truth[tp.HostsByCluster[3][0]] {
+	if truth.Of(tp.HostsByCluster[2][0]) != truth.Of(tp.HostsByCluster[3][0]) {
 		t.Error("merge did not join C″ and C")
 	}
 	if got := tp.Net.ClusterCount(); got != 3 {
@@ -212,7 +250,7 @@ func TestHostLinksAreCheap(t *testing.T) {
 		t.Fatal(err)
 	}
 	truth := tp.Net.TrueClusters()
-	if truth[1] != truth[2] {
+	if truth.Of(1) != truth.Of(2) {
 		t.Error("same-cluster hosts not in one true cluster")
 	}
 }

@@ -46,7 +46,7 @@ type Buffer struct {
 	entries []Entry
 	start   int
 	total   uint64
-	byKind  map[core.EventKind]uint64
+	byKind  [core.NumEventKinds]uint64
 }
 
 // NewBuffer creates a ring holding up to capacity entries (minimum 1).
@@ -54,7 +54,7 @@ func NewBuffer(capacity int) *Buffer {
 	if capacity < 1 {
 		capacity = 1
 	}
-	return &Buffer{cap: capacity, byKind: make(map[core.EventKind]uint64)}
+	return &Buffer{cap: capacity}
 }
 
 // Observer returns a core.Observer that records into the buffer.
@@ -67,7 +67,9 @@ func (b *Buffer) Add(e Entry) {
 	b.mu.Lock()
 	defer b.mu.Unlock()
 	b.total++
-	b.byKind[e.Kind]++
+	if uint(e.Kind) < uint(core.NumEventKinds) {
+		b.byKind[e.Kind]++
+	}
 	if len(b.entries) < b.cap {
 		b.entries = append(b.entries, e)
 		return
@@ -90,8 +92,12 @@ func (b *Buffer) Total() uint64 {
 	return b.total
 }
 
-// CountByKind returns how many events of the kind were ever recorded.
+// CountByKind returns how many events of the kind were ever recorded; 0
+// for a value outside core's kinds, which Add records but does not count.
 func (b *Buffer) CountByKind(k core.EventKind) uint64 {
+	if uint(k) >= uint(core.NumEventKinds) {
+		return 0
+	}
 	b.mu.Lock()
 	defer b.mu.Unlock()
 	return b.byKind[k]

@@ -98,6 +98,12 @@ func TestCountByKind(t *testing.T) {
 	if got := b.CountByKind(core.EvRejected); got != 1 {
 		t.Errorf("CountByKind(rejected) = %d, want 1", got)
 	}
+	// A value outside core's kinds is recorded, not counted.
+	b.Add(entry(1, core.NumEventKinds, 10))
+	b.Add(entry(1, -1, 11))
+	if got := b.CountByKind(core.NumEventKinds) + b.CountByKind(-1); got != 0 || b.Total() != 7 {
+		t.Errorf("out-of-range kinds: counted %d, total %d; want 0 and 7", got, b.Total())
+	}
 }
 
 func TestFilter(t *testing.T) {
