@@ -127,7 +127,8 @@ bench-repo:
 # benchmark number that is a count and not a timing, stays under a ceiling
 # on each; check takes the workload and then metric/limit pairs. The
 # simulated counts repeat to four digits on any machine: sim-wide-seq
-# 0.0356 (limit 0.045; 0.0360 while every cold Schedule took a cancel cell
+# 0.0192 (limit 0.024; 0.0356 while every in-flight record's payload box
+# was an allocation of its own, 0.0360 while every cold Schedule took a cancel cell
 # of its own, 0.0371 while each route recomputation allocated its own
 # scratch, 0.0374 while every receiver copied each payload
 # and the workload took a closure per broadcast, 0.0443 while a MAP entry
@@ -147,7 +148,10 @@ bench-repo:
 # until the 0.0374 change, 1 977 while netsim kept its hosts in a hash
 # map, 3 270 before MAP entries kept their own storage and a settling
 # seed stopped writing reports).
-# bytes_per_work is gated on two workloads. sim-stream's, because a
+# bytes_per_work is gated on three workloads. sim-wide-seq's, because a
+# run of n hosts holds n² peer records, two cache lines each: 15.0 (limit
+# 17; 20.8 while each record held its Delta-INFO state, 232 bytes).
+# sim-stream's, because a
 # simulated payload is stored once, as the source's copy
 # (core.SharedPayloads), a store past 2 048 slots grows by pages, not
 # by copies, and a Result reads deliveries in the lanes' windows: 18.4
@@ -179,7 +183,7 @@ bench-repo-smoke:
 			shift 2; \
 		done; \
 	}; \
-	check sim-wide-seq allocs_per_work 0.045 && check sim-stream allocs_per_work 0.003 bytes_per_work 21 && \
+	check sim-wide-seq allocs_per_work 0.024 bytes_per_work 17 && check sim-stream allocs_per_work 0.003 bytes_per_work 21 && \
 		check udp-loopback allocs_per_work 0.014 && check soak-sweep allocs_per_work 1105 bytes_per_work 301500
 
 # bench-ab is the paired measurement a performance claim rests on

@@ -1,5 +1,5 @@
-// Package allocs counts the heap allocations of a piece of code, for the
-// tests that pin allocation counts.
+// Package allocs counts the heap allocations of a piece of code, and the
+// bytes they take, for the tests that pin them.
 //
 // runtime.MemStats counts every allocation of the process, so a count
 // taken around a closure also takes in whatever else runs meanwhile: a
@@ -21,9 +21,19 @@ import (
 // collector runs collections times — a sync.Pool, for one, keeps its
 // items through one collection and drops them at the second.
 func Min(trials, collections int, fixture func() (run func())) uint64 {
+	return least(trials, collections, fixture, func(m *runtime.MemStats) uint64 { return m.Mallocs })
+}
+
+// MinBytes is Min for the bytes run allocated.
+func MinBytes(trials, collections int, fixture func() (run func())) uint64 {
+	return least(trials, collections, fixture, func(m *runtime.MemStats) uint64 { return m.TotalAlloc })
+}
+
+// least is the fewest of count's readings over trials trials.
+func least(trials, collections int, fixture func() (run func()), count func(*runtime.MemStats) uint64) uint64 {
 	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
 	defer debug.SetGCPercent(debug.SetGCPercent(-1))
-	least := uint64(math.MaxUint64)
+	fewest := uint64(math.MaxUint64)
 	var before, after runtime.MemStats
 	for range trials {
 		run := fixture()
@@ -33,7 +43,7 @@ func Min(trials, collections int, fixture func() (run func())) uint64 {
 		runtime.ReadMemStats(&before)
 		run()
 		runtime.ReadMemStats(&after)
-		least = min(least, after.Mallocs-before.Mallocs)
+		fewest = min(fewest, count(&after)-count(&before))
 	}
-	return least
+	return fewest
 }

@@ -1,9 +1,9 @@
 package core
 
 import (
-	"runtime"
 	"testing"
 
+	"rbcast/internal/allocs"
 	"rbcast/internal/seqset"
 )
 
@@ -102,12 +102,7 @@ func TestSharedPayloadsAllocateNoPayloadBytes(t *testing.T) {
 	const size, n = 256, 1000
 	arena := make([]byte, 2*n*size)
 	bytesFor := func(env Env) uint64 {
-		h, err := NewHost(Config{ID: 2, Source: 1, Peers: []HostID{1, 2, 3}, Params: DefaultParams()}, env)
-		if err != nil {
-			t.Fatal(err)
-		}
-		h.Start(0)
-		h.parent = h.lookup(1)
+		var h *Host
 		accept := func(seq seqset.Seq) {
 			off := int(seq-1) % (2 * n) * size
 			h.HandleMessage(0, 1, false, Message{Kind: MsgData, Seq: seq, Payload: arena[off : off+size]})
@@ -116,19 +111,26 @@ func TestSharedPayloadsAllocateNoPayloadBytes(t *testing.T) {
 		// fill the doubling chunks, 128 each 32 KiB one after — and grows
 		// the store's ring to 4 096 slots, which hold warm+n.
 		const warm = 127 + 17*128
-		for seq := seqset.Seq(1); seq <= warm; seq++ {
-			accept(seq)
-		}
-		var before, after runtime.MemStats
-		runtime.ReadMemStats(&before)
-		for seq := seqset.Seq(warm + 1); seq <= warm+n; seq++ {
-			accept(seq)
-		}
-		runtime.ReadMemStats(&after)
+		bytes := allocs.MinBytes(3, 1, func() func() {
+			var err error
+			if h, err = NewHost(Config{ID: 2, Source: 1, Peers: []HostID{1, 2, 3}, Params: DefaultParams()}, env); err != nil {
+				t.Fatal(err)
+			}
+			h.Start(0)
+			h.parent = h.lookup(1)
+			for seq := seqset.Seq(1); seq <= warm; seq++ {
+				accept(seq)
+			}
+			return func() {
+				for seq := seqset.Seq(warm + 1); seq <= warm+n; seq++ {
+					accept(seq)
+				}
+			}
+		})
 		if h.store.Len() != warm+n {
 			t.Fatalf("store holds %d payloads after %d data messages from the parent", h.store.Len(), warm+n)
 		}
-		return after.TotalAlloc - before.TotalAlloc
+		return bytes
 	}
 	shared := bytesFor(sharingNopEnv{})
 	copied := bytesFor(nopEnv{})

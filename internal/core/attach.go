@@ -93,12 +93,13 @@ func (h *Host) viewsAsLeader(j *peer) bool {
 // id) — a deterministic choice that prefers the freshest parent, and
 // among equals the highest-ordered one, so that a cluster converges on a
 // single leader. best is nil until a first candidate is found.
-func better(best, j *peer) *peer {
+func (h *Host) better(best, j *peer) *peer {
 	if best == nil {
 		return j
 	}
 	jm, bm := j.view.Max(), best.view.Max()
-	if jm > bm || jm == bm && (j.order > best.order || j.order == best.order && j.id > best.id) {
+	jo, bo := h.orderOf(j), h.orderOf(best)
+	if jm > bm || jm == bm && (jo > bo || jo == bo && j.id > best.id) {
 		return j
 	}
 	return best
@@ -151,13 +152,14 @@ const escapeBarrenSweeps = 2
 
 func (h *Host) optOtherClusterSimilarEscape(now time.Duration) *peer {
 	var best *peer
-	for i := range h.table {
-		j := h.at(i)
-		if h.inCluster(j) || !h.eligible(now, j) {
+	for _, j := range h.table {
+		// An untouched peer's view is empty: never similar to a non-empty
+		// INFO, which option 4 requires.
+		if j == nil || h.inCluster(j) || !h.eligible(now, j) {
 			continue
 		}
-		if seqset.Similar(h.info, j.view) && (j.id == h.source || h.me.order < j.order) {
-			best = better(best, j)
+		if seqset.Similar(h.info, j.view) && (j.id == h.source || h.orderOf(h.me) < h.orderOf(j)) {
+			best = h.better(best, j)
 		}
 	}
 	return best
@@ -183,7 +185,7 @@ func (h *Host) optSameClusterLeaderGreater(now time.Duration) *peer {
 	var best *peer
 	for j := range h.each(cluster) {
 		if h.eligible(now, j) && h.viewsAsLeader(j) && seqset.Less(h.info, j.view) {
-			best = better(best, j)
+			best = h.better(best, j)
 		}
 	}
 	return best
@@ -192,8 +194,8 @@ func (h *Host) optSameClusterLeaderGreater(now time.Duration) *peer {
 func (h *Host) optSameClusterLeaderSimilarHigherOrder(now time.Duration) *peer {
 	var best *peer
 	for j := range h.each(cluster) {
-		if h.eligible(now, j) && h.viewsAsLeader(j) && seqset.Similar(h.info, j.view) && h.me.order < j.order {
-			best = better(best, j)
+		if h.eligible(now, j) && h.viewsAsLeader(j) && seqset.Similar(h.info, j.view) && h.orderOf(h.me) < h.orderOf(j) {
+			best = h.better(best, j)
 		}
 	}
 	return best
@@ -201,13 +203,13 @@ func (h *Host) optSameClusterLeaderSimilarHigherOrder(now time.Duration) *peer {
 
 func (h *Host) optOtherClusterGreaterThan(now time.Duration, bar seqset.Set) *peer {
 	var best *peer
-	for i := range h.table {
-		j := h.at(i)
-		if h.inCluster(j) || !h.eligible(now, j) {
+	for _, j := range h.table {
+		// An untouched peer's view is empty: never greater than any bar.
+		if j == nil || h.inCluster(j) || !h.eligible(now, j) {
 			continue
 		}
 		if seqset.Less(bar, j.view) {
-			best = better(best, j)
+			best = h.better(best, j)
 		}
 	}
 	return best
@@ -223,7 +225,7 @@ func (h *Host) optOtherClusterGreaterThan(now time.Duration, bar seqset.Set) *pe
 func (h *Host) pickCaseIII(now time.Duration) *peer {
 	chain, cyclic := h.ancestorChain()
 	if cyclic {
-		if maxOrderOn(append(chain, h.me)) == h.me {
+		if h.maxOrderOn(append(chain, h.me)) == h.me {
 			old := h.parent
 			h.parent = nil
 			h.emit(old.id, Message{Kind: MsgDetach})
@@ -269,10 +271,10 @@ func (h *Host) ancestorChain() (chain []*peer, cyclic bool) {
 }
 
 // maxOrderOn returns the host with the greatest static order among hosts.
-func maxOrderOn(hosts []*peer) *peer {
+func (h *Host) maxOrderOn(hosts []*peer) *peer {
 	var out *peer
 	for _, j := range hosts {
-		if out == nil || j.order > out.order {
+		if out == nil || h.orderOf(j) > h.orderOf(out) {
 			out = j
 		}
 	}
@@ -290,7 +292,7 @@ func (h *Host) handleAttachReq(now time.Duration, from *peer, m Message) {
 	}
 	// Crossing requests (we asked from; from asked us) would form an
 	// instant two-cycle if both accepted; the lower-ordered host yields.
-	if h.attach.inProgress && h.attach.candidate == from && h.me.order < from.order {
+	if h.attach.inProgress && h.attach.candidate == from && h.orderOf(h.me) < h.orderOf(from) {
 		h.emit(from.id, Message{Kind: MsgAttachReject})
 		return
 	}

@@ -18,26 +18,27 @@ import (
 // zero.
 
 // peerHealth is one peer's liveness record, held by value in the peer's
-// table record (peer.go).
+// table record (peer.go). Its three times come first and its count and
+// flags share the last word, so the record is 32 bytes.
 type peerHealth struct {
 	// lastHeard is when any message last arrived from the peer; valid
 	// only when everHeard.
 	lastHeard time.Duration
-	everHeard bool
-	// failures counts consecutive unanswered probes: attach-ack
-	// timeouts, parent-silence timeouts, and global INFO probes toward a
-	// previously-heard peer that drew no message back. Any message from
-	// the peer resets it.
-	failures int
 	// probeSentAt/probePending track the most recent global INFO probe
 	// toward a previously-heard peer, so the next probe can tell whether
 	// the peer stayed silent through a whole probe interval.
-	probeSentAt  time.Duration
-	probePending bool
+	probeSentAt time.Duration
 	// nextContact is the earliest instant backoff-gated control traffic
 	// (attach attempts, global INFO probes, global gap fills) may be
 	// sent toward the peer again. Meaningful only while suspected.
 	nextContact time.Duration
+	// failures counts consecutive unanswered probes: attach-ack
+	// timeouts, parent-silence timeouts, and global INFO probes toward a
+	// previously-heard peer that drew no message back. Any message from
+	// the peer resets it.
+	failures     int32
+	everHeard    bool
+	probePending bool
 	// resync marks a pending fast-resync burst: the peer answered while
 	// suspected, so the next tick owes it an INFO exchange and gap fill.
 	resync bool
@@ -64,7 +65,7 @@ func (h *Host) backoffEnabled() bool { return h.params.BackoffBase > 0 }
 // suspected reports whether a peer (nil for an untouched record) has
 // crossed the suspicion threshold.
 func (h *Host) suspected(j *peer) bool {
-	return h.backoffEnabled() && j != nil && j.health.failures >= h.params.SuspicionAfter
+	return h.backoffEnabled() && j != nil && int(j.health.failures) >= h.params.SuspicionAfter
 }
 
 // noteHeard records receipt of a message from a peer. Hearing from a
@@ -95,11 +96,11 @@ func (h *Host) noteProbeFailure(now time.Duration, j *peer) {
 	}
 	ph := &j.health
 	ph.failures++
-	if ph.failures == h.params.SuspicionAfter {
+	if int(ph.failures) == h.params.SuspicionAfter {
 		h.event(now, EvPeerSuspected, j.id, 0)
 	}
-	if ph.failures >= h.params.SuspicionAfter {
-		ph.nextContact = now + h.backoffDelay(j.id, ph.failures)
+	if int(ph.failures) >= h.params.SuspicionAfter {
+		ph.nextContact = now + h.backoffDelay(j.id, int(ph.failures))
 	}
 }
 
@@ -115,7 +116,7 @@ func (h *Host) suppressed(now time.Duration, j *peer) bool {
 // never talked to us (a remote non-leader, silent by design) must not
 // be suspected for staying that way.
 func (h *Host) noteProbeSent(now time.Duration, j *peer) {
-	if !h.backoffEnabled() {
+	if !h.backoffEnabled() || j == nil { // an untouched record was never heard
 		return
 	}
 	ph := &j.health
@@ -135,7 +136,7 @@ func (h *Host) noteProbeSent(now time.Duration, j *peer) {
 // without needing acknowledgment machinery.
 func (h *Host) touchSuspect(now time.Duration, j *peer) {
 	if h.suspected(j) {
-		j.health.nextContact = now + h.backoffDelay(j.id, j.health.failures)
+		j.health.nextContact = now + h.backoffDelay(j.id, int(j.health.failures))
 	}
 }
 
@@ -206,7 +207,7 @@ func (h *Host) PeerHealthOf(j HostID) PeerHealth {
 		Peer:        j,
 		EverHeard:   p.health.everHeard,
 		LastHeard:   p.health.lastHeard,
-		Failures:    p.health.failures,
+		Failures:    int(p.health.failures),
 		Suspected:   h.suspected(p),
 		NextContact: p.health.nextContact,
 	}

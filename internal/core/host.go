@@ -112,6 +112,11 @@ type Host struct {
 	runSlab     []seqset.Interval
 	carvedPeers int
 	scratch     seqset.Set
+	// deltas is the unused rest of the latest slab of Delta-INFO records
+	// (deltaOf in peer.go), behind a pointer that stays nil unless
+	// Params.DeltaInfo is on: a slice header would take the host past its
+	// 1 024-byte size class.
+	deltas *[]deltaInfo
 
 	// syncOn and snapsOn are Params.SyncEnabled() and SnapshotsEnabled(),
 	// asked once: the methods take the 200-byte Params by value, and Tick
@@ -242,7 +247,7 @@ func (h *Host) Start(now time.Duration) {
 	h.lastFromParent = now
 	stagger := func(period time.Duration) time.Duration {
 		n := len(h.peers)
-		slot := h.me.order % n
+		slot := h.orderOf(h.me) % n
 		if slot < 0 {
 			slot = -slot
 		}
@@ -587,8 +592,9 @@ func (h *Host) handleInfo(now time.Duration, from *peer, m Message) {
 	if h.params.DeltaInfo {
 		// A full set roots a fresh delta chain: later deltas merge into
 		// this view and are checked against the sender's checksum.
-		from.infoView.Assign(m.Info)
-		from.infoSynced = true
+		d := h.deltaOf(from)
+		d.infoView.Assign(m.Info)
+		d.infoSynced = true
 	}
 	h.afterInfo(now, from, m.Parent)
 }
@@ -609,9 +615,10 @@ func (h *Host) handleInfoDelta(now time.Duration, from *peer, m Message) {
 		h.afterInfo(now, from, m.Parent)
 		return
 	}
-	from.infoView.ApplyDelta(m.Info)
-	if from.infoSynced && from.infoView.Max() == m.Seq && uint64(from.infoView.Len()) == m.CheckLen {
-		h.learnInfo(from, from.infoView)
+	d := h.deltaOf(from)
+	d.infoView.ApplyDelta(m.Info)
+	if d.infoSynced && d.infoView.Max() == m.Seq && uint64(d.infoView.Len()) == m.CheckLen {
+		h.learnInfo(from, d.infoView)
 	} else {
 		h.mergeInfoFacts(from, m.Info)
 	}
@@ -783,14 +790,15 @@ func (h *Host) infoMessageFor(j *peer) Message {
 	if !h.params.DeltaInfo {
 		return h.infoMessage()
 	}
-	if !j.lastSent.Empty() && j.sinceFull < deltaResyncEvery && h.info.ContainsAll(j.lastSent) {
-		delta := h.info.Diff(j.lastSent)
+	d := h.deltaOf(j)
+	if !d.lastSent.Empty() && d.sinceFull < deltaResyncEvery && h.info.ContainsAll(d.lastSent) {
+		delta := h.info.Diff(d.lastSent)
 		// Wire economics: a delta pays 16 bytes per run plus the 8-byte
 		// length checksum; a full set pays 16 bytes per run. Send the
 		// delta only when strictly cheaper.
 		if 16*delta.RunCount()+8 < 16*h.info.RunCount() {
-			j.lastSent.Assign(h.info)
-			j.sinceFull++
+			d.lastSent.Assign(h.info)
+			d.sinceFull++
 			return Message{
 				Kind:     MsgInfoDelta,
 				Info:     delta,
@@ -811,8 +819,9 @@ func (h *Host) noteFullInfoSent(j *peer) {
 	if !h.params.DeltaInfo {
 		return
 	}
-	j.lastSent.Assign(h.info)
-	j.sinceFull = 0
+	d := h.deltaOf(j)
+	d.lastSent.Assign(h.info)
+	d.sinceFull = 0
 }
 
 // sendInfoLocal performs the routine intra-cluster INFO + parent-pointer
@@ -839,17 +848,22 @@ func (h *Host) sendInfoGlobal(now time.Duration) {
 	if !h.IsLeader() && !h.IsSource() {
 		return
 	}
-	for i := range h.table {
-		p := h.at(i)
-		if h.inCluster(p) || h.isNeighbor(p) { // the cluster includes this host
-			continue
-		}
+	// The sweep reads index space. A record is loaded only for what reads
+	// one: backoff, and Delta-INFO's chain, which is the only reason to
+	// make one here. An untouched slot is neither suspected nor ever
+	// heard, so backoff reads nothing from it.
+	for i := range h.outside() {
+		p := h.table[i]
 		if h.suppressed(now, p) {
 			h.suppressedSends++
 			continue
 		}
 		h.noteProbeSent(now, p)
-		h.emit(p.id, h.infoMessageFor(p))
+		if h.params.DeltaInfo {
+			h.emit(h.peers[i], h.infoMessageFor(h.at(i)))
+		} else {
+			h.emit(h.peers[i], h.infoMessage())
+		}
 		h.touchSuspect(now, p)
 	}
 }
@@ -900,9 +914,11 @@ func (h *Host) gapFillGlobal(now time.Duration) {
 	if !h.IsLeader() && !h.IsSource() {
 		return
 	}
-	for i := range h.table {
-		p := h.at(i)
-		if h.inCluster(p) || h.isNeighbor(p) { // the cluster includes this host
+	for i := range h.outside() {
+		// An untouched peer's view is empty, and fillGapsOf sends a host
+		// it does not parent nothing above that view's maximum, 0.
+		p := h.table[i]
+		if p == nil {
 			continue
 		}
 		if h.suppressed(now, p) {

@@ -80,6 +80,23 @@ func (h *Host) each(s members) iter.Seq[*peer] {
 	}
 }
 
+// outside visits, in ascending order, the indices of the participants in
+// neither CLUSTER_i nor the host's parent-graph neighbourhood — whom a
+// leader's global sweeps address — reading the membership words and not
+// one record. The cluster includes the host itself.
+func (h *Host) outside() iter.Seq[int] {
+	return func(yield func(int) bool) {
+		for w := 0; 2*w < len(h.sets); w++ {
+			for word := ^(h.word(cluster, w) | h.word(neighbors, w)); word != 0; word &= word - 1 {
+				i := w<<6 | bits.TrailingZeros64(word)
+				if i >= len(h.peers) || !yield(i) {
+					return
+				}
+			}
+		}
+	}
+}
+
 // word returns word w of the set s.
 func (h *Host) word(s members, w int) uint64 {
 	in, ch := h.sets[2*w], h.sets[2*w+1]

@@ -149,12 +149,12 @@ func checkMembershipWalks(t *testing.T, n, me int) {
 		}{
 			{"optSameClusterLeaderGreater", h.optSameClusterLeaderGreater, func(j *peer) bool { return seqset.Less(h.info, j.view) }},
 			{"optSameClusterLeaderSimilarHigherOrder", h.optSameClusterLeaderSimilarHigherOrder,
-				func(j *peer) bool { return seqset.Similar(h.info, j.view) && h.me.order < j.order }},
+				func(j *peer) bool { return seqset.Similar(h.info, j.view) && h.orderOf(h.me) < h.orderOf(j) }},
 		} {
 			var want *peer
 			for i, in := range m.cluster {
 				if j := h.table[i]; in && h.eligible(now, j) && leader(j) && opt.keep(j) {
-					want = better(want, j)
+					want = h.better(want, j)
 				}
 			}
 			if got := opt.pick(now); got != want {

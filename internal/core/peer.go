@@ -25,8 +25,11 @@ import (
 //     non-participant named inside a frame (a gossiped parent pointer)
 //     resolves to nil.
 type peer struct {
-	id    HostID
-	order int // static linear order, Config.Order[id] or int(id)
+	id HostID
+	// parentView is p_i[j]: j's supposed parent, learned from the routine
+	// parent-pointer exchange. It comes off the wire and may name a
+	// non-participant.
+	parentView HostID
 
 	// view is MAP_i[j]: this host's view of j's INFO set. It includes
 	// optimistic marks for messages this host sent j that may have been
@@ -37,10 +40,12 @@ type peer struct {
 	// from j itself (Info, attach requests, data), never on sends. §6
 	// pruning uses it.
 	confirmed seqset.Set
-	// parentView is p_i[j]: j's supposed parent, learned from the routine
-	// parent-pointer exchange. It comes off the wire and may name a
-	// non-participant.
-	parentView HostID
+	// delta is j's Delta-INFO state, nil until Params.DeltaInfo first
+	// asks for it (deltaOf). It lives beside the record, not in it: no
+	// benchmark runs Delta-INFO, and its 80 bytes in each of n² records
+	// were most of what kept the record from fitting two cache lines.
+	// j's static order is not here either but in Host.order (orderOf).
+	delta *deltaInfo
 	// idx is j's index in Host.peers, and so its bit in the host's
 	// membership sets.
 	idx int32
@@ -48,21 +53,23 @@ type peer struct {
 	// fits the padding behind idx: n² records pay nothing for it.
 	excluded exclusion
 	// carved says view and confirmed got their first storage from the
-	// host's run slab (carveRuns); the last byte of the same padding.
+	// host's run slab (carveRuns); the next byte of the same padding.
 	carved bool
 
 	// health is j's liveness record (health.go). It is kept regardless of
 	// Params, but only gates traffic when the backoff fields are set.
 	health peerHealth
+}
 
-	// Delta INFO state, used only under Params.DeltaInfo. Sender side:
-	// lastSent is the full INFO set most recently advertised to j (by
-	// full MsgInfo or by delta chain; empty forces a full set) and
-	// sinceFull counts consecutive deltas since the last full — a resync
-	// counter. Receiver side: infoView reconstructs j's full INFO from
-	// the last full set received plus every delta applied since;
-	// infoSynced marks a view rooted at a received full set (only those
-	// may be promoted to authoritative on a checksum match).
+// deltaInfo is one peer's Delta-INFO state, used only under
+// Params.DeltaInfo. Sender side: lastSent is the full INFO set most
+// recently advertised to j (by full MsgInfo or by delta chain; empty
+// forces a full set) and sinceFull counts consecutive deltas since the
+// last full — a resync counter. Receiver side: infoView reconstructs j's
+// full INFO from the last full set received plus every delta applied
+// since; infoSynced marks a view rooted at a received full set (only
+// those may be promoted to authoritative on a checksum match).
+type deltaInfo struct {
 	lastSent   seqset.Set
 	sinceFull  int
 	infoView   seqset.Set
@@ -139,18 +146,18 @@ func (h *Host) at(i int) *peer {
 			h.slab = make([]peer, h.nextSlab())
 		}
 		p, h.slab = &h.slab[0], h.slab[1:]
-		p.id, p.order, p.idx = h.peers[i], h.order[i], int32(i)
+		p.id, p.idx = h.peers[i], int32(i)
 		h.table[i] = p
 	}
 	return p
 }
 
-// nextSlab sizes a new slab. A started host's first attachment sweep
-// touches every participant, so it gets room for all that are still
+// nextSlab sizes a new slab. A started host of a cold wide run hears from
+// nearly every participant, so it gets room for all that are still
 // untouched, up to peerSlab. Before Start the records come one at a time
 // — NewHost makes the host's own and those of a static cluster — because
 // construction must cost the same however wide the run: n hosts' slabs
-// are n² records, 61 MB at 512 hosts, and belong to the run, not to its
+// are n² records, 33.5 MB at 512 hosts, and belong to the run, not to its
 // set-up.
 func (h *Host) nextSlab() int {
 	if !h.started {
@@ -191,6 +198,36 @@ func (h *Host) carveRuns() (view, confirmed []seqset.Interval) {
 	h.runSlab = s[4:]
 	return s[0:2:2], s[2:4:4]
 }
+
+// deltaSlab is the most Delta-INFO records one slab holds, by peerSlab's
+// rule.
+const deltaSlab = 32 << 10 / int(unsafe.Sizeof(deltaInfo{}))
+
+// deltaOf returns p's Delta-INFO record, carving it on first use from the
+// host's current delta slab the way at carves peer records: a slab holds
+// room for every participant that has none yet, up to deltaSlab.
+func (h *Host) deltaOf(p *peer) *deltaInfo {
+	if p.delta == nil {
+		if h.deltas == nil {
+			h.deltas = new([]deltaInfo)
+		}
+		s := *h.deltas
+		if len(s) == 0 {
+			without := 0
+			for _, q := range h.table {
+				if q == nil || q.delta == nil {
+					without++
+				}
+			}
+			s = make([]deltaInfo, min(without, deltaSlab))
+		}
+		p.delta, *h.deltas = &s[0], s[1:]
+	}
+	return p.delta
+}
+
+// orderOf is p's static linear order, Config.Order[id] or int(id).
+func (h *Host) orderOf(p *peer) int { return h.order[p.idx] }
 
 // lookup returns j's record, or nil when j is not a participant.
 func (h *Host) lookup(j HostID) *peer {

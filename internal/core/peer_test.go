@@ -156,7 +156,7 @@ func TestTableOrder(t *testing.T) {
 			t.Errorf("lookup(%d) = %+v", j, rec)
 		}
 	}
-	if h.lookup(9) != h.me || h.me.order != 40 || h.lookup(1000).order != 10 {
+	if h.lookup(9) != h.me || h.orderOf(h.me) != 40 || h.orderOf(h.lookup(1000)) != 10 {
 		t.Errorf("own record %+v / record of 1000 %+v carry the wrong identity or order", h.me, h.lookup(1000))
 	}
 	for _, j := range []HostID{Nil, -3, 6, 10, 11, 13, 41, 999, 1001} {
@@ -253,8 +253,8 @@ func TestHandlersRetainNoInfoStorage(t *testing.T) {
 			}{
 				{"MapOf", scribbled.MapOf(sender), kept.MapOf(sender)},
 				{"confirmed", a.confirmed, b.confirmed},
-				{"infoView", a.infoView, b.infoView},
-				{"lastSent", a.lastSent, b.lastSent},
+				{"infoView", scribbled.deltaOf(a).infoView, kept.deltaOf(b).infoView},
+				{"lastSent", scribbled.deltaOf(a).lastSent, kept.deltaOf(b).lastSent},
 				{"Info()", scribbled.Info(), kept.Info()},
 			} {
 				if !set.a.Equal(set.b) {
@@ -271,10 +271,69 @@ func TestHandlersRetainNoInfoStorage(t *testing.T) {
 					t.Errorf("%s: confirmed view = %v, want the frame's %v", name, got, want)
 				}
 			case MsgInfoDelta:
-				if got := a.infoView; !got.Equal(want) {
+				if got := scribbled.deltaOf(a).infoView; !got.Equal(want) {
 					t.Errorf("%s: delta view = %v, want the frame's %v", name, got, want)
 				}
 			}
 		}
+	}
+}
+
+// TestDeltaInfoChainsArePerPeer: under Params.DeltaInfo each peer has a
+// delta chain of its own. A peer advertised to before INFO grew gets the
+// growth as a delta; a peer never advertised to gets the full set, and
+// starts a chain of its own with it. Each of a wide host's peers gets a
+// record of its own from the host's delta slabs, one per participant
+// without one, and none is made until Delta-INFO asks.
+func TestDeltaInfoChainsArePerPeer(t *testing.T) {
+	p := DefaultParams()
+	p.DeltaInfo = true
+	h, err := NewHost(Config{ID: 2, Source: 1, Peers: []HostID{1, 2, 3, 4}, Params: p}, nopEnv{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	h.Start(0)
+	for _, q := range []seqset.Seq{1, 3, 5} {
+		h.changeInfo().Add(q)
+	}
+	early, late := h.lookup(3), h.lookup(4)
+	if early.delta != nil || late.delta != nil {
+		t.Fatal("a peer record has Delta-INFO state before anything asked for it")
+	}
+	if m := h.infoMessageFor(early); m.Kind != MsgInfo {
+		t.Fatalf("first advertisement to %d is %v, want a full set", early.id, m.Kind)
+	}
+	h.changeInfo().Add(7)
+	if m := h.infoMessageFor(early); m.Kind != MsgInfoDelta || !m.Info.Equal(seqset.FromRange(7, 7)) || m.CheckLen != 4 {
+		t.Errorf("second advertisement to %d is %v carrying %v (length %d), want the delta {7} of a 4-member set",
+			early.id, m.Kind, m.Info, m.CheckLen)
+	}
+	if m := h.infoMessageFor(late); m.Kind != MsgInfo || !m.Info.Equal(h.Info()) {
+		t.Errorf("first advertisement to %d is %v carrying %v, want the full set %v", late.id, m.Kind, m.Info, h.Info())
+	}
+	if early.delta == late.delta {
+		t.Error("two peers share one Delta-INFO record")
+	}
+
+	const n = 512
+	peers := make([]HostID, n)
+	for i := range peers {
+		peers[i] = HostID(i + 1)
+	}
+	wide, err := NewHost(Config{ID: 2, Source: 1, Peers: peers, Params: p}, nopEnv{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	wide.Start(0)
+	seen := make(map[*deltaInfo]bool, n)
+	for i := range wide.table {
+		d := wide.deltaOf(wide.at(i))
+		if seen[d] {
+			t.Fatalf("peer %d shares a Delta-INFO record", wide.peers[i])
+		}
+		seen[d] = true
+	}
+	if left := len(*wide.deltas); left != 0 {
+		t.Errorf("%d Delta-INFO records of the last slab are left over at %d peers", left, n)
 	}
 }

@@ -505,8 +505,8 @@ func (h *Host) pickSyncSource(now time.Duration, st *syncState) *peer {
 		}
 		switch {
 		case best == nil, gain > bestGain,
-			gain == bestGain && j.order > best.order,
-			gain == bestGain && j.order == best.order && j.id > best.id:
+			gain == bestGain && h.orderOf(j) > h.orderOf(best),
+			gain == bestGain && h.orderOf(j) == h.orderOf(best) && j.id > best.id:
 			best = j
 			bestGain = gain
 		}

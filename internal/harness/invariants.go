@@ -312,16 +312,3 @@ func (rt *Runtime) checkByzantine(first bool) []Violation {
 	}
 	return out
 }
-
-// LeadersPerTrueCluster counts current leaders in every true cluster
-// that has one, by cluster number.
-func (rt *Runtime) LeadersPerTrueCluster() map[int]int {
-	truth := rt.Net.TrueClusters()
-	out := map[int]int{}
-	for _, c := range truth.Clusters {
-		if n := len(rt.leaders(truth, c)); n > 0 {
-			out[c.ID] = n
-		}
-	}
-	return out
-}

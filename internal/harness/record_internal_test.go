@@ -4,8 +4,6 @@ import (
 	"fmt"
 	"iter"
 	"maps"
-	"runtime"
-	"runtime/debug"
 	"slices"
 	"testing"
 	"time"
@@ -426,35 +424,38 @@ func TestDeliveryIteratorsStop(t *testing.T) {
 // at 2 000 messages as at 100 on the same topology. A Result reads each
 // host's deliveries where its lane recorded them, so merge makes nothing
 // per delivery. The broadcast maps, which are O(messages), are brought up
-// to date before the count starts, and the collector is paused while it
-// runs, so that what the runtime allocates for a collection cycle is not
-// counted.
+// to date before the count starts, and allocs.Min pauses the collector and
+// keeps the fewest of three counts, so that what the runtime allocates
+// for a collection cycle is not counted.
 func TestFinishCopiesNoDeliveries(t *testing.T) {
 	finish := func(messages int) uint64 {
-		rt, err := Prepare(Scenario{
-			Seed: 1, Build: recordTopo(3, 4, netsim.LinkConfig{}),
-			Messages: messages, MsgInterval: time.Millisecond,
+		var (
+			rt  *Runtime
+			res *Result
+		)
+		mallocs := allocs.Min(3, 1, func() func() {
+			var err error
+			if rt, err = Prepare(Scenario{
+				Seed: 1, Build: recordTopo(3, 4, netsim.LinkConfig{}),
+				Messages: messages, MsgInterval: time.Millisecond,
+			}); err != nil {
+				t.Fatal(err)
+			}
+			if err := rt.RunUntil(rt.Horizon()); err != nil {
+				t.Fatal(err)
+			}
+			rt.exportSent()
+			return func() {
+				var err error
+				if res, err = rt.Finish(); err != nil {
+					t.Fatal(err)
+				}
+			}
 		})
-		if err != nil {
-			t.Fatal(err)
-		}
-		if err := rt.RunUntil(rt.Horizon()); err != nil {
-			t.Fatal(err)
-		}
-		rt.exportSent()
-		var before, after runtime.MemStats
-		gc := debug.SetGCPercent(-1)
-		runtime.ReadMemStats(&before)
-		res, err := rt.Finish()
-		runtime.ReadMemStats(&after)
-		debug.SetGCPercent(gc)
-		if err != nil {
-			t.Fatal(err)
-		}
 		if !res.Complete || res.Deliveries(core.HostID(rt.Topo.Source)).Len() != messages {
 			t.Fatalf("%d messages: run incomplete, %d/%d", messages, res.DeliveredCount, res.ExpectedCount)
 		}
-		return after.Mallocs - before.Mallocs
+		return mallocs
 	}
 	if small, large := finish(100), finish(2000); small != large {
 		t.Errorf("Finish allocated %d times after 100 messages and %d after 2 000; want the same count", small, large)
@@ -715,38 +716,45 @@ func TestOnSendPricesEachFrameOnce(t *testing.T) {
 // TestSendPathAllocationBudget is the send path's cost end to end, the
 // count the repository benchmark reports as allocs_per_work: 32 hosts, 5
 // broadcasts, every malloc between the start of Finish and its return,
-// per event run. What allocates on this path repeats exactly from run to
-// run: 689 mallocs, 0.028 per event (707 under the race detector), where
-// 6 908 (0.283) were made when every send boxed its message, every hop
-// took a cancel cell and every peer record was an object of its own,
-// 1 366 while a MAP entry shared the frame's INFO storage and copied it
-// on its next change, 1 152 while every receiver copied each payload into
-// chunks of its own, and 1 059 while every cold Schedule took a cancel
-// cell of its own and merge copied every delivery into per-host maps. The
+// per event run, the fewest of three runs. What allocates on this path
+// repeats exactly from run to run: 527 mallocs, 0.0216 per event (545
+// under the race detector), where 6 908 (0.283) were made when every send
+// boxed its message, every hop took a cancel cell and every peer record
+// was an object of its own, 1 366 while a MAP entry shared the frame's
+// INFO storage and copied it on its next change, 1 152 while every
+// receiver copied each payload into chunks of its own, 1 059 while every
+// cold Schedule took a cancel cell of its own and merge copied every
+// delivery into per-host maps, and 689 while every in-flight record's
+// payload box was an allocation of its own. The
 // counters pinned beside it are that first run's, to the last digit: the
 // send path carries the same frames over the same links, it only stopped
 // making garbage.
 func TestSendPathAllocationBudget(t *testing.T) {
-	rt, err := Prepare(Scenario{
-		Seed: 1, Build: recordTopo(8, 4, netsim.LinkConfig{}),
-		Messages: 5, StopWhenComplete: true,
+	var (
+		rt  *Runtime
+		res *Result
+	)
+	mallocs := allocs.Min(3, 1, func() func() {
+		var err error
+		if rt, err = Prepare(Scenario{
+			Seed: 1, Build: recordTopo(8, 4, netsim.LinkConfig{}),
+			Messages: 5, StopWhenComplete: true,
+		}); err != nil {
+			t.Fatal(err)
+		}
+		return func() {
+			var err error
+			if res, err = rt.Finish(); err != nil {
+				t.Fatal(err)
+			}
+		}
 	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	var before, after runtime.MemStats
-	runtime.ReadMemStats(&before)
-	res, err := rt.Finish()
-	runtime.ReadMemStats(&after)
-	if err != nil {
-		t.Fatal(err)
-	}
 	if !res.Complete || res.DuplicateDeliveries != 0 || res.SendErrors != 0 {
 		t.Fatalf("run incomplete or unclean: %s", res.Summary())
 	}
-	events, mallocs := rt.Engine.EventsRun(), after.Mallocs-before.Mallocs
-	if perEvent := float64(mallocs) / float64(events); perEvent > 0.035 {
-		t.Errorf("%d mallocs over %d events: %.3f per event, budget 0.035", mallocs, events, perEvent)
+	events := rt.Engine.EventsRun()
+	if perEvent := float64(mallocs) / float64(events); perEvent > 0.023 {
+		t.Errorf("%d mallocs over %d events: %.4f per event, budget 0.023", mallocs, events, perEvent)
 	}
 	sourceLink := KindCounts{KindData: 24, SendKind(core.MsgInfo): 349,
 		SendKind(core.MsgAttachReq): 9, SendKind(core.MsgAttachAccept): 9, KindGapFill: 19}

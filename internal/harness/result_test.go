@@ -48,15 +48,12 @@ func TestResultAccessors(t *testing.T) {
 	if res.WireBytes == 0 {
 		t.Error("WireBytes = 0 for a tree run")
 	}
-	// Leaders: exactly one per true cluster after convergence.
-	leaders := rt.LeadersPerTrueCluster()
-	for c, n := range leaders {
-		if n != 1 {
-			t.Errorf("cluster %d has %d leaders", c, n)
-		}
+	// Leaders: exactly one per true cluster after convergence, of two.
+	if ok, why := rt.InducesClusterTree(); !ok {
+		t.Errorf("no cluster tree after convergence: %s", why)
 	}
-	if len(leaders) != 2 {
-		t.Errorf("leaders map covers %d clusters, want 2", len(leaders))
+	if n := rt.Net.ClusterCount(); n != 2 {
+		t.Errorf("%d true clusters, want 2", n)
 	}
 	// Final parents: the source has none, everyone else does.
 	if p := rt.TreeHost(core.HostID(rt.Topo.Source)).Parent(); p != core.Nil {

@@ -4,6 +4,7 @@ import (
 	"testing"
 	"time"
 
+	"rbcast/internal/allocs"
 	"rbcast/internal/sim"
 )
 
@@ -167,6 +168,84 @@ func assertSendZeroAllocs(t *testing.T, newEngine func() sim.Loop) {
 			assertFlightsRecycled(t, n)
 		})
 	}
+}
+
+// TestFirstJourneysCarveBoxes: copies sent by value and in flight at once,
+// each on its record's first journey, cost their records in chunks of
+// flightChunk, their payload boxes in chunks of boxChunk, and one method
+// value per record — its step, bound when it is carved — and nothing else:
+// at most ⌈N/flightChunk⌉ + ⌈N/boxChunk⌉ + N allocations for N copies.
+// Each copy still arrives with its own value.
+func TestFirstJourneysCarveBoxes(t *testing.T) {
+	assertFirstJourneysCarveBoxes(t, func() sim.Loop { return sim.NewEngine(1) })
+}
+
+// The same on the sharded engine, where the two hosts are on different
+// lanes and each lane carves boxes from chunks of its own (run it under
+// -race).
+func TestFirstJourneysCarveBoxesSharded(t *testing.T) {
+	assertFirstJourneysCarveBoxes(t, func() sim.Loop { return sim.NewSharded(1, 2) })
+}
+
+func assertFirstJourneysCarveBoxes(t *testing.T, newEngine func() sim.Loop) {
+	t.Helper()
+	const copies = 4 * boxChunk // half each way
+	var (
+		eng sim.Loop
+		n   *Network
+		got [2][]int
+	)
+	sendAll := func() {
+		for i := range copies {
+			from := HostID(1 + i%2)
+			if err := SendValue(n, from, 3-from, wide{tag: i}); err != nil {
+				t.Error(err)
+			}
+		}
+	}
+	fixture := func() func() {
+		eng = newEngine()
+		n = lineOn(t, eng, LinkConfig{Jitter: 0}, LinkConfig{Jitter: 0})
+		for _, h := range []HostID{1, 2} {
+			if err := n.Handle(h, func(_ time.Duration, env Envelope) {
+				got[h-1] = append(got[h-1], env.Payload.(*wide).tag)
+			}); err != nil {
+				t.Fatal(err)
+			}
+		}
+		// Warm the route tables, the cluster memos, the event queue and
+		// the mailboxes with the same traffic, then forget every record
+		// and box, so that each copy counted takes a record never used.
+		sendAll()
+		if err := eng.RunUntilIdle(); err != nil {
+			t.Fatal(err)
+		}
+		for _, ls := range n.perLane {
+			ls.free, ls.chunk, ls.made, ls.boxes = nil, nil, 0, nil
+		}
+		got[0], got[1] = got[0][:0], got[1][:0]
+		return sendAll
+	}
+	made := allocs.Min(3, 1, fixture)
+	ceil := func(a, b int) int { return (a + b - 1) / b }
+	if budget := ceil(copies, flightChunk) + ceil(copies, boxChunk) + copies; made > uint64(budget) {
+		t.Errorf("%d copies on their first journey allocated %d times, budget %d", copies, made, budget)
+	}
+	if err := eng.RunUntilIdle(); err != nil {
+		t.Fatal(err)
+	}
+	for h, tags := range got {
+		if len(tags) != copies/2 {
+			t.Fatalf("host %d received %d copies, want %d", h+1, len(tags), copies/2)
+		}
+		for k, tag := range tags {
+			// Host 1 sent the even tags to host 2, host 2 the odd ones.
+			if want := 2*k + 1 - h; tag != want {
+				t.Fatalf("host %d's copy %d carries tag %d, want %d", h+1, k, tag, want)
+			}
+		}
+	}
+	assertFlightsRecycled(t, n)
 }
 
 // What a handler is handed stays intact until it returns: the record that

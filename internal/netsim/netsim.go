@@ -257,6 +257,9 @@ type laneState struct {
 	free  *flight
 	chunk []flight
 	made  int
+	// boxes is the lane's latest chunk of payload boxes, a *boxes[P] for
+	// the P last sent by value from this lane (see place).
+	boxes any
 
 	// routes[src][dst] is the forwarding decision at server src for
 	// traffic to server dst; a source's table is built on first use and

@@ -42,8 +42,9 @@ type flight struct {
 	// inBox says env.Payload points into box: the copy carries a payload
 	// sent by value (SendValue), which a duplicate must not share.
 	inBox bool
-	// box is the record's own payload storage. It stays with the record
-	// across journeys, so a warm SendValue allocates nothing.
+	// box is the record's own payload storage, carved from a lane's chunk
+	// of boxes. It stays with the record across journeys, so a warm
+	// SendValue allocates nothing.
 	box  payloadBox
 	run  sim.Event
 	next *flight // free-list link
@@ -56,21 +57,40 @@ type flight struct {
 // the same job and allocate a closure over its type dictionary on every
 // send.)
 type payloadBox interface {
-	// copyTo places a copy of the stored value in dst's own storage.
-	copyTo(dst *flight)
+	// copyTo places a copy of the stored value in dst's own storage; ls
+	// is the executing lane's state.
+	copyTo(ls *laneState, dst *flight)
 }
 
 type box[P any] struct{ v P }
 
-func (b *box[P]) copyTo(dst *flight) { place(dst, &b.v) }
+func (b *box[P]) copyTo(ls *laneState, dst *flight) { place(ls, dst, &b.v) }
 
-// place copies *v into f's own storage — made on the record's first
-// journey with a P, reused on every later one — and points the envelope
-// at it.
-func place[P any](f *flight, v *P) {
+// boxChunk is how many boxes a lane allocates at a time. A chunk holds its
+// own cursor, so the lane keeps it behind an interface as a pointer, which
+// costs no allocation of its own.
+const boxChunk = 64
+
+type boxes[P any] struct {
+	b    [boxChunk]box[P]
+	used int
+}
+
+// place copies *v into f's own storage and points the envelope at it. The
+// storage is made on the record's first journey with a P — carved from
+// the chunk of ls, the executing lane's state, never from that of f.lane,
+// which on a recycled record names the lane of its last journey — and
+// reused on every later one.
+func place[P any](ls *laneState, f *flight, v *P) {
 	b, ok := f.box.(*box[P])
 	if !ok {
-		b = new(box[P])
+		c, ok := ls.boxes.(*boxes[P])
+		if !ok || c.used == boxChunk {
+			c = new(boxes[P])
+			ls.boxes = c
+		}
+		b = &c.b[c.used]
+		c.used++
 		f.box = b
 	}
 	b.v = *v
@@ -177,11 +197,11 @@ func SendValue[P any](n *Network, from, to HostID, payload P) error {
 	if src.transmit != nil {
 		ls := n.perLane[src.lane]
 		staged := ls.newFlight(n)
-		place(staged, &payload)
+		place(ls, staged, &payload)
 		n.viaHook(src, to, staged.env.Payload, func(dst *hostPort, out Outbound) {
 			f := ls.newFlight(n)
 			if v, ok := out.Payload.(*P); ok {
-				place(f, v)
+				place(ls, f, v)
 			} else {
 				f.env.Payload = out.Payload
 			}
@@ -191,8 +211,9 @@ func SendValue[P any](n *Network, from, to HostID, payload P) error {
 		ls.release(staged)
 		return nil
 	}
-	f := n.perLane[src.lane].newFlight(n)
-	place(f, &payload)
+	ls := n.perLane[src.lane]
+	f := ls.newFlight(n)
+	place(ls, f, &payload)
 	n.transmitOne(f, src, dst, false)
 	return nil
 }
@@ -341,7 +362,7 @@ func (n *Network) deliverAcross(f *flight, toLane int, cfg *LinkConfig) {
 		dup = ls.newFlight(n)
 		dup.env, dup.dst, dup.at, dup.deliver = f.env, f.dst, f.at, f.deliver
 		if f.inBox {
-			f.box.copyTo(dup)
+			f.box.copyTo(ls, dup)
 		}
 	}
 	for _, c := range [2]*flight{f, dup} {
