@@ -12,6 +12,7 @@ package basic
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 	"time"
 
@@ -112,25 +113,13 @@ func NewSource(id core.HostID, peers []core.HostID, params Params, env Env) (*So
 	if id <= 0 {
 		return nil, fmt.Errorf("basic: invalid source id %d", id)
 	}
-	var dests []core.HostID
-	seen := make(map[core.HostID]bool)
-	for _, p := range peers {
-		if p == id {
-			continue
-		}
-		if p <= 0 {
-			return nil, fmt.Errorf("basic: invalid peer id %d", p)
-		}
-		if seen[p] {
-			return nil, fmt.Errorf("basic: duplicate peer %d", p)
-		}
-		seen[p] = true
-		dests = append(dests, p)
+	roster, err := core.NewRoster(peers, nil)
+	if err != nil {
+		return nil, fmt.Errorf("basic: %w", err)
 	}
-	sort.Slice(dests, func(i, j int) bool { return dests[i] < dests[j] })
 	return &Source{
 		id:       id,
-		peers:    dests,
+		peers:    slices.DeleteFunc(roster.Peers(), func(p core.HostID) bool { return p == id }),
 		params:   params,
 		env:      env,
 		store:    make(map[seqset.Seq][]byte),

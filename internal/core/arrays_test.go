@@ -19,19 +19,16 @@ import (
 // participant set: that the package keeps it in index space, and that
 // the rows, flags and window behave as the maps they replaced did.
 
-// TestCoreDeclaresNoMaps: Config.Order — an input, read once by NewHost —
-// is the only map type the package's non-test code may mention. A map
-// keyed by HostID brings an iteration order with it that every loop then
-// has to remember not to use; a row parallel to Host.peers cannot be
-// walked in any order but the table's.
+// TestCoreDeclaresNoMaps: the package's non-test code mentions no map
+// type. A map keyed by HostID brings an iteration order with it that
+// every loop then has to remember not to use; a row parallel to
+// Host.peers cannot be walked in any order but the table's.
 func TestCoreDeclaresNoMaps(t *testing.T) {
 	names, err := filepath.Glob("*.go")
 	if err != nil {
 		t.Fatal(err)
 	}
 	fset := token.NewFileSet()
-	var found []*ast.MapType
-	var allowed ast.Expr
 	for _, name := range names {
 		if strings.HasSuffix(name, "_test.go") {
 			continue
@@ -41,29 +38,12 @@ func TestCoreDeclaresNoMaps(t *testing.T) {
 			t.Fatal(err)
 		}
 		ast.Inspect(file, func(n ast.Node) bool {
-			switch n := n.(type) {
-			case *ast.MapType:
-				found = append(found, n)
-			case *ast.TypeSpec:
-				if st, ok := n.Type.(*ast.StructType); ok && n.Name.Name == "Config" {
-					for _, field := range st.Fields.List {
-						if len(field.Names) == 1 && field.Names[0].Name == "Order" {
-							allowed = field.Type
-						}
-					}
-				}
+			if m, ok := n.(*ast.MapType); ok {
+				t.Errorf("%s: map type in package core; keep per-participant state in a row parallel to Host.peers or on the peer record",
+					fset.Position(m.Pos()))
 			}
 			return true
 		})
-	}
-	if allowed == nil {
-		t.Fatalf("Config.Order not found in %v", names)
-	}
-	for _, m := range found {
-		if m != allowed {
-			t.Errorf("%s: map type in package core; keep per-participant state in a row parallel to Host.peers or on the peer record",
-				fset.Position(m.Pos()))
-		}
 	}
 }
 
@@ -79,55 +59,115 @@ func TestPeerRecordStaysInItsSizeClass(t *testing.T) {
 	}
 }
 
-// newHostCost is what NewHost allocates for a host over n participants,
-// listed in descending order so that NewHost has to sort them.
-func newHostCost(t *testing.T, n int) (allocs float64, bytes uint64) {
+// newHostCost is what NewHost allocates for a host over n participants:
+// on a shared roster, or from a Peers list in descending order, which
+// NewHost has to sort into a roster of its own.
+func newHostCost(t *testing.T, n int, shared bool) (mallocs, bytes uint64) {
 	t.Helper()
 	peers := make([]HostID, n)
 	for i := range peers {
 		peers[i] = HostID(n - i)
 	}
 	cfg := Config{ID: 1, Source: 1, Peers: peers, Params: DefaultParams()}
-	build := func() {
-		if _, err := NewHost(cfg, nopEnv{}); err != nil {
+	if shared {
+		r, err := NewRoster(peers, nil)
+		if err != nil {
 			t.Fatal(err)
 		}
+		cfg.Peers, cfg.Roster = nil, r
 	}
-	return testing.AllocsPerRun(20, build), allocatedBytes(build)
+	build := func() func() {
+		return func() {
+			if _, err := NewHost(cfg, nopEnv{}); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	return allocs.Min(3, 1, build), allocs.MinBytes(3, 1, build)
 }
 
-// TestNewHostWideBudget: building a host over 512 participants sorts and
-// checks the list in place — the table's three rows, the host, its own
-// record and the words of its membership sets, and nothing proportional
-// to n beyond them. (Two hash maps of n entries each used to be built and
-// dropped here: 11 allocations, 51 KB, and most of harness.Prepare's time
-// at 512 hosts.)
+// TestNewHostWideBudget: building a host over 512 participants from a
+// Peers list sorts and checks the list in place — the roster's two rows,
+// the table, the host, its own record and the words of its membership
+// sets, and nothing proportional to n beyond them. (Two hash maps of n
+// entries each used to be built and dropped here: 11 allocations, 51 KB,
+// and most of harness.Prepare's time at 512 hosts.) On a shared roster
+// the table is the host's only n-wide row: the host's 1 024 bytes, 8 per
+// peer, and a KiB for its own record, the membership words and the
+// allocator's rounding.
 func TestNewHostWideBudget(t *testing.T) {
 	for _, n := range []int{65, 512} {
-		allocs, bytes := newHostCost(t, n)
-		if allocs > 6 {
-			t.Errorf("NewHost at %d peers: %v allocations, budget 6", n, allocs)
+		mallocs, bytes := newHostCost(t, n, false)
+		if mallocs > 6 {
+			t.Errorf("NewHost at %d peers: %d allocations, budget 6", n, mallocs)
 		}
 		if bytes > 20<<10 {
 			t.Errorf("NewHost at %d peers allocated %d bytes, budget %d", n, bytes, 20<<10)
+		}
+		mallocs, bytes = newHostCost(t, n, true)
+		if mallocs > 4 {
+			t.Errorf("NewHost at %d peers on a shared roster: %d allocations, budget 4", n, mallocs)
+		}
+		if limit := uint64(2048 + 8*n); bytes > limit {
+			t.Errorf("NewHost at %d peers on a shared roster allocated %d bytes, budget %d", n, bytes, limit)
 		}
 	}
 }
 
 // TestNewHostSmallBudget: up to 64 participants the membership sets are
 // words inside Host, so a small host costs what it did when they were
-// flags on the peer records — five allocations: the Host in its 1 024-byte
-// size class, the three rows and the own record, 2 688 bytes at 64 peers
-// (2 800 while the record took a 240-byte object). Every host of a soak
-// seed is this small.
+// flags on the peer records — five allocations from a Peers list: the
+// Host in its 1 024-byte size class, the roster's two rows, the table and
+// the own record, 2 688 bytes at 64 peers (2 800 while the record took a
+// 240-byte object). On a shared roster the two rows are not the host's:
+// three allocations, 1 664 bytes at 64 peers. Every host of a soak seed
+// is this small.
 func TestNewHostSmallBudget(t *testing.T) {
 	for _, n := range []int{1, 6, 64} {
-		if allocs, _ := newHostCost(t, n); allocs != 5 {
-			t.Errorf("NewHost at %d peers: %v allocations, want 5", n, allocs)
+		if mallocs, _ := newHostCost(t, n, false); mallocs != 5 {
+			t.Errorf("NewHost at %d peers: %d allocations, want 5", n, mallocs)
+		}
+		if mallocs, _ := newHostCost(t, n, true); mallocs != 3 {
+			t.Errorf("NewHost at %d peers on a shared roster: %d allocations, want 3", n, mallocs)
 		}
 	}
-	if _, bytes := newHostCost(t, 64); bytes != 2688 {
+	if _, bytes := newHostCost(t, 64, false); bytes != 2688 {
 		t.Errorf("NewHost at 64 peers allocated %d bytes, want 2 688", bytes)
+	}
+	if _, bytes := newHostCost(t, 64, true); bytes != 1664 {
+		t.Errorf("NewHost at 64 peers on a shared roster allocated %d bytes, want 1 664", bytes)
+	}
+}
+
+// TestHostsShareTheirRoster: a host built on a roster reads its
+// participants and their orders from the roster's rows, not from copies,
+// and so does every other host built on it; a host built from Peers has
+// rows of its own.
+func TestHostsShareTheirRoster(t *testing.T) {
+	r, err := NewRoster([]HostID{3, 1, 2}, []int{30, 10, 20})
+	if err != nil {
+		t.Fatal(err)
+	}
+	var hosts []*Host
+	for _, id := range []HostID{1, 2, 3} {
+		h, err := NewHost(Config{ID: id, Source: 1, Roster: r}, nopEnv{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if &h.peers[0] != &r.ids[0] || &h.order[0] != &r.order[0] {
+			t.Errorf("host %d copied the roster's rows", id)
+		}
+		hosts = append(hosts, h)
+	}
+	if !hosts[0].SharesRoster(hosts[2]) {
+		t.Error("two hosts on one roster do not share it")
+	}
+	own, err := NewHost(Config{ID: 1, Source: 1, Peers: []HostID{1, 2, 3}}, nopEnv{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if own.SharesRoster(hosts[0]) {
+		t.Error("a host built from Peers shares another host's roster")
 	}
 }
 

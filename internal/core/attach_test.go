@@ -61,12 +61,12 @@ func TestCaseIOption2EqualInfoHigherOrder(t *testing.T) {
 
 func TestCaseIOption2RespectsCustomOrder(t *testing.T) {
 	env := &fakeEnv{}
-	h, err := core.NewHost(core.Config{
-		ID: 3, Source: 1, Peers: []core.HostID{1, 2, 3, 4},
-		// Reverse order: host 2 has the highest order.
-		Order:  map[core.HostID]int{1: 40, 2: 30, 3: 20, 4: 10},
-		Params: quietParams(),
-	}, env)
+	// Reverse order: host 2 has the highest order.
+	roster, err := core.NewRoster([]core.HostID{1, 2, 3, 4}, []int{40, 30, 20, 10})
+	if err != nil {
+		t.Fatal(err)
+	}
+	h, err := core.NewHost(core.Config{ID: 3, Source: 1, Roster: roster, Params: quietParams()}, env)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -1,8 +1,8 @@
 package core
 
 import (
+	"errors"
 	"fmt"
-	"slices"
 	"time"
 
 	"rbcast/internal/seqset"
@@ -157,18 +157,25 @@ func NewHost(cfg Config, env Env) (*Host, error) {
 	if err := cfg.Params.Validate(); err != nil {
 		return nil, err
 	}
-	peers := slices.Clone(cfg.Peers)
-	slices.Sort(peers)
-	order, err := cfg.validate(peers)
-	if err != nil {
+	r := cfg.Roster
+	if r == nil {
+		var own Roster
+		if err := own.build(cfg.Peers, nil); err != nil {
+			return nil, err
+		}
+		r = &own
+	} else if cfg.Peers != nil {
+		return nil, errors.New("core: Config sets both Peers and Roster")
+	}
+	if err := cfg.validate(r); err != nil {
 		return nil, err
 	}
 	h := &Host{
 		id:         cfg.ID,
 		source:     cfg.Source,
-		peers:      peers,
-		order:      order,
-		table:      make([]*peer, len(peers)),
+		peers:      r.ids,
+		order:      r.order,
+		table:      make([]*peer, len(r.ids)),
 		params:     cfg.Params,
 		env:        env,
 		observer:   cfg.Observer,
@@ -179,7 +186,7 @@ func NewHost(cfg Config, env Env) (*Host, error) {
 	}
 	_, h.shared = env.(SharedPayloads)
 	h.sets = h.setsInline[:]
-	if w := (len(peers) + 63) / 64; w > 1 {
+	if w := (len(r.ids) + 63) / 64; w > 1 {
 		h.sets = make([]uint64, 2*w)
 	}
 	h.me = h.lookup(cfg.ID)

@@ -96,6 +96,10 @@ func TestConfigValidation(t *testing.T) {
 	echoBudget := core.DefaultParams()
 	echoBudget.EchoReady = true
 	echoBudget.EchoMaxFaulty = 2
+	roster, err := core.NewRoster([]core.HostID{1, 2}, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
 	cases := []struct {
 		name string
 		cfg  core.Config
@@ -113,14 +117,10 @@ func TestConfigValidation(t *testing.T) {
 			"core: source 1 not in Peers"},
 		{"duplicate peers", core.Config{ID: 1, Source: 1, Peers: []core.HostID{1, 2, 2}},
 			"core: duplicate peer 2"},
-		{"order missing peer", core.Config{
-			ID: 1, Source: 1, Peers: []core.HostID{1, 2},
-			Order: map[core.HostID]int{1: 1},
-		}, "core: peer 2 missing from Order"},
-		{"order collision", core.Config{
-			ID: 1, Source: 1, Peers: []core.HostID{1, 2},
-			Order: map[core.HostID]int{1: 7, 2: 7},
-		}, "core: peers 1 and 2 share order 7"},
+		{"peers and roster", core.Config{ID: 1, Source: 1, Peers: []core.HostID{1, 2}, Roster: roster},
+			"core: Config sets both Peers and Roster"},
+		{"self not on roster", core.Config{ID: 3, Source: 1, Roster: roster},
+			"core: host 3 not in Peers"},
 		{"initial cluster outside peers", core.Config{
 			ID: 1, Source: 1, Peers: []core.HostID{1, 2},
 			InitialCluster: []core.HostID{2, 9},
@@ -149,7 +149,6 @@ func TestConfigValidation(t *testing.T) {
 	peers := []core.HostID{40, 7, 1000, 12}
 	h, err := core.NewHost(core.Config{
 		ID: 12, Source: 1000, Peers: peers,
-		Order:          map[core.HostID]int{7: 3, 12: -1, 40: 0, 1000: 9},
 		InitialCluster: []core.HostID{1000, 7},
 	}, env)
 	if err != nil {
@@ -160,6 +159,46 @@ func TestConfigValidation(t *testing.T) {
 	}
 	if !slices.Equal(peers, []core.HostID{40, 7, 1000, 12}) {
 		t.Errorf("NewHost reordered the caller's Peers: %v", peers)
+	}
+}
+
+// TestNewRoster: a roster is checked once, when it is built — ids
+// positive and distinct, an order row as long as the peers and without
+// collisions — and neither input is changed by it.
+func TestNewRoster(t *testing.T) {
+	cases := []struct {
+		name  string
+		peers []core.HostID
+		order []int
+		want  string
+	}{
+		{"bad peer id", []core.HostID{1, 2, -3}, nil, "core: invalid peer id -3"},
+		{"zero peer id", []core.HostID{0, 1}, nil, "core: invalid peer id 0"},
+		{"duplicate peers", []core.HostID{1, 2, 2}, nil, "core: duplicate peer 2"},
+		{"duplicate peers with orders", []core.HostID{2, 1, 2}, []int{1, 2, 3}, "core: duplicate peer 2"},
+		{"order length mismatch", []core.HostID{1, 2}, []int{1}, "core: 1 orders for 2 peers"},
+		{"order collision", []core.HostID{1, 2}, []int{7, 7}, "core: peers 1 and 2 share order 7"},
+		// Named in ascending id order, whatever the order of the input.
+		{"order collision unsorted", []core.HostID{40, 9, 12}, []int{5, 3, 5}, "core: peers 12 and 40 share order 5"},
+		{"valid", []core.HostID{1, 2}, nil, ""},
+		{"valid with orders", []core.HostID{40, 7, 1000, 12}, []int{0, 3, 9, -1}, ""},
+	}
+	for _, tt := range cases {
+		t.Run(tt.name, func(t *testing.T) {
+			peers, order := slices.Clone(tt.peers), slices.Clone(tt.order)
+			_, err := core.NewRoster(peers, order)
+			switch {
+			case tt.want == "" && err != nil:
+				t.Errorf("NewRoster(%v, %v) rejected a valid roster: %v", tt.peers, tt.order, err)
+			case tt.want != "" && err == nil:
+				t.Errorf("NewRoster(%v, %v) accepted a bad roster", tt.peers, tt.order)
+			case tt.want != "" && err.Error() != tt.want:
+				t.Errorf("NewRoster(%v, %v) rejected with %q, want %q", tt.peers, tt.order, err, tt.want)
+			}
+			if !slices.Equal(peers, tt.peers) || !slices.Equal(order, tt.order) {
+				t.Errorf("NewRoster changed its inputs: %v, %v", peers, order)
+			}
+		})
 	}
 }
 

@@ -3,7 +3,6 @@ package core
 import (
 	"errors"
 	"fmt"
-	"slices"
 	"time"
 )
 
@@ -342,20 +341,20 @@ func (p Params) Validate() error {
 
 // Config assembles everything a Host needs at construction.
 type Config struct {
-	// ID is this host's identity; must appear in Peers.
+	// ID is this host's identity; must be a participant.
 	ID HostID
-	// Source is the broadcast source's identity; must appear in Peers.
+	// Source is the broadcast source's identity; must be a participant.
 	// The host with ID == Source generates messages and never runs the
 	// attachment procedure.
 	Source HostID
-	// Peers lists every participating host, including ID and Source. The
-	// paper assumes hosts know the identities of all participants.
-	Peers []HostID
-	// Order optionally overrides the static linear order; when nil,
-	// order(i) = int(i). Every peer must have a distinct order.
-	Order map[HostID]int
+	// Peers or a shared Roster, one of the two, lists every participating
+	// host, including ID and Source: the paper assumes hosts know the
+	// identities of all participants. Peers is read as NewRoster(Peers,
+	// nil), with order(i) = int(i); hosts built on one Roster share it.
+	Peers  []HostID
+	Roster *Roster
 	// InitialCluster optionally seeds CLUSTER with static knowledge
-	// (§6); its members must appear in Peers, and the host's own ID is
+	// (§6); its members must be participants, and the host's own ID is
 	// always included.
 	InitialCluster []HostID
 	// Params tunes the protocol; zero value means DefaultParams.
@@ -368,66 +367,32 @@ type Config struct {
 	Observer Observer
 }
 
-// validate reports the first problem with c, or else the static order
-// of every participant. sorted is c.Peers ascending — NewHost sorts the
-// list once, for the table it keeps — and the orders run parallel to it.
-// Two peers that share an order are named in ascending ID order.
-func (c Config) validate(sorted []HostID) ([]int, error) {
+// validate reports the first problem with c's own fields against r, the
+// participants: the roster itself was checked when it was built.
+func (c Config) validate(r *Roster) error {
 	if c.ID <= 0 {
-		return nil, fmt.Errorf("core: invalid host id %d", c.ID)
+		return fmt.Errorf("core: invalid host id %d", c.ID)
 	}
 	if c.Source <= 0 {
-		return nil, fmt.Errorf("core: invalid source id %d", c.Source)
+		return fmt.Errorf("core: invalid source id %d", c.Source)
 	}
-	order := make([]int, len(sorted))
-	for i, p := range sorted {
-		if p <= 0 {
-			return nil, fmt.Errorf("core: invalid peer id %d", p)
-		}
-		if i > 0 && p == sorted[i-1] {
-			return nil, fmt.Errorf("core: duplicate peer %d", p)
-		}
-		order[i] = int(p)
-		if c.Order != nil {
-			var ok bool
-			if order[i], ok = c.Order[p]; !ok {
-				return nil, fmt.Errorf("core: peer %d missing from Order", p)
-			}
-		}
+	if !r.has(c.ID) {
+		return fmt.Errorf("core: host %d not in Peers", c.ID)
 	}
-	// Without an override the orders are the IDs, distinct already.
-	if c.Order != nil {
-		byOrder := slices.Clone(order)
-		slices.Sort(byOrder)
-		for i := 1; i < len(byOrder); i++ {
-			if o := byOrder[i]; o == byOrder[i-1] {
-				a := slices.Index(order, o)
-				b := a + 1 + slices.Index(order[a+1:], o)
-				return nil, fmt.Errorf("core: peers %d and %d share order %d", sorted[a], sorted[b], o)
-			}
-		}
-	}
-	member := func(j HostID) bool {
-		_, ok := slices.BinarySearch(sorted, j)
-		return ok
-	}
-	if !member(c.ID) {
-		return nil, fmt.Errorf("core: host %d not in Peers", c.ID)
-	}
-	if !member(c.Source) {
-		return nil, fmt.Errorf("core: source %d not in Peers", c.Source)
+	if !r.has(c.Source) {
+		return fmt.Errorf("core: source %d not in Peers", c.Source)
 	}
 	for _, p := range c.InitialCluster {
-		if !member(p) {
-			return nil, fmt.Errorf("core: InitialCluster member %d not in Peers", p)
+		if !r.has(p) {
+			return fmt.Errorf("core: InitialCluster member %d not in Peers", p)
 		}
 	}
 	// An explicit budget is held to n > 3f, as the default one is by
 	// construction: at n ≤ 3f the ready quorum 2f+1 exceeds the n − f
 	// correct hosts and nothing but the source's own messages is ever
 	// delivered (echo.go, "reachability").
-	if f := c.Params.EchoMaxFaulty; !admitsBudget(len(sorted), f) {
-		return nil, fmt.Errorf("core: EchoMaxFaulty %d needs more than %d participants, have %d", f, 3*f, len(sorted))
+	if f := c.Params.EchoMaxFaulty; !admitsBudget(len(r.ids), f) {
+		return fmt.Errorf("core: EchoMaxFaulty %d needs more than %d participants, have %d", f, 3*f, len(r.ids))
 	}
-	return order, nil
+	return nil
 }

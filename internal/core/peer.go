@@ -226,7 +226,7 @@ func (h *Host) deltaOf(p *peer) *deltaInfo {
 	return p.delta
 }
 
-// orderOf is p's static linear order, Config.Order[id] or int(id).
+// orderOf is p's static linear order, from the roster.
 func (h *Host) orderOf(p *peer) int { return h.order[p.idx] }
 
 // lookup returns j's record, or nil when j is not a participant.

@@ -136,11 +136,11 @@ func TestTableOrder(t *testing.T) {
 	p.BackoffMax = 8 * time.Second
 	p.BackoffMultiplier = 2
 	p.SuspicionAfter = 2
-	h, err := NewHost(Config{
-		ID: 9, Source: 12, Peers: []HostID{40, 9, 1000, 12, 7, 8},
-		Order:  map[HostID]int{7: 60, 8: 50, 9: 40, 12: 30, 40: 20, 1000: 10},
-		Params: p,
-	}, nopEnv{})
+	roster, err := NewRoster([]HostID{40, 9, 1000, 12, 7, 8}, []int{20, 40, 10, 30, 60, 50})
+	if err != nil {
+		t.Fatal(err)
+	}
+	h, err := NewHost(Config{ID: 9, Source: 12, Roster: roster, Params: p}, nopEnv{})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -21,11 +21,10 @@ var simPackages = []string{"netsim", "harness", "trace", "topo"}
 var denseIDs = map[string]bool{"HostID": true, "ServerID": true, "LinkID": true, "LinkClass": true, "EventKind": true}
 
 // denseMapFields are the struct fields that may hold such a map, named
-// package.Type.Field: the scenario's inputs, and the per-adversary
-// result, which is sparse. An assignment to a field of one of these
+// package.Type.Field: the scenario's adversary placement and the
+// per-adversary result, both sparse. An assignment to a field of one of these
 // names in its package may build the map.
 var denseMapFields = map[string]bool{
-	"harness.Scenario.Order":        true,
 	"harness.Scenario.Adversaries":  true,
 	"harness.Result.AdversaryStats": true,
 }

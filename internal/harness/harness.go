@@ -92,8 +92,8 @@ type Scenario struct {
 	// BasicParams tunes the baseline; zero value uses defaults.
 	BasicParams basic.Params
 	// Order optionally overrides the static host order for the tree
-	// protocol.
-	Order map[core.HostID]int
+	// protocol: Order[i] is the order of Result.HostList[i].
+	Order []int
 	// Messages is the number of data messages the source broadcasts.
 	Messages int
 	// MsgInterval separates consecutive broadcasts; default 200 ms.
@@ -688,18 +688,19 @@ func (rt *Runtime) recordSnapshotCoverage(lane, slot int, mark seqset.Seq) {
 
 func (rt *Runtime) buildTree() error {
 	s := rt.scenario
-	peers := make([]core.HostID, 0, len(rt.Topo.Hosts))
-	for _, h := range rt.Topo.Hosts {
-		peers = append(peers, core.HostID(h))
+	// One roster for the run: every host reads its membership from it.
+	roster, err := core.NewRoster(rt.result.HostList, s.Order)
+	if err != nil {
+		return fmt.Errorf("harness: %w", err)
 	}
 	source := core.HostID(rt.Topo.Source)
-	rt.TreeHosts = make([]*core.Host, len(peers))
+	rt.TreeHosts = make([]*core.Host, len(rt.Topo.Hosts))
 	if s.Replicate {
-		rt.Replicas = make([]*replica.Store, len(peers))
+		rt.Replicas = make([]*replica.Store, len(rt.Topo.Hosts))
 	}
 	// In static cluster mode (§6), hosts are seeded with the generated
 	// clustering as their fixed CLUSTER knowledge, indexed like HostList.
-	staticClusters := make([][]core.HostID, len(peers))
+	staticClusters := make([][]core.HostID, len(rt.Topo.Hosts))
 	if s.Params.ClusterMode == core.ClusterStatic {
 		for _, group := range rt.Topo.HostsByCluster {
 			members := make([]core.HostID, 0, len(group))
@@ -712,8 +713,8 @@ func (rt *Runtime) buildTree() error {
 			}
 		}
 	}
-	for _, id := range peers {
-		id := id
+	for _, host := range rt.Topo.Hosts {
+		id := core.HostID(host)
 		i, lane, slot := rt.enroll(id)
 		env := treeEnv{rt: rt, id: id, lane: lane, slot: slot}
 		if s.Replicate {
@@ -729,8 +730,7 @@ func (rt *Runtime) buildTree() error {
 		h, err := core.NewHost(core.Config{
 			ID:             id,
 			Source:         source,
-			Peers:          peers,
-			Order:          s.Order,
+			Roster:         roster,
 			Params:         s.Params,
 			InitialCluster: staticClusters[i],
 			JitterSeed:     s.Seed,

@@ -90,6 +90,37 @@ func TestTreeConvergesToClusterTree(t *testing.T) {
 	}
 }
 
+// TestTreeHostsShareOneRoster: a run's membership is built and checked
+// once — every tree host reads its participants from one roster — and
+// Scenario.Order, a row in HostList order, is held to the participants
+// before any host is built.
+func TestTreeHostsShareOneRoster(t *testing.T) {
+	sc := harness.Scenario{
+		Name:     "roster-3x3",
+		Seed:     1,
+		Build:    clusteredBuild(3, 3, topo.WANTree),
+		Protocol: harness.ProtocolTree,
+		Messages: 1,
+		Order:    []int{9, 1, 2, 3, 4, 5, 6, 7, 8},
+	}
+	rt, err := harness.Prepare(sc)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(rt.TreeHosts) != 9 {
+		t.Fatalf("%d tree hosts, want 9", len(rt.TreeHosts))
+	}
+	for _, h := range rt.TreeHosts[1:] {
+		if !h.SharesRoster(rt.TreeHosts[0]) {
+			t.Errorf("host %d has a roster of its own", h.ID())
+		}
+	}
+	sc.Order = sc.Order[:8]
+	if _, err := harness.Prepare(sc); err == nil || err.Error() != "harness: core: 8 orders for 9 peers" {
+		t.Errorf("an order row one short: %v, want it refused", err)
+	}
+}
+
 func TestTreeCompletesUnderLoss(t *testing.T) {
 	res, err := harness.Run(harness.Scenario{
 		Name: "lossy-3x3",

@@ -13,7 +13,7 @@ package multi
 
 import (
 	"fmt"
-	"sort"
+	"slices"
 	"time"
 
 	"rbcast/internal/core"
@@ -36,15 +36,14 @@ type Env interface {
 type Config struct {
 	// ID is this host's identity.
 	ID core.HostID
-	// Peers lists every participating host (including ID).
+	// Peers lists every participating host (including ID), in one
+	// core.Roster that every instance shares.
 	Peers []core.HostID
 	// Sources lists the hosts that broadcast; one protocol instance runs
 	// per entry. Every source must appear in Peers.
 	Sources []core.HostID
 	// Params tunes every instance identically; zero value uses defaults.
 	Params core.Params
-	// Order optionally overrides the static order (shared by instances).
-	Order map[core.HostID]int
 	// Observer receives protocol events from all instances; may be nil.
 	Observer core.Observer
 	// JitterSeed seeds the health layer's deterministic backoff jitter in
@@ -55,9 +54,16 @@ type Config struct {
 // Bus is one host's set of per-stream protocol instances. Like
 // core.Host, it is single-threaded: the runtime must serialize calls.
 type Bus struct {
-	id        core.HostID
-	instances map[StreamID]*core.Host
-	streams   []StreamID // sorted, for deterministic iteration
+	id core.HostID
+	// streams holds one instance per stream, ascending by stream: the
+	// order every walk takes. A bus runs a handful, so lookups scan it.
+	streams []instance
+}
+
+// instance is one stream's protocol host.
+type instance struct {
+	stream StreamID
+	host   *core.Host
 }
 
 // instanceEnv adapts one stream's instance to the shared Env.
@@ -82,19 +88,21 @@ func NewBus(cfg Config, env Env) (*Bus, error) {
 	if len(cfg.Sources) == 0 {
 		return nil, fmt.Errorf("multi: no sources")
 	}
-	b := &Bus{
-		id:        cfg.ID,
-		instances: make(map[StreamID]*core.Host, len(cfg.Sources)),
+	roster, err := core.NewRoster(cfg.Peers, nil)
+	if err != nil {
+		return nil, fmt.Errorf("multi: %w", err)
 	}
-	for _, src := range cfg.Sources {
-		if _, dup := b.instances[src]; dup {
+	sources := slices.Clone(cfg.Sources)
+	slices.Sort(sources)
+	b := &Bus{id: cfg.ID, streams: make([]instance, 0, len(sources))}
+	for i, src := range sources {
+		if i > 0 && src == sources[i-1] {
 			return nil, fmt.Errorf("multi: duplicate source %d", src)
 		}
 		h, err := core.NewHost(core.Config{
 			ID:         cfg.ID,
 			Source:     src,
-			Peers:      cfg.Peers,
-			Order:      cfg.Order,
+			Roster:     roster,
 			Params:     cfg.Params,
 			Observer:   cfg.Observer,
 			JitterSeed: cfg.JitterSeed,
@@ -102,10 +110,8 @@ func NewBus(cfg Config, env Env) (*Bus, error) {
 		if err != nil {
 			return nil, fmt.Errorf("multi: stream %d: %w", src, err)
 		}
-		b.instances[src] = h
-		b.streams = append(b.streams, src)
+		b.streams = append(b.streams, instance{stream: src, host: h})
 	}
-	sort.Slice(b.streams, func(i, j int) bool { return b.streams[i] < b.streams[j] })
 	return b, nil
 }
 
@@ -115,25 +121,34 @@ func (b *Bus) ID() core.HostID { return b.id }
 // Streams returns the stream IDs, sorted.
 func (b *Bus) Streams() []StreamID {
 	out := make([]StreamID, len(b.streams))
-	copy(out, b.streams)
+	for i, in := range b.streams {
+		out[i] = in.stream
+	}
 	return out
 }
 
 // Instance returns the protocol instance for one stream (nil if the
 // stream is unknown); read-only use by tests and inspectors.
-func (b *Bus) Instance(stream StreamID) *core.Host { return b.instances[stream] }
+func (b *Bus) Instance(stream StreamID) *core.Host {
+	for _, in := range b.streams {
+		if in.stream == stream {
+			return in.host
+		}
+	}
+	return nil
+}
 
 // Start initializes every instance's periodic schedule.
 func (b *Bus) Start(now time.Duration) {
-	for _, s := range b.streams {
-		b.instances[s].Start(now)
+	for _, in := range b.streams {
+		in.host.Start(now)
 	}
 }
 
 // Tick clocks every instance.
 func (b *Bus) Tick(now time.Duration) {
-	for _, s := range b.streams {
-		b.instances[s].Tick(now)
+	for _, in := range b.streams {
+		in.host.Tick(now)
 	}
 }
 
@@ -141,18 +156,16 @@ func (b *Bus) Tick(now time.Duration) {
 // Messages for unknown streams are dropped — a host that does not run a
 // stream cannot help it.
 func (b *Bus) HandleMessage(now time.Duration, from core.HostID, costBit bool, stream StreamID, m core.Message) {
-	h, ok := b.instances[stream]
-	if !ok {
-		return
+	if h := b.Instance(stream); h != nil {
+		h.HandleMessage(now, from, costBit, m)
 	}
-	h.HandleMessage(now, from, costBit, m)
 }
 
 // Broadcast generates the next message on this host's own stream. It
 // errors if this host is not a source.
 func (b *Bus) Broadcast(now time.Duration, payload []byte) (seqset.Seq, error) {
-	h, ok := b.instances[b.id]
-	if !ok {
+	h := b.Instance(b.id)
+	if h == nil {
 		return 0, fmt.Errorf("multi: host %d is not a source", b.id)
 	}
 	return h.Broadcast(now, payload), nil

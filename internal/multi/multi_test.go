@@ -189,9 +189,14 @@ func TestMultiSourceConvergence(t *testing.T) {
 
 func TestStreamsAreIndependent(t *testing.T) {
 	// Stream isolation: traffic on one stream never affects another
-	// stream's INFO.
+	// stream's INFO. The instances share one roster, which is fixed.
 	sources := []core.HostID{1, 2}
 	w := newWorld(t, 7, 3, sources)
+	for _, id := range w.peers {
+		if b := w.buses[id]; !b.Instance(1).SharesRoster(b.Instance(2)) {
+			t.Errorf("host %d: the streams have rosters of their own", id)
+		}
+	}
 	if _, err := w.buses[1].Broadcast(0, []byte("s1")); err != nil {
 		t.Fatal(err)
 	}

@@ -3,8 +3,6 @@ package node
 import (
 	"encoding/binary"
 	"errors"
-	"runtime"
-	"runtime/debug"
 	"sync"
 	"testing"
 	"time"
@@ -168,16 +166,11 @@ func TestEnvelopeBurstsCarveSlabs(t *testing.T) {
 			e.Release()
 		}
 	}
-	round()
-	var before, after runtime.MemStats
-	// Paused, the collector allocates nothing of its own in the count.
-	defer debug.SetGCPercent(debug.SetGCPercent(-1))
-	runtime.ReadMemStats(&before)
-	round()
-	runtime.ReadMemStats(&after)
+	// Each trial's first round fills the list; its second is counted.
+	got := allocs.Min(3, 1, func() func() { round(); return round })
 	misses := burst - freeEnvelopes
-	if limit := 2 * ((misses + envelopeChunk - 1) / envelopeChunk); after.Mallocs-before.Mallocs > uint64(limit) {
-		t.Errorf("a second burst of %d envelopes allocated %d times, want at most %d", burst, after.Mallocs-before.Mallocs, limit)
+	if limit := 2 * ((misses + envelopeChunk - 1) / envelopeChunk); got > uint64(limit) {
+		t.Errorf("a second burst of %d envelopes allocated %d times, want at most %d", burst, got, limit)
 	}
 
 	for i := range held {

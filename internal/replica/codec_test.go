@@ -5,9 +5,9 @@ import (
 	"errors"
 	"fmt"
 	"math/rand"
-	"runtime"
 	"testing"
 
+	"rbcast/internal/allocs"
 	"rbcast/internal/replica"
 )
 
@@ -182,17 +182,13 @@ func FuzzApplyEncoded(f *testing.F) {
 // rejected before anything is reserved for the rows it claims.
 func TestCheckpointHeaderReservesNothing(t *testing.T) {
 	data := binary.BigEndian.AppendUint32([]byte{0xC4, 1, 0, 0, 0, 0, 0, 0, 0, 9}, replica.MaxCheckpointRows)
-	const runs = 10
-	var before, after runtime.MemStats
-	runtime.ReadMemStats(&before)
-	for i := 0; i < runs; i++ {
+	reject := func() {
 		if _, _, err := replica.DecodeCheckpoint(data); !errors.Is(err, replica.ErrBadCheckpoint) {
 			t.Fatalf("a header claiming %d rows and no row decodes with %v, want ErrBadCheckpoint", replica.MaxCheckpointRows, err)
 		}
 	}
-	runtime.ReadMemStats(&after)
-	if per := (after.TotalAlloc - before.TotalAlloc) / runs; per > 512 {
-		t.Errorf("a header claiming %d rows costs %d bytes to reject, want at most 512", replica.MaxCheckpointRows, per)
+	if got := allocs.MinBytes(10, 1, func() func() { return reject }); got > 512 {
+		t.Errorf("a header claiming %d rows costs %d bytes to reject, want at most 512", replica.MaxCheckpointRows, got)
 	}
 }
 

@@ -540,12 +540,13 @@ func (sp Spec) Scenario() (harness.Scenario, error) {
 	// ID order a host in the source's cluster that drifted to a
 	// cross-cluster parent could never rejoin the source once all INFO
 	// sets equalize — leaving the root cluster with two stable leaders.
-	// Host IDs are 1..Hosts() with the source at 1.
-	order := make(map[core.HostID]int, sp.Hosts())
-	for i := 1; i <= sp.Hosts(); i++ {
-		order[core.HostID(i)] = i
+	// Host IDs are 1..Hosts() with the source at 1, so HostList[i] is
+	// host i+1.
+	order := make([]int, sp.Hosts())
+	for i := range order {
+		order[i] = i + 1
 	}
-	order[1] = sp.Hosts() + 1
+	order[0] = sp.Hosts() + 1
 	sc := harness.Scenario{
 		Name:  fmt.Sprintf("soak/%s/%d", sp.Class, sp.Seed),
 		Seed:  sp.Seed,

@@ -81,7 +81,9 @@ const (
 // Host is the protocol state machine for one participant.
 type Host = core.Host
 
-// Config assembles a Host.
+// Config assembles a Host. It names the participants by Peers or a
+// shared Roster; a Roster is built inside the module's runtimes, so
+// outside it Peers is the way in.
 type Config = core.Config
 
 // Params are the protocol tunables (§6 of the paper).
